@@ -127,9 +127,18 @@ class RefGroup:
     def reads(self) -> tuple[ReferenceSite, ...]:
         return tuple(s for s in self.sites if not s.is_write)
 
-    @property
+    @cached_property
     def writes(self) -> tuple[ReferenceSite, ...]:
         return tuple(s for s in self.sites if s.is_write)
+
+    @cached_property
+    def has_active_read(self) -> bool:
+        """Whether some read site is not store-forwarded — i.e. whether
+        the group has a read channel that can touch RAM at all."""
+        return any(
+            not s.is_write and s.site_id not in self.forwarded
+            for s in self.sites
+        )
 
     @property
     def is_written(self) -> bool:

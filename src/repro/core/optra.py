@@ -85,9 +85,8 @@ from repro.errors import ReproError
 # order resolves the cycle (repro.scalar.coverage can import
 # repro.sim.residency from a partially initialized repro.sim, but not
 # the other way around).
-from repro.sim.cycles import classify_patterns, has_active_read  # isort: skip
+from repro.sim.cycles import classify_patterns, pattern_costs  # isort: skip
 from repro.scalar.coverage import GroupCoverage  # isort: skip
-from repro.sim.scheduler import schedule_iteration
 from repro.synth.estimate import classify_operand_storage, count_with_best_anchors
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -349,8 +348,12 @@ class _Search:
             key=lambda g: (-self.densities[g.name], self._index(g.name)),
         )
 
-        self._zeros = np.zeros(self.shape, dtype=bool)
-        self._sched_memo: "dict[tuple, tuple[int, int]]" = {}
+        # The leaf objective's cost table: bounds classify through the
+        # same layout and costs as the leaves.
+        self.costs = pattern_costs(
+            self.kernel, self.groups, self.dfg, model, ram_ports, overhead,
+            self.ctx,
+        )
         self._leaf_memo: "dict[tuple[int, ...], int]" = {}
 
     def _index(self, name: str) -> int:
@@ -452,16 +455,12 @@ class _Search:
 
     def _relaxed_bound(self, decided: "dict[str, int]") -> int:
         """Strong bound: exact decided masks, everything else all-hit."""
-        channels: "list[tuple[str, str, np.ndarray]]" = []
+        exact = {}
         writebacks = 0
         for group in self.groups:
             name = group.name
             r = decided.get(name)
             if r is None:
-                if has_active_read(group):
-                    channels.append((name, "read", self._zeros))
-                if group.writes:
-                    channels.append((name, "write", self._zeros))
                 continue
             coverage = self.coverages[name]
             result = coverage.result(r, anchor="low")
@@ -469,37 +468,16 @@ class _Search:
             # A partially covered pinned group's masks depend on the
             # anchor the objective minimizes over; relax them to
             # all-hit (write-backs are anchor-independent and stay).
-            relax = (
+            if not (
                 coverage.kind == "pinned"
                 and 0 < result.covered < group.full_registers
-            )
-            read_miss = self._zeros if relax else result.read_miss
-            write_miss = self._zeros if relax else result.write_miss
-            if read_miss.any() or has_active_read(group):
-                channels.append((name, "read", read_miss))
-            if group.writes:
-                channels.append((name, "write", write_miss))
+            ):
+                exact[name] = result
 
         in_loop, _, _ = classify_patterns(
-            self.shape, channels, self.dfg, self.overhead, self._schedule,
-            label=f"kernel {self.kernel.name} (opt-ra bound)",
+            self.costs.layout.pack(self.shape, exact), self.costs
         )
         return in_loop + writebacks * self.model.ram_latency
-
-    def _schedule(self, hit: "dict[str, bool]") -> "tuple[int, int]":
-        if self.ctx is not None:
-            return self.ctx.schedule(
-                self.kernel, self.dfg, self.model, hit, self.ram_ports
-            )
-        key = tuple(sorted(hit.items()))
-        memo = self._sched_memo.get(key)
-        if memo is None:
-            schedule = schedule_iteration(
-                self.dfg, self.model, hit, self.ram_ports
-            )
-            memo = (schedule.makespan, schedule.memory_cycles)
-            self._sched_memo[key] = memo
-        return memo
 
     # -- branch and bound -----------------------------------------------------
 

@@ -26,8 +26,10 @@ coverage computers            ``(kernel bundle, batch, trace engine,
                               :class:`~repro.scalar.coverage.GroupCoverage`
                               per group, which itself memoizes results per
                               ``(registers, anchor)``
-pattern makespans             ``(dfg, latency-model fingerprint,
-                              ram_ports, frozen hit/miss pattern)``
+pattern cost tables           ``(kernel bundle, latency-model
+                              fingerprint, ram_ports, overhead)`` —
+                              packed pattern value -> ``(makespan +
+                              overhead, memory_cycles)``
 critical graphs (CPA-RA)      ``(dfg, latency-model fingerprint,
                               frozen per-group hit map)``
 knapsack DP tables (KS-RA)    ``(kernel bundle, item signature)`` —
@@ -71,7 +73,7 @@ from repro.dfg.critical import CriticalGraph, critical_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
 from repro.scalar.coverage import GroupCoverage
-from repro.sim.scheduler import schedule_iteration
+from repro.sim.cycles import PatternCosts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.groups import RefGroup
@@ -130,12 +132,12 @@ class ContextStats:
     dfg_misses: int = 0
     coverage_hits: int = 0
     coverage_misses: int = 0
-    schedule_hits: int = 0
-    schedule_misses: int = 0
     critical_hits: int = 0
     critical_misses: int = 0
     knapsack_hits: int = 0
     knapsack_misses: int = 0
+    cost_hits: int = 0
+    cost_misses: int = 0
     cycles_hits: int = 0
     cycles_misses: int = 0
     optra_hits: int = 0
@@ -156,8 +158,8 @@ class _KernelArtifacts:
     coverages: "dict[tuple, dict[str, GroupCoverage]]" = field(
         default_factory=dict
     )
-    #: (model fp, ram_ports, frozen hit pattern) -> (makespan, memory_cycles)
-    schedules: "dict[tuple, tuple[int, int]]" = field(default_factory=dict)
+    #: (model fp, ram_ports, overhead) -> per-pattern-value cost table
+    costs: "dict[tuple, PatternCosts]" = field(default_factory=dict)
     #: (model fp, frozen per-group hits) -> CriticalGraph
     critical: "dict[tuple, CriticalGraph]" = field(default_factory=dict)
     #: item signature -> (capacity, best[], keep[][])
@@ -253,8 +255,8 @@ class EvalContext:
         and differs from the bundle's canonical grouping, memoization is
         declined (``None``): artifact keys assume the canonical groups.
         """
-        bundle = self._by_object.get(id(kernel))
-        if bundle is not None and bundle.kernel is kernel:
+        bundle = self._resident(kernel)
+        if bundle is not None:
             if groups is not None and groups is not bundle.groups:
                 return None
             return bundle
@@ -264,6 +266,13 @@ class EvalContext:
             groups = build_groups(kernel)
         bundle = _KernelArtifacts(kernel=kernel, groups=groups)
         self._remember(("@object", id(kernel)), bundle)
+        return bundle
+
+    def _resident(self, kernel: "Kernel") -> "_KernelArtifacts | None":
+        """The bundle whose canonical kernel *is* ``kernel``, or None."""
+        bundle = self._by_object.get(id(kernel))
+        if bundle is None or bundle.kernel is not kernel:
+            return None
         return bundle
 
     def _remember(self, key: tuple, bundle: _KernelArtifacts) -> None:
@@ -349,46 +358,39 @@ class EvalContext:
             self.stats.coverage_hits += 1
         return shared
 
-    # -- per-pattern schedules ------------------------------------------------
+    # -- per-pattern cost tables ----------------------------------------------
 
-    def schedule(
+    def pattern_costs(
         self,
         kernel: "Kernel",
+        groups: "tuple[RefGroup, ...]",
         dfg: DataFlowGraph,
         model: LatencyModel,
-        hit: "dict[str, bool]",
         ram_ports: int,
-    ) -> "tuple[int, int]":
-        """``(makespan, memory_cycles)`` of one hit/miss pattern, memoized.
+        overhead: int,
+    ) -> "PatternCosts | None":
+        """The shared cost table of one objective, or None.
 
-        The key captures every input of
-        :func:`~repro.sim.scheduler.schedule_iteration`: the DFG (only
-        the bundle's own memoized DFG — a foreign object, or a bundle
-        whose DFG was never built through :meth:`dfg`, declines
-        memoization rather than adopting a graph of unknown grouping),
-        the latency model's full fingerprint, the port count and the
-        exact node -> residency map.
+        The bundle fixes the channel layout (its groups and DFG); the
+        table is keyed by the latency model's fingerprint, the port
+        count and the per-iteration overhead, so every count of a sweep
+        schedules each distinct pattern once.  A foreign DFG or
+        grouping declines (``None``), like the sibling memos.
         """
-        bundle = self._by_object.get(id(kernel))
-        if bundle is None or bundle.kernel is not kernel or (
-            bundle.dfg is not dfg
+        bundle = self._resident(kernel)
+        if bundle is None or bundle.dfg is not dfg or (
+            groups is not bundle.groups
         ):
-            schedule = schedule_iteration(dfg, model, hit, ram_ports)
-            return schedule.makespan, schedule.memory_cycles
-        key = (
-            self._model_fp(model),
-            ram_ports,
-            tuple(sorted(hit.items())),
-        )
-        memo = bundle.schedules.get(key)
-        if memo is not None:
-            self.stats.schedule_hits += 1
-            return memo
-        self.stats.schedule_misses += 1
-        schedule = schedule_iteration(dfg, model, hit, ram_ports)
-        memo = (schedule.makespan, schedule.memory_cycles)
-        bundle.schedules[key] = memo
-        return memo
+            return None
+        key = (self._model_fp(model), ram_ports, overhead)
+        costs = bundle.costs.get(key)
+        if costs is None:
+            costs = PatternCosts(
+                bundle.groups, dfg, model, ram_ports, overhead,
+                label=f"kernel {kernel.name}", stats=self.stats,
+            )
+            bundle.costs[key] = costs
+        return costs
 
     # -- critical graphs (CPA-RA) ---------------------------------------------
 
@@ -405,10 +407,8 @@ class EvalContext:
         adjacent budgets, so the walk that extracts the CG repeats
         identically along the budget axis — the textbook cross-grid memo.
         """
-        bundle = self._by_object.get(id(kernel))
-        if bundle is None or bundle.kernel is not kernel or (
-            bundle.dfg is not dfg
-        ):
+        bundle = self._resident(kernel)
+        if bundle is None or bundle.dfg is not dfg:
             return critical_graph(dfg, model, hits)
         key = (self._model_fp(model), tuple(sorted(hits.items())))
         memo = bundle.critical.get(key)
@@ -437,8 +437,8 @@ class EvalContext:
         share a single DP run; a larger capacity recomputes and replaces
         the table.
         """
-        bundle = self._by_object.get(id(kernel))
-        if bundle is None or bundle.kernel is not kernel:
+        bundle = self._resident(kernel)
+        if bundle is None:
             return solve_knapsack(items, capacity)
         memo = bundle.knapsack.get(items)
         if memo is not None and memo[0] >= capacity:
@@ -474,10 +474,8 @@ class EvalContext:
         interval.  Only certified (non-truncated) optima are ever
         stored, so a memo answer is always exact.
         """
-        bundle = self._by_object.get(id(kernel))
-        if bundle is None or bundle.kernel is not kernel or (
-            groups is not bundle.groups
-        ):
+        bundle = self._resident(kernel)
+        if bundle is None or groups is not bundle.groups:
             return None
         for entry in bundle.optra.get(params, ()):
             if entry["budget"] >= budget >= entry["total"]:
@@ -494,10 +492,8 @@ class EvalContext:
         entry: dict,
     ) -> None:
         """Remember a certified optimum for :meth:`optra_lookup`."""
-        bundle = self._by_object.get(id(kernel))
-        if bundle is None or bundle.kernel is not kernel or (
-            groups is not bundle.groups
-        ):
+        bundle = self._resident(kernel)
+        if bundle is None or groups is not bundle.groups:
             return
         bundle.optra.setdefault(params, []).append(entry)
 
@@ -569,10 +565,8 @@ class EvalContext:
         ladder: bool = True,
     ) -> "_KernelArtifacts | None":
         """The bundle a cycle-report may memoize against, or None."""
-        bundle = self._by_object.get(id(kernel))
-        if bundle is None or bundle.kernel is not kernel or (
-            groups is not bundle.groups
-        ):
+        bundle = self._resident(kernel)
+        if bundle is None or groups is not bundle.groups:
             return None
         if dfg is not bundle.dfg:
             return None

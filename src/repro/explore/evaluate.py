@@ -11,7 +11,7 @@ a sweep or discard its siblings' results.
 
 Evaluation runs on the shared-artifact plane of
 :class:`~repro.explore.context.EvalContext`: the body DFG, coverage
-rank/Belady structures, per-pattern schedule makespans, CPA-RA critical
+rank/Belady structures, per-pattern cost tables, CPA-RA critical
 graphs and KS-RA DP tables are memoized per process and reused across
 the allocator/budget axes of a sweep, so the marginal cost of a grid
 point is the allocation decision rather than the whole analysis.

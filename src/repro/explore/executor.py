@@ -270,7 +270,7 @@ class Executor:
     context:
         Evaluate on the shared-artifact plane
         (:class:`~repro.explore.context.EvalContext`): DFGs, coverage
-        structures, pattern makespans, CPA-RA critical graphs and KS-RA
+        structures, pattern cost tables, CPA-RA critical graphs and KS-RA
         DP tables are memoized per process and shared across the grid.
         ``False`` (CLI: ``--no-context``) disables the memos —
         bit-identical records, reference speed.  An explicit

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,15 +115,22 @@ class CoverageResult:
     window_evicted: "np.ndarray | None" = None
     window_freed: "np.ndarray | None" = None
 
-    @property
+    # Results are immutable and re-read by every count of a sweep, so
+    # the mask reductions are paid once per result.
+    @cached_property
     def ram_reads(self) -> int:
-        return int(self.read_miss.sum())
+        return int(np.count_nonzero(self.read_miss))
+
+    @cached_property
+    def write_misses(self) -> int:
+        """In-loop RAM stores (True cells of ``write_miss``)."""
+        return int(np.count_nonzero(self.write_miss))
 
     @property
     def ram_writes(self) -> int:
-        return int(self.write_miss.sum()) + self.writeback_stores
+        return self.write_misses + self.writeback_stores
 
-    @property
+    @cached_property
     def total_ram_accesses(self) -> int:
         return self.ram_reads + self.ram_writes
 
@@ -245,10 +253,7 @@ class GroupCoverage:
 
     def _compute_result(self, registers: int, anchor: str) -> CoverageResult:
         covered = self.covered(registers)
-        has_read = any(
-            not s.is_write and s.site_id not in self.group.forwarded
-            for s in self.group.sites
-        )
+        has_read = self.group.has_active_read
         n_writes = len(self.group.writes)
         # A result is a pure function of the canonical key below, not of
         # the raw register count: every register count that clamps to
@@ -315,10 +320,7 @@ class GroupCoverage:
     def _pinned_access_ladder(
         self, values: "list[int]", anchor: str
     ) -> "dict[int, int]":
-        has_read = any(
-            not s.is_write and s.site_id not in self.group.forwarded
-            for s in self.group.sites
-        )
+        has_read = self.group.has_active_read
         n_writes = len(self.group.writes)
         ranks, first = self._region_ranks()
         total = int(ranks.size)

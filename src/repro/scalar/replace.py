@@ -94,10 +94,7 @@ def plan_transform(
         coverage = GroupCoverage(kernel, group)
         covered = coverage.covered(registers)
         kind = coverage.kind if covered else "none"
-        has_read = any(
-            not s.is_write and s.site_id not in group.forwarded
-            for s in group.sites
-        )
+        has_read = group.has_active_read
         regions = 1
         writebacks = 0
         prologue = 0

@@ -11,6 +11,14 @@ classifies the whole iteration space into patterns (vectorized), schedules
 each distinct pattern once, and takes a weighted sum — exact, and fast
 even for the million-iteration kernels.
 
+Patterns are packed.  A kernel's access channels get fixed bit positions
+(:class:`PatternLayout`), each miss mask is ORed in as one bit plane of a
+``uint8`` grid (``uint16``/``uint32`` past 8/16 channels), and a
+:class:`PatternCosts` table maps each packed value to its iteration
+cost.  The channel set depends only on the groups, so one layout and
+one cost table serve every count of a kernel; with an
+:class:`~repro.explore.context.EvalContext` they serve a whole sweep.
+
 Total cycles also include:
 
 * epilogue write-backs of covered written elements (one RAM store each),
@@ -22,7 +30,7 @@ Total cycles also include:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from repro.dfg.latency import LatencyModel
 from repro.dfg.nodes import ReadNode, WriteNode
 from repro.errors import SimulationError
 from repro.ir.kernel import Kernel
-from repro.scalar.coverage import GroupCoverage
+from repro.scalar.coverage import CoverageResult, GroupCoverage
 from repro.sim.scheduler import schedule_iteration
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,10 +50,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CycleReport",
-    "count_cycles",
+    "PatternCosts",
+    "PatternLayout",
+    "best_anchors",
     "classify_patterns",
-    "has_active_read",
+    "count_cycles",
+    "pattern_costs",
+    "report_key",
 ]
+
+#: Channel limit of the pattern classifier (a packed value must stay a
+#: small table index).
+MAX_CHANNELS = 20
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,200 @@ class CycleReport:
         return sum(self.ram_accesses.values())
 
 
+class PatternLayout:
+    """Fixed bit positions of a kernel's access channels.
+
+    A group owns a ``read`` channel iff it has a non-forwarded read
+    (:attr:`~repro.analysis.groups.RefGroup.has_active_read`) and a
+    ``write`` channel iff it writes; channels take consecutive bits in
+    group order.  The set is static — a coverage result's read mask is
+    all-False whenever its group has no active read — so one layout
+    serves every allocation of a kernel.  DFG memory nodes without a
+    channel stay out of the hit map, i.e. RAM-resident (the scheduler's
+    default).
+    """
+
+    def __init__(
+        self,
+        groups: "tuple[RefGroup, ...]",
+        dfg: DataFlowGraph,
+        label: str = "kernel",
+    ) -> None:
+        channels: list[str] = []
+        #: group name -> (read bit, write bit); None where no channel.
+        self.bits: "dict[str, tuple[int | None, int | None]]" = {}
+        for group in groups:
+            read = write = None
+            if group.has_active_read:
+                read = len(channels)
+                channels.append(f"{group.name}:read")
+            if group.is_written:
+                write = len(channels)
+                channels.append(f"{group.name}:write")
+            self.bits[group.name] = (read, write)
+        if len(channels) > MAX_CHANNELS:
+            raise SimulationError(
+                f"{label}: {len(channels)} access channels exceed "
+                f"the pattern classifier's limit"
+            )
+        self.channels = tuple(channels)
+        node_bits: list[tuple[str, int]] = []
+        for node in dfg.nodes:
+            if not isinstance(node, (ReadNode, WriteNode)):
+                continue
+            read, write = self.bits.get(node.group_name, (None, None))
+            bit = read if isinstance(node, ReadNode) else write
+            if bit is not None:
+                node_bits.append((node.uid, bit))
+        self.node_bits = tuple(node_bits)
+        self.dtype = (
+            np.uint8 if len(channels) <= 8
+            else np.uint16 if len(channels) <= 16
+            else np.uint32
+        )
+        self._weights = [self.dtype(1 << bit) for bit in range(len(channels))]
+
+    def pack(
+        self,
+        shape: "tuple[int, ...]",
+        results: "Mapping[str, CoverageResult]",
+        into: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """OR the miss masks of ``results`` into a packed pattern grid.
+
+        ``results`` maps group names to coverage results; absent groups
+        never miss.  ``into`` (a packed grid, updated in place) lets a
+        caller start from a shared partial pattern.
+        """
+        pattern = np.zeros(shape, dtype=self.dtype) if into is None else into
+        plane = None
+        for name, result in results.items():
+            read, write = self.bits[name]
+            for bit, miss, count in (
+                (read, result.read_miss, result.ram_reads),
+                (write, result.write_miss, result.write_misses),
+            ):
+                if not count:
+                    continue
+                if bit is None:
+                    raise SimulationError(
+                        f"group {name} misses on an access channel "
+                        f"it does not have"
+                    )
+                if plane is None:
+                    plane = np.empty(shape, dtype=self.dtype)
+                np.multiply(miss.view(np.uint8), self._weights[bit], out=plane)
+                pattern |= plane
+        return pattern
+
+
+class PatternCosts:
+    """Packed pattern value -> ``(cost, memory cycles, miss labels)``.
+
+    A value's cost is its scheduled makespan plus the per-iteration
+    overhead; each distinct value is scheduled once, on first sight.
+    The table owns the :class:`PatternLayout` of ``groups`` over
+    ``dfg``.  Contexts keep one table per (DFG, latency model, ports,
+    overhead) so a sweep's counts share it (``stats`` then receives
+    ``cost_hits`` / ``cost_misses``); without a context a table lives
+    for one count or one OPT-RA search.
+    """
+
+    def __init__(
+        self,
+        groups: "tuple[RefGroup, ...]",
+        dfg: DataFlowGraph,
+        model: LatencyModel,
+        ram_ports: int,
+        overhead: int,
+        label: str = "kernel",
+        stats: object = None,
+    ) -> None:
+        self.layout = PatternLayout(groups, dfg, label=label)
+        self._dfg = dfg
+        self._model = model
+        self._ram_ports = ram_ports
+        self._overhead = overhead
+        self._stats = stats
+        self._table: "dict[int, tuple[int, int, tuple[str, ...]]]" = {}
+
+    def __getitem__(self, value: int) -> "tuple[int, int, tuple[str, ...]]":
+        entry = self._table.get(value)
+        if entry is not None:
+            if self._stats is not None:
+                self._stats.cost_hits += 1
+            return entry
+        if self._stats is not None:
+            self._stats.cost_misses += 1
+        layout = self.layout
+        hit = {uid: not (value >> bit) & 1 for uid, bit in layout.node_bits}
+        schedule = schedule_iteration(
+            self._dfg, self._model, hit, self._ram_ports
+        )
+        misses = tuple(
+            channel
+            for bit, channel in enumerate(layout.channels)
+            if (value >> bit) & 1
+        )
+        entry = (
+            schedule.makespan + self._overhead,
+            schedule.memory_cycles,
+            misses,
+        )
+        self._table[value] = entry
+        return entry
+
+
+def pattern_costs(
+    kernel: Kernel,
+    groups: "tuple[RefGroup, ...]",
+    dfg: DataFlowGraph,
+    model: LatencyModel,
+    ram_ports: int,
+    overhead_per_iteration: int,
+    context: "EvalContext | None" = None,
+) -> PatternCosts:
+    """The cost table of one objective: the context's shared one, or a
+    fresh table when there is no context (or it declines)."""
+    if context is not None:
+        costs = context.pattern_costs(
+            kernel, groups, dfg, model, ram_ports, overhead_per_iteration
+        )
+        if costs is not None:
+            return costs
+    return PatternCosts(
+        groups, dfg, model, ram_ports, overhead_per_iteration,
+        label=f"kernel {kernel.name}",
+    )
+
+
+def report_key(
+    context: "EvalContext",
+    model: LatencyModel,
+    ram_ports: int,
+    overhead_per_iteration: int,
+    batch: bool,
+    trace_engine: str,
+    ladder: bool,
+    groups: "tuple[RefGroup, ...]",
+    allocation: Allocation,
+    anchors: object,
+) -> tuple:
+    """The context's cycle-report memo key of one count: its full
+    parameterization, with ``anchors`` the sorted anchor overrides (or
+    a marker for a best-anchor search)."""
+    return (
+        context.model_fingerprint(model),
+        ram_ports,
+        overhead_per_iteration,
+        batch,
+        trace_engine,
+        ladder,
+        tuple((g.name, allocation.registers_for(g.name)) for g in groups),
+        anchors,
+    )
+
+
 def count_cycles(
     kernel: Kernel,
     groups: tuple[RefGroup, ...],
@@ -115,10 +325,11 @@ def count_cycles(
     (the pipeline's anchor search).
 
     ``context`` (an :class:`~repro.explore.context.EvalContext`) memoizes
-    each distinct hit/miss pattern's scheduled makespan across the counts
-    of a sweep — the grid points of one kernel mostly re-encounter the
-    same patterns, so the DFG is re-scheduled only for genuinely new
-    ones.  Results are bit-identical with and without it.
+    whole reports per full parameterization, plus the layout and the
+    per-pattern cost table across the counts of a sweep — the grid
+    points of one kernel mostly re-encounter the same patterns, so the
+    DFG is re-scheduled only for genuinely new ones.  Results are
+    bit-identical with and without it.
     """
     if dfg is None:
         dfg = (
@@ -142,14 +353,9 @@ def count_cycles(
         # divergence the fuzz suite exists to catch.  The context
         # additionally declines the memo when ``dfg``/``coverages`` are
         # not its canonical artifacts for this kernel.
-        memo_key = (
-            context.model_fingerprint(model),
-            ram_ports,
-            overhead_per_iteration,
-            batch,
-            trace_engine,
-            ladder,
-            tuple((g.name, allocation.registers_for(g.name)) for g in groups),
+        memo_key = report_key(
+            context, model, ram_ports, overhead_per_iteration, batch,
+            trace_engine, ladder, groups, allocation,
             tuple(sorted(anchors.items())),
         )
         memoized = context.get_cycle_report(
@@ -158,13 +364,8 @@ def count_cycles(
         )
         if memoized is not None:
             return memoized
-    shape = kernel.nest.trip_counts()
-    space = int(np.prod(shape))
 
-    # One bool "channel" per (group, access kind) that can miss.
-    channels: list[tuple[str, str, np.ndarray]] = []  # (group, kind, miss grid)
-    writebacks = 0
-    ram_accesses: dict[str, int] = {}
+    results: "dict[str, CoverageResult]" = {}
     for group in groups:
         if coverages is not None and group.name in coverages:
             coverage = coverages[group.name]
@@ -172,38 +373,25 @@ def count_cycles(
             coverage = GroupCoverage(
                 kernel, group, batch=batch, engine=trace_engine, ladder=ladder
             )
-        result = coverage.result(
+        results[group.name] = coverage.result(
             allocation.registers_for(group.name),
             anchor=anchors.get(group.name, "low"),
         )
-        ram_accesses[group.name] = result.total_ram_accesses
-        writebacks += result.writeback_stores
-        if result.read_miss.any():
-            channels.append((group.name, "read", result.read_miss))
-        elif has_active_read(group):
-            channels.append((group.name, "read", result.read_miss))
-        if group.writes:
-            channels.append((group.name, "write", result.write_miss))
-
-    if context is not None:
-        def scheduler(hit: "dict[str, bool]") -> "tuple[int, int]":
-            return context.schedule(kernel, dfg, model, hit, ram_ports)
-    else:
-        def scheduler(hit: "dict[str, bool]") -> "tuple[int, int]":
-            schedule = schedule_iteration(dfg, model, hit, ram_ports)
-            return schedule.makespan, schedule.memory_cycles
-
-    in_loop, memory_cycles, pattern_rows = classify_patterns(
-        shape, channels, dfg, overhead_per_iteration, scheduler,
-        label=f"kernel {kernel.name}",
+    costs = pattern_costs(
+        kernel, groups, dfg, model, ram_ports, overhead_per_iteration, context
     )
-
+    in_loop, memory_cycles, pattern_rows = classify_patterns(
+        costs.layout.pack(kernel.nest.trip_counts(), results), costs
+    )
+    writebacks = sum(r.writeback_stores for r in results.values())
     epilogue = writebacks * model.ram_latency
     report = CycleReport(
         in_loop_cycles=in_loop,
         epilogue_cycles=epilogue,
         memory_cycles=memory_cycles + epilogue,
-        ram_accesses=ram_accesses,
+        ram_accesses={
+            name: result.total_ram_accesses for name, result in results.items()
+        },
         pattern_counts=tuple(pattern_rows),
     )
     if memo_key is not None:
@@ -214,79 +402,91 @@ def count_cycles(
     return report
 
 
-def classify_patterns(
-    shape: "tuple[int, ...]",
-    channels: "list[tuple[str, str, np.ndarray]]",
-    dfg: DataFlowGraph,
+def best_anchors(
+    kernel: Kernel,
+    groups: "tuple[RefGroup, ...]",
+    allocation: Allocation,
+    model: LatencyModel,
+    ram_ports: int,
     overhead_per_iteration: int,
-    scheduler: "Callable[[dict[str, bool]], tuple[int, int]]",
-    label: str = "kernel",
+    dfg: DataFlowGraph,
+    coverages: "dict[str, GroupCoverage]",
+    candidates: "list[str]",
+    context: "EvalContext | None" = None,
+) -> "dict[str, str]":
+    """The anchors of ``candidates`` that minimize total cycles.
+
+    Combination ``mask`` anchors ``candidates[i]`` high iff bit ``i`` is
+    set; masks are costed in ascending order and the first strict
+    minimum wins.  The other groups' planes do not depend on the choice,
+    so they are packed once into a shared base and each combination
+    adds only the candidate planes; no report is built here.
+    """
+    costs = pattern_costs(
+        kernel, groups, dfg, model, ram_ports, overhead_per_iteration, context
+    )
+    shape = kernel.nest.trip_counts()
+    fixed = {
+        g.name: coverages[g.name].result(allocation.registers_for(g.name))
+        for g in groups
+        if g.name not in candidates
+    }
+    base = costs.layout.pack(shape, fixed)
+    base_writebacks = sum(r.writeback_stores for r in fixed.values())
+    options = [
+        tuple(
+            coverages[name].result(
+                allocation.registers_for(name), anchor=anchor
+            )
+            for anchor in ("low", "high")
+        )
+        for name in candidates
+    ]
+    best_total, best_mask = None, 0
+    for mask in range(1 << len(candidates)):
+        chosen = {
+            name: options[bit][(mask >> bit) & 1]
+            for bit, name in enumerate(candidates)
+        }
+        in_loop, _, _ = classify_patterns(
+            costs.layout.pack(shape, chosen, into=base.copy()), costs
+        )
+        writebacks = base_writebacks + sum(
+            r.writeback_stores for r in chosen.values()
+        )
+        total = in_loop + writebacks * model.ram_latency
+        if best_total is None or total < best_total:
+            best_total, best_mask = total, mask
+    return {
+        name: ("high" if (best_mask >> bit) & 1 else "low")
+        for bit, name in enumerate(candidates)
+    }
+
+
+def classify_patterns(
+    pattern: np.ndarray, costs: PatternCosts
 ) -> "tuple[int, int, list[tuple[tuple[str, ...], int, int]]]":
     """The pattern-classification core shared by every cycle counter.
 
-    ``channels`` is one ``(group, kind, miss grid)`` triple per access
-    channel that can miss; iterations with identical per-channel miss
-    bits form one pattern, scheduled once through ``scheduler`` — a
-    callable mapping the node hit/miss map to ``(makespan,
-    memory_cycles)``, so callers plug in their own memoization
-    (:meth:`~repro.explore.context.EvalContext.schedule`, or the
-    oracle's per-search memo).  Returns ``(in_loop_cycles,
-    memory_cycles, pattern_rows)`` exactly as :func:`count_cycles`
-    reports them; OPT-RA's admissible relaxation bounds reuse this so
-    the bound arithmetic cannot drift from the real counter's.
+    ``pattern`` is a packed grid (:meth:`PatternLayout.pack`); the
+    iterations sharing one value form one pattern, costed once through
+    ``costs``.  Returns ``(in_loop_cycles, memory_cycles,
+    pattern_rows)`` exactly as :func:`count_cycles` reports them, rows
+    in ascending value order; OPT-RA's admissible relaxation bounds
+    reuse this so the bound arithmetic cannot drift from the real
+    counter's.
     """
-    if len(channels) > 20:
-        raise SimulationError(
-            f"{label}: {len(channels)} access channels exceed "
-            f"the pattern classifier's limit"
-        )
-    space = int(np.prod(shape))
-    pattern = np.zeros(shape, dtype=np.int64)
-    for bit, (_, _, miss) in enumerate(channels):
-        pattern |= miss.astype(np.int64) << bit
     counts = np.bincount(pattern.reshape(-1), minlength=1)
-
-    node_channel: dict[str, int] = {}
-    for node in dfg.nodes:
-        if isinstance(node, ReadNode):
-            kind = "read"
-        elif isinstance(node, WriteNode):
-            kind = "write"
-        else:
-            continue
-        for bit, (group_name, ch_kind, _) in enumerate(channels):
-            if ch_kind == kind and group_name == node.group_name:
-                node_channel[node.uid] = bit
-                break
-
+    values = np.flatnonzero(counts)
     in_loop = 0
     memory_cycles = 0
     pattern_rows: list[tuple[tuple[str, ...], int, int]] = []
-    for value, count in enumerate(counts.tolist()):
-        if count == 0:
-            continue
-        hit = {
-            uid: not bool((value >> bit) & 1)
-            for uid, bit in node_channel.items()
-        }
-        makespan, pattern_memory = scheduler(hit)
-        cost = makespan + overhead_per_iteration
+    for value, count in zip(values.tolist(), counts[values].tolist()):
+        cost, pattern_memory, misses = costs[value]
         in_loop += cost * count
         memory_cycles += pattern_memory * count
-        misses = tuple(
-            f"{channels[bit][0]}:{channels[bit][1]}"
-            for bit in range(len(channels))
-            if (value >> bit) & 1
-        )
         pattern_rows.append((misses, count, cost))
 
-    if sum(count for _, count, _ in pattern_rows) != space:
+    if sum(count for _, count, _ in pattern_rows) != pattern.size:
         raise SimulationError("pattern classification lost iterations")
     return in_loop, memory_cycles, pattern_rows
-
-
-def has_active_read(group: RefGroup) -> bool:
-    """Whether the group has a read site that is not store-forwarded."""
-    return any(
-        not s.is_write and s.site_id not in group.forwarded for s in group.sites
-    )

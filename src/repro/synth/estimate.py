@@ -20,7 +20,7 @@ from repro.hw.binding import bind_arrays
 from repro.hw.device import Device, XCV1000
 from repro.ir.kernel import Kernel
 from repro.scalar.coverage import GroupCoverage, trace_engine_seconds
-from repro.sim.cycles import count_cycles
+from repro.sim.cycles import best_anchors, count_cycles, report_key
 from repro.synth.area import estimate_area
 from repro.synth.design import HardwareDesign
 from repro.synth.timing import estimate_clock
@@ -138,7 +138,7 @@ def build_design(
 
     ``dfg``/``coverages`` accept prebuilt artifacts, and ``context`` (an
     :class:`~repro.explore.context.EvalContext`) supplies them — plus
-    per-pattern schedule memoization inside the cycle counter — when the
+    per-pattern cost tables inside the cycle counter — when the
     caller does not; all three leave results bit-identical.
     ``trace_engine`` selects the residency-simulator implementation
     (``"array"``, the vectorized default, or ``"reference"``, the
@@ -251,7 +251,9 @@ def count_with_best_anchors(
     generation freedom; aligning pinned hits with window hits lets both
     inputs of an operation come from registers in the same iterations.
     The search space is tiny (one binary choice per partially covered
-    pinned group), so it is explored exhaustively.
+    pinned group), so it is explored exhaustively by
+    :func:`~repro.sim.cycles.best_anchors` on a shared base pattern;
+    only the winning anchors get a full :func:`count_cycles` report.
 
     This is the single authoritative objective evaluation of a design
     point — :func:`build_design` reports it, and the exact allocator
@@ -266,33 +268,55 @@ def count_with_best_anchors(
     ]
     candidates = candidates[:4]  # 2^4 design points at most
 
-    best = None
-    best_anchors: dict[str, str] = {}
-    for mask in range(1 << len(candidates)):
-        anchors = {
-            name: ("high" if (mask >> bit) & 1 else "low")
-            for bit, name in enumerate(candidates)
-        }
-        report = count_cycles(
+    anchors = None
+    memo_key = None
+    if candidates:
+        # The winner is memoized under the count's key with the search
+        # in place of the anchors, so a repeated point skips the search.
+        if context is not None:
+            memo_key = report_key(
+                context, model, ram_ports, overhead_per_iteration, batch,
+                trace_engine, ladder, groups, allocation, "best",
+            )
+            report = context.get_cycle_report(
+                kernel, groups, memo_key, dfg=dfg, coverages=coverages,
+                batch=batch, trace_engine=trace_engine, ladder=ladder,
+            )
+            if report is not None:
+                return report
+        anchors = best_anchors(
             kernel,
             groups,
             allocation,
             model,
-            ram_ports=ram_ports,
-            overhead_per_iteration=overhead_per_iteration,
-            dfg=dfg,
-            anchors=anchors,
-            batch=batch,
-            coverages=coverages,
-            context=context,
-            trace_engine=trace_engine,
-            ladder=ladder,
+            ram_ports,
+            overhead_per_iteration,
+            dfg,
+            coverages,
+            candidates,
+            context,
         )
-        if best is None or report.total_cycles < best.total_cycles:
-            best = report
-            best_anchors = anchors
-    assert best is not None
-    return best
+    report = count_cycles(
+        kernel,
+        groups,
+        allocation,
+        model,
+        ram_ports=ram_ports,
+        overhead_per_iteration=overhead_per_iteration,
+        dfg=dfg,
+        anchors=anchors,
+        batch=batch,
+        coverages=coverages,
+        context=context,
+        trace_engine=trace_engine,
+        ladder=ladder,
+    )
+    if memo_key is not None:
+        context.put_cycle_report(
+            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages,
+            batch=batch, trace_engine=trace_engine, ladder=ladder,
+        )
+    return report
 
 
 def _count_mixed_operand_ops(dfg, storage_class: dict[str, str]) -> int:

@@ -69,7 +69,9 @@ class TestGridEquivalence:
         # The plane must actually be shared, not silently bypassed.
         assert ctx.stats.kernel_hits > 0
         assert ctx.stats.coverage_hits > 0
-        assert ctx.stats.schedule_hits > 0
+        # Counts price repeated patterns through the cost table (the
+        # schedule memo only sees each table's first sighting).
+        assert ctx.stats.cost_hits > 0
         assert ctx.stats.cycles_hits > 0
         assert ctx.stats.critical_hits > 0
         assert ctx.stats.knapsack_hits > 0
@@ -337,9 +339,13 @@ class TestStatsExactAccounting:
         assert (ctx.stats.dfg_misses, ctx.stats.dfg_hits) == (1, 1)
 
         model = LatencyModel.realistic(ram_latency=2)
-        first = ctx.schedule(kernel, dfg, model, {}, 1)
-        assert ctx.schedule(kernel, dfg, model, {}, 1) == first
-        assert (ctx.stats.schedule_misses, ctx.stats.schedule_hits) == (1, 1)
+        costs = ctx.pattern_costs(kernel, groups, dfg, model, 1, 1)
+        assert ctx.pattern_costs(kernel, groups, dfg, model, 1, 1) is costs
+        first = costs[0]
+        assert costs[0] == first
+        assert (ctx.stats.cost_misses, ctx.stats.cost_hits) == (1, 1)
+        # A different overhead is a different table, not a hit.
+        assert ctx.pattern_costs(kernel, groups, dfg, model, 1, 0) is not costs
 
         params = ("fp", 1, 1, True, "array", True)
         entry = {"budget": 16, "total": 9, "registers": (), "cycles": 1}
@@ -356,7 +362,20 @@ class TestStatsExactAccounting:
         certified with total 15, so the repeat and the 15-budget query
         answer from the memo while 8 falls below the certified interval
         and recomputes.  Every counter is pinned — the evaluation plane
-        is deterministic, so this ledger is too."""
+        is deterministic, so this ledger is too.
+
+        Pattern values are priced through the context's cost table,
+        which replaced the per-pattern schedule memo: ``cost_misses``
+        are the 8 distinct values, each scheduled once (formerly
+        ``schedule_misses``), and every later sighting is one of the
+        ``cost_hits`` (formerly 899 ``schedule_hits``; there are more
+        now because every anchor combination is priced on the shared
+        base instead of being answered by a whole-report memo hit).
+        The anchor search no longer
+        counts each combination through the report memo: a design
+        point with anchor candidates makes one lookup under its
+        best-anchor key and, on a miss, one for the winning anchors,
+        so ``cycles_hits`` fell from 39 to 20."""
         ctx = EvalContext()
         for budget in (16, 16, 15, 8):
             record = evaluate_query(
@@ -368,9 +387,9 @@ class TestStatsExactAccounting:
             "kernel_hits": 3, "kernel_misses": 1,
             "dfg_hits": 7, "dfg_misses": 1,
             "coverage_hits": 5, "coverage_misses": 1,
-            "schedule_hits": 899, "schedule_misses": 8,
             "critical_hits": 1, "critical_misses": 1,
             "knapsack_hits": 1, "knapsack_misses": 1,
-            "cycles_hits": 39, "cycles_misses": 183,
+            "cost_hits": 1335, "cost_misses": 8,
+            "cycles_hits": 20, "cycles_misses": 183,
             "optra_hits": 2, "optra_misses": 2,
         }
