@@ -380,8 +380,8 @@ def _time_budget_column(
       ``residency_study`` path;
     * ``trace`` — the window coverage result at every budget: a fresh
       :class:`~repro.scalar.coverage.GroupCoverage` per mode, ladder
-      off (one Belady trace per budget) vs on (one shared
-      capacity-independent plane, a memoized walk per budget);
+      off (one Belady trace per budget) vs on (one stack-distance pass
+      for the whole column, a threshold comparison per budget);
     * ``evaluate`` — the end-to-end CPA-RA design column under a fresh
       :class:`EvalContext` per timing (cold in the sense that matters:
       no coverage or trace plane carried over), with a throwaway

@@ -34,14 +34,16 @@ Coverage semantics (paper-faithful; see DESIGN.md section 5):
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from repro.analysis.groups import RefGroup
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SimulationError
 from repro.ir.kernel import Kernel
 from repro.sim.residency import OptTraceLadder, TRACE_ENGINES, opt_trace
 
@@ -53,7 +55,8 @@ __all__ = [
 ]
 
 #: Process-global wall seconds spent inside the trace-engine work —
-#: window Belady traces and region-rank classification.  ``build_design``
+#: window distance passes, window placement traces and region-rank
+#: classification.  ``build_design``
 #: snapshots it around the cycle count to split a distinct ``trace``
 #: stage out of the ``--profile`` breakdown, so the residency share of
 #: evaluation time is visible without an external profiler.
@@ -98,10 +101,13 @@ class CoverageResult:
     retain:
         For ``"pinned"``: bool grid — True where the accessed element is
         one of the covered (register-kept) elements.  ``None`` otherwise.
-    window_inserted / window_evicted:
-        For ``"window"``: the Belady placement trace per flattened
-        iteration (install the fetched value? which flat address leaves?),
-        so the interpreter can replay the compiler's register schedule.
+    placement:
+        For ``"window"``: a thunk returning the Belady placement trace
+        ``(inserted, evicted, freed)`` per flattened iteration.  Only the
+        interpreter replays placements, so the trace runs on the first
+        read of :attr:`window_inserted` / :attr:`window_evicted` /
+        :attr:`window_freed` and is kept from then on.  ``None``
+        otherwise.
     """
 
     read_miss: np.ndarray
@@ -111,9 +117,32 @@ class CoverageResult:
     covered: int = 0
     region_level: "int | None" = None
     retain: "np.ndarray | None" = None
-    window_inserted: "np.ndarray | None" = None
-    window_evicted: "np.ndarray | None" = None
-    window_freed: "np.ndarray | None" = None
+    placement: (
+        "Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] | None"
+    ) = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _placement_trace(
+        self,
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | tuple[None, None, None]":
+        if self.placement is None:
+            return None, None, None
+        return self.placement()
+
+    @property
+    def window_inserted(self) -> "np.ndarray | None":
+        """Window placement: install the fetched value at this access?"""
+        return self._placement_trace[0]
+
+    @property
+    def window_evicted(self) -> "np.ndarray | None":
+        """Window placement: flat address evicted at this access (-1: none)."""
+        return self._placement_trace[1]
+
+    @property
+    def window_freed(self) -> "np.ndarray | None":
+        """Window placement: this hit was the value's last use."""
+        return self._placement_trace[2]
 
     # Results are immutable and re-read by every count of a sweep, so
     # the mask reductions are paid once per result.
@@ -152,16 +181,21 @@ class GroupCoverage:
     ranking — and ``"reference"`` the straightforward oracle code.  All
     four ``batch`` × ``engine`` combinations are bit-identical.
 
-    ``ladder=True`` (the default) turns on the budget-ladder fast path:
-    window results of *every* register count share one
-    :class:`~repro.sim.residency.OptTraceLadder` plane (the use links
-    and period-level classification are computed once per group instead
-    of once per budget), and :meth:`ram_access_ladder` answers a whole
-    budget axis of pinned coverage with one rank-histogram +
-    prefix-sum pass.  ``ladder=False`` keeps the per-budget evaluation
-    as the differential oracle (``repro explore --no-budget-ladder``).
-    All ``batch`` × ``engine`` × ``ladder`` combinations are
-    bit-identical, pinned by the fuzz suite.
+    ``ladder=True`` (the default) turns on the budget-ladder fast path.
+    With the array engine, window miss masks of *every* register count
+    come from one :func:`~repro.sim.residency.opt_stack_distances` pass
+    per group (the mask at ``covered = c`` is ``distances > c``); the
+    placement arrays only the interpreter reads are traced per count on
+    first read, over one shared
+    :class:`~repro.sim.residency.OptTraceLadder` plane (the reference
+    engine traces every count over that plane).
+    :meth:`ram_access_ladder` answers a whole budget axis with one
+    histogram + prefix-sum pass: over the region ranks for pinned
+    coverage, over the stack distances for windows.  ``ladder=False``
+    keeps the per-budget evaluation as the differential oracle
+    (``repro explore --no-budget-ladder``).  All ``batch`` × ``engine``
+    × ``ladder`` combinations are bit-identical, pinned by the fuzz
+    suite.
 
     Results are memoized per ``(registers, anchor)`` *and* per the
     canonical key they reduce to (``covered`` for windows,
@@ -194,6 +228,8 @@ class GroupCoverage:
         self._canonical: dict[tuple, CoverageResult] = {}
         self._region_cache: "tuple[np.ndarray, np.ndarray] | None" = None
         self._window_plane: "OptTraceLadder | None" = None
+        self._distances: "np.ndarray | None" = None
+        self._hits_upto: "np.ndarray | None" = None
         self._shape = kernel.nest.trip_counts()
         best = min(
             group.profile.points, key=lambda p: (p.accesses, p.registers)
@@ -297,12 +333,14 @@ class GroupCoverage:
         The budget-axis query behind ladder evaluation: pinned coverage
         reduces to one rank histogram + prefix-sum pass over the shared
         region ranks (an access at rank ``k`` is covered exactly by the
-        covered counts above ``k``), so the whole axis costs one pass
-        instead of one mask build per budget.  Window coverage answers
-        through :meth:`result`, whose traces already share the ladder
-        plane.  Bit-identical to per-count ``result(...).
-        total_ram_accesses`` (pinned by the fuzz suite); with
-        ``ladder=False`` every count simply goes through :meth:`result`.
+        covered counts above ``k``), and window coverage to one histogram
+        + prefix-sum pass over the stack distances (an access at
+        distance ``d`` hits exactly the covered counts ``>= d``), so the
+        whole axis costs one pass instead of one mask build per budget.
+        Bit-identical to per-count ``result(...).total_ram_accesses``
+        (pinned by the fuzz suite); with ``ladder=False`` (and for
+        windows under the reference engine) every count simply goes
+        through :meth:`result`.
         """
         if anchor not in ("low", "high"):
             raise AnalysisError(f"anchor must be 'low' or 'high', got {anchor!r}")
@@ -310,12 +348,22 @@ class GroupCoverage:
         for r in values:
             if r < 0:
                 raise AnalysisError(f"negative register count {r}")
-        if self._kind != "pinned" or not self.ladder:
-            return {
-                r: self.result(r, anchor=anchor).total_ram_accesses
-                for r in values
-            }
-        return self._pinned_access_ladder(values, anchor)
+        if self._kind == "pinned" and self.ladder:
+            return self._pinned_access_ladder(values, anchor)
+        if self._kind == "window" and self._distance_pass:
+            return self._window_access_ladder(values)
+        return {
+            r: self.result(r, anchor=anchor).total_ram_accesses
+            for r in values
+        }
+
+    def _uncovered_accesses(self) -> int:
+        """Total RAM accesses of the "none" canonical result: every read
+        and every write goes to RAM, no write-backs."""
+        total = int(np.prod(self._shape, dtype=np.int64))
+        return (total if self.group.has_active_read else 0) + (
+            total if self.group.writes else 0
+        )
 
     def _pinned_access_ladder(
         self, values: "list[int]", anchor: str
@@ -343,9 +391,7 @@ class GroupCoverage:
         for r in values:
             covered = self.covered(r)
             if covered == 0 or not self.group.carries_reuse:
-                # The "none" canonical result: every read and every
-                # write goes to RAM, no write-backs.
-                out[r] = (total if has_read else 0) + (total if n_writes else 0)
+                out[r] = self._uncovered_accesses()
                 continue
             kept = min(covered, region_elements)
             if anchor == "low":
@@ -365,6 +411,28 @@ class GroupCoverage:
                 writes = 0
                 writebacks = 0
             out[r] = reads + writes + writebacks
+        return out
+
+    def _window_access_ladder(self, values: "list[int]") -> "dict[int, int]":
+        has_read = self.group.has_active_read
+        n_writes = len(self.group.writes)
+        out: "dict[int, int]" = {}
+        for r in values:
+            covered = self.covered(r)
+            if covered == 0 or not self.group.carries_reuse:
+                out[r] = self._uncovered_accesses()
+                continue
+            if self._hits_upto is None:
+                # hits_upto[c] counts the accesses that hit at covered c.
+                self._hits_upto = np.cumsum(
+                    np.bincount(self._window_distances(), minlength=1),
+                    dtype=np.int64,
+                )
+            hits = int(self._hits_upto[min(covered, len(self._hits_upto) - 1)])
+            misses = len(self._window_distances()) - hits
+            reads = misses if has_read else 0
+            writes = misses + covered if n_writes else 0
+            out[r] = reads + writes
         return out
 
     # -- pinned (invariant) coverage -------------------------------------------
@@ -477,7 +545,13 @@ class GroupCoverage:
             retain=in_cover,
         )
 
-    # -- window (LRU) coverage ---------------------------------------------------
+    # -- window (Belady) coverage ----------------------------------------------
+
+    @property
+    def _distance_pass(self) -> bool:
+        """Window masks come from one stack-distance pass (array engine
+        with the budget ladder); otherwise every count is traced."""
+        return self.ladder and self.engine == "array"
 
     def _window_periods(self) -> "tuple[int, ...] | None":
         # One row per outermost iteration: the granularity at which affine
@@ -502,33 +576,60 @@ class GroupCoverage:
         )
         return flat.reshape(-1)
 
-    def _window_result(
-        self, covered: int, has_read: bool, n_writes: int
-    ) -> CoverageResult:
-        started = time.perf_counter()
-        if self.ladder:
-            # Budget-ladder path: every covered count traces over one
-            # shared plane, so the use links and period-level
-            # classification are paid once per group, not once per
-            # budget.  A plane trace is bit-identical to a standalone
-            # opt_trace by construction.
-            plane = self._window_plane
-            if plane is None:
-                plane = OptTraceLadder(
-                    self._window_stream(),
-                    periods=self._window_periods(),
-                    engine=self.engine,
-                )
-                self._window_plane = plane
-            miss_flags, inserted, evicted, freed = plane.trace(covered)
-        else:
-            miss_flags, inserted, evicted, freed = opt_trace(
+    def _plane(self) -> OptTraceLadder:
+        """The group's capacity-shared trace plane (use links and period
+        levels are computed once per group, not once per budget)."""
+        if self._window_plane is None:
+            self._window_plane = OptTraceLadder(
                 self._window_stream(),
-                covered,
                 periods=self._window_periods(),
                 engine=self.engine,
             )
+        return self._window_plane
+
+    def _window_distances(self) -> np.ndarray:
+        """Per flattened access, the smallest covered count that hits."""
+        if self._distances is None:
+            started = time.perf_counter()
+            self._distances = self._plane().stack_distances(self.beta)
+            _charge_trace(started)
+        return self._distances
+
+    def _traced_placement(
+        self, covered: int
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The placement trace behind a distance-pass mask, on demand."""
+        started = time.perf_counter()
+        misses, inserted, evicted, freed = self._plane().trace(covered)
         _charge_trace(started)
+        if not np.array_equal(misses, self._window_distances() > covered):
+            raise SimulationError(
+                f"{self.group.name}: placement trace disagrees with the "
+                f"stack-distance miss mask at {covered} registers"
+            )
+        return inserted, evicted, freed
+
+    def _window_result(
+        self, covered: int, has_read: bool, n_writes: int
+    ) -> CoverageResult:
+        if self._distance_pass:
+            miss_flags = self._window_distances() > covered
+            placement = functools.partial(self._traced_placement, covered)
+        else:
+            # The per-capacity oracles trace every count, placement and
+            # all, so their placement thunk just hands the arrays back.
+            started = time.perf_counter()
+            if self.ladder:
+                miss_flags, *trace = self._plane().trace(covered)
+            else:
+                miss_flags, *trace = opt_trace(
+                    self._window_stream(),
+                    covered,
+                    periods=self._window_periods(),
+                    engine=self.engine,
+                )
+            _charge_trace(started)
+            placement = functools.partial(tuple, trace)
         misses = miss_flags.reshape(self._shape)
         if has_read:
             read_miss = misses
@@ -551,9 +652,7 @@ class GroupCoverage:
             kind="window",
             covered=covered,
             region_level=self._carrying_level,
-            window_inserted=inserted,
-            window_evicted=evicted,
-            window_freed=freed,
+            placement=placement,
         )
 
 

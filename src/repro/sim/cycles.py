@@ -380,12 +380,32 @@ def count_cycles(
     costs = pattern_costs(
         kernel, groups, dfg, model, ram_ports, overhead_per_iteration, context
     )
-    in_loop, memory_cycles, pattern_rows = classify_patterns(
-        costs.layout.pack(kernel.nest.trip_counts(), results), costs
+    report = _report(
+        results,
+        classify_patterns(
+            costs.layout.pack(kernel.nest.trip_counts(), results), costs
+        ),
+        model,
     )
+    if memo_key is not None:
+        context.put_cycle_report(
+            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages,
+            batch=batch, trace_engine=trace_engine, ladder=ladder,
+        )
+    return report
+
+
+def _report(
+    results: "Mapping[str, CoverageResult]",
+    classified: "tuple[int, int, list[tuple[tuple[str, ...], int, int]]]",
+    model: LatencyModel,
+) -> CycleReport:
+    """The report of one count from its coverage results (group order)
+    and their :func:`classify_patterns` output."""
+    in_loop, memory_cycles, pattern_rows = classified
     writebacks = sum(r.writeback_stores for r in results.values())
     epilogue = writebacks * model.ram_latency
-    report = CycleReport(
+    return CycleReport(
         in_loop_cycles=in_loop,
         epilogue_cycles=epilogue,
         memory_cycles=memory_cycles + epilogue,
@@ -394,12 +414,6 @@ def count_cycles(
         },
         pattern_counts=tuple(pattern_rows),
     )
-    if memo_key is not None:
-        context.put_cycle_report(
-            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages,
-            batch=batch, trace_engine=trace_engine, ladder=ladder,
-        )
-    return report
 
 
 def best_anchors(
@@ -413,14 +427,16 @@ def best_anchors(
     coverages: "dict[str, GroupCoverage]",
     candidates: "list[str]",
     context: "EvalContext | None" = None,
-) -> "dict[str, str]":
-    """The anchors of ``candidates`` that minimize total cycles.
+) -> CycleReport:
+    """The report of the ``candidates`` anchors that minimize total cycles.
 
     Combination ``mask`` anchors ``candidates[i]`` high iff bit ``i`` is
     set; masks are costed in ascending order and the first strict
     minimum wins.  The other groups' planes do not depend on the choice,
     so they are packed once into a shared base and each combination
-    adds only the candidate planes; no report is built here.
+    adds only the candidate planes.  The winner's classification is
+    kept, so its report (equal to :func:`count_cycles` at the winning
+    anchors) costs no second pack or classification.
     """
     costs = pattern_costs(
         kernel, groups, dfg, model, ram_ports, overhead_per_iteration, context
@@ -442,25 +458,24 @@ def best_anchors(
         )
         for name in candidates
     ]
-    best_total, best_mask = None, 0
+    best_total, best = None, None
     for mask in range(1 << len(candidates)):
         chosen = {
             name: options[bit][(mask >> bit) & 1]
             for bit, name in enumerate(candidates)
         }
-        in_loop, _, _ = classify_patterns(
+        classified = classify_patterns(
             costs.layout.pack(shape, chosen, into=base.copy()), costs
         )
         writebacks = base_writebacks + sum(
             r.writeback_stores for r in chosen.values()
         )
-        total = in_loop + writebacks * model.ram_latency
+        total = classified[0] + writebacks * model.ram_latency
         if best_total is None or total < best_total:
-            best_total, best_mask = total, mask
-    return {
-        name: ("high" if (best_mask >> bit) & 1 else "low")
-        for bit, name in enumerate(candidates)
-    }
+            best_total, best = total, (chosen, classified)
+    chosen, classified = best
+    merged = {**fixed, **chosen}
+    return _report({g.name: merged[g.name] for g in groups}, classified, model)
 
 
 def classify_patterns(

@@ -27,7 +27,7 @@ Every simulator exists in two implementations selected by the
   :func:`pinned_misses` reduces to a first-touch mask over
   :func:`prev_uses` links.
 
-Three budget-ladder entry points evaluate **every capacity of a budget
+Four budget-ladder entry points evaluate **every capacity of a budget
 axis** against one stream without redoing per-stream work:
 
 * :func:`lru_stack_distances` / :func:`lru_miss_counts` — the classic
@@ -41,6 +41,11 @@ axis** against one stream without redoing per-stream work:
   functions of the stream, so only the memoized signature walk runs per
   capacity.  Bit-identical to per-capacity :func:`opt_trace` by
   construction (:func:`opt_trace` *is* a one-capacity plane).
+* :func:`opt_stack_distances` — the production trace's miss flags at
+  every capacity from ONE pass: Belady with bypass is a stack algorithm
+  (Mattson et al.), so a truncated priority stack with holes yields
+  each access's smallest hitting capacity.  It replays steady-state
+  rows through the same period ladder (:class:`_RowReplay`).
 * :func:`opt_miss_ladder` — the ablation's Belady bound across
   capacities, sharing the next-use links.
 
@@ -82,6 +87,7 @@ __all__ = [
     "opt_miss_ladder",
     "opt_trace",
     "opt_trace_ladder",
+    "opt_stack_distances",
     "OptTraceLadder",
     "next_uses",
     "prev_uses",
@@ -369,10 +375,11 @@ def opt_miss_ladder(
 ) -> "dict[int, int]":
     """Belady miss totals at every requested capacity, links shared.
 
-    The victim choice is genuinely capacity-dependent (Belady has no
-    single stack-distance reduction with the bypass-free policy's heap
-    tie-breaking), so the per-access walk runs once per capacity — but
-    the dominant next-use link computation is hoisted out and shared
+    Belady is a stack algorithm (Mattson et al. 1970), so one priority-
+    stack pass could answer every capacity, as
+    :func:`opt_stack_distances` does for the production bypass policy.
+    This ablation-only bound keeps the plain per-capacity walk instead,
+    hoisting the dominant next-use link computation out and sharing it
     across the whole ladder.  Bit-identical to per-capacity
     :func:`opt_misses` by construction.
     """
@@ -493,7 +500,7 @@ class OptTraceLadder:
         self.ladder = _period_ladder(self.n, row_len, periods)
         self._links: "tuple[np.ndarray, np.ndarray] | None" = None
         # Shared capacity-independent level structures, built lazily by
-        # the first _ArrayTracer that needs each depth.
+        # the first walk (trace or distance pass) that needs each depth.
         self._levels: "list[_LadderLevel | None]" = [None] * len(self.ladder)
 
     def _use_links(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -519,9 +526,9 @@ class OptTraceLadder:
         if self.engine == "array":
             nxt, prv = self._use_links()
             _ArrayTracer(
-                self.addresses, nxt, prv, capacity, self.ladder,
-                levels=self._levels,
-            ).trace(resident, out)
+                self.addresses, nxt, prv, capacity, self.ladder, resident,
+                out, levels=self._levels,
+            ).run()
             return out
         nxt = self._use_links()[0]
         if self.ladder:
@@ -531,6 +538,31 @@ class OptTraceLadder:
         else:
             _trace_span(self.addresses, nxt, capacity, 0, n, resident, out)
         return out
+
+    def stack_distances(self, max_capacity: int) -> np.ndarray:
+        """The :func:`opt_stack_distances` pass over this plane.
+
+        Shares the plane's use links and period levels with its
+        :meth:`trace` calls; the pass itself always runs the array
+        walk (it is exact for either engine's traces).  A row replay
+        normalizes up to ``max_capacity`` stack slots, which costs more
+        than walking a row shorter than that, so the pass descends only
+        the ladder levels whose period is at least ``max_capacity``
+        (a prefix of the descending ladder, so the level structures are
+        shared as they are).
+        """
+        if max_capacity < 0:
+            raise SimulationError(f"capacity must be >= 0, got {max_capacity}")
+        distances = np.full(self.n, max_capacity + 1, dtype=np.int64)
+        if max_capacity == 0 or self.n == 0:
+            return distances
+        nxt, prv = self._use_links()
+        ladder = tuple(p for p in self.ladder if p >= max_capacity)
+        _StackPass(
+            self.addresses, nxt, prv, max_capacity, ladder, distances,
+            levels=self._levels,
+        ).run()
+        return distances
 
 
 def opt_trace_ladder(
@@ -543,6 +575,45 @@ def opt_trace_ladder(
     """:func:`opt_trace` at every requested capacity over one shared plane."""
     plane = OptTraceLadder(stream, row_len=row_len, periods=periods, engine=engine)
     return {int(c): plane.trace(int(c)) for c in capacities}
+
+
+def opt_stack_distances(
+    stream: np.ndarray,
+    max_capacity: int,
+    periods: "tuple[int, ...] | None" = None,
+) -> np.ndarray:
+    """Per access, the smallest capacity at which Belady-with-bypass hits.
+
+    One pass answers the whole budget axis of :func:`opt_trace`: the
+    access at position ``i`` misses at capacity ``c <= max_capacity``
+    exactly when ``distances[i] > c``.  Accesses that hit at no capacity
+    up to ``max_capacity`` carry ``max_capacity + 1``.
+
+    Belady with bypass is a stack algorithm here (Mattson et al. 1970):
+    next-use positions are unique and a value is freed at its last use,
+    so the policy never faces a tie, and one priority stack holds every
+    capacity's register file at once — capacity ``c`` keeps the values
+    in its top ``c`` slots.  An access found in slot ``d`` hits every
+    capacity above ``d``; the stack then moves its value up, carrying
+    the value with the farther next use down through slots ``0..d-1``
+    (at each capacity the farthest one is exactly Belady's victim, or
+    the bypassed newcomer).  A value freed at its last use leaves a
+    *hole* that stays in place: a capacity whose file has a free
+    register installs the next miss without evicting, so the carry
+    drops into the first hole and deeper values never float up into
+    it.  The stack is truncated at ``max_capacity`` slots; what falls
+    off the end is resident at no tracked capacity.
+
+    ``periods`` enables the period-ladder row replay of the array
+    engine (the stack state normalizes like the register file does);
+    non-divisor entries are dropped as in :func:`opt_trace`.  Callers
+    that also trace placements should hold an :class:`OptTraceLadder`
+    and call :meth:`~OptTraceLadder.stack_distances` on it, so both
+    share one stream analysis.
+    """
+    return OptTraceLadder(stream, periods=periods).stack_distances(
+        max_capacity
+    )
 
 
 def _period_ladder(
@@ -740,9 +811,9 @@ class _LadderLevel:
     therefore the outputs — are identical by construction.
 
     Deliberately capacity-independent: replay memos (which record
-    capacity-dependent decisions) live on :class:`_ArrayTracer`, so one
-    level can be shared across a whole budget ladder of traces
-    (:class:`OptTraceLadder`).
+    capacity-dependent decisions) live on the walk (:class:`_RowReplay`),
+    so one level can be shared across a whole budget ladder of traces
+    and the stack-distance pass (:class:`OptTraceLadder`).
     """
 
     __slots__ = (
@@ -788,11 +859,15 @@ class _LadderLevel:
         return 1 + (int(bad[0]) if len(bad) else len(same))
 
 
-class _ArrayTracer:
-    """The array engine behind :func:`opt_trace`.
+class _RowReplay:
+    """Period-ladder row memo shared by the array engine's stream walks.
 
-    Runs the same signature-memoized simulation as the reference
-    ``_trace_rows``, with three array-at-a-time accelerations:
+    A walk carries a register-file *state* along the stream and writes
+    per-access *outputs*.  Each step compares addresses and next-use
+    positions but never measures them, so a row's outputs and post-state
+    are a pure function of its normalized signature: the state and the
+    row pattern relative to the row's base address and start position.
+    Three array-at-a-time accelerations follow:
 
     * per-level row patterns, adjacent equality and base deltas are
       vectorized whole-stream computations (:class:`_LadderLevel`),
@@ -801,10 +876,15 @@ class _ArrayTracer:
       the same pattern and base delta replays identically and is
       stamped with one vectorized copy instead of one per row,
     * a row (or tile) that misses its level's memo recurses to the next
-      finer period before any per-access simulation; the finest level
-      runs :func:`_belady_span` with compulsory bypasses — first-ever
-      touches of never-reused addresses, which cannot change any state —
-      filtered out in bulk.
+      finer period before any per-access work; the finest level walks
+      the span with compulsory bypasses — first-ever touches of
+      never-reused addresses, which change no state — filtered out in
+      bulk.
+
+    Subclasses own the state (:meth:`_normalize`, :meth:`_load`,
+    :meth:`_shift`) and the per-access step (:meth:`_walk`).  ``out``
+    holds the output arrays; ``relative[k]`` marks an address-valued
+    one (``-1`` for none), recorded relative to the row base.
     """
 
     def __init__(
@@ -812,21 +892,47 @@ class _ArrayTracer:
         addresses: np.ndarray,
         nxt: np.ndarray,
         prv: np.ndarray,
-        capacity: int,
         ladder: tuple[int, ...],
-        levels: "list[_LadderLevel | None] | None" = None,
+        levels: "list[_LadderLevel | None] | None",
+        out: "tuple[np.ndarray, ...]",
+        relative: "tuple[bool, ...]",
     ):
         self.addresses = addresses
         self.nxt = nxt
         self.prev = prv
-        self.capacity = capacity
+        self.n = len(addresses)
         self.ladder = ladder
+        self.out = out
+        self.relative = relative
         # Level structures are capacity-independent; an OptTraceLadder
         # passes its own (lazily filled) list so every capacity of a
         # budget column shares them.  The replay memos are NOT shared —
-        # Belady's decisions depend on the capacity.
+        # they record the walk's decisions.
         self._levels = levels if levels is not None else [None] * len(ladder)
         self._memos: "list[dict[tuple, tuple]]" = [{} for _ in ladder]
+
+    # -- state hooks -----------------------------------------------------------
+
+    def _normalize(self, base: int, start: int) -> tuple:
+        """The live state relative to ``(base, start)``, hashable."""
+        raise NotImplementedError
+
+    def _load(self, state_rel: tuple, base: int, start: int) -> None:
+        """Make ``state_rel`` (framed at ``(base, start)``) the live state."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _shift(state_rel: tuple, shift_a: int, shift_u: int) -> tuple:
+        """Re-frame a normalized state (uniform shifts keep its order)."""
+        raise NotImplementedError
+
+    def _walk(
+        self, positions: "list[int]", addresses: "list[int]", nexts: "list[int]"
+    ) -> None:
+        """Step the live state through the listed accesses."""
+        raise NotImplementedError
+
+    # -- the shared ladder walk ------------------------------------------------
 
     def _level(self, depth: int) -> _LadderLevel:
         level = self._levels[depth]
@@ -835,60 +941,36 @@ class _ArrayTracer:
             self._levels[depth] = level
         return level
 
-    def trace(
-        self,
-        resident: "dict[int, int]",
-        out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        self._trace(0, 0, len(self.addresses), resident, out)
+    def run(self) -> None:
+        self._trace(0, 0, self.n)
 
-    def _span(
-        self,
-        start: int,
-        stop: int,
-        resident: "dict[int, int]",
-        out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        """Finest level: the decision loop minus compulsory bypasses.
+    def _span(self, start: int, stop: int) -> None:
+        """Finest level: the per-access walk minus compulsory bypasses.
 
         A position whose address was never accessed before cannot be
         resident, and if it is also never accessed again the access is a
-        plain bypass miss — exactly the arrays' initial values — with no
-        state change.  Those segments are skipped wholesale; everything
-        else runs the shared heap-based loop.
+        plain bypass miss — exactly the outputs' initial values — with
+        no state change.  Those segments are skipped wholesale.
         """
         span_prev = self.prev[start:stop]
         span_next = self.nxt[start:stop]
-        n = len(self.addresses)
-        active = ~((span_prev < 0) & (span_next >= n))
+        active = ~((span_prev < 0) & (span_next >= self.n))
         if not active.any():
             return
         offsets = np.flatnonzero(active)
-        _belady_span(
+        self._walk(
             (start + offsets).tolist(),
             self.addresses[start:stop][offsets].tolist(),
             span_next[offsets].tolist(),
-            n,
-            self.capacity,
-            resident,
-            out,
         )
 
-    def _trace(
-        self,
-        depth: int,
-        start: int,
-        stop: int,
-        resident: "dict[int, int]",
-        out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
+    def _trace(self, depth: int, start: int, stop: int) -> None:
         if depth >= len(self.ladder):
-            self._span(start, stop, resident, out)
+            self._span(start, stop)
             return
         level = self._level(depth)
         memo = self._memos[depth]
         period = level.period
-        misses, inserted, evicted, freed = out
         first_row = start // period
         last_row = stop // period
         state_rel: "tuple | None" = None
@@ -898,79 +980,217 @@ class _ArrayTracer:
             row_start = row * period
             base = int(level.bases[row])
             if state_rel is None:
-                normalized = tuple(
-                    sorted((a - base, u - row_start) for a, u in resident.items())
-                )
+                normalized = self._normalize(base, row_start)
             else:
-                shift_a, shift_u = frame[0] - base, frame[1] - row_start
-                normalized = tuple(
-                    (a + shift_a, u + shift_u) for a, u in state_rel
+                normalized = self._shift(
+                    state_rel, frame[0] - base, frame[1] - row_start
                 )
             signature = (normalized, level.row_key(row))
             replay = memo.get(signature)
             if replay is None:
                 if state_rel is not None:
-                    resident.clear()
-                    resident.update(
-                        (a + frame[0], u + frame[1]) for a, u in state_rel
-                    )
+                    self._load(state_rel, *frame)
                     state_rel = None
                 row_stop = row_start + period
-                self._trace(depth + 1, row_start, row_stop, resident, out)
-                eviction_rel = np.where(
-                    evicted[row_start:row_stop] >= 0,
-                    evicted[row_start:row_stop] - base,
-                    _NO_EVICTION,
-                )
+                self._trace(depth + 1, row_start, row_stop)
                 memo[signature] = (
-                    misses[row_start:row_stop].copy(),
-                    inserted[row_start:row_stop].copy(),
-                    eviction_rel,
-                    freed[row_start:row_stop].copy(),
                     tuple(
-                        sorted(
-                            (a - base, u - row_start)
-                            for a, u in resident.items()
+                        np.where(segment >= 0, segment - base, _NO_EVICTION)
+                        if relative
+                        else segment.copy()
+                        for segment, relative in zip(
+                            (array[row_start:row_stop] for array in self.out),
+                            self.relative,
                         )
                     ),
+                    self._normalize(base, row_start),
                 )
                 row += 1
                 continue
-            miss_row, insert_row, eviction_rel, freed_row, post_state = replay
+            recorded, post_state = replay
             run_rows = 1
             if row + 1 < last_row and level.same[row]:
                 delta = int(level.base_delta[row])
-                shifted = tuple(
-                    (a - delta, u - period) for a, u in post_state
-                )
-                if shifted == normalized:
+                if self._shift(post_state, -delta, -period) == normalized:
                     run_rows = level.run_length(row, last_row, delta)
-            stop_pos = (row + run_rows) * period
-            if run_rows == 1:
-                misses[row_start:stop_pos] = miss_row
-                inserted[row_start:stop_pos] = insert_row
-                evicted[row_start:stop_pos] = np.where(
-                    eviction_rel != _NO_EVICTION, eviction_rel + base, -1
-                )
-                freed[row_start:stop_pos] = freed_row
-            else:
-                segment = slice(row_start, stop_pos)
-                misses[segment] = np.tile(miss_row, run_rows)
-                inserted[segment] = np.tile(insert_row, run_rows)
-                freed[segment] = np.tile(freed_row, run_rows)
-                run_bases = level.bases[row : row + run_rows, None]
-                evicted[segment] = np.where(
-                    eviction_rel[None, :] != _NO_EVICTION,
-                    eviction_rel[None, :] + run_bases,
-                    -1,
-                ).reshape(-1)
+            segment = slice(row_start, (row + run_rows) * period)
+            for array, values, relative in zip(
+                self.out, recorded, self.relative
+            ):
+                if relative:
+                    run_bases = level.bases[row : row + run_rows, None]
+                    array[segment] = np.where(
+                        values[None, :] != _NO_EVICTION,
+                        values[None, :] + run_bases,
+                        -1,
+                    ).reshape(-1)
+                elif run_rows == 1:
+                    array[segment] = values
+                else:
+                    array[segment] = np.tile(values, run_rows)
             last = row + run_rows - 1
             state_rel = post_state
             frame = (int(level.bases[last]), last * period)
             row += run_rows
         if state_rel is not None:
-            resident.clear()
-            resident.update((a + frame[0], u + frame[1]) for a, u in state_rel)
+            self._load(state_rel, *frame)
+
+
+class _ArrayTracer(_RowReplay):
+    """The array engine behind :func:`opt_trace`.
+
+    Runs the same signature-memoized Belady-with-bypass simulation as
+    the reference ``_trace_rows`` through the shared period-ladder walk
+    (:class:`_RowReplay`): the state is the resident ``address -> next
+    use`` map, normalized as a sorted tuple, and the finest level runs
+    :func:`_belady_span`.
+    """
+
+    def __init__(
+        self,
+        addresses: np.ndarray,
+        nxt: np.ndarray,
+        prv: np.ndarray,
+        capacity: int,
+        ladder: tuple[int, ...],
+        resident: "dict[int, int]",
+        out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        levels: "list[_LadderLevel | None] | None" = None,
+    ):
+        super().__init__(
+            addresses, nxt, prv, ladder, levels, out,
+            relative=(False, False, True, False),
+        )
+        self.capacity = capacity
+        self.resident = resident
+
+    def _normalize(self, base: int, start: int) -> tuple:
+        return tuple(
+            sorted((a - base, u - start) for a, u in self.resident.items())
+        )
+
+    def _load(self, state_rel: tuple, base: int, start: int) -> None:
+        self.resident.clear()
+        self.resident.update((a + base, u + start) for a, u in state_rel)
+
+    @staticmethod
+    def _shift(state_rel: tuple, shift_a: int, shift_u: int) -> tuple:
+        return tuple((a + shift_a, u + shift_u) for a, u in state_rel)
+
+    def _walk(
+        self, positions: "list[int]", addresses: "list[int]", nexts: "list[int]"
+    ) -> None:
+        _belady_span(
+            positions, addresses, nexts, self.n, self.capacity,
+            self.resident, self.out,
+        )
+
+
+class _StackPass(_RowReplay):
+    """The one-pass OPT stack walk behind :func:`opt_stack_distances`.
+
+    The state is a priority stack truncated at ``depth`` slots: a list of
+    addresses or ``None`` (a hole), plus each stacked address's next
+    use.  Its first ``c`` slots are exactly the residents of a
+    Belady-with-bypass register file of capacity ``c``, for every
+    ``c <= depth`` at once (the inclusion property; see
+    :func:`opt_stack_distances`).  Normalized, the state is the slot
+    tuple with trailing holes trimmed.
+    """
+
+    def __init__(
+        self,
+        addresses: np.ndarray,
+        nxt: np.ndarray,
+        prv: np.ndarray,
+        depth: int,
+        ladder: tuple[int, ...],
+        distances: np.ndarray,
+        levels: "list[_LadderLevel | None] | None" = None,
+    ):
+        super().__init__(
+            addresses, nxt, prv, ladder, levels, (distances,),
+            relative=(False,),
+        )
+        self.depth = depth
+        self.slots: "list[int | None]" = [None] * depth
+        self.uses: "dict[int, int]" = {}  # stacked address -> next use
+
+    def _normalize(self, base: int, start: int) -> tuple:
+        uses = self.uses
+        state = [
+            None if a is None else (a - base, uses[a] - start)
+            for a in self.slots
+        ]
+        while state and state[-1] is None:
+            state.pop()
+        return tuple(state)
+
+    def _load(self, state_rel: tuple, base: int, start: int) -> None:
+        slots = [None] * self.depth
+        uses: "dict[int, int]" = {}
+        for slot, entry in enumerate(state_rel):
+            if entry is not None:
+                address = entry[0] + base
+                slots[slot] = address
+                uses[address] = entry[1] + start
+        self.slots = slots
+        self.uses = uses
+
+    @staticmethod
+    def _shift(state_rel: tuple, shift_a: int, shift_u: int) -> tuple:
+        return tuple(
+            None if entry is None else (entry[0] + shift_a, entry[1] + shift_u)
+            for entry in state_rel
+        )
+
+    def _walk(
+        self, positions: "list[int]", addresses: "list[int]", nexts: "list[int]"
+    ) -> None:
+        n = self.n
+        depth = self.depth
+        slots = self.slots
+        uses = self.uses
+        hits: "list[int]" = []
+        found_at: "list[int]" = []
+        for position, address, mine in zip(positions, addresses, nexts):
+            found = address in uses
+            if found:
+                slot = slots.index(address)
+                hits.append(position)
+                found_at.append(slot + 1)
+                if mine >= n:
+                    slots[slot] = None  # last use: the freed slot is a hole
+                    del uses[address]
+                    continue
+            elif mine >= n:
+                continue  # never used again: bypassed at every capacity
+            else:
+                slot = depth
+            uses[address] = mine
+            # Carry down: each slot above the accessed one keeps the
+            # sooner next use of (itself, the carried value) and passes
+            # the farther one on.  A hole takes the carried value and
+            # ends the carry; a found value's old slot becomes the hole.
+            carried, carried_use = address, mine
+            for above in range(slot):
+                held = slots[above]
+                if held is None:
+                    slots[above] = carried
+                    if found:
+                        slots[slot] = None
+                    break
+                held_use = uses[held]
+                if held_use > carried_use:
+                    slots[above] = carried
+                    carried, carried_use = held, held_use
+            else:
+                if found:
+                    slots[slot] = carried
+                else:
+                    del uses[carried]  # fell off the truncated stack
+        if hits:
+            self.out[0][hits] = found_at
 
 
 def miss_count(stream: np.ndarray, capacity: int, policy: str = "lru") -> int:

@@ -252,8 +252,9 @@ def count_with_best_anchors(
     inputs of an operation come from registers in the same iterations.
     The search space is tiny (one binary choice per partially covered
     pinned group), so it is explored exhaustively by
-    :func:`~repro.sim.cycles.best_anchors` on a shared base pattern;
-    only the winning anchors get a full :func:`count_cycles` report.
+    :func:`~repro.sim.cycles.best_anchors` on a shared base pattern,
+    which also returns the winner's report from the classification it
+    already made.
 
     This is the single authoritative objective evaluation of a design
     point — :func:`build_design` reports it, and the exact allocator
@@ -268,11 +269,10 @@ def count_with_best_anchors(
     ]
     candidates = candidates[:4]  # 2^4 design points at most
 
-    anchors = None
-    memo_key = None
     if candidates:
         # The winner is memoized under the count's key with the search
         # in place of the anchors, so a repeated point skips the search.
+        memo_key = None
         if context is not None:
             memo_key = report_key(
                 context, model, ram_ports, overhead_per_iteration, batch,
@@ -284,7 +284,7 @@ def count_with_best_anchors(
             )
             if report is not None:
                 return report
-        anchors = best_anchors(
+        report = best_anchors(
             kernel,
             groups,
             allocation,
@@ -296,7 +296,13 @@ def count_with_best_anchors(
             candidates,
             context,
         )
-    report = count_cycles(
+        if memo_key is not None:
+            context.put_cycle_report(
+                kernel, groups, memo_key, report, dfg=dfg, coverages=coverages,
+                batch=batch, trace_engine=trace_engine, ladder=ladder,
+            )
+        return report
+    return count_cycles(
         kernel,
         groups,
         allocation,
@@ -304,19 +310,12 @@ def count_with_best_anchors(
         ram_ports=ram_ports,
         overhead_per_iteration=overhead_per_iteration,
         dfg=dfg,
-        anchors=anchors,
         batch=batch,
         coverages=coverages,
         context=context,
         trace_engine=trace_engine,
         ladder=ladder,
     )
-    if memo_key is not None:
-        context.put_cycle_report(
-            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages,
-            batch=batch, trace_engine=trace_engine, ladder=ladder,
-        )
-    return report
 
 
 def _count_mixed_operand_ops(dfg, storage_class: dict[str, str]) -> int:

@@ -374,8 +374,13 @@ class TestStatsExactAccounting:
         The anchor search no longer
         counts each combination through the report memo: a design
         point with anchor candidates makes one lookup under its
-        best-anchor key and, on a miss, one for the winning anchors,
-        so ``cycles_hits`` fell from 39 to 20."""
+        best-anchor key, so ``cycles_hits`` fell from 39 to 20.
+        The winner's report is built from the classification the
+        search already made instead of a second ``count_cycles``: each
+        of the 91 searches drops one report lookup under the winning
+        anchors (``cycles_misses`` 183 -> 92; none of those lookups
+        ever hit) and one re-pricing of the winner's pattern values
+        (``cost_hits`` 1335 -> 899)."""
         ctx = EvalContext()
         for budget in (16, 16, 15, 8):
             record = evaluate_query(
@@ -389,7 +394,7 @@ class TestStatsExactAccounting:
             "coverage_hits": 5, "coverage_misses": 1,
             "critical_hits": 1, "critical_misses": 1,
             "knapsack_hits": 1, "knapsack_misses": 1,
-            "cost_hits": 1335, "cost_misses": 8,
-            "cycles_hits": 20, "cycles_misses": 183,
+            "cost_hits": 899, "cost_misses": 8,
+            "cycles_hits": 20, "cycles_misses": 92,
             "optra_hits": 2, "optra_misses": 2,
         }
