@@ -1,4 +1,4 @@
-"""Experiment harnesses: Table 1, Figure 2, ablation sweeps and perf."""
+"""Experiment harnesses: Table 1, Figure 2 and ablation sweeps."""
 
 from repro.bench.example import (
     Figure2Report,
@@ -8,15 +8,6 @@ from repro.bench.example import (
     figure2_report,
 )
 from repro.bench.formatting import render_table
-from repro.bench.perf import (
-    CompareRow,
-    PerfReport,
-    compare_reports,
-    perf_grid,
-    render_compare,
-    render_perf,
-    run_perf,
-)
 from repro.bench.sweeps import (
     BudgetPoint,
     ResidencyPoint,
@@ -29,13 +20,9 @@ from repro.bench.table1 import Table1, Table1Row, generate_table1, render_table1
 
 __all__ = [
     "BudgetPoint",
-    "CompareRow",
     "Figure2Report",
     "Figure2Row",
     "PAPER_TMEM",
-    "PerfReport",
-    "compare_reports",
-    "render_compare",
     "ResidencyPoint",
     "Table1",
     "Table1Row",
@@ -44,11 +31,8 @@ __all__ = [
     "figure2_report",
     "generate_table1",
     "latency_sweep",
-    "perf_grid",
     "policy_comparison",
-    "render_perf",
     "render_table",
     "render_table1",
     "residency_study",
-    "run_perf",
 ]

@@ -55,9 +55,6 @@ def _records(
     queries: "list[DesignQuery]",
     jobs: int,
     cache: "ResultCache | Path | str | None",
-    batch: bool = True,
-    chunksize: "int | None" = None,
-    context: bool = True,
 ) -> "list[DesignRecord]":
     """Run queries through the engine; re-raise the first failure.
 
@@ -65,10 +62,7 @@ def _records(
     traceback appended), so the harnesses stay loud about programming
     errors even though the engine itself never aborts a sweep.
     """
-    results = Executor(
-        jobs=jobs, cache=cache, batch=batch, chunksize=chunksize,
-        context=context,
-    ).run(queries)
+    results = Executor(jobs=jobs, cache=cache).run(queries)
     for record in results:
         record.raise_error()
     return list(results)
@@ -81,9 +75,6 @@ def budget_sweep(
     model: LatencyModel | None = None,
     jobs: int = 1,
     cache: "ResultCache | Path | str | None" = None,
-    batch: bool = True,
-    chunksize: "int | None" = None,
-    context: bool = True,
 ) -> list[BudgetPoint]:
     """Cycles/wall-clock versus register budget (ablation A1)."""
     if not budgets or not algorithms:
@@ -108,7 +99,7 @@ def budget_sweep(
             total_registers=record.total_registers,
         )
         for query, record in zip(
-            queries, _records(queries, jobs, cache, batch, chunksize, context)
+            queries, _records(queries, jobs, cache)
         )
     ]
 
@@ -120,9 +111,6 @@ def latency_sweep(
     algorithms: tuple[str, ...] = ("FR-RA", "PR-RA", "CPA-RA"),
     jobs: int = 1,
     cache: "ResultCache | Path | str | None" = None,
-    batch: bool = True,
-    chunksize: "int | None" = None,
-    context: bool = True,
 ) -> dict[int, dict[str, int]]:
     """Cycle counts versus RAM access latency (ablation A2).
 
@@ -147,7 +135,7 @@ def latency_sweep(
     ]
     out: dict[int, dict[str, int]] = {latency: {} for latency in latencies}
     for query, record in zip(
-        queries, _records(queries, jobs, cache, batch, chunksize, context)
+        queries, _records(queries, jobs, cache)
     ):
         out[query.latency.ram_latency][query.allocator] = record.cycles
     return out
@@ -160,9 +148,6 @@ def policy_comparison(
     model: LatencyModel | None = None,
     jobs: int = 1,
     cache: "ResultCache | Path | str | None" = None,
-    batch: bool = True,
-    chunksize: "int | None" = None,
-    context: bool = True,
 ) -> dict[str, tuple[int, int]]:
     """(saved RAM accesses, cycles) per allocator (ablation A3).
 
@@ -181,7 +166,7 @@ def policy_comparison(
         replace(proto, allocator=algorithm) for algorithm in algorithms
     ]
     records = dict(
-        zip(algorithms, _records(queries, jobs, cache, batch, chunksize, context))
+        zip(algorithms, _records(queries, jobs, cache))
     )
     naive = records.get("NO-SR")
     naive_accesses = naive.total_ram_accesses if naive is not None else None
@@ -296,9 +281,6 @@ def opt_gap_study(
     model: LatencyModel | None = None,
     jobs: int = 1,
     cache: "ResultCache | Path | str | None" = None,
-    batch: bool = True,
-    chunksize: "int | None" = None,
-    context: bool = True,
 ) -> list[OptGapPoint]:
     """Optimality gap of every heuristic across the budget axis (A5).
 
@@ -326,10 +308,7 @@ def opt_gap_study(
             for budget in budgets
             for algorithm in algorithms
         )
-    results = Executor(
-        jobs=jobs, cache=cache, batch=batch, chunksize=chunksize,
-        context=context,
-    ).run(queries)
+    results = Executor(jobs=jobs, cache=cache).run(queries)
     for record in results:
         if record.crash:
             record.raise_error()

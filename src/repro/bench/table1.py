@@ -79,9 +79,6 @@ def generate_table1(
     model: LatencyModel | None = None,
     jobs: int = 1,
     cache: "ResultCache | Path | str | None" = None,
-    batch: bool = True,
-    chunksize: "int | None" = None,
-    context: bool = True,
 ) -> Table1:
     """Run the full evaluation and collect Table 1."""
     kernels = kernels if kernels is not None else paper_kernels()
@@ -98,10 +95,7 @@ def generate_table1(
         for proto in protos
         for algorithm in PAPER_VERSIONS
     ]
-    results = Executor(
-        jobs=jobs, cache=cache, batch=batch, chunksize=chunksize,
-        context=context,
-    ).run(queries)
+    results = Executor(jobs=jobs, cache=cache).run(queries)
     for record in results:
         record.raise_error()
 

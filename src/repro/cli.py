@@ -13,9 +13,6 @@ Commands
 ``explore``
     Sweep a (kernels x allocators x budgets x latencies x devices)
     design space in parallel, with cached/resumable results.
-``perf``
-    Run the tracked microbenchmark harness (``bench/perf.py``) and
-    emit ``BENCH_4.json``.
 ``lint``
     Run the static cache-soundness & determinism analyzer
     (``repro.lint``) over a source tree (default: this package).
@@ -153,16 +150,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         reuse_cache=reuse,
-        batch=not args.no_batch,
-        context=not args.no_context,
         shard=args.shard,
-        trace_engine="reference" if args.no_array_trace else "array",
-        ladder=not args.no_budget_ladder,
-        supervise=not args.no_supervise,
         retry=RetryPolicy(max_retries=args.max_retries),
         deadlines=DeadlinePolicy(timeout_factor=args.timeout_factor),
         faults=faults,
-        stealing=not args.no_steal,
     )
     if args.dry_run:
         print(executor.dry_run(space))
@@ -202,96 +193,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     print(f"explore: {results.stats.summary()}", file=sys.stderr)
     if args.profile:
         print(results.stats.profile(), file=sys.stderr)
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench.perf import (
-        compare_reports,
-        render_compare,
-        render_perf,
-        run_perf,
-        write_report,
-    )
-
-    if args.compare:
-        import json
-        from pathlib import Path
-
-        old_path, new_path = (Path(p) for p in args.compare)
-        old_doc = json.loads(old_path.read_text())
-        new_doc = json.loads(new_path.read_text())
-        rows, regressions = compare_reports(
-            old_doc, new_doc, threshold=args.threshold
-        )
-        print(render_compare(
-            rows, old_path.name, new_path.name, threshold=args.threshold,
-        ))
-        return 1 if regressions else 0
-
-    report = run_perf(quick=args.quick, single_repeats=args.repeats)
-    print(render_perf(report))
-    if args.out:
-        path = write_report(report, args.out)
-        print(f"perf: wrote {path}", file=sys.stderr)
-    if not report.identical:
-        print(
-            "perf: FAIL — context records diverged from the no-context "
-            "reference",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_speedup is not None and report.speedup_warm < args.min_speedup:
-        print(
-            f"perf: FAIL — warm-context grid speedup {report.speedup_warm:.2f}x "
-            f"is below the required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_trace_speedup is not None
-        and report.best_trace_speedup < args.min_trace_speedup
-    ):
-        print(
-            f"perf: FAIL — best trace-engine speedup "
-            f"{report.best_trace_speedup:.2f}x is below the required "
-            f"{args.min_trace_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_column_speedup is not None
-        and report.best_column_speedup < args.min_column_speedup
-    ):
-        print(
-            f"perf: FAIL — best budget-column ladder speedup "
-            f"{report.best_column_speedup:.2f}x is below the required "
-            f"{args.min_column_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_steal_speedup is not None
-        and report.steal_speedup < args.min_steal_speedup
-    ):
-        print(
-            f"perf: FAIL — work-stealing speedup {report.steal_speedup:.2f}x "
-            f"on the imbalance grid is below the required "
-            f"{args.min_steal_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.max_supervision_overhead is not None
-        and report.supervision_overhead > args.max_supervision_overhead
-    ):
-        print(
-            f"perf: FAIL — supervised warm-grid overhead "
-            f"{report.supervision_overhead:.1%} exceeds the allowed "
-            f"{args.max_supervision_overhead:.1%}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -449,39 +350,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "from cache",
     )
     p_explore.add_argument(
-        "--no-batch", action="store_true",
-        help="disable batched steady-state evaluation (reference path; "
-        "results are bit-identical either way)",
-    )
-    p_explore.add_argument(
-        "--no-context", action="store_true",
-        help="disable the shared-artifact evaluation context (reference "
-        "path; results are bit-identical either way)",
-    )
-    p_explore.add_argument(
-        "--no-array-trace", action="store_true",
-        help="disable the vectorized trace engine and run the reference "
-        "residency simulators (results are bit-identical either way)",
-    )
-    p_explore.add_argument(
-        "--no-budget-ladder", action="store_true",
-        help="disable budget-ladder evaluation (per-budget trace planes "
-        "and per-budget knapsack tables; results are bit-identical "
-        "either way)",
-    )
-    p_explore.add_argument(
-        "--no-supervise", action="store_true",
-        help="disable the supervised drive loop (deadlines, retries, "
-        "quarantine, pool recovery); results are bit-identical on the "
-        "happy path, but a broken worker pool aborts the sweep",
-    )
-    p_explore.add_argument(
-        "--no-steal", action="store_true",
-        help="disable the work-stealing lease dispatcher and restore "
-        "static cost-model chunk packing (results are bit-identical "
-        "either way)",
-    )
-    p_explore.add_argument(
         "--dry-run", action="store_true",
         help="print the planned queue (per-lease predicted cost from "
         "the persisted cost model, cold-prior points marked) and exit "
@@ -521,65 +389,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "requires OPT-RA in --allocators",
     )
     p_explore.set_defaults(func=_cmd_explore)
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="run the tracked microbenchmark harness (emits BENCH_10.json) "
-        "or compare two emitted reports",
-    )
-    p_perf.add_argument(
-        "--quick", action="store_true",
-        help="small CI-smoke grid instead of the full Table-1-shaped grid",
-    )
-    p_perf.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the JSON report here (e.g. BENCH_10.json)",
-    )
-    p_perf.add_argument(
-        "--repeats", type=int, default=5,
-        help="single-point timing repeats (best-of)",
-    )
-    p_perf.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless the warm-context grid is at least X "
-        "times faster than the no-context baseline",
-    )
-    p_perf.add_argument(
-        "--min-trace-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless the array trace engine beats the "
-        "reference simulators by at least X on some window kernel",
-    )
-    p_perf.add_argument(
-        "--min-column-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless the budget ladder beats per-budget "
-        "evaluation by at least X on some window kernel's full budget "
-        "column",
-    )
-    p_perf.add_argument(
-        "--min-steal-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless work-stealing dispatch beats static "
-        "chunking by at least X on the heterogeneous imbalance grid "
-        "at jobs=4",
-    )
-    p_perf.add_argument(
-        "--max-supervision-overhead", type=float, default=None, metavar="F",
-        help="exit non-zero when the supervised warm grid is more than "
-        "this fraction slower than --no-supervise (e.g. 0.03 = 3%%)",
-    )
-    p_perf.add_argument(
-        "--compare", nargs=2, default=None, metavar=("OLD.json", "NEW.json"),
-        help="compare two emitted reports instead of running: per-metric "
-        "regression/speedup table, non-zero exit when a host-independent "
-        "ratio metric regressed beyond --threshold",
-    )
-    from repro.bench.perf import COMPARE_THRESHOLD
-
-    p_perf.add_argument(
-        "--threshold", type=float, default=COMPARE_THRESHOLD, metavar="X",
-        help="--compare regression threshold on gated metrics (a metric "
-        f"more than X times worse fails; default {COMPARE_THRESHOLD})",
-    )
-    p_perf.set_defaults(func=_cmd_perf)
 
     p_lint = sub.add_parser(
         "lint",

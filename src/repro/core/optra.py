@@ -86,7 +86,7 @@ from repro.errors import ReproError
 # repro.sim.residency from a partially initialized repro.sim, but not
 # the other way around).
 from repro.sim.cycles import classify_patterns, pattern_costs  # isort: skip
-from repro.scalar.coverage import GroupCoverage  # isort: skip
+from repro.scalar.coverage import coverage_for  # isort: skip
 from repro.synth.estimate import classify_operand_storage, count_with_best_anchors
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -144,9 +144,6 @@ class OptimalAllocator(Allocator):
         overhead_per_iteration: int = 1,
         node_limit: "int | None" = None,
         time_box: "float | None" = None,
-        batch: bool = True,
-        trace_engine: str = "array",
-        ladder: bool = True,
     ) -> None:
         if node_limit is not None and node_limit < 1:
             raise ReproError(f"node_limit must be >= 1, got {node_limit}")
@@ -157,18 +154,12 @@ class OptimalAllocator(Allocator):
         self._overhead = overhead_per_iteration
         self.node_limit = node_limit
         self.time_box = time_box
-        self._batch = batch
-        self._trace_engine = trace_engine
-        self._ladder = ladder
 
     def tune(
         self,
         model: "LatencyModel | None" = None,
         ram_ports: "int | None" = None,
         overhead_per_iteration: "int | None" = None,
-        batch: "bool | None" = None,
-        trace_engine: "str | None" = None,
-        ladder: "bool | None" = None,
     ) -> "OptimalAllocator":
         """Align the search objective with a query's evaluation setup.
 
@@ -183,12 +174,6 @@ class OptimalAllocator(Allocator):
             self._ram_ports = ram_ports
         if overhead_per_iteration is not None:
             self._overhead = overhead_per_iteration
-        if batch is not None:
-            self._batch = batch
-        if trace_engine is not None:
-            self._trace_engine = trace_engine
-        if ladder is not None:
-            self._ladder = ladder
         return self
 
     # -- the search -----------------------------------------------------------
@@ -203,14 +188,7 @@ class OptimalAllocator(Allocator):
             self.node_limit if self.node_limit is not None else DEFAULT_NODE_LIMIT
         )
 
-        params = (
-            _model_fingerprint(model),
-            ram_ports,
-            overhead,
-            self._batch,
-            self._trace_engine,
-            self._ladder,
-        )
+        params = (_model_fingerprint(model), ram_ports, overhead)
         if ctx is not None:
             entry = ctx.optra_lookup(kernel, groups, params, budget)
             if entry is not None:
@@ -223,11 +201,7 @@ class OptimalAllocator(Allocator):
                 )
                 return
 
-        search = _Search(
-            state, model, ram_ports, overhead,
-            batch=self._batch, trace_engine=self._trace_engine,
-            ladder=self._ladder,
-        )
+        search = _Search(state, model, ram_ports, overhead)
         outcome = search.solve(node_limit, self.time_box)
 
         self._apply(state, outcome.registers)
@@ -300,9 +274,6 @@ class _Search:
         model: LatencyModel,
         ram_ports: int,
         overhead: int,
-        batch: bool,
-        trace_engine: str,
-        ladder: bool,
     ) -> None:
         self.kernel = state.kernel
         self.groups = state.groups
@@ -311,25 +282,13 @@ class _Search:
         self.model = model
         self.ram_ports = ram_ports
         self.overhead = overhead
-        self.batch = batch
-        self.trace_engine = trace_engine
-        self.ladder = ladder
 
         if self.ctx is not None:
             self.dfg = self.ctx.dfg(self.kernel, self.groups)
-            self.coverages = self.ctx.coverages(
-                self.kernel, self.groups, batch=batch,
-                trace_engine=trace_engine, ladder=ladder,
-            )
+            self.coverages = self.ctx.coverages(self.kernel, self.groups)
         else:
             self.dfg = build_dfg(self.kernel, self.groups)
-            self.coverages = {
-                g.name: GroupCoverage(
-                    self.kernel, g, batch=batch, engine=trace_engine,
-                    ladder=ladder,
-                )
-                for g in self.groups
-            }
+            self.coverages = coverage_for(self.kernel, self.groups)
         self.shape = self.kernel.nest.trip_counts()
         self.space = int(np.prod(self.shape))
         self.extra_budget = self.budget - len(self.groups)
@@ -423,10 +382,7 @@ class _Search:
             self.dfg,
             self.coverages,
             storage,
-            self.batch,
             self.ctx,
-            self.trace_engine,
-            self.ladder,
         )
         cycles = report.total_cycles
         self._leaf_memo[key] = cycles

@@ -11,14 +11,10 @@ a per-point cost model (:mod:`repro.explore.schedule`), and shardable
 across machines (:mod:`repro.explore.shard`).  Cache entries are keyed by config hash and
 guarded by per-module *version vectors* (:mod:`repro.explore.versions`),
 so a resumed sweep after a source edit re-runs only the points whose
-dependency cone changed.  Evaluation defaults to the batched
-steady-state path (:mod:`repro.explore.batch`) — bit-identical to the
-per-iteration reference, measurably faster — and runs on the
-shared-artifact plane of :class:`EvalContext`
-(:mod:`repro.explore.context`): DFGs, coverage structures, pattern
-makespans and allocator tables are memoized per process and shared
-across the grid (``--no-context`` is the reference escape hatch, and
-``repro perf`` tracks the resulting speedups).  The returned
+dependency cone changed.  Evaluation runs on the shared-artifact
+plane of :class:`EvalContext` (:mod:`repro.explore.context`): DFGs,
+coverage structures, pattern makespans and allocator tables are
+memoized per process and shared across the grid.  The returned
 :class:`ResultSet` supports filtering, grouping, Pareto-frontier
 queries and JSON/CSV export.
 
@@ -35,16 +31,6 @@ See ``docs/explore.md`` for the full API, the cache layout and the
 ``repro explore`` CLI.
 """
 
-from repro.explore.batch import (
-    BatchMismatch,
-    compare_batched,
-    compare_ladder,
-    compare_trace_engines,
-    iteration_classes,
-    verify_batch_equivalence,
-    verify_ladder_equivalence,
-    verify_trace_equivalence,
-)
 from repro.explore.backends import (
     CacheBackend,
     DirBackend,
@@ -61,7 +47,6 @@ from repro.explore.context import (
     EvalContext,
     process_context,
     reset_process_context,
-    resolve_context,
 )
 from repro.explore.evaluate import (
     code_version,
@@ -82,8 +67,6 @@ from repro.explore.schedule import (
     CostModel,
     Lease,
     persist_cost_model,
-    plan_chunks,
-    plan_chunks_by_kernel,
     plan_leases,
     static_cost,
 )
@@ -102,7 +85,6 @@ from repro.explore.versions import (
 )
 
 __all__ = [
-    "BatchMismatch",
     "CacheBackend",
     "CacheCorruptionWarning",
     "CostModel",
@@ -130,29 +112,19 @@ __all__ = [
     "WouldHang",
     "backend_for",
     "code_version",
-    "compare_batched",
-    "compare_ladder",
-    "compare_trace_engines",
     "default_registry",
     "evaluate_query",
     "evaluate_query_safe",
-    "iteration_classes",
     "parse_fault_spec",
     "parse_shard",
     "persist_cost_model",
-    "plan_chunks",
-    "plan_chunks_by_kernel",
     "plan_leases",
     "process_context",
     "query_roots",
     "query_vector",
     "reset_process_context",
-    "resolve_context",
     "run_queries",
     "shard_index",
     "shard_queries",
     "static_cost",
-    "verify_batch_equivalence",
-    "verify_ladder_equivalence",
-    "verify_trace_equivalence",
 ]

@@ -2,19 +2,14 @@
 
 Entry semantics (one JSON document per design point)::
 
-    {"format", "versions", "query", "record",
-     "seconds", "trace_engine", "batch", "checksum"}
+    {"format", "versions", "query", "record", "seconds", "checksum"}
 
 ``seconds`` is the point's measured evaluation wall time — envelope
 bookkeeping (like ``versions``), not part of the record's identity: it
 feeds the cost model in :mod:`repro.explore.schedule` and is reattached
-to the record on lookup.  ``trace_engine`` / ``batch`` record which
-evaluation path *produced* the timing (records themselves are
-bit-identical across paths, so they never affect the entry's identity
-or validity): the cost model keys its observations by producing engine
-so an engine switch cannot skew queue ordering.  Both are optional —
-entries written before provenance was recorded simply fit as
-engine-unknown.
+to the record on lookup.  Entries written by earlier versions may also
+carry ``trace_engine`` / ``batch`` provenance fields; the checksum
+covers them and lookups ignore them, so those entries still hit.
 
 Each entry is keyed by the query's content digest and guarded by the
 *version vector* of the modules its evaluation can reach (see
@@ -296,19 +291,8 @@ class ResultCache:
         record, _ = self.lookup(query)
         return record
 
-    def put(
-        self,
-        record: DesignRecord,
-        trace_engine: "str | None" = None,
-        batch: "bool | None" = None,
-    ) -> "Path | str":
-        """Atomically persist ``record``; returns the entry location.
-
-        ``trace_engine`` / ``batch`` optionally record which evaluation
-        path produced the record's timing (see the module docstring);
-        they are envelope provenance, not identity — no format bump, and
-        lookups ignore them.
-        """
+    def put(self, record: DesignRecord) -> "Path | str":
+        """Atomically persist ``record``; returns the entry location."""
         if record.truncated:
             raise ReproError(
                 f"refusing to cache truncated {record.query.allocator} "
@@ -322,10 +306,6 @@ class ResultCache:
             "record": record.to_dict(),
             "seconds": record.seconds,
         }
-        if trace_engine is not None:
-            doc["trace_engine"] = trace_engine
-        if batch is not None:
-            doc["batch"] = bool(batch)
         doc["checksum"] = _entry_checksum(doc)
         return self.backend.write(
             record.query.digest(), json.dumps(doc, indent=2, sort_keys=True)

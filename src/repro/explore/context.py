@@ -21,8 +21,7 @@ memo                          key
 kernel + reference groups     ``(kernel_name, kernel_json)``
 body DFG                      the kernel bundle (DFG depends only on
                               kernel + groups)
-coverage computers            ``(kernel bundle, batch, trace engine,
-                              ladder)`` — one
+coverage computers            the kernel bundle — one
                               :class:`~repro.scalar.coverage.GroupCoverage`
                               per group, which itself memoizes results per
                               ``(registers, anchor)``
@@ -40,16 +39,17 @@ knapsack DP tables (KS-RA)    ``(kernel bundle, item signature)`` —
 Every memoized artifact is immutable (or treated as such by every
 consumer), and every memo key captures the full input of the computation
 it short-circuits, so evaluation with a context is bit-identical to
-evaluation without one — ``repro explore --no-context`` and the
-``context=False`` escape hatch stay available as the differential
-oracle, and the equivalence is pinned by ``tests/test_eval_context.py``
-and the fuzz suite.
+evaluation on a fresh one; ``tests/test_eval_context.py`` and the fuzz
+suite pin that equivalence.  The lower layers (allocators,
+:func:`~repro.synth.estimate.build_design`,
+:func:`~repro.sim.cycles.count_cycles`) also run with ``context=None``,
+unmemoized.
 
 Kernels are evicted LRU once more than ``kernel_memo_size`` distinct
-subjects have been seen (default :data:`DEFAULT_KERNEL_MEMO`, overridable
-via the ``REPRO_EVAL_MEMO_KERNELS`` environment variable); evicting a
-kernel drops *all* of its dependent artifacts at once, so the context's
-footprint is bounded by the working set of the sweep, not its length.
+subjects have been seen (default :data:`DEFAULT_KERNEL_MEMO`); evicting
+a kernel drops *all* of its dependent artifacts at once, so the
+context's footprint is bounded by the working set of the sweep, not its
+length.
 
 Source-edit invalidation needs no extra machinery: the context lives in
 one process and memoizes only what that process's loaded code computes,
@@ -62,7 +62,6 @@ cached records exactly like editing the evaluator itself.
 from __future__ import annotations
 
 # repro-lint: ok-file determinism:id-key -- every id()-keyed lookup here is guarded by an `is` check against the stored object (and evicted with it), so a recycled id can never answer for a different kernel/model
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -72,7 +71,7 @@ from repro.dfg.build import build_dfg
 from repro.dfg.critical import CriticalGraph, critical_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
-from repro.scalar.coverage import GroupCoverage
+from repro.scalar.coverage import GroupCoverage, coverage_for
 from repro.sim.cycles import PatternCosts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,41 +84,10 @@ __all__ = [
     "DEFAULT_KERNEL_MEMO",
     "process_context",
     "reset_process_context",
-    "resolve_context",
 ]
 
-def _default_kernel_memo() -> int:
-    """Parse ``REPRO_EVAL_MEMO_KERNELS`` defensively (import-time).
-
-    A malformed value warns and falls back to 64 (the former
-    ``lru_cache(maxsize=64)`` bound); values below 1 clamp to 1 — the
-    memo cannot be disabled, only bounded, since kernel construction
-    itself routes through it even with ``context=False``.
-    """
-    # repro-lint: ok determinism:env-read -- sizes the kernel-bundle LRU only; a different value changes eviction timing (warm-up cost), never any evaluated result
-    raw = os.environ.get("REPRO_EVAL_MEMO_KERNELS")
-    if raw is None:
-        return 64
-    try:
-        value = int(raw)
-    except ValueError:
-        import warnings
-
-        warnings.warn(
-            f"ignoring non-integer REPRO_EVAL_MEMO_KERNELS={raw!r}; "
-            f"using the default of 64",
-            stacklevel=2,
-        )
-        return 64
-    return max(1, value)
-
-
 #: Default bound on distinct kernels memoized per context (LRU beyond it).
-#: The former module-level ``lru_cache(maxsize=64)`` of
-#: :mod:`repro.explore.evaluate` is folded in here; override with the
-#: ``REPRO_EVAL_MEMO_KERNELS`` environment variable (clamped to >= 1,
-#: malformed values warn and fall back).
-DEFAULT_KERNEL_MEMO = _default_kernel_memo()
+DEFAULT_KERNEL_MEMO = 64
 
 
 @dataclass
@@ -154,10 +122,8 @@ class _KernelArtifacts:
     kernel: "Kernel"
     groups: "tuple[RefGroup, ...]"
     dfg: "DataFlowGraph | None" = None
-    #: (batch flag, trace engine, ladder flag) -> {group name -> GroupCoverage}
-    coverages: "dict[tuple, dict[str, GroupCoverage]]" = field(
-        default_factory=dict
-    )
+    #: group name -> GroupCoverage
+    coverages: "dict[str, GroupCoverage] | None" = None
     #: (model fp, ram_ports, overhead) -> per-pattern-value cost table
     costs: "dict[tuple, PatternCosts]" = field(default_factory=dict)
     #: (model fp, frozen per-group hits) -> CriticalGraph
@@ -318,45 +284,25 @@ class EvalContext:
         self,
         kernel: "Kernel",
         groups: "tuple[RefGroup, ...] | None" = None,
-        batch: bool = True,
-        trace_engine: str = "array",
-        ladder: bool = True,
     ) -> "dict[str, GroupCoverage]":
         """Shared coverage computers for every group of ``kernel``.
 
         The returned :class:`GroupCoverage` objects memoize their own
         results per ``(registers, anchor)``, so sharing them across the
         budget/allocator axes is where a sweep's rank/Belady work
-        collapses to once-per-kernel.  Computers are keyed by
-        ``(batch, trace_engine, ladder)``: the combinations are
-        bit-identical, but each must build its own artifacts so the
-        differential oracles never answer from the path under test.
-        Callers must treat the dict as read-only.
+        collapses to once-per-kernel.  Callers must treat the dict as
+        read-only.
         """
         bundle = self._bundle_for(kernel, groups)
         if bundle is None:
             self.stats.coverage_misses += 1
-            return {
-                g.name: GroupCoverage(
-                    kernel, g, batch=batch, engine=trace_engine, ladder=ladder
-                )
-                for g in groups
-            }
-        key = (batch, trace_engine, ladder)
-        shared = bundle.coverages.get(key)
-        if shared is None:
+            return coverage_for(kernel, groups)
+        if bundle.coverages is None:
             self.stats.coverage_misses += 1
-            shared = {
-                g.name: GroupCoverage(
-                    bundle.kernel, g, batch=batch, engine=trace_engine,
-                    ladder=ladder,
-                )
-                for g in bundle.groups
-            }
-            bundle.coverages[key] = shared
+            bundle.coverages = coverage_for(bundle.kernel, bundle.groups)
         else:
             self.stats.coverage_hits += 1
-        return shared
+        return bundle.coverages
 
     # -- per-pattern cost tables ----------------------------------------------
 
@@ -465,7 +411,7 @@ class EvalContext:
         """A certified OPT-RA optimum answering ``budget``, or None.
 
         ``params`` is the objective parameterization (model fingerprint,
-        ports, overhead, batch/engine/ladder flags) built by
+        ports, overhead) built by
         :class:`~repro.core.optra.OptimalAllocator`.  An entry certified
         at budget ``B`` with total ``T`` answers every budget in
         ``[T, B]`` bit-identically: the feasible sets nest and the
@@ -506,15 +452,12 @@ class EvalContext:
         key: tuple,
         dfg: DataFlowGraph,
         coverages: "dict[str, GroupCoverage] | None",
-        batch: bool,
-        trace_engine: str = "array",
-        ladder: bool = True,
     ) -> "object | None":
         """A memoized :class:`~repro.sim.cycles.CycleReport`, or None.
 
         The key (built by :func:`~repro.sim.cycles.count_cycles`) captures
         the full parameterization of one count — latency model, ports,
-        overhead, batch flag, per-group register assignment and anchors —
+        overhead, per-group register assignment and anchors —
         so allocators that reach the same register distribution, and the
         anchor search's repeated counts, share one report.  Like the
         sibling memos, caller-supplied artifacts that are not the
@@ -523,9 +466,7 @@ class EvalContext:
         answered from it).  Reports are frozen; consumers must not
         mutate ``ram_accesses``.
         """
-        bundle = self._report_bundle(
-            kernel, groups, dfg, coverages, batch, trace_engine, ladder
-        )
+        bundle = self._report_bundle(kernel, groups, dfg, coverages)
         if bundle is None:
             return None
         report = bundle.cycle_reports.get(key)
@@ -543,14 +484,9 @@ class EvalContext:
         report: object,
         dfg: DataFlowGraph,
         coverages: "dict[str, GroupCoverage] | None",
-        batch: bool,
-        trace_engine: str = "array",
-        ladder: bool = True,
     ) -> None:
         """Store a computed report under its full-parameterization key."""
-        bundle = self._report_bundle(
-            kernel, groups, dfg, coverages, batch, trace_engine, ladder
-        )
+        bundle = self._report_bundle(kernel, groups, dfg, coverages)
         if bundle is not None:
             bundle.cycle_reports[key] = report
 
@@ -560,9 +496,6 @@ class EvalContext:
         groups: "tuple[RefGroup, ...]",
         dfg: DataFlowGraph,
         coverages: "dict[str, GroupCoverage] | None",
-        batch: bool,
-        trace_engine: str,
-        ladder: bool = True,
     ) -> "_KernelArtifacts | None":
         """The bundle a cycle-report may memoize against, or None."""
         bundle = self._resident(kernel)
@@ -570,11 +503,7 @@ class EvalContext:
             return None
         if dfg is not bundle.dfg:
             return None
-        if coverages is not None and (
-            coverages is not bundle.coverages.get(
-                (batch, trace_engine, ladder)
-            )
-        ):
+        if coverages is not None and coverages is not bundle.coverages:
             return None
         return bundle
 
@@ -626,21 +555,3 @@ def reset_process_context(
     global _PROCESS_CONTEXT
     _PROCESS_CONTEXT = EvalContext(kernel_memo_size=kernel_memo_size)
     return _PROCESS_CONTEXT
-
-
-def resolve_context(
-    context: "bool | EvalContext | None",
-) -> "EvalContext | None":
-    """Map the public ``context`` knob onto an instance (or None).
-
-    ``True`` (the default everywhere) means the process-global context;
-    ``False``/``None`` disables artifact memoization (the escape hatch —
-    kernel construction still goes through the process kernel memo, as it
-    did before contexts existed); an :class:`EvalContext` instance is
-    used as-is (benchmarks use this for controlled cold/warm runs).
-    """
-    if context is True:
-        return process_context()
-    if context is False or context is None:
-        return None
-    return context

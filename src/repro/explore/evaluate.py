@@ -9,21 +9,15 @@ exceptions into crash records (traceback attached) and stamps every
 record with its evaluation wall time, so one bad point can never abort
 a sweep or discard its siblings' results.
 
-Evaluation runs on the shared-artifact plane of
+Evaluation always runs on the shared-artifact plane of
 :class:`~repro.explore.context.EvalContext`: the body DFG, coverage
 rank/Belady structures, per-pattern cost tables, CPA-RA critical
 graphs and KS-RA DP tables are memoized per process and reused across
 the allocator/budget axes of a sweep, so the marginal cost of a grid
 point is the allocation decision rather than the whole analysis.
-``context=False`` (CLI: ``--no-context``) disables the artifact memos —
-bit-identical results, reference speed — and an explicit
-:class:`EvalContext` instance gives benchmarks controlled cold/warm
-runs.
-
-``batch=True`` (the default) routes the cycle count through the
-steady-state/boundary batched path (see :mod:`repro.explore.batch`);
-``batch=False`` runs the reference per-iteration path.  Both produce
-bit-identical records, so the cache is shared between them.
+``context=None`` (the default) means the process-global context; an
+explicit :class:`EvalContext` instance gives tests and benchmarks
+controlled cold/warm runs.
 
 This module is also the root of the cache's dependency cone: the
 version vector a cache entry records is the transitive import closure
@@ -36,13 +30,11 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from repro.analysis.groups import RefGroup
 from repro.core.pipeline import allocator_by_name
 from repro.errors import ReproError
-from repro.explore.context import EvalContext, process_context, resolve_context
+from repro.explore.context import EvalContext, process_context
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.hw.device import Device
-from repro.ir.kernel import Kernel
 from repro.scalar.coverage import trace_engine_seconds
 from repro.synth.design import HardwareDesign
 from repro.synth.estimate import build_design, charge_stage, fold_trace_stage
@@ -55,28 +47,10 @@ __all__ = [
 ]
 
 
-def _kernel_and_groups(
-    kernel_name: str, kernel_json: "str | None"
-) -> "tuple[Kernel, tuple[RefGroup, ...]]":
-    """Build a query's kernel and its reference groups once per process.
-
-    Thin picklable wrapper over the process context's kernel memo (the
-    former module-level ``lru_cache(maxsize=64)`` — the bound is now
-    :data:`repro.explore.context.DEFAULT_KERNEL_MEMO`, configurable via
-    ``REPRO_EVAL_MEMO_KERNELS``).  Kept so kernel construction is shared
-    even when artifact memoization is disabled (``context=False``),
-    matching the seed evaluator's behaviour.
-    """
-    return process_context().kernel_and_groups(kernel_name, kernel_json)
-
-
 def design_for(
     query: DesignQuery,
-    batch: bool = True,
-    context: "bool | EvalContext | None" = True,
+    context: "EvalContext | None" = None,
     stages: "dict[str, float] | None" = None,
-    trace_engine: str = "array",
-    ladder: bool = True,
 ) -> "tuple[HardwareDesign, Device]":
     """The fully evaluated design of one query (raises on domain errors).
 
@@ -94,23 +68,12 @@ def design_for(
     what keeps ``--profile`` totals invariant under ``--jobs`` — and
     survives domain errors, so failed records carry their trace
     attribution too.
-    ``trace_engine`` selects the residency-simulator implementation
-    (``"array"`` — the vectorized default — or ``"reference"``, the
-    oracle; records are bit-identical either way, so the cache is
-    shared between them like it is across ``batch``), and ``ladder``
-    the budget-ladder fast path (also bit-identical; CLI escape hatch
-    ``--no-budget-ladder``).
     """
-    ctx = resolve_context(context)
+    ctx = context if context is not None else process_context()
     started = time.perf_counter()
     trace_before = trace_engine_seconds()
     try:
-        if ctx is not None:
-            kernel, groups = ctx.kernel_and_groups(
-                query.kernel, query.kernel_json
-            )
-        else:
-            kernel, groups = _kernel_and_groups(query.kernel, query.kernel_json)
+        kernel, groups = ctx.kernel_and_groups(query.kernel, query.kernel_json)
         device = query.build_device()
         mark = charge_stage(stages, "kernel", started)
         allocator = allocator_by_name(query.allocator)
@@ -122,9 +85,6 @@ def design_for(
                 model=query.latency.to_model(),
                 ram_ports=query.ram_ports or device.bram_ports,
                 overhead_per_iteration=query.overhead,
-                batch=batch,
-                trace_engine=trace_engine,
-                ladder=ladder,
             )
         allocation = allocator.allocate(
             kernel, query.budget, groups, context=ctx
@@ -138,11 +98,8 @@ def design_for(
             model=query.latency.to_model(),
             ram_ports=query.ram_ports or None,
             overhead_per_iteration=query.overhead,
-            batch=batch,
             context=ctx,
             stages=stages,
-            trace_engine=trace_engine,
-            ladder=ladder,
         )
     finally:
         fold_trace_stage(stages, trace_before)
@@ -150,11 +107,7 @@ def design_for(
 
 
 def evaluate_query(
-    query: DesignQuery,
-    batch: bool = True,
-    context: "bool | EvalContext | None" = True,
-    trace_engine: str = "array",
-    ladder: bool = True,
+    query: DesignQuery, context: "EvalContext | None" = None
 ) -> DesignRecord:
     """Run the full pipeline for one design point.
 
@@ -163,10 +116,7 @@ def evaluate_query(
     """
     stages: dict[str, float] = {}
     try:
-        design, device = design_for(
-            query, batch=batch, context=context, stages=stages,
-            trace_engine=trace_engine, ladder=ladder,
-        )
+        design, device = design_for(query, context=context, stages=stages)
     except ReproError as exc:
         return replace(DesignRecord.failed(query, exc), stages=stages)
     record = DesignRecord.from_design(query, design, device)
@@ -174,11 +124,7 @@ def evaluate_query(
 
 
 def evaluate_query_safe(
-    query: DesignQuery,
-    batch: bool = True,
-    context: "bool | EvalContext | None" = True,
-    trace_engine: str = "array",
-    ladder: bool = True,
+    query: DesignQuery, context: "EvalContext | None" = None
 ) -> DesignRecord:
     """Like :func:`evaluate_query`, but crash-proof and timed.
 
@@ -191,10 +137,7 @@ def evaluate_query_safe(
     """
     started = time.perf_counter()
     try:
-        record = evaluate_query(
-            query, batch=batch, context=context, trace_engine=trace_engine,
-            ladder=ladder,
-        )
+        record = evaluate_query(query, context=context)
     except Exception as exc:  # noqa: BLE001 — the whole point
         record = DesignRecord.crashed(query, exc)
     return replace(record, seconds=time.perf_counter() - started)

@@ -16,28 +16,25 @@ Four properties make sweeps production-shaped:
   and discarding completed-but-unconsumed results.  Completed points
   still reach the cache; crash records are deliberately *not* cached,
   so a resumed run retries them.
-* **supervision** — by default the drive loop is the
+* **supervision** — the drive loop is the
   :class:`~repro.explore.supervise.SupervisedDriver`: per-point
   deadlines from the cost model, deterministic retries with backoff,
   poison-point quarantine, broken-pool recovery (workers terminated,
   pool rebuilt, in-flight points requeued) and graceful degradation to
-  inline evaluation after repeated breakage.  ``supervise=False``
-  (CLI: ``--no-supervise``) restores the bare loop; the happy path is
-  bit-identical either way.  A cache-write hitting ``ENOSPC``/``EROFS``
-  flips the sweep to read-only-cache mode with one warning — the sweep
-  still completes and a later ``--resume`` heals the cache.
-* **cost-model scheduling** — by default pending points feed a
+  inline evaluation after repeated breakage.  A cache-write hitting
+  ``ENOSPC``/``EROFS`` flips the sweep to read-only-cache mode with one
+  warning — the sweep still completes and a later ``--resume`` heals
+  the cache.
+* **cost-model scheduling** — with ``jobs>1`` pending points feed a
   **work-stealing dispatcher**: small single-kernel leases pulled on
   demand, ordered longest-first by per-point cost estimates
   (:mod:`repro.explore.schedule`), with soft kernel affinity and
   steal-splitting of queued leases when workers would otherwise idle.
   The cost model (fitted from cached timings, the cache's persisted
   cross-run model, and static priors for cold starts) only *orders* the
-  queue — a misprediction costs one worker one small lease, never a
-  whole statically packed chunk.  ``stealing=False`` (CLI:
-  ``--no-steal``) restores static LPT chunk packing; an explicit
-  ``chunksize`` opts into fixed consecutive chunks.  All modes assemble
-  bit-identical ResultSets.
+  queue — a misprediction costs one worker one small lease.  Records
+  are keyed by point index, so any ``jobs`` assembles a bit-identical
+  ResultSet.
 * **sharding** — ``shard=(i, N)`` (or ``"i/N"``) restricts a run to a
   deterministic, digest-stable subset of the space
   (:mod:`repro.explore.shard`), so independent machines sharing a cache
@@ -54,7 +51,6 @@ from __future__ import annotations
 import errno
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -63,15 +59,12 @@ from repro.errors import ReproError, SweepInterrupted
 from repro.explore import faults as faults_mod
 from repro.explore.cache import ResultCache
 from repro.explore.context import EvalContext
-from repro.explore.evaluate import evaluate_query_safe
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.explore.results import ResultSet
 from repro.explore.schedule import (
     COST_MODEL_META_KEY,
     CostModel,
     persist_cost_model,
-    plan_chunks,
-    plan_chunks_by_kernel,
     plan_leases,
 )
 from repro.explore.shard import parse_shard, shard_queries
@@ -105,10 +98,10 @@ class ExploreStats:
     ``EROFS`` and the sweep finished without writing further entries.
 
     ``leases`` / ``steals`` / ``affinity_hits`` are the work-stealing
-    dispatcher's observability counters (all 0 on jobs=1, static, or
-    bare runs): lease tasks submitted, queued multi-point leases split
-    into singletons because workers would otherwise have idled, and
-    lease picks that matched the freed worker's resident kernels.  They
+    dispatcher's observability counters (all 0 on jobs=1 runs): lease
+    tasks submitted, queued multi-point leases split into singletons
+    because workers would otherwise have idled, and lease picks that
+    matched the freed worker's resident kernels.  They
     describe *scheduling*, which is timing-dependent — records are
     bit-identical regardless.
 
@@ -118,7 +111,7 @@ class ExploreStats:
     across workers, so with ``jobs>1`` the total exceeds the sweep's
     wall ``seconds``.  The ``trace`` stage is the residency-simulation
     share split out of the cycle count, so the trace engine's cost is
-    visible before/after an engine change.  Cache hits contribute
+    visible on its own.  Cache hits contribute
     nothing (they did no stage work this run).
     """
 
@@ -199,25 +192,6 @@ class ExploreStats:
         return "\n".join(lines)
 
 
-def _evaluate_chunk(
-    queries: "list[DesignQuery]", batch: bool, context: bool,
-    trace_engine: str, ladder: bool = True,
-) -> "list[DesignRecord]":
-    """Worker task: evaluate one chunk, crash-proof, one IPC round trip.
-
-    ``context`` is a plain flag here: each worker process uses (or
-    bypasses) its own process-global :class:`EvalContext` — memo stores
-    never cross process boundaries.
-    """
-    return [
-        evaluate_query_safe(
-            query, batch=batch, context=context, trace_engine=trace_engine,
-            ladder=ladder,
-        )
-        for query in queries
-    ]
-
-
 class Executor:
     """Runs design queries, in parallel, through an optional cache.
 
@@ -232,63 +206,19 @@ class Executor:
         When True (the default) cached records short-circuit evaluation;
         when False every point is re-evaluated (and re-written to the
         cache) — the CLI maps ``--fresh`` onto disabling this flag.
-    chunksize:
-        Points per worker task (>= 1).  By default the pending points
-        instead feed the work-stealing lease queue (or, with
-        ``stealing=False``, are packed into balanced chunks by the cost
-        model); an explicit value forces fixed consecutive chunks of
-        that size (implies static dispatch).
-    stealing:
-        Dispatch supervised parallel work through the work-stealing
-        lease queue (the default): small single-kernel leases pulled on
-        demand, longest-first, soft kernel affinity, queued leases split
-        to singletons when workers would otherwise idle.  ``False``
-        (CLI: ``--no-steal``) restores static plan-then-submit chunking.
-        Ignored at ``jobs=1``, under ``supervise=False``, and with an
-        explicit ``chunksize`` — those paths are inherently static.
-        Results are bit-identical in every mode.
-    lease_points:
-        Cap on points per lease (tests/benchmarks; None — the default —
-        uses the planner's ``min(8, ceil(n / (jobs * 16)))``).
-    batch:
-        Evaluate through the batched steady-state/boundary path (the
-        default).  Batched and unbatched records are bit-identical, so
-        they share the cache; ``--no-batch`` maps onto this flag.
-    trace_engine:
-        Residency-simulator implementation: ``"array"`` (the vectorized
-        trace engine, the default) or ``"reference"`` (the oracle;
-        CLI: ``--no-array-trace``).  Records are bit-identical either
-        way, so the cache is shared across engines like it is across
-        ``batch``.
-    ladder:
-        Evaluate through the budget-ladder fast path (the default):
-        capacity-independent trace artifacts — use links, period-level
-        row classification — are shared across every register budget of
-        a kernel instead of being rebuilt per budget.  Bit-identical
-        records (CLI escape hatch: ``--no-budget-ladder``), so the
-        cache is shared across this flag too.
     context:
-        Evaluate on the shared-artifact plane
-        (:class:`~repro.explore.context.EvalContext`): DFGs, coverage
-        structures, pattern cost tables, CPA-RA critical graphs and KS-RA
-        DP tables are memoized per process and shared across the grid.
-        ``False`` (CLI: ``--no-context``) disables the memos —
-        bit-identical records, reference speed.  An explicit
-        :class:`EvalContext` instance is honoured inline at ``jobs=1``
-        (benchmarks' controlled cold/warm runs); worker processes always
-        use their own process-global context.  Context scheduling also
-        packs chunks kernel-major so worker-local memos actually hit.
+        The :class:`~repro.explore.context.EvalContext` inline
+        evaluation memoizes on; None (the default) is the process-global
+        context.  DFGs, coverage structures, pattern cost tables, CPA-RA
+        critical graphs and KS-RA DP tables are shared across the grid.
+        An explicit instance is honoured inline (``jobs=1`` and the
+        degraded remainder of a parallel run: tests' and benchmarks'
+        controlled cold/warm runs); worker processes always use their
+        own process-global context.
     shard:
         ``(index, count)`` or ``"index/count"``: evaluate only this
         run's digest-stable share of the space (1-based).  None (the
         default) runs the whole space.
-    supervise:
-        Drive evaluation through the
-        :class:`~repro.explore.supervise.SupervisedDriver` (the
-        default): deadlines, retries, quarantine, pool recovery.
-        ``False`` (CLI: ``--no-supervise``) restores the bare drive
-        loop — bit-identical on the happy path, but a broken pool
-        aborts the sweep again.
     retry / deadlines:
         The supervision policies
         (:class:`~repro.explore.supervise.RetryPolicy`,
@@ -297,11 +227,14 @@ class Executor:
         outright hangs).
     faults:
         A :class:`~repro.explore.faults.FaultPlan` to inject
-        deterministic failures (testing/chaos only; requires
-        supervision).  None — the default — injects nothing.
+        deterministic failures (testing/chaos only).  None — the
+        default — injects nothing.
     pool_break_limit:
         Pool teardown/rebuild events tolerated before the sweep
         degrades to in-process serial evaluation of the remainder.
+    lease_points:
+        Cap on points per lease (tests/benchmarks; None — the default —
+        uses the planner's ``min(8, ceil(n / (jobs * 16)))``).
     """
 
     def __init__(
@@ -309,59 +242,33 @@ class Executor:
         jobs: int = 1,
         cache: "ResultCache | Path | str | None" = None,
         reuse_cache: bool = True,
-        chunksize: "int | None" = None,
-        batch: bool = True,
-        context: "bool | EvalContext" = True,
+        context: "EvalContext | None" = None,
         shard: "tuple[int, int] | str | None" = None,
-        trace_engine: str = "array",
-        ladder: bool = True,
-        supervise: bool = True,
         retry: "RetryPolicy | None" = None,
         deadlines: "DeadlinePolicy | None" = None,
         faults: "faults_mod.FaultPlan | None" = None,
         pool_break_limit: int = 6,
-        stealing: bool = True,
         lease_points: "int | None" = None,
     ):
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
-        if chunksize is not None and chunksize < 1:
-            raise ReproError(f"chunksize must be >= 1, got {chunksize}")
         if lease_points is not None and lease_points < 1:
             raise ReproError(
                 f"lease_points must be >= 1, got {lease_points}"
-            )
-        from repro.sim.residency import TRACE_ENGINES
-
-        if trace_engine not in TRACE_ENGINES:
-            raise ReproError(
-                f"unknown trace engine {trace_engine!r}; expected one of "
-                f"{TRACE_ENGINES}"
-            )
-        if faults is not None and not supervise:
-            raise ReproError(
-                "fault injection requires supervision; drop faults or "
-                "drop supervise=False"
             )
         self.jobs = jobs
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
         self.reuse_cache = reuse_cache
-        self.chunksize = chunksize
-        self.batch = batch
         self.context = context
-        self.trace_engine = trace_engine
-        self.ladder = ladder
         self.shard = parse_shard(shard) if shard is not None else None
-        self.supervise = supervise
         self.retry = retry if retry is not None else RetryPolicy()
         self.deadlines = (
             deadlines if deadlines is not None else DeadlinePolicy()
         )
         self.faults = faults
         self.pool_break_limit = pool_break_limit
-        self.stealing = stealing
         self.lease_points = lease_points
         self._cache_read_only = False
         self._driver: "SupervisedDriver | None" = None
@@ -502,9 +409,9 @@ class Executor:
             or not run_timings
         ):
             return
-        run_model = CostModel(trace_engine=self.trace_engine)
+        run_model = CostModel()
         for query, seconds in run_timings:
-            run_model.observe(query, seconds, trace_engine=self.trace_engine)
+            run_model.observe(query, seconds)
         try:
             persist_cost_model(self.cache, run_model)
         except OSError:
@@ -542,9 +449,7 @@ class Executor:
                 raise OSError(
                     errno.ENOSPC, "injected fault: no space left on device"
                 )
-            self.cache.put(
-                record, trace_engine=self.trace_engine, batch=self.batch
-            )
+            self.cache.put(record)
             if kind == "corrupt-write":
                 self.cache.corrupt_entry(record.query)
         except OSError as error:
@@ -567,9 +472,6 @@ class Executor:
     ) -> "Iterable[tuple[int, DesignRecord]]":
         if not pending:
             return
-        if not self.supervise:
-            yield from self._evaluate_bare(pending, timings)
-            return
         model = self._cost_model(timings)
         if model.fitted:
             estimate = model.estimate
@@ -579,10 +481,7 @@ class Executor:
             estimate = lambda query: None  # noqa: E731
         driver = SupervisedDriver(
             jobs=self.jobs,
-            batch=self.batch,
             context=self.context,
-            trace_engine=self.trace_engine,
-            ladder=self.ladder,
             retry=self.retry,
             deadlines=self.deadlines,
             plan=self.faults,
@@ -590,25 +489,15 @@ class Executor:
             pool_break_limit=self.pool_break_limit,
         )
         self._driver = driver
-        if self.jobs == 1:
-            yield from driver.drive(pending)
-            return
-        leases = self._plan_leases(pending, model)
-        if leases is not None:
-            yield from driver.drive(pending, leases=leases)
-            return
-        yield from driver.drive(
-            pending, self._plan(pending, timings, model=model)
-        )
+        leases = self._plan_leases(pending, model) if self.jobs > 1 else None
+        yield from driver.drive(pending, leases=leases)
 
     def _plan_leases(
         self,
         pending: "list[tuple[int, DesignQuery]]",
         model: CostModel,
-    ) -> "list | None":
-        """The work-stealing lease queue, or None for static dispatch."""
-        if not self.stealing or self.chunksize is not None:
-            return None
+    ) -> list:
+        """The work-stealing lease queue over ``pending``."""
         return plan_leases(
             pending,
             cost=lambda item: model.estimate(item[1]),
@@ -617,106 +506,25 @@ class Executor:
             max_points=self.lease_points,
         )
 
-    def _evaluate_bare(
-        self,
-        pending: "list[tuple[int, DesignQuery]]",
-        timings: "list[tuple[DesignQuery, float]] | None" = None,
-    ) -> "Iterable[tuple[int, DesignRecord]]":
-        """The unsupervised drive loop (``--no-supervise``)."""
-        if self.jobs == 1:
-            for index, query in pending:
-                yield index, evaluate_query_safe(
-                    query, batch=self.batch, context=self.context,
-                    trace_engine=self.trace_engine, ladder=self.ladder,
-                )
-            return
-        # An EvalContext instance cannot cross a process boundary; worker
-        # processes use their own process-global context instead.
-        context_flag = bool(self.context)
-        chunks = self._plan(pending, timings)
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {
-                pool.submit(
-                    _evaluate_chunk,
-                    [q for _, q in chunk],
-                    self.batch,
-                    context_flag,
-                    self.trace_engine,
-                    self.ladder,
-                ): chunk
-                for chunk in chunks
-            }
-            while futures:
-                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    chunk = futures.pop(future)
-                    for (index, _), record in zip(chunk, future.result()):
-                        yield index, record
-
     def _cost_model(
         self,
         timings: "list[tuple[DesignQuery, float]] | None" = None,
     ) -> CostModel:
         """The per-point cost model, fitted from this run's hit timings.
 
-        Key the model's preference to this run's engine: timings
-        produced by the other engine still inform estimates (fallback)
-        but never masquerade as same-engine observations.  Cache-hit
-        timings carry no engine provenance at this layer; they are
-        observed as engine-unknown.  The cache's *persisted* cross-run
-        model (engine-keyed, decayed) folds in on top, so even a fresh
-        grid on a warm cache predicts in real seconds; a run with
-        neither hits nor a persisted model pays an entry scan to learn
-        from the cache instead.
+        The cache's *persisted* cross-run model (decayed) folds in on
+        top, so even a fresh grid on a warm cache predicts in real
+        seconds; a run with neither hits nor a persisted model pays an
+        entry scan to learn from the cache instead.
         """
-        model = CostModel(trace_engine=self.trace_engine)
+        model = CostModel()
         for query, seconds in timings or ():
             model.observe(query, seconds)
         if self.cache is not None:
             model.absorb_doc(self.cache.read_meta(COST_MODEL_META_KEY))
         if not model.fitted:
-            model = CostModel.from_cache(
-                self.cache, trace_engine=self.trace_engine
-            )
+            model = CostModel.from_cache(self.cache)
         return model
-
-    def _plan(
-        self,
-        pending: "list[tuple[int, DesignQuery]]",
-        timings: "list[tuple[DesignQuery, float]] | None" = None,
-        model: "CostModel | None" = None,
-    ) -> "list[list[tuple[int, DesignQuery]]]":
-        """Chunk the pending points for the pool.
-
-        An explicit ``chunksize`` keeps the legacy fixed consecutive
-        split; otherwise the cost model packs about four balanced
-        chunks per job so one expensive point cannot serialize a sweep
-        behind it.
-
-        With the evaluation context enabled, chunks are packed
-        **kernel-major** (:func:`plan_chunks_by_kernel`): one kernel's
-        sub-grid lands in as few chunks as balance allows, so each
-        worker's process-local memos actually hit instead of every chunk
-        rebuilding every kernel's artifacts.  Kernels too small to fill
-        a chunk fall back to plain LPT merging.
-        """
-        if self.chunksize is not None:
-            size = self.chunksize
-            return [
-                pending[i : i + size] for i in range(0, len(pending), size)
-            ]
-        if model is None:
-            model = self._cost_model(timings)
-        bins = min(len(pending), self.jobs * 4)
-        cost = lambda item: model.estimate(item[1])  # noqa: E731
-        if self.context:
-            return plan_chunks_by_kernel(
-                pending,
-                cost=cost,
-                bins=bins,
-                key=lambda item: (item[1].kernel, item[1].kernel_json),
-            )
-        return plan_chunks(pending, cost=cost, bins=bins)
 
     def dry_run(
         self, space: "ExplorationSpace | Iterable[DesignQuery]"
@@ -726,12 +534,12 @@ class Executor:
         Shows exactly what :meth:`run` would schedule: cache hits are
         subtracted, the cost model is fitted from hit timings plus the
         cache's persisted cross-run model, and the resulting lease
-        queue (or static chunks) is listed with per-lease predicted
-        cost.  Predictions print in seconds when the model is fitted
-        and in relative prior units (``u``) when cold; points answered
-        by the bare static prior are counted as *cold-prior* per lease.
-        Planned fault injections are marked — scheduling decisions stay
-        debuggable without burning a sweep.
+        queue (the inline point order at ``jobs=1``) is listed with
+        predicted costs.  Predictions print in seconds when the model is
+        fitted and in relative prior units (``u``) when cold; points
+        answered by the bare static prior are counted as *cold-prior*
+        per lease.  Planned fault injections are marked — scheduling
+        decisions stay debuggable without burning a sweep.
         """
         if isinstance(space, ExplorationSpace):
             queries: Sequence[DesignQuery] = space.expand()
@@ -791,8 +599,8 @@ class Executor:
             return text
 
         total = sum(model.estimate(q) for _, q in pending)
-        if self.jobs > 1 and self.stealing and self.chunksize is None:
-            leases = self._plan_leases(pending, model) or []
+        if self.jobs > 1:
+            leases = self._plan_leases(pending, model)
             lines.append(
                 f"queue: {len(leases)} leases, longest first "
                 f"(work-stealing, jobs={self.jobs})"
@@ -803,20 +611,6 @@ class Executor:
                     f"  #{position:<3d} {lease.key[0]:<12} "
                     f"{len(items):>3d} pt  ~{lease.cost:9.3f}{unit}"
                     f"{marks(items)}"
-                )
-        elif self.jobs > 1:
-            chunks = self._plan(pending, timings, model=model)
-            lines.append(
-                f"queue: {len(chunks)} static chunks (LPT, "
-                f"jobs={self.jobs})"
-            )
-            for position, chunk in enumerate(chunks, 1):
-                cost = sum(model.estimate(q) for _, q in chunk)
-                kernels = sorted({q.kernel for _, q in chunk})
-                lines.append(
-                    f"  #{position:<3d} {'+'.join(kernels):<12} "
-                    f"{len(chunk):>3d} pt  ~{cost:9.3f}{unit}"
-                    f"{marks(chunk)}"
                 )
         else:
             lines.append(
@@ -843,21 +637,14 @@ def run_queries(
     jobs: int = 1,
     cache: "ResultCache | Path | str | None" = None,
     reuse_cache: bool = True,
-    batch: bool = True,
-    context: "bool | EvalContext" = True,
+    context: "EvalContext | None" = None,
     shard: "tuple[int, int] | str | None" = None,
-    trace_engine: str = "array",
-    ladder: bool = True,
-    supervise: bool = True,
     retry: "RetryPolicy | None" = None,
     deadlines: "DeadlinePolicy | None" = None,
     faults: "faults_mod.FaultPlan | None" = None,
-    stealing: bool = True,
 ) -> ResultSet:
     """One-call convenience wrapper around :class:`Executor`."""
     return Executor(
-        jobs=jobs, cache=cache, reuse_cache=reuse_cache, batch=batch,
-        context=context, shard=shard, trace_engine=trace_engine,
-        ladder=ladder, supervise=supervise, retry=retry,
-        deadlines=deadlines, faults=faults, stealing=stealing,
+        jobs=jobs, cache=cache, reuse_cache=reuse_cache, context=context,
+        shard=shard, retry=retry, deadlines=deadlines, faults=faults,
     ).run(queries)

@@ -35,11 +35,11 @@ of which worker evaluates which point.  ``attempt`` gates every fault
 
 Because decisions are pure in ``(seed, digest, attempt)``, a plan is
 also **lease-shape independent**: whether a point reaches a worker
-inside a static chunk, a multi-point lease, or a stolen singleton
-(:mod:`repro.explore.schedule`'s work-stealing queue), the same faults
-fire on the same attempts — which is what lets the steal-path fault
-matrix pin bit-identical results and identical retry/quarantine
-counters across dispatch modes.
+inside a multi-point lease or a stolen singleton
+(:mod:`repro.explore.schedule`'s work-stealing queue), or runs inline
+at ``jobs=1``, the same faults fire on the same attempts — which is
+what lets the fault matrix pin bit-identical results and identical
+retry/quarantine counters across ``jobs``.
 
 This module is deliberately *outside* the cache version cone rooted at
 :mod:`repro.explore.evaluate`: faults are applied by the executor

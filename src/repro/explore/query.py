@@ -370,8 +370,9 @@ class DesignRecord:
     #: up on it.  Quarantined records are never cached, so a resume
     #: retries the point.
     quarantined: bool = False
-    #: How many evaluation attempts this record took (None = untracked,
-    #: i.e. an unsupervised run).  Bookkeeping like ``seconds``:
+    #: How many evaluation attempts this record took (None = the first
+    #: attempt succeeded, or the record came from the cache).
+    #: Bookkeeping like ``seconds``:
     #: excluded from equality and from :meth:`to_dict`.
     attempts: "int | None" = field(default=None, compare=False)
 

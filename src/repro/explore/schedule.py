@@ -1,4 +1,4 @@
-"""Cost-model-driven chunk scheduling for exploration sweeps.
+"""Cost-model-driven lease scheduling for exploration sweeps.
 
 Design-point cost varies wildly across a space: an exact-knapsack
 allocation of a deep nest costs orders of magnitude more than a NO-SR
@@ -7,7 +7,7 @@ literature).  The executor's old fixed ``len(pending) // (jobs * 4)``
 split therefore routinely packed several expensive points into one chunk
 while other workers idled.
 
-This module provides three pieces:
+This module provides two pieces:
 
 * a :class:`CostModel` that predicts per-point evaluation seconds —
   fitted from the timings the cache persists with every
@@ -15,11 +15,6 @@ This module provides three pieces:
   from the cache's *persisted* cross-run model (see
   :func:`persist_cost_model`), falling back to static kernel-size ×
   allocator priors for cold starts;
-* :func:`plan_chunks` / :func:`plan_chunks_by_kernel`, the
-  longest-processing-time-first (LPT) packers behind the static
-  plan-then-submit path.  LPT is the classic 2-approximation for
-  multiprocessor scheduling: sort by estimated cost descending, always
-  drop the next point into the lightest chunk;
 * :func:`plan_leases`, the work-stealing planner: instead of
   irrevocably partitioning the queue, it cuts the pending set into many
   small single-kernel :class:`Lease` units that workers pull on demand.
@@ -28,7 +23,7 @@ This module provides three pieces:
   costs one worker one lease, not a whole chunk.
 
 Everything here is deterministic: ties break on original query order, so
-two runs over the same pending set build the same chunks and leases.
+two runs over the same pending set build the same leases.
 Estimates only shape *scheduling* — results are unaffected by
 construction.
 """
@@ -49,8 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CostModel",
     "Lease",
-    "plan_chunks",
-    "plan_chunks_by_kernel",
     "plan_leases",
     "persist_cost_model",
     "static_cost",
@@ -132,39 +125,26 @@ class CostModel:
     Observations are aggregated at two granularities and fall back
     gracefully:
 
-    1. mean of timings for the exact ``(kernel, allocator)`` pair,
-       preferring timings measured under *this model's* trace engine;
-       when none exist, the pair's timings from other (or unknown)
-       engines answer instead — the graceful cross-engine fallback;
+    1. mean of timings for the exact ``(kernel, allocator)`` pair;
     2. the kernel's mean across allocators, rescaled by the allocator's
        static weight ratio;
     3. the global mean, rescaled by the point's static-prior ratio;
     4. the bare static prior (cold start: nothing measured yet).
 
     Rescaling by prior *ratios* keeps the fallbacks ordered the same way
-    the priors are, so LPT packing stays sensible even from sparse data.
+    the priors are, so the lease order stays sensible even from sparse
+    data.
 
     Internally every tier keeps ``(sum, weight)`` accumulators rather
     than raw timing lists: a live ``observe`` adds weight 1.0, while
     rows absorbed from a persisted model (:meth:`absorb_doc`) carry the
     decayed fractional weight they were stored with — one mean per
-    (pair, engine) key, pre-discounted by age.
-
-    ``trace_engine`` names the engine the *upcoming* run will use.
-    Timings are keyed by the engine that produced them (``observe``'s
-    ``trace_engine``, ``None`` for unknown provenance — e.g. legacy
-    cache entries written before provenance was recorded): the array and
-    reference engines differ by integer factors on trace-heavy kernels,
-    so mixing their timings blindly skewed LPT packing after an engine
-    switch.
+    pair, pre-discounted by age.
     """
 
-    def __init__(self, trace_engine: "str | None" = None) -> None:
-        self.trace_engine = trace_engine
-        #: (kernel, kj_digest, allocator) -> {producing engine -> [sum, weight]}
-        self._pair: dict[
-            tuple[str, "str | None", str], dict["str | None", list[float]]
-        ] = {}
+    def __init__(self) -> None:
+        #: (kernel, kj_digest, allocator) -> [sum, weight]
+        self._pair: dict[tuple[str, "str | None", str], list[float]] = {}
         self._kernel: dict[tuple[str, "str | None"], list[float]] = {}
         self._all = [0.0, 0.0]
         self._observed = 0
@@ -174,14 +154,12 @@ class CostModel:
         kernel: str,
         kj_digest: "str | None",
         allocator: str,
-        engine: "str | None",
         total: float,
         weight: float,
     ) -> None:
         if weight <= 0:
             return
-        by_engine = self._pair.setdefault((kernel, kj_digest, allocator), {})
-        acc = by_engine.setdefault(engine, [0.0, 0.0])
+        acc = self._pair.setdefault((kernel, kj_digest, allocator), [0.0, 0.0])
         acc[0] += total
         acc[1] += weight
         kernel_acc = self._kernel.setdefault((kernel, kj_digest), [0.0, 0.0])
@@ -190,24 +168,14 @@ class CostModel:
         self._all[0] += total
         self._all[1] += weight
 
-    def observe(
-        self,
-        query: DesignQuery,
-        seconds: float,
-        trace_engine: "str | None" = None,
-    ) -> None:
-        """Record one measured evaluation time.
-
-        ``trace_engine`` is the engine that *produced* the timing
-        (``None`` when unknown).
-        """
+    def observe(self, query: DesignQuery, seconds: float) -> None:
+        """Record one measured evaluation time."""
         if seconds is None or seconds < 0:
             return
         self._add(
             query.kernel,
             _kj_digest(query.kernel_json),
             query.allocator,
-            trace_engine,
             float(seconds),
             1.0,
         )
@@ -229,22 +197,6 @@ class CostModel:
         """
         return self._all[1] > 0
 
-    def _pair_mean(
-        self, key: "tuple[str, str | None, str]"
-    ) -> "float | None":
-        by_engine = self._pair.get(key)
-        if not by_engine:
-            return None
-        if self.trace_engine is not None:
-            same = by_engine.get(self.trace_engine)
-            if same and same[1] > 0:
-                return same[0] / same[1]
-        # Cross-engine fallback: any timing for this pair beats a
-        # kernel-level or static guess.
-        total = sum(acc[0] for acc in by_engine.values())
-        weight = sum(acc[1] for acc in by_engine.values())
-        return total / weight if weight > 0 else None
-
     def explain(self, query: DesignQuery) -> "tuple[float, str]":
         """``(estimate, tier)`` with tier in pair/kernel/global/prior.
 
@@ -252,9 +204,9 @@ class CostModel:
         ``prior`` points as cold so mispredictions are attributable.
         """
         kernel_key = (query.kernel, _kj_digest(query.kernel_json))
-        pair = self._pair_mean(kernel_key + (query.allocator,))
-        if pair is not None:
-            return pair, "pair"
+        pair = self._pair.get(kernel_key + (query.allocator,))
+        if pair and pair[1] > 0:
+            return pair[0] / pair[1], "pair"
         weight = ALLOCATOR_WEIGHT.get(query.allocator, 1.0)
         kernel_acc = self._kernel.get(kernel_key)
         if kernel_acc and kernel_acc[1] > 0:
@@ -280,19 +232,16 @@ class CostModel:
             self._pair, key=lambda k: (k[0], k[1] or "", k[2])
         ):
             kernel, kj_digest, allocator = key
-            by_engine = self._pair[key]
-            for engine in sorted(by_engine, key=lambda e: e or ""):
-                total, weight = by_engine[engine]
-                if weight <= 0:
-                    continue
-                rows.append({
-                    "kernel": kernel,
-                    "kernel_json_digest": kj_digest,
-                    "allocator": allocator,
-                    "engine": engine,
-                    "mean": total / weight,
-                    "weight": weight,
-                })
+            total, weight = self._pair[key]
+            if weight <= 0:
+                continue
+            rows.append({
+                "kernel": kernel,
+                "kernel_json_digest": kj_digest,
+                "allocator": allocator,
+                "mean": total / weight,
+                "weight": weight,
+            })
         return {"version": 1, "rows": rows}
 
     def absorb_doc(
@@ -303,8 +252,9 @@ class CostModel:
         Each row's weight is multiplied by ``decay`` first; rows landing
         at or below ``floor`` are dropped.  Malformed rows (or a
         document from an unknown version) are skipped — persistence is
-        advisory, never load-bearing.  Returns how many rows were
-        absorbed.
+        advisory, never load-bearing.  Rows written with a per-engine
+        ``engine`` field by earlier versions merge into their pair by
+        weight.  Returns how many rows were absorbed.
         """
         if not isinstance(doc, dict) or doc.get("version") != 1:
             return 0
@@ -327,12 +277,10 @@ class CostModel:
             if mean < 0 or weight <= floor:
                 continue
             kj_digest = row.get("kernel_json_digest")
-            engine = row.get("engine")
             self._add(
                 kernel,
                 kj_digest if isinstance(kj_digest, str) else None,
                 allocator,
-                engine if isinstance(engine, str) else None,
                 mean * weight,
                 weight,
             )
@@ -340,20 +288,14 @@ class CostModel:
         return absorbed
 
     @staticmethod
-    def from_cache(
-        cache: "ResultCache | None", trace_engine: "str | None" = None
-    ) -> "CostModel":
+    def from_cache(cache: "ResultCache | None") -> "CostModel":
         """Fit a model from every readable timing in a result cache.
 
         Stale entries count too — a timing stays informative even after
         the code it measured changed — and unreadable entries are simply
         skipped (the cache already warns about corruption on lookup).
-        Each timing is keyed by the ``trace_engine`` recorded in its
-        entry envelope (entries written before provenance was recorded
-        observe as engine-unknown); ``trace_engine`` sets the fitted
-        model's preferred engine.
         """
-        model = CostModel(trace_engine=trace_engine)
+        model = CostModel()
         if cache is None:
             return model
         for doc in cache.iter_docs():
@@ -362,11 +304,8 @@ class CostModel:
                 query = DesignQuery.from_key(doc["query"])
             except Exception:  # noqa: BLE001 — fitting is best-effort
                 continue
-            produced_by = doc.get("trace_engine")
-            if not isinstance(produced_by, str):
-                produced_by = None
             if isinstance(seconds, (int, float)):
-                model.observe(query, float(seconds), trace_engine=produced_by)
+                model.observe(query, float(seconds))
         return model
 
 
@@ -383,7 +322,7 @@ def persist_cost_model(cache: "ResultCache", run_model: CostModel) -> None:
     """
     if cache is None or not run_model.fitted:
         return
-    merged = CostModel(trace_engine=run_model.trace_engine)
+    merged = CostModel()
     merged.absorb_doc(
         cache.read_meta(COST_MODEL_META_KEY),
         decay=COST_MODEL_DECAY,
@@ -405,93 +344,6 @@ def _mean_static_prior() -> float:
         for name in sorted(KERNEL_FACTORIES)
     ]
     return sum(priors) / len(priors) if priors else 1.0
-
-
-def plan_chunks(
-    items: Sequence[T],
-    cost: Callable[[T], float],
-    bins: int,
-) -> "list[list[T]]":
-    """Pack ``items`` into at most ``bins`` balanced chunks (LPT).
-
-    Deterministic: equal-cost items keep their input order, and ties
-    between equally loaded chunks resolve to the lowest chunk index.
-    Empty chunks are dropped, so short work lists yield fewer chunks.
-    """
-    if bins < 1:
-        raise ReproError(f"chunk count must be >= 1, got {bins}")
-    if not items:
-        return []
-    bins = min(bins, len(items))
-    costs = [float(cost(item)) for item in items]
-    order = sorted(range(len(items)), key=lambda i: (-costs[i], i))
-    loads = [0.0] * bins
-    chunks: "list[list[T]]" = [[] for _ in range(bins)]
-    for i in order:
-        target = min(range(bins), key=lambda b: (loads[b], b))
-        chunks[target].append(items[i])
-        loads[target] += costs[i]
-    return [chunk for chunk in chunks if chunk]
-
-
-def plan_chunks_by_kernel(
-    items: Sequence[T],
-    cost: Callable[[T], float],
-    bins: int,
-    key: Callable[[T], object],
-) -> "list[list[T]]":
-    """Kernel-major LPT: balanced chunks that keep one kernel together.
-
-    Plain LPT interleaves kernels freely, which is optimal for load
-    balance but terrible for the shared-artifact context: a worker chunk
-    mixing five kernels rebuilds five kernels' artifacts, then its
-    sibling chunks rebuild them again.  This packer first groups items by
-    ``key`` (the kernel identity), then:
-
-    * a kernel whose total cost is around one chunk's ideal share (or
-      less) stays whole — one macro-item;
-    * a kernel too heavy for a single chunk is pre-split by LPT into
-      just enough sub-chunks to stay balanced, each still
-      single-kernel;
-    * the resulting macro-items are LPT-packed into at most ``bins``
-      chunks — small kernels fall back to plain LPT packing and may
-      share a chunk (they did not fill one anyway).
-
-    Every chunk is therefore a concatenation of whole single-kernel
-    sub-grids; a worker's per-process context rebuilds each kernel's
-    artifacts at most once per chunk that touches it, and at most
-    ``ceil(kernel cost / ideal chunk share)`` times overall.
-    Deterministic for a fixed input (ties break on input order / lowest
-    chunk index, like :func:`plan_chunks`).
-    """
-    if bins < 1:
-        raise ReproError(f"chunk count must be >= 1, got {bins}")
-    if not items:
-        return []
-    groups: "dict[object, list[T]]" = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    total = sum(float(cost(item)) for item in items)
-    ideal = total / min(bins, len(items))
-    macro: "list[list[T]]" = []
-    for members in groups.values():
-        group_cost = sum(float(cost(item)) for item in members)
-        splits = 1
-        if ideal > 0 and group_cost > ideal:
-            splits = min(bins, len(members), round(group_cost / ideal))
-        if splits <= 1:
-            macro.append(members)
-        else:
-            macro.extend(plan_chunks(members, cost, splits))
-    packed = plan_chunks(
-        macro,
-        cost=lambda chunk: sum(float(cost(item)) for item in chunk),
-        bins=min(bins, len(macro)),
-    )
-    return [
-        [item for chunk in chunk_group for item in chunk]
-        for chunk_group in packed
-    ]
 
 
 @dataclass(frozen=True)

@@ -305,8 +305,8 @@ def resolve_call_name(
 #: define the knob set (see :func:`LintContext.knobs`).
 KNOB_CHAIN = ("evaluate_query", "design_for", "build_design", "count_cycles")
 
-#: Knob names assumed when the analyzed tree has no recognizable chain
-#: (fixture corpora, foreign packages).
+#: Knob names assumed when the analyzed tree has none of the chain's
+#: functions (fixture corpora, foreign packages).
 FALLBACK_KNOBS = frozenset({"batch", "context", "trace_engine", "engine", "ladder"})
 
 
@@ -319,15 +319,19 @@ def _discover_knobs(units: "dict[str, ModuleUnit]") -> frozenset[str]:
     local toggles) out; bool/str keeps data parameters (budgets, ports,
     overhead ints, ``None``-defaulted artifacts) out.  ``engine`` is
     aliased in whenever ``trace_engine`` is discovered — the coverage
-    layer threads the same knob under the shorter name.
+    layer would thread the same knob under the shorter name.  A tree
+    whose chain carries no such flags has no knobs (the empty set); only
+    a tree without the chain falls back to :data:`FALLBACK_KNOBS`.
     """
     counts: dict[str, int] = {}
+    chain_found = False
     for unit in units.values():
         for node in ast.walk(unit.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if node.name not in KNOB_CHAIN:
                 continue
+            chain_found = True
             args = node.args
             positional = args.posonlyargs + args.args
             defaulted = positional[len(positional) - len(args.defaults):]
@@ -341,9 +345,9 @@ def _discover_knobs(units: "dict[str, ModuleUnit]") -> frozenset[str]:
                     default.value
                 ) in (bool, str):
                     counts[arg.arg] = counts.get(arg.arg, 0) + 1
-    knobs = {name for name, count in counts.items() if count >= 2}
-    if not knobs:
+    if not chain_found:
         return FALLBACK_KNOBS
+    knobs = {name for name, count in counts.items() if count >= 2}
     if "trace_engine" in knobs:
         knobs.add("engine")
     return frozenset(knobs)

@@ -1,15 +1,20 @@
 """Check ``memo-keys``: every memo key captures every knob reaching it.
 
-The invariant (violated by the reverted PR 6 coverage-memo bug, where
-``ladder``/``engine`` were missing from the coverage key): a function
-that receives evaluation knobs (``batch`` / ``trace_engine`` /
-``ladder`` / ``context``-style flags, discovered from the
+The invariant (violated by an early coverage-memo bug, where two
+evaluation flags were missing from the coverage key): a function that
+receives evaluation knobs (bool/str flags threaded through the
 ``evaluate_query -> design_for -> build_design -> count_cycles`` chain)
 and reads/writes a memo mapping must thread **every** knob into the
-lookup — either into the key expression itself, or into the expression
-that selects the mapping (the ``EvalContext`` cycle-report memo keys
-its *bundle* by the knobs instead of the tuple), or into a second-level
-mapping keyed by the knob (the cost model's per-engine sample store).
+lookup — either into the key expression itself, into the expression
+that selects the mapping (a memo that keys its *bundle* by the knobs
+instead of the tuple), or into a second-level mapping keyed by the
+knob.
+
+The shipped evaluation chain carries no flag knobs — one evaluation
+path — so on this tree the check finds nothing to police; it stays as
+the guard that a newly threaded flag reaches every memo key.  Fixture
+corpora without the chain are checked against
+:data:`~repro.lint.framework.FALLBACK_KNOBS`.
 
 Detection
 ---------

@@ -45,7 +45,7 @@ import numpy as np
 from repro.analysis.groups import RefGroup
 from repro.errors import AnalysisError, SimulationError
 from repro.ir.kernel import Kernel
-from repro.sim.residency import OptTraceLadder, TRACE_ENGINES, opt_trace
+from repro.sim.residency import OptTraceLadder
 
 __all__ = [
     "GroupCoverage",
@@ -167,35 +167,20 @@ class CoverageResult:
 class GroupCoverage:
     """Coverage computer for one reference group of one kernel.
 
-    ``batch=True`` (the default) computes masks through the batched
-    steady-state/boundary paths — region rows are classified by their
-    shift-normalized address pattern and each distinct class is ranked
-    once; window traces run the row-memoized Belady simulation.  Both
-    are bit-identical to the reference paths (``batch=False``), which
-    stay as the differential oracle.
-
-    ``engine`` selects the residency-simulator implementation (see
-    :mod:`repro.sim.residency`): ``"array"`` (the default) runs the
-    vectorized trace engine — period-ladder Belady memoization derived
-    from the loop trip structure, single-class fast paths in the region
-    ranking — and ``"reference"`` the straightforward oracle code.  All
-    four ``batch`` × ``engine`` combinations are bit-identical.
-
-    ``ladder=True`` (the default) turns on the budget-ladder fast path.
-    With the array engine, window miss masks of *every* register count
-    come from one :func:`~repro.sim.residency.opt_stack_distances` pass
-    per group (the mask at ``covered = c`` is ``distances > c``); the
-    placement arrays only the interpreter reads are traced per count on
-    first read, over one shared
-    :class:`~repro.sim.residency.OptTraceLadder` plane (the reference
-    engine traces every count over that plane).
+    Pinned masks come from region ranks computed once per group: region
+    rows are classified by their shift-normalized address pattern and
+    each distinct class is ranked once (one vectorized comparison
+    recognizes the common single-class case).  Window miss masks of
+    *every* register count come from one
+    :func:`~repro.sim.residency.opt_stack_distances` pass per group (the
+    mask at ``covered = c`` is ``distances > c``); the placement arrays
+    only the interpreter reads are traced per count on first read, over
+    one shared :class:`~repro.sim.residency.OptTraceLadder` plane.
     :meth:`ram_access_ladder` answers a whole budget axis with one
     histogram + prefix-sum pass: over the region ranks for pinned
-    coverage, over the stack distances for windows.  ``ladder=False``
-    keeps the per-budget evaluation as the differential oracle
-    (``repro explore --no-budget-ladder``).  All ``batch`` × ``engine``
-    × ``ladder`` combinations are bit-identical, pinned by the fuzz
-    suite.
+    coverage, over the stack distances for windows.  The per-region,
+    per-count reference computations these are pinned against live with
+    the tests (``tests/coverage_oracle.py``).
 
     Results are memoized per ``(registers, anchor)`` *and* per the
     canonical key they reduce to (``covered`` for windows,
@@ -205,24 +190,9 @@ class GroupCoverage:
     the same covered set.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        group: RefGroup,
-        batch: bool = True,
-        engine: str = "array",
-        ladder: bool = True,
-    ) -> None:
-        if engine not in TRACE_ENGINES:
-            raise AnalysisError(
-                f"unknown trace engine {engine!r}; expected one of "
-                f"{TRACE_ENGINES}"
-            )
+    def __init__(self, kernel: Kernel, group: RefGroup) -> None:
         self.kernel = kernel
         self.group = group
-        self.batch = batch
-        self.engine = engine
-        self.ladder = ladder
         self.beta = group.full_registers
         self._results: dict[tuple[int, str], CoverageResult] = {}
         self._canonical: dict[tuple, CoverageResult] = {}
@@ -338,9 +308,7 @@ class GroupCoverage:
         distance ``d`` hits exactly the covered counts ``>= d``), so the
         whole axis costs one pass instead of one mask build per budget.
         Bit-identical to per-count ``result(...).total_ram_accesses``
-        (pinned by the fuzz suite); with ``ladder=False`` (and for
-        windows under the reference engine) every count simply goes
-        through :meth:`result`.
+        (pinned by the fuzz suite).
         """
         if anchor not in ("low", "high"):
             raise AnalysisError(f"anchor must be 'low' or 'high', got {anchor!r}")
@@ -348,14 +316,11 @@ class GroupCoverage:
         for r in values:
             if r < 0:
                 raise AnalysisError(f"negative register count {r}")
-        if self._kind == "pinned" and self.ladder:
+        if self._kind == "pinned":
             return self._pinned_access_ladder(values, anchor)
-        if self._kind == "window" and self._distance_pass:
+        if self._kind == "window":
             return self._window_access_ladder(values)
-        return {
-            r: self.result(r, anchor=anchor).total_ram_accesses
-            for r in values
-        }
+        return {r: self._uncovered_accesses() for r in values}
 
     def _uncovered_accesses(self) -> int:
         """Total RAM accesses of the "none" canonical result: every read
@@ -447,15 +412,14 @@ class GroupCoverage:
 
         Ranks and first-touch flags depend only on a region's *relative*
         address pattern, which is shift-invariant across the steady
-        state of an affine nest — so the batched path deduplicates
-        regions by their base-normalized pattern and ranks each distinct
-        class once, stamping the result across all members (typically
-        one class for the whole nest).  The array engine recognizes the
-        one-class case with a single vectorized comparison before paying
-        ``np.unique``'s row lexsort.  The unbatched path ranks every
-        region independently.  The grids are a pure function of the
-        group, so they are computed once per computer and shared across
-        every ``(registers, anchor)`` result.
+        state of an affine nest — so regions are deduplicated by their
+        base-normalized pattern and each distinct class is ranked once,
+        stamping the result across all members (typically one class for
+        the whole nest).  The one-class case is recognized with a single
+        vectorized comparison before paying ``np.unique``'s row lexsort.
+        The grids are a pure function of the group, so they are computed
+        once per computer and shared across every ``(registers,
+        anchor)`` result.
         """
         if self._region_cache is not None:
             return self._region_cache
@@ -471,40 +435,30 @@ class GroupCoverage:
         by_region = flat.reshape(outer_size, region_size)
         ranks = np.empty_like(by_region)
         first = np.zeros_like(by_region, dtype=bool)
-        if self.batch and outer_size > 1:
-            normalized = by_region - by_region[:, :1]
-            if self.engine == "array" and bool(
-                (normalized[1:] == normalized[:1]).all()
-            ):
-                # Single shift-class: rank the representative region and
-                # stamp every row at once.
+        normalized = by_region - by_region[:, :1]
+        if bool((normalized[1:] == normalized[:1]).all()):
+            # Single shift-class (always so for one region): rank the
+            # representative region and stamp every row at once.
+            _, first_positions, inverse = np.unique(
+                normalized[0], return_index=True, return_inverse=True
+            )
+            ranks[:] = inverse[None, :]
+            stamp = np.zeros(region_size, dtype=bool)
+            stamp[first_positions] = True
+            first[:] = stamp[None, :]
+        else:
+            classes, members = np.unique(
+                normalized, axis=0, return_inverse=True
+            )
+            for index in range(len(classes)):
                 _, first_positions, inverse = np.unique(
-                    normalized[0], return_index=True, return_inverse=True
+                    classes[index], return_index=True, return_inverse=True
                 )
-                ranks[:] = inverse[None, :]
+                rows = members.reshape(-1) == index
+                ranks[rows] = inverse
                 stamp = np.zeros(region_size, dtype=bool)
                 stamp[first_positions] = True
-                first[:] = stamp[None, :]
-            else:
-                classes, members = np.unique(
-                    normalized, axis=0, return_inverse=True
-                )
-                for index in range(len(classes)):
-                    _, first_positions, inverse = np.unique(
-                        classes[index], return_index=True, return_inverse=True
-                    )
-                    rows = members.reshape(-1) == index
-                    ranks[rows] = inverse
-                    stamp = np.zeros(region_size, dtype=bool)
-                    stamp[first_positions] = True
-                    first[rows] = stamp
-        else:
-            for row in range(outer_size):
-                _, first_positions, inverse = np.unique(
-                    by_region[row], return_index=True, return_inverse=True
-                )
-                ranks[row] = inverse
-                first[row, first_positions] = True
+                first[rows] = stamp
         self._region_cache = (
             ranks.reshape(self._shape), first.reshape(self._shape)
         )
@@ -547,27 +501,17 @@ class GroupCoverage:
 
     # -- window (Belady) coverage ----------------------------------------------
 
-    @property
-    def _distance_pass(self) -> bool:
-        """Window masks come from one stack-distance pass (array engine
-        with the budget ladder); otherwise every count is traced."""
-        return self.ladder and self.engine == "array"
-
     def _window_periods(self) -> "tuple[int, ...] | None":
-        # One row per outermost iteration: the granularity at which affine
-        # window streams settle into a steady state the batched trace can
-        # replay with a multiplier.  The array engine descends the whole
-        # period ladder — the suffix products of the trip counts — so
+        # The period ladder is the suffix products of the trip counts: one
+        # row per outermost iteration (where affine window streams settle
+        # into a steady state the batched trace replays), then tiles, so
         # tile-level steady states replay inside boundary rows too.
-        if not (self.batch and len(self._shape) > 1):
+        if len(self._shape) < 2:
             return None
-        periods = tuple(
+        return tuple(
             int(np.prod(self._shape[level:], dtype=np.int64))
             for level in range(1, len(self._shape))
         )
-        if self.engine != "array":
-            periods = periods[:1]  # the reference engine memoizes rows
-        return periods
 
     def _window_stream(self) -> np.ndarray:
         grids = self.kernel.nest.meshgrids()
@@ -581,9 +525,7 @@ class GroupCoverage:
         levels are computed once per group, not once per budget)."""
         if self._window_plane is None:
             self._window_plane = OptTraceLadder(
-                self._window_stream(),
-                periods=self._window_periods(),
-                engine=self.engine,
+                self._window_stream(), periods=self._window_periods()
             )
         return self._window_plane
 
@@ -612,25 +554,7 @@ class GroupCoverage:
     def _window_result(
         self, covered: int, has_read: bool, n_writes: int
     ) -> CoverageResult:
-        if self._distance_pass:
-            miss_flags = self._window_distances() > covered
-            placement = functools.partial(self._traced_placement, covered)
-        else:
-            # The per-capacity oracles trace every count, placement and
-            # all, so their placement thunk just hands the arrays back.
-            started = time.perf_counter()
-            if self.ladder:
-                miss_flags, *trace = self._plane().trace(covered)
-            else:
-                miss_flags, *trace = opt_trace(
-                    self._window_stream(),
-                    covered,
-                    periods=self._window_periods(),
-                    engine=self.engine,
-                )
-            _charge_trace(started)
-            placement = functools.partial(tuple, trace)
-        misses = miss_flags.reshape(self._shape)
+        misses = (self._window_distances() > covered).reshape(self._shape)
         if has_read:
             read_miss = misses
         else:
@@ -652,21 +576,12 @@ class GroupCoverage:
             kind="window",
             covered=covered,
             region_level=self._carrying_level,
-            placement=placement,
+            placement=functools.partial(self._traced_placement, covered),
         )
 
 
 def coverage_for(
-    kernel: Kernel,
-    groups: "tuple[RefGroup, ...]",
-    batch: bool = True,
-    engine: str = "array",
-    ladder: bool = True,
+    kernel: Kernel, groups: "tuple[RefGroup, ...]"
 ) -> dict[str, GroupCoverage]:
     """Coverage computers for every group, keyed by group name."""
-    return {
-        g.name: GroupCoverage(
-            kernel, g, batch=batch, engine=engine, ladder=ladder
-        )
-        for g in groups
-    }
+    return {g.name: GroupCoverage(kernel, g) for g in groups}

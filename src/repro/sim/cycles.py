@@ -271,9 +271,6 @@ def report_key(
     model: LatencyModel,
     ram_ports: int,
     overhead_per_iteration: int,
-    batch: bool,
-    trace_engine: str,
-    ladder: bool,
     groups: "tuple[RefGroup, ...]",
     allocation: Allocation,
     anchors: object,
@@ -285,9 +282,6 @@ def report_key(
         context.model_fingerprint(model),
         ram_ports,
         overhead_per_iteration,
-        batch,
-        trace_engine,
-        ladder,
         tuple((g.name, allocation.registers_for(g.name)) for g in groups),
         anchors,
     )
@@ -302,27 +296,18 @@ def count_cycles(
     overhead_per_iteration: int = 0,
     dfg: DataFlowGraph | None = None,
     anchors: "dict[str, str] | None" = None,
-    batch: bool = True,
     coverages: "dict[str, GroupCoverage] | None" = None,
     context: "EvalContext | None" = None,
-    trace_engine: str = "array",
-    ladder: bool = True,
 ) -> CycleReport:
     """Count execution cycles of ``kernel`` under ``allocation``.
 
     ``anchors`` optionally overrides the pinned-coverage anchor per group
     (see :meth:`GroupCoverage.result`); defaults to ``"low"``.
 
-    ``batch`` selects the steady-state/boundary batched coverage paths
-    (bit-identical to the reference paths; see
-    :class:`~repro.scalar.coverage.GroupCoverage`), ``trace_engine``
-    the residency-simulator implementation behind them (``"array"`` —
-    the vectorized default — or ``"reference"``, the oracle; also
-    bit-identical), ``ladder`` the budget-ladder fast path (window
-    traces of every budget share one capacity-independent plane; also
-    bit-identical), and ``coverages`` optionally shares pre-built
-    coverage computers across repeated counts of the same design point
-    (the pipeline's anchor search).
+    ``coverages`` optionally shares pre-built coverage computers across
+    repeated counts of the same design point (the pipeline's anchor
+    search); any object with the :meth:`GroupCoverage.result` interface
+    serves, which is how the tests count cycles over reference coverage.
 
     ``context`` (an :class:`~repro.explore.context.EvalContext`) memoizes
     whole reports per full parameterization, plus the layout and the
@@ -341,26 +326,17 @@ def count_cycles(
     memo_key = None
     if context is not None:
         if coverages is None:
-            coverages = context.coverages(
-                kernel, groups, batch=batch, trace_engine=trace_engine,
-                ladder=ladder,
-            )
-        # The full parameterization of this count.  ``batch``,
-        # ``trace_engine`` and ``ladder`` are part of the key even
-        # though all paths are bit-identical by construction —
-        # excluding them would let a memoized batched/array/ladder
-        # report answer the reference differential oracle and mask a
-        # divergence the fuzz suite exists to catch.  The context
-        # additionally declines the memo when ``dfg``/``coverages`` are
-        # not its canonical artifacts for this kernel.
+            coverages = context.coverages(kernel, groups)
+        # The full parameterization of this count.  The context declines
+        # the memo when ``dfg``/``coverages`` are not its canonical
+        # artifacts for this kernel, so foreign coverage (a test oracle)
+        # neither answers from nor poisons it.
         memo_key = report_key(
-            context, model, ram_ports, overhead_per_iteration, batch,
-            trace_engine, ladder, groups, allocation,
-            tuple(sorted(anchors.items())),
+            context, model, ram_ports, overhead_per_iteration, groups,
+            allocation, tuple(sorted(anchors.items())),
         )
         memoized = context.get_cycle_report(
-            kernel, groups, memo_key, dfg=dfg, coverages=coverages,
-            batch=batch, trace_engine=trace_engine, ladder=ladder,
+            kernel, groups, memo_key, dfg=dfg, coverages=coverages
         )
         if memoized is not None:
             return memoized
@@ -370,9 +346,7 @@ def count_cycles(
         if coverages is not None and group.name in coverages:
             coverage = coverages[group.name]
         else:
-            coverage = GroupCoverage(
-                kernel, group, batch=batch, engine=trace_engine, ladder=ladder
-            )
+            coverage = GroupCoverage(kernel, group)
         results[group.name] = coverage.result(
             allocation.registers_for(group.name),
             anchor=anchors.get(group.name, "low"),
@@ -389,8 +363,7 @@ def count_cycles(
     )
     if memo_key is not None:
         context.put_cycle_report(
-            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages,
-            batch=batch, trace_engine=trace_engine, ladder=ladder,
+            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages
         )
     return report
 

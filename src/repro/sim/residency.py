@@ -13,19 +13,12 @@ elements are resident is a *policy* choice made by the compiler:
 * ``opt`` — Belady's clairvoyant policy; an upper bound used by the
   residency ablation benchmark.
 
-Every simulator exists in two implementations selected by the
-``engine`` parameter:
-
-* ``"reference"`` — the deliberately straightforward dict/heap code
-  (O(stream log r)): the oracle the array engine and the analytic
-  coverage masks in :mod:`repro.scalar.coverage` are differenced
-  against, so clarity beats speed.
-* ``"array"`` (the default) — NumPy array kernels, bit-identical to the
-  reference by construction and pinned so by the fuzz suite:
-  :func:`lru_misses` computes stack distances from ``next_uses``-style
-  links (a vectorized count-smaller-to-the-left merge), and
-  :func:`pinned_misses` reduces to a first-touch mask over
-  :func:`prev_uses` links.
+The simulators are NumPy array kernels: :func:`lru_misses` computes
+stack distances from ``next_uses``-style links (a vectorized
+count-smaller-to-the-left merge), and :func:`pinned_misses` reduces to
+a first-touch mask over :func:`prev_uses` links.  The straightforward
+dict/heap simulators they are differenced against live with the tests
+(``tests/residency_oracle.py``).
 
 Four budget-ladder entry points evaluate **every capacity of a budget
 axis** against one stream without redoing per-stream work:
@@ -56,23 +49,21 @@ register-file state, address pattern and next-use structure relative to
 the row's base — was seen before replays the recorded trace instead of
 being re-interpreted; Belady's decisions depend only on that signature,
 so the batched trace is bit-identical to the plain simulation (asserted
-case-by-case by the fuzz suite).  The reference engine memoizes at a
-single ``row_len``; the array engine generalizes this to a **period
-ladder** (``periods``, row → tile → inner tile): a boundary row at one
-level is re-examined at the next finer period before any per-access
-simulation runs, so inner-tile steady states replay even when the outer
-row never repeats (the tiling perspective of Domagała et al.), and runs
-of consecutive fixpoint rows are stamped out with one vectorized copy.
+case-by-case by the fuzz suite).  The memo works on a **period ladder**
+(``periods``, row → tile → inner tile): a boundary row at one level is
+re-examined at the next finer period before any per-access simulation
+runs, so inner-tile steady states replay even when the outer row never
+repeats (the tiling perspective of Domagała et al.), and runs of
+consecutive fixpoint rows are stamped out with one vectorized copy.
 
 Genuine eviction decisions — the only inherently sequential part of
 Belady — use a lazy-deletion max-heap keyed by next use instead of an
-O(r) ``max`` victim scan, on both engines.
+O(r) ``max`` victim scan.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 
 import numpy as np
 
@@ -92,23 +83,12 @@ __all__ = [
     "next_uses",
     "prev_uses",
     "miss_count",
-    "TRACE_ENGINES",
 ]
 
 #: Normalized stand-ins with no valid absolute counterpart: a next use
 #: beyond the end of the stream, and an eviction that did not happen.
 _NO_NEXT_USE = np.int64(2**62)
 _NO_EVICTION = np.int64(-(2**62))
-
-#: The two residency-simulator implementations (see the module docstring).
-TRACE_ENGINES = ("array", "reference")
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in TRACE_ENGINES:
-        raise SimulationError(
-            f"unknown trace engine {engine!r}; expected one of {TRACE_ENGINES}"
-        )
 
 
 # -- use-distance links --------------------------------------------------------
@@ -150,32 +130,8 @@ def prev_uses(stream: np.ndarray) -> np.ndarray:
 # -- LRU -----------------------------------------------------------------------
 
 
-def lru_misses(
-    stream: np.ndarray, capacity: int, engine: str = "array"
-) -> np.ndarray:
-    """Boolean miss flags of an LRU register file over an address stream."""
-    if capacity < 0:
-        raise SimulationError(f"capacity must be >= 0, got {capacity}")
-    _check_engine(engine)
-    if engine == "array":
-        return _lru_misses_array(np.asarray(stream).reshape(-1), capacity)
-    misses = np.ones(len(stream), dtype=bool)
-    if capacity == 0:
-        return misses
-    resident: OrderedDict[int, None] = OrderedDict()
-    for position, address in enumerate(np.asarray(stream).reshape(-1).tolist()):
-        if address in resident:
-            resident.move_to_end(address)
-            misses[position] = False
-        else:
-            resident[address] = None
-            if len(resident) > capacity:
-                resident.popitem(last=False)
-    return misses
-
-
-def _lru_misses_array(addresses: np.ndarray, capacity: int) -> np.ndarray:
-    """LRU misses as an array kernel: stack distance over use links.
+def lru_misses(stream: np.ndarray, capacity: int) -> np.ndarray:
+    """Boolean miss flags of an LRU register file over an address stream.
 
     An access hits iff its LRU stack distance is at most the capacity.
     With ``p`` the previous use of the access at ``i``, the distance is
@@ -192,9 +148,11 @@ def _lru_misses_array(addresses: np.ndarray, capacity: int) -> np.ndarray:
     count-smaller-to-the-left over the ``next_uses`` array, computed by
     the vectorized merge in :func:`_count_smaller_left`.
     """
-    n = len(addresses)
-    misses = np.ones(n, dtype=bool)
-    if capacity == 0 or n == 0:
+    if capacity < 0:
+        raise SimulationError(f"capacity must be >= 0, got {capacity}")
+    addresses = np.asarray(stream).reshape(-1)
+    misses = np.ones(len(addresses), dtype=bool)
+    if capacity == 0 or not len(addresses):
         return misses
     distances = lru_stack_distances(addresses)
     repeat = distances != _NO_NEXT_USE
@@ -210,7 +168,7 @@ def lru_stack_distances(stream: np.ndarray) -> np.ndarray:
     *whole* budget axis (see :func:`lru_miss_counts`).  First touches,
     which miss at any capacity, carry the ``_NO_NEXT_USE`` sentinel.
     The computation is the vectorized count-smaller-to-the-left merge
-    documented on :func:`_lru_misses_array`.
+    documented on :func:`lru_misses`.
     """
     addresses = np.asarray(stream).reshape(-1)
     n = len(addresses)
@@ -317,37 +275,24 @@ def _count_smaller_left(values: np.ndarray) -> np.ndarray:
 
 
 def pinned_misses(
-    stream: np.ndarray,
-    pinned: "set[int] | frozenset[int]",
-    engine: str = "array",
+    stream: np.ndarray, pinned: "set[int] | frozenset[int]"
 ) -> np.ndarray:
     """Miss flags when a fixed set of addresses is register-resident.
 
     The first access to a pinned address is still a miss (the value must be
     fetched once); later accesses hit.  Unpinned addresses always miss.
     """
-    _check_engine(engine)
     addresses = np.asarray(stream).reshape(-1)
-    if engine == "array":
-        misses = np.ones(len(addresses), dtype=bool)
-        if not pinned or not len(addresses):
-            return misses
-        # Pin membership is fixed over the stream, so "touched before"
-        # is simply "has an earlier use": a first-touch mask over the
-        # prev_uses links, intersected with the pin membership.
-        table = np.fromiter(pinned, count=len(pinned), dtype=np.int64)
-        in_pinned = np.isin(addresses, table)
-        seen_before = prev_uses(addresses) >= 0
-        return ~(in_pinned & seen_before)
     misses = np.ones(len(addresses), dtype=bool)
-    touched: set[int] = set()
-    for position, address in enumerate(addresses.tolist()):
-        if address in pinned:
-            if address in touched:
-                misses[position] = False
-            else:
-                touched.add(address)
-    return misses
+    if not pinned or not len(addresses):
+        return misses
+    # Pin membership is fixed over the stream, so "touched before" is
+    # simply "has an earlier use": a first-touch mask over the prev_uses
+    # links, intersected with the pin membership.
+    table = np.fromiter(pinned, count=len(pinned), dtype=np.int64)
+    in_pinned = np.isin(addresses, table)
+    seen_before = prev_uses(addresses) >= 0
+    return ~(in_pinned & seen_before)
 
 
 # -- Belady (no bypass): the ablation's lower bound ----------------------------
@@ -430,7 +375,6 @@ def opt_trace(
     capacity: int,
     row_len: "int | None" = None,
     periods: "tuple[int, ...] | None" = None,
-    engine: str = "array",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Belady with bypass, returning the full placement trace.
 
@@ -453,21 +397,21 @@ def opt_trace(
     with a previously seen normalized signature replay their recorded
     trace instead of being re-simulated.  ``periods`` generalizes it to a
     descending divisor chain (row → tile → inner tile, typically the
-    suffix products of the loop trip counts); the array engine re-examines
-    a boundary row at each finer period before falling back to per-access
+    suffix products of the loop trip counts); a boundary row is
+    re-examined at each finer period before falling back to per-access
     simulation, so tile-level steady states replay even when the outer
     row never repeats.  Entries that do not divide their predecessor (or
     the stream length) are dropped — a non-divisor ``row_len`` falls back
-    to the plain simulation, as before.  The reference engine uses only
-    the coarsest period.  Results are bit-identical across all of it.
+    to the plain simulation, as before.  Results are bit-identical across
+    all of it.
 
     A one-capacity call builds (and discards) a one-stream
     :class:`OptTraceLadder`; callers evaluating a whole budget axis
     should hold the plane themselves so the stream-level work is shared.
     """
-    return OptTraceLadder(
-        stream, row_len=row_len, periods=periods, engine=engine
-    ).trace(capacity)
+    return OptTraceLadder(stream, row_len=row_len, periods=periods).trace(
+        capacity
+    )
 
 
 class OptTraceLadder:
@@ -475,7 +419,7 @@ class OptTraceLadder:
 
     Everything about the trace that does *not* depend on the register
     capacity — the flattened address stream, the use links (the
-    dominant cost), and the array engine's per-period row
+    dominant cost), and the per-period row
     classification (:class:`_LadderLevel`: bases, shift-normalized
     patterns, adjacent-row equality, base deltas) — is computed lazily
     once and shared by every :meth:`trace` call.  Only the per-capacity
@@ -491,10 +435,7 @@ class OptTraceLadder:
         stream: np.ndarray,
         row_len: "int | None" = None,
         periods: "tuple[int, ...] | None" = None,
-        engine: str = "array",
     ) -> None:
-        _check_engine(engine)
-        self.engine = engine
         self.addresses = np.asarray(stream).reshape(-1)
         self.n = len(self.addresses)
         self.ladder = _period_ladder(self.n, row_len, periods)
@@ -522,29 +463,18 @@ class OptTraceLadder:
         if capacity == 0 or n == 0:
             return misses, inserted, evicted, freed
         out = (misses, inserted, evicted, freed)
-        resident: dict[int, int] = {}  # address -> next use position
-        if self.engine == "array":
-            nxt, prv = self._use_links()
-            _ArrayTracer(
-                self.addresses, nxt, prv, capacity, self.ladder, resident,
-                out, levels=self._levels,
-            ).run()
-            return out
-        nxt = self._use_links()[0]
-        if self.ladder:
-            _trace_rows(
-                self.addresses, nxt, capacity, self.ladder[0], resident, out
-            )
-        else:
-            _trace_span(self.addresses, nxt, capacity, 0, n, resident, out)
+        nxt, prv = self._use_links()
+        _ArrayTracer(
+            self.addresses, nxt, prv, capacity, self.ladder, {}, out,
+            levels=self._levels,
+        ).run()
         return out
 
     def stack_distances(self, max_capacity: int) -> np.ndarray:
         """The :func:`opt_stack_distances` pass over this plane.
 
         Shares the plane's use links and period levels with its
-        :meth:`trace` calls; the pass itself always runs the array
-        walk (it is exact for either engine's traces).  A row replay
+        :meth:`trace` calls.  A row replay
         normalizes up to ``max_capacity`` stack slots, which costs more
         than walking a row shorter than that, so the pass descends only
         the ladder levels whose period is at least ``max_capacity``
@@ -570,10 +500,9 @@ def opt_trace_ladder(
     capacities: "tuple[int, ...] | list[int]",
     row_len: "int | None" = None,
     periods: "tuple[int, ...] | None" = None,
-    engine: str = "array",
 ) -> "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]":
     """:func:`opt_trace` at every requested capacity over one shared plane."""
-    plane = OptTraceLadder(stream, row_len=row_len, periods=periods, engine=engine)
+    plane = OptTraceLadder(stream, row_len=row_len, periods=periods)
     return {int(c): plane.trace(int(c)) for c in capacities}
 
 
@@ -604,8 +533,8 @@ def opt_stack_distances(
     it.  The stack is truncated at ``max_capacity`` slots; what falls
     off the end is resident at no tracked capacity.
 
-    ``periods`` enables the period-ladder row replay of the array
-    engine (the stack state normalizes like the register file does);
+    ``periods`` enables the period-ladder row replay (the stack state
+    normalizes like the register file does);
     non-divisor entries are dropped as in :func:`opt_trace`.  Callers
     that also trace placements should hold an :class:`OptTraceLadder`
     and call :meth:`~OptTraceLadder.stack_distances` on it, so both
@@ -644,9 +573,9 @@ def _belady_span(
 ) -> None:
     """The per-access Belady-with-bypass decision loop.
 
-    Shared by both engines; ``positions`` lists the absolute stream
-    positions to simulate (the array engine pre-filters compulsory
-    bypasses out of it).  The victim search is a lazy-deletion max-heap
+    ``positions`` lists the absolute stream positions to simulate
+    (:meth:`_RowReplay._span` pre-filters compulsory bypasses out of
+    it).  The victim search is a lazy-deletion max-heap
     keyed by next use; next-use positions are unique, so the heap's
     victim is exactly the ``max`` scan's.
     """
@@ -685,130 +614,15 @@ def _belady_span(
         # else: bypass (victim is more useful than we are)
 
 
-def _trace_span(
-    addresses: np.ndarray,
-    nxt: np.ndarray,
-    capacity: int,
-    start: int,
-    stop: int,
-    resident: "dict[int, int]",
-    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """Reference Belady-with-bypass simulation of ``[start, stop)``.
-
-    Mutates ``resident`` and writes the four trace arrays in place; the
-    sentinel next-use value ``len(addresses)`` plays the role of
-    "never used again".
-    """
-    _belady_span(
-        list(range(start, stop)),
-        addresses[start:stop].tolist(),
-        nxt[start:stop].tolist(),
-        len(addresses),
-        capacity,
-        resident,
-        out,
-    )
-
-
-def _trace_rows(
-    addresses: np.ndarray,
-    nxt: np.ndarray,
-    capacity: int,
-    row_len: int,
-    resident: "dict[int, int]",
-    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """Row-batched Belady (reference): steady rows replay a recorded trace.
-
-    A row's behaviour is a pure function of its *normalized signature*:
-    the pre-row register state, the row's addresses and the row's
-    next-use positions, all taken relative to the row's base address and
-    start position (Belady compares next-use positions, so uniform
-    shifts cancel).  Boundary rows — warm-up at the start, truncated
-    next uses near the end — get unique signatures and are simulated
-    exactly; steady-state rows hit the memo and are stamped out with one
-    array copy each.
-    """
-    misses, inserted, evicted, freed = out
-    n = len(addresses)
-    rows = n // row_len
-    by_row = addresses.reshape(rows, row_len).astype(np.int64)
-    bases = by_row[:, :1]
-    address_rel = by_row - bases
-    next_by_row = nxt.reshape(rows, row_len)
-    row_starts = np.arange(rows, dtype=np.int64)[:, None] * row_len
-    next_rel = np.where(next_by_row >= n, _NO_NEXT_USE, next_by_row - row_starts)
-
-    # The register state between rows lives either as a real dict (after
-    # a simulated row) or as an already-normalized tuple plus the frame
-    # it was normalized in (after a replay).  Uniform shifts preserve
-    # sorted order, so re-framing a tuple is a shift, not a re-sort.
-    state_rel: "tuple | None" = None
-    frame: tuple[int, int] = (0, 0)
-    memo: dict[tuple, tuple] = {}
-    for row in range(rows):
-        start = row * row_len
-        base = int(bases[row, 0])
-        if state_rel is None:
-            normalized = tuple(
-                sorted((a - base, u - start) for a, u in resident.items())
-            )
-        else:
-            shift_a, shift_u = frame[0] - base, frame[1] - start
-            normalized = tuple(
-                (a + shift_a, u + shift_u) for a, u in state_rel
-            )
-        signature = (
-            normalized, address_rel[row].tobytes(), next_rel[row].tobytes()
-        )
-        replay = memo.get(signature)
-        if replay is None:
-            if state_rel is not None:
-                resident.clear()
-                resident.update(
-                    (a + frame[0], u + frame[1]) for a, u in state_rel
-                )
-                state_rel = None
-            stop = start + row_len
-            _trace_span(addresses, nxt, capacity, start, stop, resident, out)
-            eviction_rel = np.where(
-                evicted[start:stop] >= 0,
-                evicted[start:stop] - base,
-                _NO_EVICTION,
-            )
-            memo[signature] = (
-                misses[start:stop].copy(),
-                inserted[start:stop].copy(),
-                eviction_rel,
-                freed[start:stop].copy(),
-                tuple(sorted((a - base, u - start) for a, u in resident.items())),
-            )
-            continue
-        stop = start + row_len
-        miss_row, insert_row, eviction_rel, freed_row, post_state = replay
-        misses[start:stop] = miss_row
-        inserted[start:stop] = insert_row
-        evicted[start:stop] = np.where(
-            eviction_rel != _NO_EVICTION, eviction_rel + base, -1
-        )
-        freed[start:stop] = freed_row
-        state_rel = post_state
-        frame = (base, start)
-    if state_rel is not None:
-        resident.clear()
-        resident.update((a + frame[0], u + frame[1]) for a, u in state_rel)
-
-
 class _LadderLevel:
     """Vectorized per-period structures the array tracer classifies with.
 
     Everything here is a whole-stream array computation done once per
     ladder level: row bases, the shift-normalized (address, next-use)
     pattern per row, adjacent-row pattern equality (for steady-state run
-    stamping) and base deltas.  Row signatures reuse the reference
-    engine's exact normalization, so the memo equivalence classes — and
-    therefore the outputs — are identical by construction.
+    stamping) and base deltas.  A row's signature is the shift-normalized
+    pattern plus the normalized pre-row state, so the memo equivalence
+    classes are exactly the rows Belady treats alike.
 
     Deliberately capacity-independent: replay memos (which record
     capacity-dependent decisions) live on the walk (:class:`_RowReplay`),
@@ -860,7 +674,7 @@ class _LadderLevel:
 
 
 class _RowReplay:
-    """Period-ladder row memo shared by the array engine's stream walks.
+    """Period-ladder row memo shared by the stream walks.
 
     A walk carries a register-file *state* along the stream and writes
     per-access *outputs*.  Each step compares addresses and next-use
@@ -1037,13 +851,12 @@ class _RowReplay:
 
 
 class _ArrayTracer(_RowReplay):
-    """The array engine behind :func:`opt_trace`.
+    """The tracer behind :func:`opt_trace`.
 
-    Runs the same signature-memoized Belady-with-bypass simulation as
-    the reference ``_trace_rows`` through the shared period-ladder walk
-    (:class:`_RowReplay`): the state is the resident ``address -> next
-    use`` map, normalized as a sorted tuple, and the finest level runs
-    :func:`_belady_span`.
+    Runs the signature-memoized Belady-with-bypass simulation through
+    the shared period-ladder walk (:class:`_RowReplay`): the state is
+    the resident ``address -> next use`` map, normalized as a sorted
+    tuple, and the finest level runs :func:`_belady_span`.
     """
 
     def __init__(

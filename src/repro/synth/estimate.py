@@ -19,7 +19,11 @@ from repro.dfg.nodes import OpNode, ReadNode
 from repro.hw.binding import bind_arrays
 from repro.hw.device import Device, XCV1000
 from repro.ir.kernel import Kernel
-from repro.scalar.coverage import GroupCoverage, trace_engine_seconds
+from repro.scalar.coverage import (
+    GroupCoverage,
+    coverage_for,
+    trace_engine_seconds,
+)
 from repro.sim.cycles import best_anchors, count_cycles, report_key
 from repro.synth.area import estimate_area
 from repro.synth.design import HardwareDesign
@@ -115,13 +119,10 @@ def build_design(
     model: LatencyModel | None = None,
     ram_ports: int | None = None,
     overhead_per_iteration: int = 1,
-    batch: bool = True,
     dfg: "DataFlowGraph | None" = None,
     coverages: "dict[str, GroupCoverage] | None" = None,
     context: "EvalContext | None" = None,
     stages: "dict[str, float] | None" = None,
-    trace_engine: str = "array",
-    ladder: bool = True,
 ) -> HardwareDesign:
     """Evaluate one (kernel, allocation) design point.
 
@@ -132,23 +133,13 @@ def build_design(
     The Figure 2(c) benchmarks override ``model`` with
     :meth:`LatencyModel.tmem` and zero overhead.
 
-    ``batch`` selects the steady-state/boundary batched evaluation paths
-    (the default); results are bit-identical either way — ``batch=False``
-    is the reference path the fuzz suite differences against.
-
     ``dfg``/``coverages`` accept prebuilt artifacts, and ``context`` (an
     :class:`~repro.explore.context.EvalContext`) supplies them — plus
     per-pattern cost tables inside the cycle counter — when the
     caller does not; all three leave results bit-identical.
-    ``trace_engine`` selects the residency-simulator implementation
-    (``"array"``, the vectorized default, or ``"reference"``, the
-    oracle; bit-identical either way), and ``ladder`` the budget-ladder
-    fast path (window traces of every register budget share one
-    capacity-independent plane; also bit-identical — ``ladder=False``
-    is the ``--no-budget-ladder`` oracle).  ``stages`` optionally
-    accumulates the ``--profile`` wall-time breakdown; the evaluator
-    (:func:`repro.explore.evaluate.design_for`) splits the residency
-    share out into a distinct ``trace`` stage via
+    ``stages`` optionally accumulates the ``--profile`` wall-time
+    breakdown; the evaluator (:func:`repro.explore.evaluate.design_for`)
+    splits the residency share out into a distinct ``trace`` stage via
     :func:`fold_trace_stage`.
     """
     started = time.perf_counter()
@@ -164,17 +155,9 @@ def build_design(
 
     if coverages is None:
         if context is not None:
-            coverages = context.coverages(
-                kernel, groups, batch=batch, trace_engine=trace_engine,
-                ladder=ladder,
-            )
+            coverages = context.coverages(kernel, groups)
         else:
-            coverages = {
-                g.name: GroupCoverage(
-                    kernel, g, batch=batch, engine=trace_engine, ladder=ladder
-                )
-                for g in groups
-            }
+            coverages = coverage_for(kernel, groups)
     storage_class = {
         g.name: classify_operand_storage(
             g, coverages[g.name], allocation.registers_for(g.name)
@@ -195,10 +178,7 @@ def build_design(
         dfg,
         coverages,
         storage_class,
-        batch,
         context,
-        trace_engine,
-        ladder,
     )
     mark = charge_stage(stages, "cycles", mark)
 
@@ -240,10 +220,7 @@ def count_with_best_anchors(
     dfg,
     coverages,
     storage_class,
-    batch=True,
     context=None,
-    trace_engine="array",
-    ladder=True,
 ):
     """Coverage-placement pass: choose pinned anchors minimizing cycles.
 
@@ -275,12 +252,11 @@ def count_with_best_anchors(
         memo_key = None
         if context is not None:
             memo_key = report_key(
-                context, model, ram_ports, overhead_per_iteration, batch,
-                trace_engine, ladder, groups, allocation, "best",
+                context, model, ram_ports, overhead_per_iteration, groups,
+                allocation, "best",
             )
             report = context.get_cycle_report(
-                kernel, groups, memo_key, dfg=dfg, coverages=coverages,
-                batch=batch, trace_engine=trace_engine, ladder=ladder,
+                kernel, groups, memo_key, dfg=dfg, coverages=coverages
             )
             if report is not None:
                 return report
@@ -298,8 +274,7 @@ def count_with_best_anchors(
         )
         if memo_key is not None:
             context.put_cycle_report(
-                kernel, groups, memo_key, report, dfg=dfg, coverages=coverages,
-                batch=batch, trace_engine=trace_engine, ladder=ladder,
+                kernel, groups, memo_key, report, dfg=dfg, coverages=coverages
             )
         return report
     return count_cycles(
@@ -310,11 +285,8 @@ def count_with_best_anchors(
         ram_ports=ram_ports,
         overhead_per_iteration=overhead_per_iteration,
         dfg=dfg,
-        batch=batch,
         coverages=coverages,
         context=context,
-        trace_engine=trace_engine,
-        ladder=ladder,
     )
 
 

@@ -1,102 +1,37 @@
-"""Acceptance pin: batched evaluation is bit-identical everywhere.
+"""Batched evaluation: a design point's iterations as pattern classes.
 
-``verify_batch_equivalence`` sweeps every registered kernel × allocator
-× budget point and must come back empty; the executor, the bench
-adapters and the CLI expose the ``batch`` switch and agree across it.
+The cycle counter classifies every iteration into a joint hit/miss
+pattern class and evaluates each class once with a multiplier.  The
+classes are read off the evaluated design
+(``design_for(query)[0].cycles.pattern_counts``): they must cover the
+whole iteration space, and the steady state must dominate.  Bit-identity
+of the batched path against the unbatched reference coverage is pinned
+by ``test_fuzz_properties.py``.
 """
 
 import pytest
 
-from repro.bench.sweeps import budget_sweep, policy_comparison
-from repro.bench.table1 import generate_table1
-from repro.cli import main
-from repro.core.pipeline import _ALLOCATORS
-from repro.explore import (
-    DesignQuery,
-    compare_batched,
-    iteration_classes,
-    run_queries,
-    verify_batch_equivalence,
-)
+from repro.explore import DesignQuery
+from repro.explore.evaluate import design_for
 from repro.kernels import KERNEL_FACTORIES, get_kernel
 
-BUDGETS = (4, 16, 64)
-GRID = [
-    DesignQuery(kernel=kernel, allocator=allocator, budget=budget)
-    for kernel in sorted(KERNEL_FACTORIES)
-    for allocator in sorted(_ALLOCATORS)
-    for budget in BUDGETS
-]
 
-
-def test_every_registered_point_is_bit_identical():
-    mismatches = verify_batch_equivalence(GRID)
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
-
-
-def test_compare_batched_reports_fields():
-    assert compare_batched(GRID[0]) == []
-
-
-def test_executor_batch_flag_changes_nothing(tmp_path):
-    queries = GRID[:8]
-    batched = run_queries(queries, cache=tmp_path / "a", batch=True)
-    reference = run_queries(queries, cache=tmp_path / "b", batch=False)
-    assert list(batched) == list(reference)
-    # Bit-identical records mean the cache is shared between the paths:
-    # a batched sweep resumes at 100% off an unbatched sweep's cache.
-    resumed = run_queries(queries, cache=tmp_path / "b", batch=True)
-    assert resumed.stats.cache_hits == len(queries)
-
-
-def test_bench_adapters_accept_batch():
-    kernel = get_kernel("mat")
-    assert budget_sweep(
-        kernel, [16], algorithms=("FR-RA",), batch=True
-    ) == budget_sweep(kernel, [16], algorithms=("FR-RA",), batch=False)
-    assert policy_comparison(
-        kernel, budget=16, algorithms=("FR-RA", "NO-SR"), batch=True
-    ) == policy_comparison(
-        kernel, budget=16, algorithms=("FR-RA", "NO-SR"), batch=False
-    )
-
-
-def test_table1_accepts_batch():
-    kernels = [get_kernel("mat")]
-    fast = generate_table1(kernels=kernels, batch=True)
-    slow = generate_table1(kernels=kernels, batch=False)
-    assert fast.rows == slow.rows
-
-
-def test_cli_no_batch_smoke(capsys):
-    argv = [
-        "explore", "--kernels", "mat", "--allocators", "FR-RA",
-        "--budgets", "16", "--format", "csv",
-    ]
-    assert main(argv) == 0
-    batched = capsys.readouterr().out
-    assert main(argv + ["--no-batch"]) == 0
-    assert capsys.readouterr().out == batched
+def _classes(query):
+    design, _ = design_for(query)
+    return design.cycles.pattern_counts
 
 
 def test_iteration_classes_expose_steady_state():
-    classes = iteration_classes(
-        DesignQuery(kernel="fir", allocator="CPA-RA", budget=64)
-    )
+    classes = _classes(DesignQuery(kernel="fir", allocator="CPA-RA", budget=64))
     total = sum(count for _, count, _ in classes)
     assert total == 1024 * 32
-    assert classes == iteration_classes(
-        DesignQuery(kernel="fir", allocator="CPA-RA", budget=64), batch=False
-    )
     # steady state dominates: the largest class covers most iterations
     assert max(count for _, count, _ in classes) > total // 2
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_FACTORIES))
 def test_pattern_classes_cover_space_per_kernel(kernel):
-    classes = iteration_classes(
-        DesignQuery(kernel=kernel, allocator="PR-RA", budget=64)
-    )
+    classes = _classes(DesignQuery(kernel=kernel, allocator="PR-RA", budget=64))
     space = 1
     for trip in get_kernel(kernel).nest.trip_counts():
         space *= trip

@@ -1,42 +1,28 @@
-"""Acceptance pins: budget-ladder evaluation is bit-identical everywhere.
+"""Budget-ladder pins: every budget of an axis from one shared pass.
 
-Mirrors ``test_trace_engine.py`` for the ``ladder`` axis:
-``verify_ladder_equivalence`` sweeps registered kernel × allocator ×
-budget points (at every ``batch`` × ``trace_engine`` combination) and
-must come back empty; the miss-count ladders
-(:func:`~repro.sim.residency.lru_miss_counts`,
+The miss-count ladders (:func:`~repro.sim.residency.lru_miss_counts`,
 :func:`~repro.sim.residency.opt_miss_ladder`) and the capacity-shared
 trace plane (:class:`~repro.sim.residency.OptTraceLadder`) are pinned
-white-box against brute-force per-capacity simulation; the executor and
-the CLI expose the switch (``--no-budget-ladder``) and agree across it;
-and the ``repro perf --compare`` satellite fixes (missing-grid
-ratio-only fallback, new-only info rows) gate the way their contracts
-say.
+white-box against per-capacity simulation; coverage's
+:meth:`~repro.scalar.coverage.GroupCoverage.ram_access_ladder` and its
+masks are pinned against the per-count reference coverage of
+``coverage_oracle.py``; and the profile's trace stage survives worker
+pools.
 """
-
-import math
-import warnings
-from collections import OrderedDict
-from dataclasses import replace
 
 import numpy as np
 import pytest
+import residency_oracle
 
+from coverage_oracle import ReferenceCoverage
 from fuzz_kernels import random_case, random_stream
-from repro.bench.perf import compare_reports, render_compare
-from repro.cli import main
-from repro.core.pipeline import _ALLOCATORS
 from repro.errors import AnalysisError, SimulationError
 from repro.explore import (
     DesignQuery,
-    ResultCache,
-    compare_ladder,
+    EvalContext,
+    reset_process_context,
     run_queries,
-    verify_ladder_equivalence,
 )
-from repro.explore.evaluate import evaluate_query
-from repro.explore.schedule import CostModel
-from repro.kernels import KERNEL_FACTORIES
 from repro.scalar.coverage import GroupCoverage
 from repro.sim.residency import (
     OptTraceLadder,
@@ -48,53 +34,8 @@ from repro.sim.residency import (
     opt_trace_ladder,
 )
 
-BUDGETS = (4, 16, 64)
-GRID = [
-    DesignQuery(kernel=kernel, allocator=allocator, budget=budget)
-    for kernel in sorted(KERNEL_FACTORIES)
-    for allocator in sorted(_ALLOCATORS)
-    for budget in BUDGETS
-]
-
-
-# -- registered-grid bit-identity ---------------------------------------------
-
-
-def test_every_registered_point_is_bit_identical():
-    mismatches = verify_ladder_equivalence(GRID)
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
-
-
-@pytest.mark.parametrize("batch", (True, False))
-@pytest.mark.parametrize("engine", ("array", "reference"))
-def test_ladder_composes_with_batch_and_engine(batch, engine):
-    mismatches = verify_ladder_equivalence(
-        GRID[::7], batch=batch, trace_engine=engine
-    )
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
-
-
-def test_compare_ladder_reports_fields():
-    assert compare_ladder(GRID[0]) == []
-
 
 # -- miss-count ladders: white-box histogram / suffix-sum pins ----------------
-
-
-def _brute_force_lru_misses(addresses, capacity):
-    """Reference per-capacity LRU simulation (ordered dict recency)."""
-    misses = 0
-    cache: "OrderedDict[int, None]" = OrderedDict()
-    for address in addresses:
-        if capacity and address in cache:
-            cache.move_to_end(address)
-        else:
-            misses += 1
-            if capacity:
-                cache[address] = None
-                if len(cache) > capacity:
-                    cache.popitem(last=False)
-    return misses
 
 
 def test_lru_miss_counts_matches_brute_force_simulation():
@@ -106,7 +47,7 @@ def test_lru_miss_counts_matches_brute_force_simulation():
         ladder = lru_miss_counts(stream, capacities)
         assert sorted(ladder) == capacities
         for capacity in capacities:
-            want = _brute_force_lru_misses(addresses, capacity)
+            want = int(residency_oracle.lru_misses(stream, capacity).sum())
             assert ladder[capacity] == want, f"seed {seed} cap {capacity}"
             # ... and the per-access API agrees with its own histogram.
             assert int(lru_misses(stream, capacity).sum()) == want
@@ -146,14 +87,18 @@ def _assert_traces_equal(expected, got, label):
 
 @pytest.mark.parametrize("engine", ("array", "reference"))
 def test_trace_plane_is_bit_identical_across_shared_capacities(engine):
-    """One plane, many capacities in adversarial order == fresh traces."""
+    """One plane, many capacities in adversarial order == fresh traces:
+    fresh production traces (``array``) and the reference simulator."""
     for seed in range(40):
         addresses, capacity, row_len = random_stream(seed)
         stream = np.asarray(addresses, dtype=np.int64)
         capacities = [capacity, 1, capacity + 7, 2, capacity, 0, 64]
-        plane = OptTraceLadder(stream, periods=(row_len,), engine=engine)
+        plane = OptTraceLadder(stream, periods=(row_len,))
         for c in capacities:
-            fresh = opt_trace(stream, c, periods=(row_len,), engine=engine)
+            if engine == "array":
+                fresh = opt_trace(stream, c, periods=(row_len,))
+            else:
+                fresh = residency_oracle.opt_trace(stream, c, row_len=row_len)
             _assert_traces_equal(
                 fresh, plane.trace(c), f"seed {seed} cap {c} ({engine})"
             )
@@ -176,8 +121,6 @@ def test_trace_plane_validation():
     plane = OptTraceLadder(np.asarray([1, 2, 1], dtype=np.int64))
     with pytest.raises(SimulationError):
         plane.trace(-1)
-    with pytest.raises(SimulationError):
-        OptTraceLadder(np.asarray([1], dtype=np.int64), engine="simd")
     misses, inserted, evicted, freed = plane.trace(0)
     assert misses.all() and not inserted.any()
     assert (evicted == -1).all() and not freed.any()
@@ -192,8 +135,8 @@ def test_ram_access_ladder_matches_per_count_results(seed):
     values = sorted({0, 1, 2, 3, case.budget, case.budget + 4})
     for group in case.groups:
         for anchor in ("low", "high"):
-            fast = GroupCoverage(case.kernel, group, ladder=True)
-            slow = GroupCoverage(case.kernel, group, ladder=False)
+            fast = GroupCoverage(case.kernel, group)
+            slow = ReferenceCoverage(case.kernel, group)
             ladder = fast.ram_access_ladder(values, anchor=anchor)
             for registers in values:
                 want = slow.result(registers, anchor=anchor).total_ram_accesses
@@ -210,15 +153,15 @@ def test_ram_access_ladder_matches_per_count_results(seed):
 
 @pytest.mark.parametrize("seed", range(0, 120, 10))
 def test_fuzz_coverage_ladder_masks_equal(seed):
-    """Full coverage masks agree across the ladder switch, all modes."""
+    """Full coverage masks agree with the per-count reference."""
     case = random_case(seed)
     for group in case.groups:
         for registers in {0, 2, case.budget, group.full_registers}:
             for anchor in ("low", "high"):
-                fast = GroupCoverage(case.kernel, group, ladder=True).result(
+                fast = GroupCoverage(case.kernel, group).result(
                     registers, anchor=anchor
                 )
-                slow = GroupCoverage(case.kernel, group, ladder=False).result(
+                slow = ReferenceCoverage(case.kernel, group).result(
                     registers, anchor=anchor
                 )
                 assert np.array_equal(fast.read_miss, slow.read_miss)
@@ -226,28 +169,7 @@ def test_fuzz_coverage_ladder_masks_equal(seed):
                 assert fast.writeback_stores == slow.writeback_stores
 
 
-# -- executor / CLI plumbing --------------------------------------------------
-
-
-def test_executor_ladder_flag_changes_nothing(tmp_path):
-    queries = GRID[:8]
-    fast = run_queries(queries, cache=tmp_path / "a", ladder=True)
-    slow = run_queries(queries, cache=tmp_path / "b", ladder=False)
-    assert list(fast) == list(slow)
-    # Bit-identical records mean the cache is shared across the switch.
-    resumed = run_queries(queries, cache=tmp_path / "b", ladder=True)
-    assert resumed.stats.cache_hits == len(queries)
-
-
-def test_cli_no_budget_ladder_smoke(capsys):
-    argv = [
-        "explore", "--kernels", "fir", "--allocators", "CPA-RA",
-        "--budgets", "16", "--format", "csv",
-    ]
-    assert main(argv) == 0
-    fast = capsys.readouterr().out
-    assert main(argv + ["--no-budget-ladder"]) == 0
-    assert capsys.readouterr().out == fast
+# -- profile -----------------------------------------------------------------
 
 
 def test_profile_trace_stage_survives_worker_pools():
@@ -261,126 +183,14 @@ def test_profile_trace_stage_survives_worker_pools():
         DesignQuery(kernel="fir", allocator="PR-RA", budget=budget)
         for budget in (8, 12, 16, 24)
     ]
-    solo = run_queries(queries, jobs=1, context=False)
-    pooled = run_queries(queries, jobs=2, context=False)
+    solo = run_queries(queries, jobs=1, context=EvalContext())
+    # Workers fork the parent's process context: start them cold so
+    # they do the trace work themselves.
+    reset_process_context()
+    pooled = run_queries(queries, jobs=2)
     for results in (solo, pooled):
         stages = results.stats.stage_seconds
         assert "trace" in stages and stages["trace"] > 0.0
-    for solo_record, pooled_record in zip(solo, pooled):
-        assert set(solo_record.stages) == set(pooled_record.stages)
-
-
-# -- perf compare: the satellite gate fixes -----------------------------------
-
-
-def _report_doc(**overrides):
-    doc = {
-        "grid": {"kernels": ["fir"], "budgets": [4, 8], "points": 2},
-        "speedup": {"grid_warm_vs_no_context": 10.0},
-        "seconds": {"grid_no_context": 1.0, "grid_warm_context": 0.1},
-    }
-    doc.update(overrides)
-    return doc
-
-
-def test_compare_missing_grid_falls_back_to_ratio_gating():
-    gridless = {k: v for k, v in _report_doc().items() if k != "grid"}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows, regressions = compare_reports(dict(gridless), dict(gridless))
-    assert any("grid" in str(w.message) for w in caught)
-    # Two grid-less reports may come from unrelated hosts: absolute
-    # seconds must NOT gate, host-independent ratios must.
-    assert all(not r.gates for r in rows if r.kind == "seconds")
-    assert all(r.gates for r in rows if r.kind == "ratio")
-    assert not regressions
-
-    slower = dict(gridless)
-    slower["seconds"] = {"grid_no_context": 100.0, "grid_warm_context": 10.0}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, regressions = compare_reports(dict(gridless), slower)
-    assert not regressions, "absolute seconds gated across missing grids"
-
-
-def test_compare_same_grid_still_gates_seconds():
-    old = _report_doc()
-    new = _report_doc(seconds={"grid_no_context": 10.0, "grid_warm_context": 1.0})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows, regressions = compare_reports(old, new)
-    assert not caught
-    assert {r.metric for r in regressions} == {
-        "seconds.grid_no_context", "seconds.grid_warm_context",
-    }
-
-
-def test_compare_new_only_ratios_are_info_rows():
-    old = _report_doc()
-    new = _report_doc(
-        budget_column={
-            "fir": {
-                "counts_per_budget_s": 0.2,
-                "counts_ladder_s": 0.0125,
-                "speedup": 16.0,
-                "trace_speedup": 3.5,
-                "evaluate_speedup": 1.8,
-            }
-        }
-    )
-    rows, regressions = compare_reports(old, new)
-    assert not regressions
-    new_only = {r.metric: r for r in rows if math.isnan(r.old)}
-    assert set(new_only) == {
-        "budget_column.fir.speedup",
-        "budget_column.fir.trace_speedup",
-        "budget_column.fir.evaluate_speedup",
-    }
-    assert all(not r.gates for r in new_only.values())
-    rendered = render_compare(rows, "old", "new")
-    line = next(
-        l for l in rendered.splitlines() if "budget_column.fir.speedup" in l
-    )
-    assert "-" in line and "16" in line and "info" in line
-
-
-# -- cost model: engine-keyed observations ------------------------------------
-
-
-def _query(allocator="CPA-RA", budget=16):
-    return DesignQuery(kernel="fir", allocator=allocator, budget=budget)
-
-
-def test_cost_model_prefers_timings_from_its_own_engine():
-    model = CostModel(trace_engine="array")
-    for _ in range(3):
-        model.observe(_query(), 10.0, trace_engine="reference")
-        model.observe(_query(), 1.0, trace_engine="array")
-    assert model.estimate(_query()) == pytest.approx(1.0)
-    slow = CostModel(trace_engine="reference")
-    for _ in range(3):
-        slow.observe(_query(), 10.0, trace_engine="reference")
-        slow.observe(_query(), 1.0, trace_engine="array")
-    assert slow.estimate(_query()) == pytest.approx(10.0)
-
-
-def test_cost_model_cross_engine_fallback():
-    # Only foreign-engine timings exist: they still beat a static prior.
-    model = CostModel(trace_engine="array")
-    model.observe(_query(), 4.0, trace_engine="reference")
-    model.observe(_query(), 6.0, trace_engine=None)
-    assert model.estimate(_query()) == pytest.approx(5.0)
-
-
-def test_cost_model_from_cache_reads_producing_engine(tmp_path):
-    cache = ResultCache(tmp_path)
-    record = evaluate_query(_query(), context=False)
-    cache.put(replace(record, seconds=0.5), trace_engine="reference", batch=True)
-    legacy = evaluate_query(_query(allocator="FR-RA"), context=False)
-    cache.put(replace(legacy, seconds=0.25))  # no provenance: engine-unknown
-    model = CostModel.from_cache(cache, trace_engine="array")
-    assert model.observations == 2
-    key = (_query().kernel, None, "CPA-RA")
-    assert set(model._pair[key]) == {"reference"}
-    legacy_key = (_query().kernel, None, "FR-RA")
-    assert set(model._pair[legacy_key]) == {None}
+    # Which point of a worker pays the kernel's (memoized) trace work
+    # depends on the lease order; the stage set of the sweep does not.
+    assert set(solo.stats.stage_seconds) == set(pooled.stats.stage_seconds)

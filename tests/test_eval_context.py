@@ -1,12 +1,11 @@
-"""The shared-artifact evaluation plane: equivalence, memos, chunking.
+"""The shared-artifact evaluation plane: equivalence and memos.
 
 The contract under test is the one the perf work stands on: evaluation
-with an :class:`EvalContext` (shared DFGs, coverage structures, pattern
-makespans, critical graphs, knapsack tables, whole cycle reports) is
-**bit-identical** to evaluation without one, across the whole grid shape
-the paper's experiments use — while the memos actually hit, the
-kernel-major chunk planner keeps sub-grids together, and the LRU bound
-holds.
+on a warm :class:`EvalContext` (shared DFGs, coverage structures,
+pattern makespans, critical graphs, knapsack tables, whole cycle
+reports) is **bit-identical** to evaluation on a fresh one, across the
+whole grid shape the paper's experiments use — while the memos actually
+hit, foreign artifacts never enter them, and the LRU bound holds.
 """
 
 import dataclasses
@@ -19,14 +18,12 @@ from repro.explore import (
     EvalContext,
     ExplorationSpace,
     Executor,
-    plan_chunks_by_kernel,
     run_queries,
 )
 from repro.explore.context import (
     DEFAULT_KERNEL_MEMO,
     process_context,
     reset_process_context,
-    resolve_context,
 )
 from repro.explore.evaluate import evaluate_query
 from repro.kernels.registry import KERNEL_FACTORIES
@@ -54,13 +51,17 @@ def _assert_records_identical(left, right):
 
 class TestGridEquivalence:
     def test_full_registered_grid_bit_identical(self):
-        """Every kernel x allocator x budget point: context == no-context.
+        """Every kernel x allocator x budget point: a shared context
+        answers exactly what a fresh context per point computes.
 
         The 4-register budget is deliberately below several kernels'
         mandatory floor, so failed records are part of the equivalence
         too.
         """
-        reference = Executor(jobs=1, context=False).run(GRID)
+        reference = [
+            evaluate_query(query, context=EvalContext())
+            for query in GRID.expand()
+        ]
         ctx = EvalContext()
         contexted = Executor(jobs=1, context=ctx).run(GRID)
         rerun = Executor(jobs=1, context=ctx).run(GRID)  # fully warm
@@ -76,36 +77,13 @@ class TestGridEquivalence:
         assert ctx.stats.critical_hits > 0
         assert ctx.stats.knapsack_hits > 0
 
-    def test_unbatched_grid_bit_identical(self):
-        """The context composes with the unbatched reference path too."""
-        space = ExplorationSpace(
-            kernels=("fir", "pat"), allocators=("CPA-RA", "KS-RA"),
-            budgets=(8, 24),
-        )
-        reference = Executor(jobs=1, batch=False, context=False).run(space)
-        contexted = Executor(jobs=1, batch=False, context=EvalContext()).run(
-            space
-        )
-        _assert_records_identical(tuple(reference), tuple(contexted))
-
     def test_parallel_context_matches_inline(self):
         space = ExplorationSpace(
             kernels=("fir",), allocators=("FR-RA", "CPA-RA"), budgets=(8, 16),
         )
-        inline = Executor(jobs=1, context=True).run(space)
-        pooled = Executor(jobs=2, context=True).run(space)
+        inline = Executor(jobs=1, context=EvalContext()).run(space)
+        pooled = Executor(jobs=2).run(space)
         _assert_records_identical(tuple(inline), tuple(pooled))
-
-    def test_cycle_report_memo_is_batch_keyed(self):
-        """A batched report must never answer an unbatched count."""
-        ctx = EvalContext()
-        query = DesignQuery(kernel="fir", allocator="CPA-RA", budget=16)
-        evaluate_query(query, batch=True, context=ctx)
-        misses_before = ctx.stats.cycles_misses
-        evaluate_query(query, batch=False, context=ctx)
-        # The unbatched pass re-counts (same results, different path):
-        # its counts are memo misses, never answered by batched reports.
-        assert ctx.stats.cycles_misses > misses_before
 
 
 class TestForeignArtifactSafety:
@@ -134,6 +112,25 @@ class TestForeignArtifactSafety:
         # missed, and only the canonical repeat hit.
         assert ctx.stats.cycles_misses == 1
         assert ctx.stats.cycles_hits == 1
+
+    def test_cycle_report_memo_declines_foreign_coverages(self):
+        """Reference coverage neither poisons nor reads the memo, so a
+        differential count never answers from the path under test."""
+        from coverage_oracle import reference_coverages
+        from repro.dfg.latency import LatencyModel
+        from repro.sim.cycles import count_cycles
+
+        ctx = EvalContext()
+        kernel, groups = ctx.kernel_and_groups("pat", None)
+        allocation = allocator_by_name("PR-RA").allocate(kernel, 16, groups)
+        model = LatencyModel.realistic(ram_latency=2)
+        canonical = count_cycles(kernel, groups, allocation, model, context=ctx)
+        foreign = count_cycles(
+            kernel, groups, allocation, model, context=ctx,
+            coverages=reference_coverages(kernel, groups),
+        )
+        assert foreign == canonical
+        assert (ctx.stats.cycles_misses, ctx.stats.cycles_hits) == (1, 0)
 
 
 class TestAllocatorArtifactReuse:
@@ -189,13 +186,6 @@ class TestContextBookkeeping:
             EvalContext(kernel_memo_size=0)
         assert DEFAULT_KERNEL_MEMO >= 1
 
-    def test_resolve_context(self):
-        assert resolve_context(False) is None
-        assert resolve_context(None) is None
-        assert resolve_context(True) is process_context()
-        ctx = EvalContext()
-        assert resolve_context(ctx) is ctx
-
     def test_reset_process_context(self):
         old = process_context()
         fresh = reset_process_context(kernel_memo_size=3)
@@ -214,10 +204,10 @@ class TestContextBookkeeping:
         kernel, groups = ctx.kernel_and_groups("fir", None)
         other_groups = build_groups(kernel)  # equal, different identity
         assert other_groups is not groups
-        foreign = ctx.coverages(kernel, other_groups, batch=True)
-        canonical = ctx.coverages(kernel, groups, batch=True)
+        foreign = ctx.coverages(kernel, other_groups)
+        canonical = ctx.coverages(kernel, groups)
         assert foreign is not canonical
-        assert ctx.coverages(kernel, groups, batch=True) is canonical
+        assert ctx.coverages(kernel, groups) is canonical
 
     def test_stage_profile_aggregated(self):
         space = ExplorationSpace(
@@ -232,89 +222,9 @@ class TestContextBookkeeping:
 
     def test_run_queries_context_passthrough(self):
         queries = [DesignQuery(kernel="fir", allocator="FR-RA", budget=8)]
-        with_ctx = run_queries(queries, context=EvalContext())
-        without = run_queries(queries, context=False)
-        _assert_records_identical(tuple(with_ctx), tuple(without))
-
-
-class TestKernelMajorChunking:
-    @staticmethod
-    def _queries(spec):
-        """[(kernel, cost)] -> query-shaped items with a cost lookup."""
-        items = []
-        costs = {}
-        for kernel, cost in spec:
-            index = len(items)
-            items.append((index, kernel))
-            costs[index] = cost
-        return items, lambda item: costs[item[0]]
-
-    def test_single_kernel_splits_for_parallelism(self):
-        items, cost = self._queries([("fir", 1.0)] * 8)
-        chunks = plan_chunks_by_kernel(
-            items, cost, bins=4, key=lambda item: item[1]
-        )
-        assert len(chunks) == 4
-        assert sorted(i for chunk in chunks for i, _ in chunk) == list(
-            range(8)
-        )
-
-    def test_kernels_stay_whole_when_they_fit(self):
-        spec = [("a", 1.0)] * 4 + [("b", 1.0)] * 4 + [("c", 1.0)] * 4
-        items, cost = self._queries(spec)
-        chunks = plan_chunks_by_kernel(
-            items, cost, bins=3, key=lambda item: item[1]
-        )
-        assert len(chunks) == 3
-        for chunk in chunks:
-            assert len({kernel for _, kernel in chunk}) == 1
-
-    def test_small_kernels_merge_lpt_style(self):
-        """Kernels that cannot fill a chunk share one (plain-LPT fallback)."""
-        spec = [("big", 4.0)] * 4 + [("s1", 0.5), ("s2", 0.5)]
-        items, cost = self._queries(spec)
-        chunks = plan_chunks_by_kernel(
-            items, cost, bins=2, key=lambda item: item[1]
-        )
-        assert sorted(i for chunk in chunks for i, _ in chunk) == list(
-            range(len(spec))
-        )
-        # The small kernels do not fill a chunk of their own: plain-LPT
-        # fallback merges each into a chunk another kernel occupies.
-        assert len(chunks) == 2
-        for small in ("s1", "s2"):
-            (chunk,) = [
-                c for c in chunks if small in {kernel for _, kernel in c}
-            ]
-            assert {kernel for _, kernel in chunk} != {small}
-
-    def test_deterministic(self):
-        spec = [("a", 2.0), ("b", 1.0)] * 6
-        items, cost = self._queries(spec)
-        first = plan_chunks_by_kernel(
-            items, cost, bins=3, key=lambda item: item[1]
-        )
-        second = plan_chunks_by_kernel(
-            items, cost, bins=3, key=lambda item: item[1]
-        )
-        assert first == second
-
-    def test_executor_plans_kernel_major_with_context(self):
-        space = ExplorationSpace(
-            kernels=("fir", "pat"), allocators=("FR-RA", "CPA-RA"),
-            budgets=(8, 16, 24),
-        )
-        pending = list(enumerate(space.expand()))
-        executor = Executor(jobs=2, context=True)
-        chunks = executor._plan(pending, timings=None)
-        # Every chunk is a concatenation of whole single-kernel runs:
-        # within a chunk, each kernel appears in one contiguous block.
-        for chunk in chunks:
-            seen = []
-            for _, query in chunk:
-                if not seen or seen[-1] != query.kernel:
-                    assert query.kernel not in seen
-                    seen.append(query.kernel)
+        explicit = run_queries(queries, context=EvalContext())
+        process = run_queries(queries)
+        _assert_records_identical(tuple(explicit), tuple(process))
 
 
 class TestStatsExactAccounting:
@@ -330,9 +240,6 @@ class TestStatsExactAccounting:
         shared = ctx.coverages(kernel)
         assert ctx.coverages(kernel) is shared
         assert (ctx.stats.coverage_misses, ctx.stats.coverage_hits) == (1, 1)
-        # A different ladder flag is a different key, not a hit.
-        ctx.coverages(kernel, ladder=False)
-        assert (ctx.stats.coverage_misses, ctx.stats.coverage_hits) == (2, 1)
 
         dfg = ctx.dfg(kernel)
         assert ctx.dfg(kernel) is dfg
@@ -347,7 +254,7 @@ class TestStatsExactAccounting:
         # A different overhead is a different table, not a hit.
         assert ctx.pattern_costs(kernel, groups, dfg, model, 1, 0) is not costs
 
-        params = ("fp", 1, 1, True, "array", True)
+        params = ("fp", 1, 1)
         entry = {"budget": 16, "total": 9, "registers": (), "cycles": 1}
         assert ctx.optra_lookup(kernel, groups, params, 16) is None
         ctx.optra_store(kernel, groups, params, entry)

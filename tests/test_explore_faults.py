@@ -226,8 +226,6 @@ def test_fault_plan_validation():
         FaultPlan(rates=(("crash", 0.7), ("hang", 0.7)))
     with pytest.raises(ReproError, match="KIND"):
         parse_fault_spec("crash")
-    with pytest.raises(ReproError, match="fault injection requires"):
-        Executor(faults=plan_for("crash"), supervise=False)
 
 
 # -- KeyboardInterrupt: flush and report resumability -------------------------

@@ -1,18 +1,19 @@
-"""Cost model and LPT chunk planning (`repro.explore.schedule`)."""
+"""The cost model (`repro.explore.schedule`) and parent-format caches."""
+
+import hashlib
+import json
 
 import pytest
 
-from repro.errors import ReproError
 from repro.explore import (
     CostModel,
     DesignQuery,
     ExplorationSpace,
     Executor,
     ResultCache,
-    plan_chunks,
     static_cost,
 )
-from repro.explore.schedule import ALLOCATOR_WEIGHT
+from repro.explore.schedule import ALLOCATOR_WEIGHT, COST_MODEL_META_KEY
 
 
 def q(kernel="fir", allocator="FR-RA", budget=8):
@@ -91,43 +92,58 @@ class TestCostModel:
         assert CostModel.from_cache(None).observations == 0
 
 
-class TestPlanChunks:
-    def test_lpt_balances_known_example(self):
-        items = ["a", "b", "c", "d", "e"]
-        costs = dict(zip(items, [7.0, 5.0, 4.0, 3.0, 2.0]))
-        chunks = plan_chunks(items, costs.__getitem__, bins=2)
-        loads = sorted(sum(costs[i] for i in chunk) for chunk in chunks)
-        # LPT: {7,3} and {5,4,2} — the optimal 10/11 split here.
-        assert loads == [10.0, 11.0]
+class TestParentFormatCaches:
+    """Caches written before the evaluation knobs were retired: entries
+    carry ``trace_engine``/``batch`` provenance and cost-model rows a
+    per-engine ``engine`` field.  Both must keep working."""
 
-    def test_partition_is_exact(self):
-        items = list(range(17))
-        chunks = plan_chunks(items, lambda i: float(i % 5 + 1), bins=4)
-        flat = [i for chunk in chunks for i in chunk]
-        assert sorted(flat) == items
-        assert len(chunks) <= 4
+    @staticmethod
+    def _checksum(doc):
+        body = {key: value for key, value in doc.items() if key != "checksum"}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def test_deterministic(self):
-        items = list(range(20))
-        cost = lambda i: float(i % 3)  # noqa: E731
-        assert plan_chunks(items, cost, 4) == plan_chunks(items, cost, 4)
+    def test_parent_entry_is_a_hit_and_engine_rows_merge(self, tmp_path):
+        query = q(allocator="CPA-RA", budget=16)
+        cache = ResultCache(tmp_path)
+        Executor(jobs=1, cache=cache).run([query])
+        doc = json.loads(cache.backend.read(query.digest()))
+        assert "trace_engine" not in doc and "batch" not in doc
+        # Rewrite the entry the way the parent format stored it.
+        doc["trace_engine"] = "array"
+        doc["batch"] = True
+        doc["checksum"] = self._checksum(doc)
+        cache.backend.write(
+            query.digest(), json.dumps(doc, indent=2, sort_keys=True)
+        )
+        cache.write_meta(COST_MODEL_META_KEY, {"version": 1, "rows": [
+            {"kernel": "fir", "kernel_json_digest": None,
+             "allocator": "CPA-RA", "engine": "array",
+             "mean": 1.0, "weight": 3.0},
+            {"kernel": "fir", "kernel_json_digest": None,
+             "allocator": "CPA-RA", "engine": "reference",
+             "mean": 5.0, "weight": 1.0},
+            {"kernel": "mat", "kernel_json_digest": None,
+             "allocator": "FR-RA", "engine": None,
+             "mean": 2.0, "weight": 1.0},
+        ]})
 
-    def test_more_bins_than_items_collapses(self):
-        chunks = plan_chunks([1, 2], lambda _: 1.0, bins=8)
-        assert len(chunks) == 2
+        resumed = Executor(jobs=1, cache=ResultCache(tmp_path)).run([query])
+        assert resumed.stats.cache_hits == 1
+        assert resumed.stats.hit_rate == 1.0
+        assert resumed.stats.corrupt == 0
 
-    def test_empty_and_invalid(self):
-        assert plan_chunks([], lambda _: 1.0, bins=3) == []
-        with pytest.raises(ReproError):
-            plan_chunks([1], lambda _: 1.0, bins=0)
-
-    def test_one_expensive_point_gets_its_own_chunk(self):
-        # The motivating failure of the fixed split: a single hot point
-        # must not drag cheap siblings into its chunk.
-        costs = [100.0] + [1.0] * 9
-        chunks = plan_chunks(list(range(10)), lambda i: costs[i], bins=4)
-        hot = next(chunk for chunk in chunks if 0 in chunk)
-        assert hot == [0]
+        model = CostModel()
+        assert model.absorb_doc(cache.read_meta(COST_MODEL_META_KEY)) == 3
+        # The two engine rows of one (kernel, allocator) pair merge by
+        # weight: (3 * 1.0 + 1 * 5.0) / 4.
+        assert model.explain(query) == (2.0, "pair")
+        assert model.estimate(q(kernel="mat")) == 2.0
+        rows = model.to_doc()["rows"]
+        assert [(r["kernel"], r["weight"]) for r in rows] == [
+            ("fir", 4.0), ("mat", 1.0),
+        ]
+        assert all("engine" not in row for row in rows)
 
 
 class TestAdaptiveExecutor:

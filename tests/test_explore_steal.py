@@ -1,12 +1,11 @@
-"""Work-stealing dispatcher tests (PR 10).
+"""Work-stealing dispatcher tests.
 
-The lease queue must be invisible in the results: every fault kind x
-stealing on/off x jobs 1/2 assembles a ResultSet bit-identical to the
-fault-free baseline with exactly the same retry/quarantine counters as
-static dispatch.  On top of the identity matrix, the tests pin the
-lease planner's determinism, a deterministically-forced steal split,
-the soft-affinity counter, shard-stitch resume under stealing, and the
-``--dry-run`` planner surface.
+The lease queue must be invisible in the results (the fault matrix of
+``test_explore_faults.py`` runs every fault kind through it at jobs 1
+and 2).  These tests pin the lease planner's determinism, a
+deterministically-forced steal split, the soft-affinity counter,
+read-only-cache degradation and shard-stitch resume under stealing,
+and the ``--dry-run`` planner surface.
 """
 
 import pytest
@@ -37,13 +36,12 @@ FAST = dict(
 )
 
 
-def sweep(jobs=1, faults=None, cache=None, max_retries=2, stealing=True,
-          space=SPACE, **kwargs):
+def sweep(jobs=1, faults=None, cache=None, max_retries=2, space=SPACE,
+          **kwargs):
     return Executor(
         jobs=jobs,
         cache=cache,
         faults=faults,
-        stealing=stealing,
         retry=RetryPolicy(max_retries=max_retries, backoff=0.0),
         **FAST,
         **kwargs,
@@ -66,56 +64,13 @@ def baseline():
     return sweep()
 
 
-# -- the steal-path fault matrix ----------------------------------------------
+# -- read-only cache degradation under stealing ------------------------------
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("stealing", [False, True])
-@pytest.mark.parametrize("kind", ["crash", "hang", "kill", "slow"])
-def test_fault_matrix_bit_identical(kind, stealing, jobs, baseline):
-    """Every evaluation-plane fault x dispatch mode x jobs: same records,
-    same exact counters — fault decisions are pure in (seed, digest,
-    attempt), so lease shape cannot change what fires."""
-    result = sweep(jobs=jobs, stealing=stealing, faults=plan_for(kind))
-    assert docs(result) == docs(baseline)
-    stats = result.stats
-    assert stats.evaluated == len(QUERIES)
-    assert stats.quarantined == 0
-    assert stats.errors == 0
-    assert stats.retries == (0 if kind == "slow" else 1)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("stealing", [False, True])
-def test_quarantine_counters_match_across_dispatch(stealing, jobs, baseline):
-    """A poison point quarantines with identical counters under leases
-    and static chunks."""
-    result = sweep(
-        jobs=jobs, stealing=stealing, faults=plan_for("crash", fires=5),
-        max_retries=1,
-    )
-    stats = result.stats
-    assert stats.quarantined == 1
-    assert stats.retries == 1
-    poisoned = [r for r in result.records if r.quarantined]
-    assert len(poisoned) == 1
-    assert poisoned[0].query.digest() == TARGET.digest()
-    assert poisoned[0].attempts == 2
-    healthy = {r.query.digest(): r.to_dict() for r in result.records
-               if not r.quarantined}
-    expected = {r.query.digest(): r.to_dict() for r in baseline.records
-                if r.query.digest() != TARGET.digest()}
-    assert healthy == expected
-
-
-@pytest.mark.parametrize("stealing", [False, True])
-def test_enospc_read_only_degradation_under_stealing(
-    stealing, baseline, tmp_path
-):
+def test_enospc_read_only_degradation_under_stealing(baseline, tmp_path):
     with pytest.warns(UserWarning, match="read-only"):
         result = sweep(
-            jobs=2, stealing=stealing, faults=plan_for("enospc"),
-            cache=tmp_path / ("steal" if stealing else "static"),
+            jobs=2, faults=plan_for("enospc"), cache=tmp_path / "cache"
         )
     assert result.stats.cache_read_only
     assert docs(result) == docs(baseline)
@@ -142,7 +97,7 @@ def test_steal_split_and_counters():
     # All leases share one kernel; once a worker has evaluated anything,
     # its resident fingerprint matches every queued lease.
     assert stats.affinity_hits >= 1
-    # The static and jobs=1 paths never touch the scheduler counters.
+    # The jobs=1 path never touches the scheduler counters.
     assert reference.stats.leases == 0
     assert reference.stats.steals == 0
     assert reference.stats.affinity_hits == 0
@@ -227,14 +182,12 @@ def test_dry_run_plans_without_evaluating(tmp_path):
     assert "queue: empty — everything is cached" in warm
 
 
-def test_dry_run_static_and_inline_listings():
-    static = Executor(jobs=2, stealing=False, **FAST).dry_run(SPACE)
-    assert "static chunks (LPT, jobs=2)" in static
+def test_dry_run_inline_listing():
     inline = Executor(jobs=1, **FAST).dry_run(SPACE)
     assert "queue: inline (jobs=1)" in inline
 
 
-def test_cli_dry_run_and_no_steal(capsys, tmp_path):
+def test_cli_dry_run(capsys, tmp_path):
     code = main([
         "explore", "--kernels", "fir", "--allocators", "FR-RA", "NO-SR",
         "--budgets", "8", "16", "--jobs", "2",
@@ -247,11 +200,3 @@ def test_cli_dry_run_and_no_steal(capsys, tmp_path):
     assert not (tmp_path / "cache").exists() or not any(
         (tmp_path / "cache").glob("*.json")
     )
-
-    code = main([
-        "explore", "--kernels", "fir", "--allocators", "FR-RA",
-        "--budgets", "8", "--jobs", "2", "--no-steal", "--dry-run",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "static chunks" in out

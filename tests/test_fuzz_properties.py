@@ -10,18 +10,21 @@ at a feasible random budget:
   full-reuse allocator (same 0/1 decision space, DP optimum);
 * KS-RA's knapsack objective dominates every allocator's fully-replaced
   set (each such set is a feasible 0/1 solution);
-* the batched evaluation path is bit-identical to the reference path:
-  coverage masks per group, the whole cycle report, and (sampled) the
-  full design record.
+* the batched production evaluation is bit-identical to the unbatched
+  reference coverage of ``coverage_oracle.py``: coverage masks per
+  group, the whole cycle report, and (sampled) the full design record —
+  on the random corpus and on the six registered kernels.
 
 The Belady row-memoized trace is additionally fuzzed directly on random
-address streams, including row lengths that do not match any steady
-state.
+address streams against ``residency_oracle.py``, including row lengths
+that do not match any steady state.
 """
 
 import numpy as np
 import pytest
+import residency_oracle
 
+from coverage_oracle import ReferenceCoverage, reference_coverages
 from fuzz_kernels import (
     oracle_case,
     random_case,
@@ -29,9 +32,11 @@ from fuzz_kernels import (
     random_stream,
     random_tiled_stream,
 )
+from repro.analysis.groups import build_groups
 from repro.core.optra import OptimalAllocator
 from repro.core.pipeline import allocator_by_name
 from repro.dfg.latency import LatencyModel
+from repro.kernels import KERNEL_FACTORIES, get_kernel
 from repro.scalar.coverage import GroupCoverage
 from repro.sim.cycles import count_cycles
 from repro.sim.residency import (
@@ -50,7 +55,7 @@ SEEDS = range(120)
 MODEL = LatencyModel.realistic(ram_latency=2)
 
 
-def _reports(case, batch):
+def _reports(case, coverages=None):
     reports = {}
     for algorithm in ALGORITHMS:
         allocation = allocator_by_name(algorithm).allocate(
@@ -60,7 +65,7 @@ def _reports(case, batch):
             allocation,
             count_cycles(
                 case.kernel, case.groups, allocation, MODEL,
-                overhead_per_iteration=1, batch=batch,
+                overhead_per_iteration=1, coverages=coverages,
             ),
         )
     return reports
@@ -78,7 +83,7 @@ def _full_set_objective(allocation, groups) -> int:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_allocator_invariants(seed):
     case = random_case(seed)
-    reports = _reports(case, batch=True)
+    reports = _reports(case)
     naive_alloc, naive = reports["NO-SR"]
 
     assert _full_set_objective(naive_alloc, case.groups) == 0
@@ -112,9 +117,11 @@ def test_fuzz_allocator_invariants(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_batched_equals_unbatched(seed):
+    """The whole cycle report over production coverage == over the
+    unbatched per-count reference coverage (``coverage_oracle.py``)."""
     case = random_case(seed)
-    batched = _reports(case, batch=True)
-    reference = _reports(case, batch=False)
+    batched = _reports(case)
+    reference = _reports(case, reference_coverages(case.kernel, case.groups))
     for algorithm in ALGORITHMS:
         allocation, report = batched[algorithm]
         _, expected = reference[algorithm]
@@ -126,23 +133,56 @@ def test_fuzz_batched_equals_unbatched(seed):
         for group in case.groups:
             registers = allocation.registers_for(group.name)
             for anchor in ("low", "high"):
-                fast = GroupCoverage(case.kernel, group, batch=True).result(
-                    registers, anchor=anchor
+                _assert_coverage_equal(
+                    GroupCoverage(case.kernel, group).result(
+                        registers, anchor=anchor
+                    ),
+                    ReferenceCoverage(case.kernel, group).result(
+                        registers, anchor=anchor
+                    ),
                 )
-                slow = GroupCoverage(case.kernel, group, batch=False).result(
-                    registers, anchor=anchor
+
+
+def _assert_coverage_equal(fast, slow):
+    assert fast.kind == slow.kind
+    assert np.array_equal(fast.read_miss, slow.read_miss)
+    assert np.array_equal(fast.write_miss, slow.write_miss)
+    assert fast.writeback_stores == slow.writeback_stores
+    if fast.window_inserted is not None or slow.window_inserted is not None:
+        assert np.array_equal(fast.window_inserted, slow.window_inserted)
+        assert np.array_equal(fast.window_evicted, slow.window_evicted)
+        assert np.array_equal(fast.window_freed, slow.window_freed)
+
+
+REGISTERED = sorted(KERNEL_FACTORIES)
+
+
+@pytest.mark.parametrize("kernel_name", REGISTERED)
+def test_registered_kernels_count_like_reference_coverage(kernel_name):
+    """The whole-record differential on the six registered kernels:
+    every allocator at three budgets, production coverage vs the
+    reference coverage, full CycleReport equality."""
+    from repro.errors import AllocationError
+
+    kernel = get_kernel(kernel_name)
+    groups = build_groups(kernel)
+    reference = reference_coverages(kernel, groups)
+    for algorithm in ALGORITHMS:
+        for budget in (8, 24, 64):
+            try:
+                allocation = allocator_by_name(algorithm).allocate(
+                    kernel, budget, groups
                 )
-                assert np.array_equal(fast.read_miss, slow.read_miss)
-                assert np.array_equal(fast.write_miss, slow.write_miss)
-                assert fast.writeback_stores == slow.writeback_stores
-                if fast.window_inserted is not None:
-                    assert np.array_equal(
-                        fast.window_inserted, slow.window_inserted
-                    )
-                    assert np.array_equal(
-                        fast.window_evicted, slow.window_evicted
-                    )
-                    assert np.array_equal(fast.window_freed, slow.window_freed)
+            except AllocationError:
+                continue
+            want = count_cycles(
+                kernel, groups, allocation, MODEL, overhead_per_iteration=1,
+                coverages=reference,
+            )
+            got = count_cycles(
+                kernel, groups, allocation, MODEL, overhead_per_iteration=1
+            )
+            assert got == want, f"{kernel_name} {algorithm}@{budget}"
 
 
 @pytest.mark.parametrize("seed", range(0, 120, 10))
@@ -153,11 +193,10 @@ def test_fuzz_full_design_batched_equals_unbatched(seed):
         allocation = allocator_by_name(algorithm).allocate(
             case.kernel, case.budget, case.groups
         )
-        fast = build_design(
-            case.kernel, allocation, groups=case.groups, batch=True
-        )
+        fast = build_design(case.kernel, allocation, groups=case.groups)
         slow = build_design(
-            case.kernel, allocation, groups=case.groups, batch=False
+            case.kernel, allocation, groups=case.groups,
+            coverages=reference_coverages(case.kernel, case.groups),
         )
         assert fast.cycles == slow.cycles
         assert fast.total_cycles == slow.total_cycles
@@ -168,7 +207,8 @@ def test_fuzz_full_design_batched_equals_unbatched(seed):
 
 @pytest.mark.parametrize("seed", range(0, 120, 10))
 def test_fuzz_context_equals_no_context(seed):
-    """Shared-artifact evaluation is bit-identical on random kernels.
+    """Shared-artifact evaluation is bit-identical on random kernels:
+    the shared context answers what a fresh context per point computes.
 
     One :class:`EvalContext` is reused across all seeds on purpose: the
     embedded-JSON kernel keys, the LRU and the per-kernel artifact
@@ -184,7 +224,7 @@ def test_fuzz_context_equals_no_context(seed):
     case = random_case(seed)
     for algorithm in ALGORITHMS:
         query = DesignQuery.from_kernel(case.kernel, algorithm, case.budget)
-        reference = evaluate_query(query, context=False)
+        reference = evaluate_query(query, context=EvalContext())
         contexted = evaluate_query(query, context=ctx)
         rerun = evaluate_query(query, context=ctx)  # warm artifacts
         for record in (contexted, rerun):
@@ -216,7 +256,7 @@ def _objective_cycles(case, allocation, ctx):
     )
 
     dfg = ctx.dfg(case.kernel, case.groups)
-    coverages = ctx.coverages(case.kernel, case.groups, batch=True)
+    coverages = ctx.coverages(case.kernel, case.groups)
     storage = {
         g.name: classify_operand_storage(
             g, coverages[g.name], allocation.registers_for(g.name)
@@ -328,7 +368,7 @@ def _assert_traces_equal(expected, got, label):
 
 
 def test_fuzz_trace_engines_bit_identical():
-    """Array vs reference engine: all four trace arrays, every mode.
+    """Production vs reference simulator: all four trace arrays, every mode.
 
     Covers plain spans, the single-row memo, period ladders, and the
     non-divisor ``row_len`` fallback, on 150 random streams.
@@ -336,7 +376,7 @@ def test_fuzz_trace_engines_bit_identical():
     for seed in range(150):
         addresses, capacity, row_len = random_stream(seed)
         stream = np.asarray(addresses, dtype=np.int64)
-        reference = opt_trace(stream, capacity, engine="reference")
+        reference = residency_oracle.opt_trace(stream, capacity)
         variants = (
             {},
             {"row_len": row_len},
@@ -346,14 +386,12 @@ def test_fuzz_trace_engines_bit_identical():
             {"periods": (row_len, row_len + 1, 1)},  # broken chain pruned
         )
         for kwargs in variants:
-            got = opt_trace(stream, capacity, engine="array", **kwargs)
+            got = opt_trace(stream, capacity, **kwargs)
             _assert_traces_equal(
                 reference, got,
                 f"seed {seed} (capacity {capacity}, {kwargs})",
             )
-        rowed = opt_trace(
-            stream, capacity, row_len=row_len, engine="reference"
-        )
+        rowed = residency_oracle.opt_trace(stream, capacity, row_len=row_len)
         _assert_traces_equal(
             reference, rowed, f"seed {seed} reference rowed"
         )
@@ -362,20 +400,20 @@ def test_fuzz_trace_engines_bit_identical():
 def test_fuzz_tiled_streams_ladder_bit_identical():
     """Inner-tile-periodic streams whose outer rows never repeat.
 
-    The period-ladder case the array engine exists for: the row-level
-    memo cannot replay anything, the tile level can — and the output
-    must equal the reference plain simulation exactly.
+    The case the period ladder exists for: the row-level memo cannot
+    replay anything, the tile level can — and the output must equal the
+    reference plain simulation exactly.
     """
     for seed in range(120):
         addresses, capacity, periods = random_tiled_stream(seed)
         stream = np.asarray(addresses, dtype=np.int64)
-        reference = opt_trace(stream, capacity, engine="reference")
+        reference = residency_oracle.opt_trace(stream, capacity)
         for kwargs in (
             {"periods": periods},
             {"periods": periods[:1]},
             {"periods": periods[1:]},
         ):
-            got = opt_trace(stream, capacity, engine="array", **kwargs)
+            got = opt_trace(stream, capacity, **kwargs)
             _assert_traces_equal(
                 reference, got, f"tiled seed {seed} ({kwargs})"
             )
@@ -431,16 +469,16 @@ def test_fuzz_lru_and_pinned_engines_agree():
         addresses, _, _ = random_stream(seed)
         stream = np.asarray(addresses, dtype=np.int64)
         for capacity in (0, 1, 2, 3, 5, 9, 64):
-            fast = lru_misses(stream, capacity, engine="array")
-            slow = lru_misses(stream, capacity, engine="reference")
+            fast = lru_misses(stream, capacity)
+            slow = residency_oracle.lru_misses(stream, capacity)
             assert np.array_equal(fast, slow), (
                 f"lru seed {seed} capacity {capacity}"
             )
         rng = _random.Random(seed)
         universe = sorted(set(addresses)) or [0]
         pinned = set(rng.sample(universe, rng.randint(0, len(universe))))
-        fast = pinned_misses(stream, pinned, engine="array")
-        slow = pinned_misses(stream, pinned, engine="reference")
+        fast = pinned_misses(stream, pinned)
+        slow = residency_oracle.pinned_misses(stream, pinned)
         assert np.array_equal(fast, slow), f"pinned seed {seed}"
 
 
@@ -488,28 +526,15 @@ def test_fuzz_opt_misses_heap_matches_max_scan():
 
 @pytest.mark.parametrize("seed", range(0, 120, 10))
 def test_fuzz_coverage_engines_equal(seed):
-    """Array-engine coverage masks == reference-engine masks, both batches."""
+    """Production coverage masks and placements == the reference
+    coverage, at registers past every clamp edge."""
     case = random_case(seed)
     for group in case.groups:
+        fast = GroupCoverage(case.kernel, group)
+        slow = ReferenceCoverage(case.kernel, group)
         for registers in {0, 1, 2, case.budget, group.full_registers}:
-            for batch in (True, False):
-                for anchor in ("low", "high"):
-                    fast = GroupCoverage(
-                        case.kernel, group, batch=batch, engine="array"
-                    ).result(registers, anchor=anchor)
-                    slow = GroupCoverage(
-                        case.kernel, group, batch=batch, engine="reference"
-                    ).result(registers, anchor=anchor)
-                    assert np.array_equal(fast.read_miss, slow.read_miss)
-                    assert np.array_equal(fast.write_miss, slow.write_miss)
-                    assert fast.writeback_stores == slow.writeback_stores
-                    if fast.window_inserted is not None:
-                        assert np.array_equal(
-                            fast.window_inserted, slow.window_inserted
-                        )
-                        assert np.array_equal(
-                            fast.window_evicted, slow.window_evicted
-                        )
-                        assert np.array_equal(
-                            fast.window_freed, slow.window_freed
-                        )
+            for anchor in ("low", "high"):
+                _assert_coverage_equal(
+                    fast.result(registers, anchor=anchor),
+                    slow.result(registers, anchor=anchor),
+                )

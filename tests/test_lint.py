@@ -83,13 +83,32 @@ def test_ast_cache_shared_across_runs():
 
 
 def test_knob_discovery_real_tree():
+    # One evaluation path: the shipped chain threads no flag knobs, so
+    # memo-keys has nothing to police until someone adds one.
     context = LintContext()
-    assert context.knobs() == frozenset(
-        {"batch", "context", "engine", "ladder", "trace_engine"}
-    )
+    assert context.knobs() == frozenset()
     maps = {(m.module, m.name) for m in context.dispatch_maps()}
     assert ("repro.kernels.registry", "KERNEL_FACTORIES") in maps
     assert ("repro.core.pipeline", "_ALLOCATORS") in maps
+
+
+def _chain_tree(root, flags):
+    package = root / "chainpkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    params = "".join(f", {flag}=True" for flag in flags)
+    (package / "evaluate.py").write_text(
+        f"def evaluate_query(query{params}):\n    return query\n\n\n"
+        f"def design_for(query, stages=None{params}):\n    return query\n"
+    )
+    return LintContext(root=root, package="chainpkg")
+
+
+def test_knob_discovery_follows_the_chain(tmp_path):
+    # A flag threaded through two chain functions is a knob ...
+    assert _chain_tree(tmp_path / "a", ["batch"]).knobs() == {"batch"}
+    # ... and a chain without flags has none: no fallback set.
+    assert _chain_tree(tmp_path / "b", []).knobs() == frozenset()
 
 
 def test_knob_fallback_on_fixture_tree():

@@ -52,7 +52,7 @@ def objective_cycles(kernel, groups, registers, budget, context=None):
     )
     if context is not None:
         dfg = context.dfg(kernel, groups)
-        coverages = context.coverages(kernel, groups, batch=True)
+        coverages = context.coverages(kernel, groups)
     else:
         dfg = build_dfg(kernel, groups)
         coverages = {g.name: GroupCoverage(kernel, g) for g in groups}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import residency_oracle as oracle
 
 from repro.errors import SimulationError
 from repro.sim.residency import (
@@ -122,10 +123,10 @@ class TestOptTrace:
 
 
 class TestEngines:
-    """The array engine against the reference oracle, at unit scale.
+    """The array kernels against the reference oracle, at unit scale.
 
     (The fuzz suite drives the heavy differential coverage; these are
-    quick, debuggable pins.)
+    quick, debuggable pins against ``residency_oracle.py``.)
     """
 
     def test_use_links_are_mirrors(self):
@@ -141,31 +142,40 @@ class TestEngines:
             s = rng.integers(0, 8, size=50)
             for capacity in (0, 1, 3, 8):
                 assert np.array_equal(
-                    lru_misses(s, capacity, engine="array"),
-                    lru_misses(s, capacity, engine="reference"),
+                    lru_misses(s, capacity), oracle.lru_misses(s, capacity)
                 )
 
     def test_pinned_engines_agree(self):
         s = np.tile(np.arange(4), 3)
         for pinned in (set(), {0, 2}, {0, 1, 2, 3}, {9}):
             assert np.array_equal(
-                pinned_misses(s, pinned, engine="array"),
-                pinned_misses(s, pinned, engine="reference"),
+                pinned_misses(s, pinned), oracle.pinned_misses(s, pinned)
             )
+
+    def test_opt_trace_agrees_with_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            s = rng.integers(0, 10, size=48)
+            for capacity in (0, 1, 2, 5, 12):
+                for row_len in (None, 8, 12):
+                    expected = oracle.opt_trace(s, capacity, row_len=row_len)
+                    got = opt_trace(s, capacity, row_len=row_len)
+                    for left, right in zip(expected, got):
+                        assert np.array_equal(left, right)
 
     def test_period_ladder_equals_plain(self):
         # 2 rows of 3 tiles of 2: tile-periodic, row bases irregular.
         s = stream(0, 1, 4, 5, 8, 9, 100, 101, 110, 111, 120, 121)
-        plain = opt_trace(s, 3, engine="reference")
-        laddered = opt_trace(s, 3, periods=(6, 2), engine="array")
+        plain = oracle.opt_trace(s, 3)
+        laddered = opt_trace(s, 3, periods=(6, 2))
         for left, right in zip(plain, laddered):
             assert np.array_equal(left, right)
 
     def test_non_divisor_row_len_falls_back(self):
         s = stream(0, 1, 2, 0, 1, 2, 0)
-        for engine in ("array", "reference"):
-            plain = opt_trace(s, 2, engine=engine)
-            fallback = opt_trace(s, 2, row_len=3, engine=engine)  # 3 ∤ 7
+        for trace in (opt_trace, oracle.opt_trace):
+            plain = trace(s, 2)
+            fallback = trace(s, 2, row_len=3)  # 3 does not divide 7
             for left, right in zip(plain, fallback):
                 assert np.array_equal(left, right)
 
@@ -177,11 +187,3 @@ class TestEngines:
         distinct = len(set(s.tolist()))
         for capacity in (distinct, distinct + 5, 512):
             assert int(opt_misses(s, capacity).sum()) == distinct
-
-    def test_unknown_engine_raises(self):
-        with pytest.raises(SimulationError):
-            opt_trace(stream(1), 1, engine="quantum")
-        with pytest.raises(SimulationError):
-            lru_misses(stream(1), 1, engine="quantum")
-        with pytest.raises(SimulationError):
-            pinned_misses(stream(1), {1}, engine="quantum")

@@ -4,10 +4,11 @@
 address stream answers every capacity of the production
 Belady-with-bypass trace: the access at position ``i`` misses at
 capacity ``c`` exactly when ``distances[i] > c``.  These tests hold it
-to the per-capacity ``opt_trace`` miss flags under both trace engines,
-on every registered window group and on fuzz streams, and check that
-the coverage results built from it (masks, counts and the lazily traced
-placement arrays) equal their per-capacity twins field for field.
+to the per-capacity ``opt_trace`` miss flags and to the reference
+simulator of ``residency_oracle.py``, on every registered window group
+and on fuzz streams, and check that the coverage results built from it
+(masks, counts and the lazily traced placement arrays) equal the
+per-count reference coverage of ``coverage_oracle.py`` field for field.
 """
 
 import dataclasses
@@ -15,7 +16,9 @@ import random
 
 import numpy as np
 import pytest
+import residency_oracle
 
+from coverage_oracle import ReferenceCoverage
 from fuzz_kernels import random_case, random_stream, random_tiled_stream
 from repro.analysis.groups import build_groups
 from repro.core.allocation import Allocation
@@ -35,20 +38,23 @@ PLACEMENT = ("window_inserted", "window_evicted", "window_freed")
 
 
 def _assert_matches_traces(stream, max_capacity, periods=None, label=""):
-    """Distances vs per-capacity trace misses, both engines, 0..max."""
+    """Distances vs per-capacity trace misses (production and reference
+    simulator), capacities 0..max."""
     stream = np.asarray(stream, dtype=np.int64)
     distances = opt_stack_distances(stream, max_capacity, periods)
     assert distances.shape == stream.shape
     assert distances.min(initial=1) >= 1
     assert distances.max(initial=1) <= max_capacity + 1
-    for engine in ("array", "reference"):
-        traces = opt_trace_ladder(
-            stream, range(max_capacity + 1), periods=periods, engine=engine
+    traces = opt_trace_ladder(stream, range(max_capacity + 1), periods=periods)
+    row_len = periods[0] if periods else None
+    for capacity, (misses, *_) in traces.items():
+        assert np.array_equal(distances > capacity, misses), (
+            f"{label} capacity={capacity}"
         )
-        for capacity, (misses, *_) in traces.items():
-            assert np.array_equal(distances > capacity, misses), (
-                f"{label} engine={engine} capacity={capacity}"
-            )
+        reference = residency_oracle.opt_trace(stream, capacity, row_len)[0]
+        assert np.array_equal(distances > capacity, reference), (
+            f"{label} reference capacity={capacity}"
+        )
     return distances
 
 
@@ -162,7 +168,7 @@ def test_plane_shares_links_with_traces():
         )
 
 
-# -- coverage results: distance pass vs the per-capacity oracles -------------
+# -- coverage results: distance pass vs the per-count reference ---------------
 
 
 def _assert_results_equal(fast, slow, label):
@@ -184,18 +190,13 @@ def _assert_results_equal(fast, slow, label):
 
 def _assert_group_twins(kernel, group, registers_values, label):
     fast = GroupCoverage(kernel, group)
-    twins = {
-        "ladder=False": GroupCoverage(kernel, group, ladder=False),
-        "reference": GroupCoverage(kernel, group, engine="reference"),
-    }
+    reference = ReferenceCoverage(kernel, group)
     ladder = fast.ram_access_ladder(registers_values)
     for registers in registers_values:
         result = fast.result(registers)
-        for twin_label, twin in twins.items():
-            _assert_results_equal(
-                result, twin.result(registers),
-                f"{label} r={registers} vs {twin_label}",
-            )
+        _assert_results_equal(
+            result, reference.result(registers), f"{label} r={registers}"
+        )
         assert ladder[registers] == result.total_ram_accesses
 
 

@@ -1,103 +1,22 @@
-"""Acceptance pins: the array trace engine is bit-identical everywhere.
+"""The trace engine: its stage in the profile and its period ladder.
 
-Mirrors ``test_batch_equivalence.py`` for the ``trace_engine`` axis:
-``verify_trace_equivalence`` sweeps registered kernel × allocator ×
-budget points and must come back empty; the executor and the CLI expose
-the switch (``--no-array-trace``) and agree across it; the period
-ladder actually replays tiles when outer rows never repeat; and the
-``repro perf --compare`` report diff gates the way its contract says.
+The profile splits the residency share out into its own ``trace``
+stage, and the period ladder actually replays tiles when outer rows
+never repeat (bit-identical to the reference simulator of
+``residency_oracle.py``).
 """
 
-import json
-import math
-
 import numpy as np
-import pytest
+import residency_oracle as oracle
 
-from repro.bench.perf import compare_reports
-from repro.cli import main
-from repro.core.pipeline import _ALLOCATORS
-from repro.errors import ReproError, SimulationError
-from repro.explore import (
-    DesignQuery,
-    Executor,
-    compare_trace_engines,
-    run_queries,
-    verify_trace_equivalence,
-)
-from repro.kernels import KERNEL_FACTORIES
-from repro.scalar.coverage import GroupCoverage
+from repro.explore import DesignQuery, EvalContext, run_queries
 from repro.sim import residency
-from repro.sim.residency import lru_misses, opt_trace
-
-BUDGETS = (4, 16, 64)
-GRID = [
-    DesignQuery(kernel=kernel, allocator=allocator, budget=budget)
-    for kernel in sorted(KERNEL_FACTORIES)
-    for allocator in sorted(_ALLOCATORS)
-    for budget in BUDGETS
-]
-
-
-def test_every_registered_point_is_bit_identical():
-    mismatches = verify_trace_equivalence(GRID)
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
-
-
-def test_unbatched_engines_also_agree():
-    # The engine knob composes with --no-batch: sample the grid there.
-    mismatches = verify_trace_equivalence(GRID[::7], batch=False)
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
-
-
-def test_compare_trace_engines_reports_fields():
-    assert compare_trace_engines(GRID[0]) == []
-
-
-def test_executor_trace_engine_flag_changes_nothing(tmp_path):
-    queries = GRID[:8]
-    fast = run_queries(queries, cache=tmp_path / "a", trace_engine="array")
-    slow = run_queries(
-        queries, cache=tmp_path / "b", trace_engine="reference"
-    )
-    assert list(fast) == list(slow)
-    # Bit-identical records mean the cache is shared between engines: an
-    # array sweep resumes at 100% off a reference sweep's cache.
-    resumed = run_queries(
-        queries, cache=tmp_path / "b", trace_engine="array"
-    )
-    assert resumed.stats.cache_hits == len(queries)
-
-
-def test_unknown_engine_rejected_everywhere():
-    with pytest.raises(ReproError):
-        Executor(trace_engine="simd")
-    with pytest.raises(SimulationError):
-        opt_trace(np.array([1, 2]), 1, engine="simd")
-    with pytest.raises(SimulationError):
-        lru_misses(np.array([1, 2]), 1, engine="simd")
-    from repro.analysis.groups import build_groups
-    from repro.kernels import get_kernel
-
-    kernel = get_kernel("fir")
-    with pytest.raises(ReproError):
-        GroupCoverage(kernel, build_groups(kernel)[0], engine="simd")
-
-
-def test_cli_no_array_trace_smoke(capsys):
-    argv = [
-        "explore", "--kernels", "fir", "--allocators", "CPA-RA",
-        "--budgets", "16", "--format", "csv",
-    ]
-    assert main(argv) == 0
-    fast = capsys.readouterr().out
-    assert main(argv + ["--no-array-trace"]) == 0
-    assert capsys.readouterr().out == fast
+from repro.sim.residency import opt_trace
 
 
 def test_profile_splits_out_a_trace_stage():
     results = run_queries([DesignQuery(kernel="fir", allocator="PR-RA",
-                                       budget=16)], context=False)
+                                       budget=16)], context=EvalContext())
     stages = results.stats.stage_seconds
     assert "trace" in stages and stages["trace"] > 0.0
     assert stages.get("cycles", 0.0) >= 0.0
@@ -128,15 +47,15 @@ def test_ladder_replays_tiles_when_rows_never_repeat(monkeypatch):
         spans.append(len(positions))
         return real(positions, *args, **kwargs)
 
+    reference = oracle.opt_trace(stream, 2)
     monkeypatch.setattr(residency, "_belady_span", spy)
-    reference = opt_trace(stream, 2, engine="reference")
 
     spans.clear()
-    row_only = opt_trace(stream, 2, periods=(12,), engine="array")
+    row_only = opt_trace(stream, 2, periods=(12,))
     row_only_accesses = sum(spans)
 
     spans.clear()
-    laddered = opt_trace(stream, 2, periods=(12, 4), engine="array")
+    laddered = opt_trace(stream, 2, periods=(12, 4))
     ladder_accesses = sum(spans)
 
     for left, mid, right in zip(reference, row_only, laddered):
@@ -145,78 +64,3 @@ def test_ladder_replays_tiles_when_rows_never_repeat(monkeypatch):
     # Row-only simulates all 48 accesses; the ladder simulates one tile.
     assert ladder_accesses < row_only_accesses
     assert ladder_accesses <= len(pattern)
-
-
-# -- repro perf --compare -----------------------------------------------------
-
-
-def _doc(grid, speedup, seconds, trace=None):
-    doc = {"grid": grid, "speedup": speedup, "seconds": seconds}
-    if trace is not None:
-        doc["trace_single"] = trace
-    return doc
-
-
-GRID_A = {"kernels": ["fir"], "budgets": [8], "points": 1}
-GRID_B = {"kernels": ["fir", "pat"], "budgets": [8, 16], "points": 4}
-
-
-def test_compare_same_grid_gates_seconds_not_ratios():
-    old = _doc(GRID_A, {"warm": 50.0}, {"grid_warm_context": 1.0})
-    new = _doc(GRID_A, {"warm": 10.0}, {"grid_warm_context": 1.1})
-    rows, regressions = compare_reports(old, new, threshold=1.5)
-    # The ratio collapsed (baseline got faster) but seconds held: clean.
-    assert regressions == []
-    slow = _doc(GRID_A, {"warm": 50.0}, {"grid_warm_context": 2.0})
-    rows, regressions = compare_reports(old, slow, threshold=1.5)
-    assert [r.metric for r in regressions] == ["seconds.grid_warm_context"]
-
-
-def test_compare_cross_grid_gates_ratios_not_seconds():
-    old = _doc(GRID_A, {"warm": 50.0}, {"grid_warm_context": 1.0})
-    new = _doc(GRID_B, {"warm": 2.0}, {"grid_warm_context": 9.0})
-    rows, regressions = compare_reports(old, new, threshold=1.5)
-    assert [r.metric for r in regressions] == ["speedup.warm"]
-    ok = _doc(GRID_B, {"warm": 40.0}, {"grid_warm_context": 9.0})
-    _, regressions = compare_reports(old, ok, threshold=1.5)
-    assert regressions == []
-
-
-def test_compare_includes_trace_block_when_both_have_it():
-    trace = {"fir": {"speedup": 3.0}}
-    old = _doc(GRID_A, {}, {}, trace={"fir": {"speedup": 9.0}})
-    new = _doc(GRID_B, {}, {}, trace=trace)
-    rows, regressions = compare_reports(old, new, threshold=1.5)
-    assert [r.metric for r in rows] == ["trace_single.fir.speedup"]
-    assert [r.metric for r in regressions] == ["trace_single.fir.speedup"]
-    # Present only in the NEW document (harness growth, e.g. BENCH_4
-    # has no trace block) -> a non-gating information row, never a
-    # regression.
-    rows, regressions = compare_reports(_doc(GRID_A, {}, {}), new)
-    assert regressions == []
-    assert [r.metric for r in rows] == ["trace_single.fir.speedup"]
-    assert not rows[0].gates and math.isnan(rows[0].old)
-
-
-def test_cli_perf_compare_exit_codes(tmp_path, capsys):
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text(json.dumps(
-        _doc(GRID_A, {"warm": 50.0}, {"grid_warm_context": 1.0})
-    ))
-    new.write_text(json.dumps(
-        _doc(GRID_B, {"warm": 45.0}, {"grid_warm_context": 1.0})
-    ))
-    assert main(["perf", "--compare", str(old), str(new)]) == 0
-    assert "no regressions on gated metrics" in capsys.readouterr().out
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(
-        _doc(GRID_B, {"warm": 2.0}, {"grid_warm_context": 1.0})
-    ))
-    assert main(["perf", "--compare", str(old), str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSED" in out
-    # A looser threshold waves the same pair through.
-    assert main([
-        "perf", "--compare", str(old), str(bad), "--threshold", "30",
-    ]) == 0
