@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.dfg.nodes import DFGNode, OpNode, ReadNode, WriteNode
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["DataFlowGraph"]
 
@@ -90,6 +91,8 @@ class DataFlowGraph:
         return order
 
     def to_networkx(self) -> nx.DiGraph:
+        import networkx as nx  # deferred: ~0.17 s, and only this needs it
+
         graph = nx.DiGraph()
         for node in self.nodes:
             graph.add_node(node.uid, node=node)

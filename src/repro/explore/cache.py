@@ -2,7 +2,7 @@
 
 Entry semantics (one JSON document per design point)::
 
-    {"format", "versions", "query", "record", "seconds", "checksum"}
+    {"checksum", "format", "query", "record", "seconds", "versions"}
 
 ``seconds`` is the point's measured evaluation wall time — envelope
 bookkeeping (like ``versions``), not part of the record's identity: it
@@ -10,6 +10,13 @@ feeds the cost model in :mod:`repro.explore.schedule` and is reattached
 to the record on lookup.  Entries written by earlier versions may also
 carry ``trace_engine`` / ``batch`` provenance fields; the checksum
 covers them and lookups ignore them, so those entries still hit.
+
+An entry is stored as one compact line,
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))``: because
+``"checksum"`` sorts first, the text is ``{"checksum":"<hex>",``
+followed by the very bytes the checksum was computed over (minus their
+opening brace).  Earlier versions wrote the same document with
+``indent=2``; both layouts read back identically.
 
 Each entry is keyed by the query's content digest and guarded by the
 *version vector* of the modules its evaluation can reach (see
@@ -31,9 +38,10 @@ version vectors, quarantine — are identical either way.
 
 **Integrity**: every entry carries a sha256 ``checksum`` over its own
 canonical JSON, so bit rot and torn writes are detected even when the
-damage still parses.  Damaged entries (truncated writes, garbage bytes,
-schema drift, checksum mismatch) are treated as misses but *moved
-aside* into the backend's quarantine area — a
+damage still parses (compact entries are verified by their bytes, see
+:func:`_checksum_ok`).  Damaged entries (truncated writes, garbage
+bytes, schema drift, checksum mismatch) are treated as misses but
+*moved aside* into the backend's quarantine area — a
 :class:`CacheCorruptionWarning` names the location, the re-evaluated
 point overwrites cleanly, and the damaged bytes survive for
 post-mortem.  :meth:`ResultCache.fsck` scans every entry offline (CLI:
@@ -46,7 +54,6 @@ every sweep start.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import warnings
@@ -74,9 +81,6 @@ __all__ = [
 #: Format 3 added the entry-envelope ``checksum``.
 ENTRY_FORMAT = 3
 
-#: Subdirectory damaged entries are moved into (never read as entries).
-QUARANTINE_DIR = "quarantine"
-
 #: Default age (seconds) past which an orphaned ``.*.tmp`` file is
 #: considered dead rather than a concurrent shard's in-flight write.
 TMP_MAX_AGE = 60.0
@@ -91,11 +95,61 @@ class CacheCorruptionWarning(UserWarning):
     """A cache entry existed but could not be decoded or verified."""
 
 
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _entry_checksum(doc: dict) -> str:
     """sha256 over the entry's canonical JSON, minus the checksum itself."""
     body = {key: value for key, value in doc.items() if key != "checksum"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical(body).encode()).hexdigest()
+
+
+#: ``raw[:13]`` of a compact entry; its hex checksum is ``raw[13:77]``,
+#: then ``",`` and the rest of the canonical body from ``raw[79:]``.
+_COMPACT_HEAD = b'{"checksum":"'
+
+
+def _checksum_ok(raw: bytes, doc: dict) -> bool:
+    """Whether ``doc``, parsed from ``raw``, matches its stored checksum.
+
+    Fast path for the compact layout :meth:`ResultCache.put` writes:
+    when sha256 of ``b"{" + raw[79:]`` equals the hex in ``raw[13:77]``,
+    the stored body is byte for byte the canonical dump the checksum
+    was computed over, so re-encoding ``doc`` would give the same
+    verdict.  A body that holds the token ``"checksum"`` could smuggle
+    a second top-level checksum key past the prefix, so it takes the
+    slow path, as does every other layout and every mismatch.
+    """
+    body = raw[79:]
+    if (
+        raw[:13] == _COMPACT_HEAD
+        and raw[77:79] == b'",'
+        and b'"checksum"' not in body
+        and hashlib.sha256(b"{" + body).hexdigest().encode() == raw[13:77]
+    ):
+        return True
+    return doc.get("checksum") == _entry_checksum(doc)
+
+
+def _decode_entry(raw: bytes) -> "dict | None":
+    """The verified current-format document in ``raw``.
+
+    None for an entry of another format (a stale-format miss); raises
+    ``ValueError``/``TypeError``/``KeyError`` for a damaged one.
+    """
+    # UnicodeDecodeError is a ValueError: a torn write that is no
+    # longer UTF-8 counts as damaged.
+    doc = json.loads(raw.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise TypeError("entry is not a JSON object")
+    if doc.get("format") != ENTRY_FORMAT:
+        return None
+    if not _checksum_ok(raw, doc):
+        raise ValueError("entry checksum mismatch (torn write or bit rot)")
+    if not isinstance(doc["versions"], dict):
+        raise TypeError("entry's version vector is not an object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -197,6 +251,8 @@ class ResultCache:
         )
         self.registry = registry or VersionRegistry()
         self._put_registry = registry or default_registry()
+        self._verdicts: "dict[tuple, bool]" = {}
+        self._verdicts_for: "VersionRegistry | None" = None
         self.fsync = fsync
 
     def describe(self) -> str:
@@ -240,25 +296,16 @@ class ResultCache:
         if raw is None:
             return None, "miss"
         try:
-            # UnicodeDecodeError is a ValueError: a torn write that is
-            # no longer UTF-8 lands in the corrupt branch below.
-            doc = json.loads(raw.decode("utf-8"))
-            if not isinstance(doc, dict):
-                raise TypeError("entry is not a JSON object")
-            if doc.get("format") != ENTRY_FORMAT:
+            doc = _decode_entry(raw)
+            if doc is None:
                 return None, "stale"
-            if doc.get("checksum") != _entry_checksum(doc):
-                raise ValueError(
-                    "entry checksum mismatch (torn write or bit rot)"
-                )
-            versions = doc["versions"]
-            if not isinstance(versions, dict):
-                raise TypeError("entry's version vector is not an object")
-            record = DesignRecord.from_dict(doc["record"])
             seconds = doc.get("seconds")
-            if isinstance(seconds, (int, float)):
-                record = dataclasses.replace(record, seconds=float(seconds))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            record = DesignRecord.from_dict(
+                doc["record"],
+                seconds=float(seconds)
+                if isinstance(seconds, (int, float)) else None,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             moved = self.backend.quarantine(digest)
             where = f" (moved to {moved})" if moved else ""
             warnings.warn(
@@ -268,7 +315,7 @@ class ResultCache:
                 stacklevel=2,
             )
             return None, "corrupt"
-        if not self._current(versions):
+        if not self._current(doc["versions"]):
             return None, "stale"
         return record, "hit"
 
@@ -278,6 +325,25 @@ class ResultCache:
         return f"{self.backend.describe()}#{digest}"
 
     def _current(self, versions: dict[str, str]) -> bool:
+        """Whether every recorded module hash still matches the tree.
+
+        A sweep's entries share a few dozen distinct vectors, so the
+        verdict is memoized per vector for the current lookup registry;
+        :meth:`refresh` installs a new registry and so a fresh memo.
+        """
+        if self._verdicts_for is not self.registry:
+            self._verdicts = {}
+            self._verdicts_for = self.registry
+        try:
+            key = tuple(versions.items())
+            verdict = self._verdicts.get(key)
+        except TypeError:  # an unhashable hash value: never current
+            return self._check(versions)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._check(versions)
+        return verdict
+
+    def _check(self, versions: dict[str, str]) -> bool:
         known = self.registry.modules()
         for module, digest in versions.items():
             if module not in known:
@@ -299,16 +365,18 @@ class ResultCache:
                 f"record for {record.query.kernel}: an anytime incumbent "
                 f"under a node/time box is not the point's exact answer"
             )
-        doc = {
+        body = _canonical({
             "format": ENTRY_FORMAT,
             "versions": query_vector(record.query, self._put_registry),
             "query": record.query.key(),
             "record": record.to_dict(),
             "seconds": record.seconds,
-        }
-        doc["checksum"] = _entry_checksum(doc)
+        })
+        checksum = hashlib.sha256(body.encode()).hexdigest()
+        # "checksum" sorts first, so this is the canonical dump of the
+        # whole entry (the layout _checksum_ok verifies by its bytes).
         return self.backend.write(
-            record.query.digest(), json.dumps(doc, indent=2, sort_keys=True)
+            record.query.digest(), f'{{"checksum":"{checksum}",{body[1:]}'
         )
 
     def corrupt_entry(self, query: DesignQuery) -> None:
@@ -370,17 +438,11 @@ class ResultCache:
         if raw is None:
             return "stale-format"  # vanished mid-scan: not this scan's problem
         try:
-            doc = json.loads(raw.decode("utf-8"))
-            if not isinstance(doc, dict):
-                raise TypeError("entry is not a JSON object")
-            if doc.get("format") != ENTRY_FORMAT:
+            doc = _decode_entry(raw)
+            if doc is None:
                 return "stale-format"
-            if doc.get("checksum") != _entry_checksum(doc):
-                raise ValueError("checksum mismatch")
-            if not isinstance(doc.get("versions"), dict):
-                raise TypeError("version vector is not an object")
             DesignRecord.from_dict(doc["record"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             return "corrupt"
         return None
 

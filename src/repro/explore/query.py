@@ -506,11 +506,19 @@ class DesignRecord:
         return self.query.key()
 
     @staticmethod
-    def from_dict(doc: dict[str, Any]) -> "DesignRecord":
+    def from_dict(
+        doc: dict[str, Any], seconds: "float | None" = None
+    ) -> "DesignRecord":
+        """Rebuild a record from :meth:`to_dict` output.
+
+        ``seconds`` is envelope bookkeeping (see the class docstring),
+        passed separately because ``doc`` never carries it.
+        """
         query = DesignQuery.from_key(doc["query"])
         if doc.get("error") is not None:
             return DesignRecord(
                 query=query,
+                seconds=seconds,
                 error=doc["error"],
                 error_type=doc.get("error_type"),
                 traceback=doc.get("traceback"),
@@ -518,6 +526,7 @@ class DesignRecord:
             )
         return DesignRecord(
             query=query,
+            seconds=seconds,
             betas={k: int(v) for k, v in doc.get("betas", {}).items()},
             registers={k: int(v) for k, v in doc.get("registers", {}).items()},
             distribution=doc.get("distribution", ""),

@@ -108,6 +108,33 @@ def find_dynamic_imports(tree: ast.AST) -> "list[tuple[int, str]]":
     return sorted(found)
 
 
+#: Names without which no call :func:`find_dynamic_imports` reports
+#: can be spelled.
+_DYNAMIC_IMPORT_NAMES = ("__import__", "import_module", "reload")
+
+#: Fields holding statement lists (``handlers``/``cases`` hold except
+#: handlers and match cases, whose own ``body`` is one).
+_BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
+def _import_statements(tree: ast.Module):
+    """Every ``import``/``from`` statement in ``tree``, at any depth.
+
+    Imports are statements, so walking statement bodies finds them all
+    without visiting a single expression node.
+    """
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+            continue
+        for name in _BLOCK_FIELDS:
+            block = getattr(node, name, None)
+            if isinstance(block, list):
+                stack.extend(block)
+
+
 class VersionRegistry:
     """Hashes and import graph of one Python package's source tree.
 
@@ -170,8 +197,15 @@ class VersionRegistry:
 
     def _parse_imports(self, module: str) -> frozenset[str]:
         known = self.modules()
-        tree = ast.parse(known[module].read_text())
-        for lineno, description in find_dynamic_imports(tree):
+        source = known[module].read_text()
+        tree = ast.parse(source)
+        # Every call find_dynamic_imports reports names one of these in
+        # the source text, so other files need no second full walk.
+        dynamic = (
+            find_dynamic_imports(tree)
+            if any(name in source for name in _DYNAMIC_IMPORT_NAMES) else []
+        )
+        for lineno, description in dynamic:
             warnings.warn(
                 f"version cone: {module} (line {lineno}) uses a dynamic "
                 f"import ({description}) the AST import graph cannot "
@@ -194,7 +228,7 @@ class VersionRegistry:
                     return
                 name = name.rpartition(".")[0]
 
-        for node in ast.walk(tree):
+        for node in _import_statements(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     note(alias.name)

@@ -1,9 +1,14 @@
-"""Shared fixtures: the paper's running example and small test kernels."""
+"""Shared fixtures: the paper's running example, small test kernels and
+an editable copy of the source tree."""
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.bench.example import build_example_kernel
 from repro.ir import INT16, INT32, KernelBuilder
 
@@ -50,3 +55,14 @@ def make_copy_kernel(n: int = 6, m: int = 5):
 @pytest.fixture()
 def copy_kernel():
     return make_copy_kernel()
+
+
+@pytest.fixture()
+def copied_tree(tmp_path):
+    """A private copy of the installed repro sources to edit freely."""
+    source = Path(repro.__file__).resolve().parent
+    target = tmp_path / "repro"
+    shutil.copytree(
+        source, target, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return target

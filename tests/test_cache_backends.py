@@ -9,6 +9,7 @@ file concurrently.
 """
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -29,8 +30,10 @@ from repro.explore import (
     ResultCache,
     RetryPolicy,
     SqliteBackend,
+    VersionRegistry,
     backend_for,
 )
+from repro.explore.cache import ENTRY_FORMAT, _entry_checksum
 
 SPACE = ExplorationSpace(
     kernels=("fir", "mat"), allocators=("FR-RA", "NO-SR"), budgets=(8,)
@@ -201,6 +204,136 @@ def test_cost_model_persists_and_decays(backend, tmp_path):
     assert all(
         row["weight"] == pytest.approx(1.5) for row in redoc["rows"]
     )
+
+
+# -- entry layout, compatibility and integrity --------------------------------
+
+
+def compact(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def stored(cache, query=TARGET):
+    return cache.backend.read(query.digest())
+
+
+def rewrite(cache, raw, query=TARGET):
+    cache.backend.write(query.digest(), raw.decode("utf-8"))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_entry_is_one_canonical_compact_line(backend, tmp_path):
+    cache = make_cache(tmp_path, backend)
+    sweep(cache=cache)
+    for query in QUERIES:
+        raw = stored(cache, query)
+        doc = json.loads(raw)
+        assert raw.decode("utf-8") == compact(doc)
+        assert doc["checksum"] == _entry_checksum(doc)
+        assert doc["format"] == ENTRY_FORMAT
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_indented_entries_still_hit(backend, tmp_path):
+    """Entries in the earlier ``indent=2`` layout verify the slow way."""
+    cache = make_cache(tmp_path, backend)
+    first = sweep(cache=cache)
+    for query in QUERIES:
+        doc = json.loads(stored(cache, query))
+        rewrite(cache, json.dumps(doc, indent=2, sort_keys=True).encode(),
+                query)
+    fresh = make_cache(tmp_path, backend)
+    for query, record in zip(QUERIES, first.records):
+        hit, status = fresh.lookup(query)
+        assert status == "hit"
+        assert hit == record and hit.seconds == record.seconds
+    resumed = sweep(cache=make_cache(tmp_path, backend))
+    assert resumed.stats.cache_hits == len(QUERIES)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_byte_flips_in_a_compact_entry_never_hit(backend, tmp_path):
+    cache = make_cache(tmp_path, backend)
+    sweep(cache=cache)
+    raw = stored(cache)
+    assert cache.lookup(TARGET)[1] == "hit"
+    # The prefix, the checksum hex and its closing quote, the first body
+    # bytes and a stride through the rest.  Renaming the "format" key
+    # reads as an entry of another format (a stale miss, as in any
+    # layout), so those bytes are left out.
+    format_key = raw.index(b'"format"')
+    renames_format = range(format_key + 1, format_key + 7)
+    positions = sorted(
+        {0, 1, 11, 12, 13, 40, 76, 77, 78, 79, 80, len(raw) - 1}
+        | set(range(90, len(raw), 97))
+    )
+    for at in positions:
+        if at in renames_format:
+            continue
+        damaged = bytearray(raw)
+        damaged[at] = ord("~") if raw[at] != ord("~") else ord("!")
+        rewrite(cache, bytes(damaged))
+        with pytest.warns(CacheCorruptionWarning):
+            assert cache.lookup(TARGET) == (None, "corrupt"), at
+        assert stored(cache) is None, at  # moved aside...
+        assert len(cache.backend.quarantined()) == 1  # ...under its digest
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_smuggled_checksum_key_takes_the_full_check(backend, tmp_path):
+    """A body holding its own "checksum" key hashes right byte for byte,
+    but the parsed document keeps the last duplicate key: the full
+    check, not the byte check, must decide, and it says corrupt."""
+    cache = make_cache(tmp_path, backend)
+    sweep(cache=cache)
+    doc = json.loads(stored(cache))
+    del doc["checksum"]
+    body = compact({**doc, "checksum": "0" * 64})
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    rewrite(cache, f'{{"checksum":"{digest}",{body[1:]}'.encode())
+    with pytest.warns(CacheCorruptionWarning):
+        assert cache.lookup(TARGET) == (None, "corrupt")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fsck_accepts_both_layouts(backend, tmp_path):
+    cache = make_cache(tmp_path, backend)
+    sweep(cache=cache)
+    for query in QUERIES[::2]:
+        doc = json.loads(stored(cache, query))
+        rewrite(cache, json.dumps(doc, indent=2, sort_keys=True).encode(),
+                query)
+    report = cache.fsck()
+    assert report.scanned == report.ok == len(QUERIES)
+    assert report.clean
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_refresh_forgets_memoized_verdicts(backend, tmp_path, copied_tree,
+                                           monkeypatch):
+    cache = ResultCache(make_cache(tmp_path, backend).backend,
+                        VersionRegistry(copied_tree))
+    sweep(cache=cache)
+    assert [cache.lookup(q)[1] for q in QUERIES] == ["hit"] * len(QUERIES)
+
+    # Each distinct version vector is checked once per registry.
+    calls = []
+    real = VersionRegistry.module_hash
+    monkeypatch.setattr(
+        VersionRegistry, "module_hash",
+        lambda self, module: calls.append(module) or real(self, module),
+    )
+    assert [cache.lookup(q)[1] for q in QUERIES] == ["hit"] * len(QUERIES)
+    assert calls == []
+
+    mat_py = copied_tree / "kernels" / "mat.py"
+    mat_py.write_text(mat_py.read_text() + "\n# edited\n")
+    cache.refresh()
+    statuses = {q: cache.lookup(q)[1] for q in QUERIES}
+    assert statuses == {
+        q: "stale" if q.kernel == "mat" else "hit" for q in QUERIES
+    }
+    assert calls
 
 
 # -- two processes, one SQLite file -------------------------------------------

@@ -211,6 +211,12 @@ class TestCache:
         doc["checksum"] = _entry_checksum(doc)
         path.write_text(json.dumps(doc))
         assert cache.lookup(query) == (None, "stale")
+        # A hash that is not even a string (unhashable, so it cannot
+        # key the verdict memo) is just as stale.
+        doc["versions"][module] = ["0" * 12]
+        doc["checksum"] = _entry_checksum(doc)
+        path.write_text(json.dumps(doc))
+        assert cache.lookup(query) == (None, "stale")
 
     def test_corrupt_entry_is_a_warned_miss(self, tmp_path):
         from repro.explore import CacheCorruptionWarning

@@ -13,13 +13,11 @@ Three layers:
 """
 
 import json
-import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
-import repro
 from repro.explore import (
     DesignQuery,
     Executor,
@@ -198,17 +196,6 @@ class TestQueryVectors:
         assert vector == again
 
 
-@pytest.fixture()
-def copied_tree(tmp_path):
-    """A private copy of the installed repro sources to edit freely."""
-    source = Path(repro.__file__).resolve().parent
-    target = tmp_path / "repro"
-    shutil.copytree(
-        source, target, ignore=shutil.ignore_patterns("__pycache__")
-    )
-    return target
-
-
 class TestIncrementalResume:
     QUERIES = [
         DesignQuery(kernel=kernel, allocator=allocator, budget=8)
@@ -344,6 +331,80 @@ class TestIncrementalResume:
         assert resumed.stats.stale == 2
         assert resumed.stats.cache_hits == 2
         assert resumed.stats.evaluated == 2
+
+
+def walk_imports(registry: VersionRegistry, module: str) -> frozenset:
+    """Reference edges: every Import/ImportFrom node of a full ast.walk."""
+    import ast
+
+    known = registry.modules()
+    deps = set()
+
+    def note(name):
+        while name:
+            if name in known:
+                if name != module:
+                    deps.add(name)
+                return
+            name = name.rpartition(".")[0]
+
+    for node in ast.walk(ast.parse(known[module].read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                note(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = module if known[module].name == "__init__.py" \
+                    else module.rpartition(".")[0]
+                for _ in range(node.level - 1):
+                    anchor = anchor.rpartition(".")[0]
+                base = f"{anchor}.{base}" if base else anchor
+            if base.startswith(registry.package):
+                for alias in node.names:
+                    note(f"{base}.{alias.name}")
+    return frozenset(deps)
+
+
+@pytest.mark.parametrize("tree", ["shipped", "synthetic"])
+def test_import_graph_matches_full_ast_walk(tree, tmp_path):
+    """Statement-body scanning finds every edge a full walk finds."""
+    if tree == "shipped":
+        registry = VersionRegistry()
+    else:
+        pkg = make_tree(tmp_path)
+        (pkg / "nested.py").write_text(
+            textwrap.dedent(
+                """
+                try:
+                    import pkg.base
+                except ImportError:
+                    from pkg import left
+                else:
+                    from pkg import right
+                finally:
+                    import pkg.lazy
+
+                class Holder:
+                    if True:
+                        with open(__file__):
+                            for _ in ():
+                                import pkg.top
+                            else:
+                                while False:
+                                    from .sub import leaf
+
+                match 1:
+                    case 1:
+                        import pkg.plug_a
+                """
+            )
+        )
+        registry = VersionRegistry(pkg, package="pkg")
+    for module in registry.modules():
+        assert registry.imports(module) == walk_imports(registry, module), module
+    if tree == "synthetic":
+        assert len(registry.imports("pkg.nested")) == 7
 
 
 class TestDynamicImportWarning:
