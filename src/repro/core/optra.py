@@ -20,8 +20,8 @@ descending *knapsack density* — the best savings-per-register ratio on
 each group's RAM-access ladder — and register values are tried from
 high to low, so the strong incumbents surface early.
 
-Bounds (both admissible)
-------------------------
+Bounds (all admissible)
+-----------------------
 * **Fractional-knapsack access floor** (cheap, checked first): each
   group's remaining accesses are lower-bounded via the concave envelope
   of its savings ladder (``saved(r) <= min(density * (r-1),
@@ -30,14 +30,44 @@ Bounds (both admissible)
   ``space * overhead + ceil(accesses * L / ports)`` cycles are
   unavoidable for the busiest group no matter how the remaining budget
   is spent.
-* **Scheduling relaxation** (strong): the real pattern classifier
-  (:func:`~repro.sim.cycles.classify_patterns`) runs with the decided
-  groups' exact miss masks and every undecided or anchor-sensitive
-  channel forced all-hit.  The list scheduler is monotone in miss
-  flags (``reg_latency <= ram_latency`` is enforced by
-  :class:`~repro.dfg.latency.LatencyModel`), so this under-costs every
-  completion; the epilogue bound charges only the decided groups'
-  write-backs, which are anchor-independent.
+* **Budget-aware meet bound** (strong): the real pattern classifier
+  (:func:`~repro.sim.cycles.classify_patterns`) prices one pattern in
+  which every group sits at its *meet* mask
+  (:meth:`~repro.scalar.coverage.GroupCoverage.meet`: a cell misses
+  only where both the low and the high anchor miss).  A decided group
+  takes the meet at its exact count — for all but partially covered
+  pinned groups that is simply its mask — and an undecided group the
+  meet at ``r_max = min(beta, 1 + remaining)``, the most registers any
+  completion can still give it.  Decided write-backs are charged;
+  undecided ones are not.
+* **Sibling pre-check** (at the leaves): the siblings below a parent
+  differ in one group only, so the other groups' meet planes are packed
+  once per parent.  Each leaf is then priced with one classification —
+  every group at its meet mask, plus its exact write-backs — before it
+  pays :func:`~repro.synth.estimate.count_with_best_anchors`, which
+  classifies up to 16 anchor combinations.  A leaf whose pre-check
+  value cannot beat the incumbent is skipped; it still counts as a
+  node, so ``node_limit`` truncation stays deterministic.
+
+Why the meet bound never over-costs a completion:
+
+* for a fixed anchor, miss sets shrink as ``r`` grows: window groups
+  miss where ``distances > covered``, the low and the high anchor's
+  pinned covered sets nest as ``covered`` grows, and ``covered == 0``
+  misses everywhere;
+* so a group at any ``r <= r_max``, under either anchor, misses a
+  superset of the meet at ``r_max``.  That covers every anchor the
+  objective can choose, including the low-anchor fallback of a group
+  beyond ``count_with_best_anchors``' first four candidates;
+* the list scheduler is monotone in miss flags (``reg_latency <=
+  ram_latency`` is enforced by :class:`~repro.dfg.latency.LatencyModel`),
+  so every iteration costs at least its meet pattern's makespan;
+* write-backs depend on the covered count only, never on the anchor:
+  the decided ones are exact, and leaving the undecided ones uncharged
+  only lowers the bound.
+
+The same argument at ``r_max = r`` makes the sibling pre-check a lower
+bound on its leaf.
 
 Anytime behaviour
 -----------------
@@ -47,18 +77,7 @@ even when the deterministic ``node_limit`` (or the optional wall-clock
 ``time_box``) truncates the search.  A truncated run returns the best
 incumbent with ``certified=False`` and a proven ``lower_bound``
 (bracketing the true optimum) instead of raising; truncated results are
-never memoized in the :class:`~repro.explore.context.EvalContext` and
 never written to the result cache.
-
-Budget-axis reuse
------------------
-A certified optimum solved at budget ``B`` using ``T <= B`` total
-registers is *the* optimum (same tie-broken vector) for every budget in
-``[T, B]``: the feasible sets nest and the full-vector tie-break makes
-the minimizer unique, so reuse is bit-identical to a fresh solve.  The
-context memoizes certified entries per objective parameterization and
-answers the whole budget axis of a sweep from one search where the
-bounds permit.
 """
 
 from __future__ import annotations
@@ -95,7 +114,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["OptimalAllocator", "DEFAULT_NODE_LIMIT"]
 
 #: Default branch-and-bound node budget.  Far above what the registered
-#: kernels need (their searches certify within a few hundred nodes), so
+#: kernels need: at the gap study's budgets (4-64) a search takes at
+#: most 976 nodes and evaluates at most 465 leaves (both imi@64), so
 #: default runs are exact; large adversarial kernels degrade to an
 #: anytime incumbent with a certified gap instead of hanging.
 DEFAULT_NODE_LIMIT = 50_000
@@ -112,20 +132,12 @@ _SEED_ALLOCATORS = (
 )
 
 
-def _model_fingerprint(model: LatencyModel) -> tuple:
-    """Hashable identity of a latency model (mirrors the context's)."""
-    return (
-        model.ram_latency,
-        model.reg_latency,
-        tuple(sorted((op.value, lat) for op, lat in model.op_latency.items())),
-    )
-
-
 class OptimalAllocator(Allocator):
     """Exact branch-and-bound allocation ("OPT-RA"), anytime-bounded.
 
-    ``node_limit`` is the deterministic truncation knob (bound and leaf
-    evaluations both count); ``time_box`` optionally adds a wall-clock
+    ``node_limit`` is the deterministic truncation knob (every node
+    counts: bounded subtrees, evaluated leaves and leaves the sibling
+    pre-check skips); ``time_box`` optionally adds a wall-clock
     box in seconds for genuinely huge instances — note a wall clock is
     inherently nondeterministic, so reproducible pipelines should steer
     with ``node_limit`` alone (the default).  Objective parameters
@@ -179,27 +191,12 @@ class OptimalAllocator(Allocator):
     # -- the search -----------------------------------------------------------
 
     def _run(self, state: AllocationState) -> None:
-        kernel, groups, budget = state.kernel, state.groups, state.budget
-        ctx = state.context
         model = self._model or LatencyModel.realistic(ram_latency=2)
         ram_ports = self._ram_ports if self._ram_ports is not None else 1
         overhead = self._overhead
         node_limit = (
             self.node_limit if self.node_limit is not None else DEFAULT_NODE_LIMIT
         )
-
-        params = (_model_fingerprint(model), ram_ports, overhead)
-        if ctx is not None:
-            entry = ctx.optra_lookup(kernel, groups, params, budget)
-            if entry is not None:
-                self._apply(state, dict(entry["registers"]))
-                state.lower_bound = entry["cycles"]
-                state.trace.append(
-                    f"opt-ra: reused certified optimum "
-                    f"({entry['cycles']} cycles, solved at budget "
-                    f"{entry['budget']})"
-                )
-                return
 
         search = _Search(state, model, ram_ports, overhead)
         outcome = search.solve(node_limit, self.time_box)
@@ -214,25 +211,13 @@ class OptimalAllocator(Allocator):
         if outcome.certified:
             state.trace.append(
                 f"opt-ra: certified optimum {outcome.cycles} cycles "
-                f"after {outcome.nodes} nodes"
+                f"after {outcome.nodes} nodes ({outcome.counts()})"
             )
-            if ctx is not None:
-                ctx.optra_store(
-                    kernel, groups, params,
-                    {
-                        "budget": budget,
-                        "total": sum(outcome.registers.values()),
-                        "registers": tuple(
-                            (g.name, outcome.registers[g.name]) for g in groups
-                        ),
-                        "cycles": outcome.cycles,
-                    },
-                )
         else:
             state.trace.append(
                 f"opt-ra: truncated at {outcome.nodes} nodes "
-                f"(limit {node_limit}); anytime bracket "
-                f"[{outcome.lower_bound}, {outcome.cycles}] cycles"
+                f"(limit {node_limit}; {outcome.counts()}); anytime "
+                f"bracket [{outcome.lower_bound}, {outcome.cycles}] cycles"
             )
 
     @staticmethod
@@ -255,6 +240,7 @@ class _Outcome:
         nodes: int,
         seeds: int,
         seed_cycles: int,
+        cuts: "dict[str, int]",
     ) -> None:
         self.registers = registers
         self.cycles = cycles
@@ -263,6 +249,18 @@ class _Outcome:
         self.nodes = nodes
         self.seeds = seeds
         self.seed_cycles = seed_cycles
+        #: Search counters: leaves evaluated, subtrees cut by the access
+        #: floor and by the meet bound, leaves cut by the pre-check.
+        self.cuts = cuts
+
+    def counts(self) -> str:
+        """The search counters as a decision-trace phrase."""
+        cuts = self.cuts
+        return (
+            f"{cuts['leaves']} leaves evaluated; cut {cuts['floor']} by "
+            f"the access floor, {cuts['meet']} by the meet bound, "
+            f"{cuts['sibling']} leaves by the sibling pre-check"
+        )
 
 
 class _Search:
@@ -301,7 +299,9 @@ class _Search:
         self.caps = {
             g.name: min(g.full_registers, 1 + self.extra_budget) for g in free
         }
-        self.densities, self.savings_caps = self._knapsack_profile(free)
+        self.densities, self.savings_caps, self.base_accesses = (
+            self._knapsack_profile(free)
+        )
         self.order = sorted(
             free,
             key=lambda g: (-self.densities[g.name], self._index(g.name)),
@@ -314,6 +314,13 @@ class _Search:
             self.ctx,
         )
         self._leaf_memo: "dict[tuple[int, ...], int]" = {}
+        # (group, covered) -> (packed meet plane or None when it never
+        # misses, write-backs).  Lives for this search only.
+        self._planes: "dict[tuple[str, int], tuple[np.ndarray | None, int]]" = {}
+        # The last parent's sibling base: (its prefix, packed meet
+        # pattern of every group but the branched one, write-backs).
+        self._siblings: "tuple[tuple[int, ...], np.ndarray, int] | None" = None
+        self.cuts = {"leaves": 0, "floor": 0, "meet": 0, "sibling": 0}
 
     def _index(self, name: str) -> int:
         for index, group in enumerate(self.groups):
@@ -325,8 +332,9 @@ class _Search:
 
     def _knapsack_profile(
         self, free: "list[RefGroup]"
-    ) -> "tuple[dict[str, float], dict[str, int]]":
-        """Per-group density and savings cap from the RAM-access ladder.
+    ) -> "tuple[dict[str, float], dict[str, int], dict[str, int]]":
+        """Per-group density, savings cap and one-register RAM accesses
+        from the RAM-access ladder.
 
         ``density`` is the steepest savings-per-extra-register ratio
         anywhere on the group's ladder, so ``saved(1 + w) <=
@@ -336,6 +344,7 @@ class _Search:
         """
         densities: "dict[str, float]" = {}
         caps: "dict[str, int]" = {}
+        bases: "dict[str, int]" = {}
         for group in free:
             cap = self.caps[group.name]
             ladder = self.coverages[group.name].ram_access_ladder(
@@ -350,7 +359,8 @@ class _Search:
                 best_density = max(best_density, saved / (r - 1))
             densities[group.name] = best_density
             caps[group.name] = best_saved
-        return densities, caps
+            bases[group.name] = base
+        return densities, caps, bases
 
     # -- objective (leaf) evaluation ------------------------------------------
 
@@ -401,39 +411,76 @@ class _Search:
             if r is not None:
                 accesses = self.coverages[name].result(r).total_ram_accesses
             else:
-                base = self.coverages[name].ram_access_ladder([1])[1]
                 saved_ub = min(
                     self.densities[name] * remaining, self.savings_caps[name]
                 )
-                accesses = max(0, ceil(base - saved_ub))
+                accesses = max(0, ceil(self.base_accesses[name] - saved_ub))
             floor = max(floor, ceil(accesses * latency / self.ram_ports))
         return self.space * self.overhead + floor
 
-    def _relaxed_bound(self, decided: "dict[str, int]") -> int:
-        """Strong bound: exact decided masks, everything else all-hit."""
-        exact = {}
-        writebacks = 0
-        for group in self.groups:
-            name = group.name
-            r = decided.get(name)
-            if r is None:
-                continue
-            coverage = self.coverages[name]
-            result = coverage.result(r, anchor="low")
-            writebacks += result.writeback_stores
-            # A partially covered pinned group's masks depend on the
-            # anchor the objective minimizes over; relax them to
-            # all-hit (write-backs are anchor-independent and stay).
-            if not (
-                coverage.kind == "pinned"
-                and 0 < result.covered < group.full_registers
-            ):
-                exact[name] = result
+    def _meet_plane(
+        self, name: str, registers: int
+    ) -> "tuple[np.ndarray | None, int]":
+        """A group's packed meet plane and write-backs at ``registers``."""
+        coverage = self.coverages[name]
+        key = (name, coverage.covered(registers))
+        entry = self._planes.get(key)
+        if entry is None:
+            meet = coverage.meet(registers)
+            plane = None
+            if meet.ram_reads or meet.write_misses:
+                plane = self.costs.layout.pack(self.shape, {name: meet})
+            entry = (plane, meet.writeback_stores)
+            self._planes[key] = entry
+        return entry
 
-        in_loop, _, _ = classify_patterns(
-            self.costs.layout.pack(self.shape, exact), self.costs
-        )
+    def _meet_pattern(
+        self, registers: "dict[str, int]"
+    ) -> "tuple[np.ndarray, int]":
+        """The OR of the groups' meet planes, and their write-backs."""
+        pattern = np.zeros(self.shape, dtype=self.costs.layout.dtype)
+        writebacks = 0
+        for name, r in registers.items():
+            plane, stores = self._meet_plane(name, r)
+            if plane is not None:
+                pattern |= plane
+            writebacks += stores
+        return pattern, writebacks
+
+    def _price(self, pattern: np.ndarray, writebacks: int) -> int:
+        in_loop, _, _ = classify_patterns(pattern, self.costs)
         return in_loop + writebacks * self.model.ram_latency
+
+    def _relaxed_bound(self, decided: "dict[str, int]", remaining: int) -> int:
+        """Strong bound: decided groups at their meet masks, undecided
+        ones at their meet with every remaining register, write-backs of
+        the decided groups only."""
+        pattern, writebacks = self._meet_pattern(decided)
+        for group in self.order:
+            name = group.name
+            if name not in decided:
+                plane, _ = self._meet_plane(
+                    name, min(self.caps[name], 1 + remaining)
+                )
+                if plane is not None:
+                    pattern |= plane
+        return self._price(pattern, writebacks)
+
+    def _sibling_floor(
+        self, prefix: "tuple[int, ...]", registers: "dict[str, int]"
+    ) -> int:
+        """Lower bound on one leaf: every group at its meet mask, plus
+        exact write-backs.  Siblings share all groups but the branched
+        one, so that part is packed once per parent."""
+        branched = self.order[len(prefix) - 1].name
+        parent = prefix[:-1]
+        if self._siblings is None or self._siblings[0] != parent:
+            shared = {n: r for n, r in registers.items() if n != branched}
+            self._siblings = (parent, *self._meet_pattern(shared))
+        _, base, writebacks = self._siblings
+        plane, stores = self._meet_plane(branched, registers[branched])
+        pattern = base if plane is None else base | plane
+        return self._price(pattern, writebacks + stores)
 
     # -- branch and bound -----------------------------------------------------
 
@@ -488,12 +535,20 @@ class _Search:
             depth = len(prefix)
             if depth == len(self.order) or remaining == 0:
                 # Leaf (free groups exhausted, or the budget forces all
-                # remaining groups to their mandatory register).
+                # remaining groups to their mandatory register).  The
+                # root leaf (no free groups, or no extra registers) has
+                # no siblings to pre-check against.
                 nodes += 1
                 registers = dict(fixed)
                 for index, group in enumerate(self.order):
                     extra = prefix[index] if index < len(prefix) else 0
                     registers[group.name] = 1 + extra
+                if prefix and self._prunable(
+                    self._sibling_floor(prefix, registers), prefix, best_key
+                ):
+                    self.cuts["sibling"] += 1
+                    continue
+                self.cuts["leaves"] += 1
                 key = self._key_of(registers)
                 if best_key is None or key < best_key:
                     best_key, best_registers = key, registers
@@ -504,9 +559,12 @@ class _Search:
                 decided[self.order[index].name] = 1 + prefix[index]
             nodes += 1
             bound = self._access_floor(decided)
-            if not self._prunable(bound, prefix, best_key):
-                bound = max(bound, self._relaxed_bound(decided))
             if self._prunable(bound, prefix, best_key):
+                self.cuts["floor"] += 1
+                continue
+            bound = max(bound, self._relaxed_bound(decided, remaining))
+            if self._prunable(bound, prefix, best_key):
+                self.cuts["meet"] += 1
                 continue
 
             cap = min(self.caps[self.order[depth].name] - 1, remaining)
@@ -526,6 +584,7 @@ class _Search:
             nodes=nodes,
             seeds=seeds,
             seed_cycles=seed_cycles,
+            cuts=self.cuts,
         )
 
     def _key_of(

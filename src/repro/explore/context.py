@@ -108,8 +108,6 @@ class ContextStats:
     cost_misses: int = 0
     cycles_hits: int = 0
     cycles_misses: int = 0
-    optra_hits: int = 0
-    optra_misses: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -134,9 +132,6 @@ class _KernelArtifacts:
     )
     #: full count_cycles key -> CycleReport (see EvalContext.get_cycle_report)
     cycle_reports: "dict[tuple, object]" = field(default_factory=dict)
-    #: OPT-RA objective params -> certified optima (see EvalContext.
-    #: optra_lookup); entries are {budget, total, registers, cycles}
-    optra: "dict[tuple, list[dict]]" = field(default_factory=dict)
 
 
 def _model_fingerprint(model: LatencyModel) -> tuple:
@@ -398,50 +393,6 @@ class EvalContext:
         best, keep = solve_knapsack(items, target)
         bundle.knapsack[items] = (target, best, keep)
         return best, keep
-
-    # -- OPT-RA certified optima ----------------------------------------------
-
-    def optra_lookup(
-        self,
-        kernel: "Kernel",
-        groups: "tuple[RefGroup, ...]",
-        params: tuple,
-        budget: int,
-    ) -> "dict | None":
-        """A certified OPT-RA optimum answering ``budget``, or None.
-
-        ``params`` is the objective parameterization (model fingerprint,
-        ports, overhead) built by
-        :class:`~repro.core.optra.OptimalAllocator`.  An entry certified
-        at budget ``B`` with total ``T`` answers every budget in
-        ``[T, B]`` bit-identically: the feasible sets nest and the
-        (cycles, total registers, register vector) tie-break has a
-        unique minimizer, so the optimum cannot change inside that
-        interval.  Only certified (non-truncated) optima are ever
-        stored, so a memo answer is always exact.
-        """
-        bundle = self._resident(kernel)
-        if bundle is None or groups is not bundle.groups:
-            return None
-        for entry in bundle.optra.get(params, ()):
-            if entry["budget"] >= budget >= entry["total"]:
-                self.stats.optra_hits += 1
-                return entry
-        self.stats.optra_misses += 1
-        return None
-
-    def optra_store(
-        self,
-        kernel: "Kernel",
-        groups: "tuple[RefGroup, ...]",
-        params: tuple,
-        entry: dict,
-    ) -> None:
-        """Remember a certified optimum for :meth:`optra_lookup`."""
-        bundle = self._resident(kernel)
-        if bundle is None or groups is not bundle.groups:
-            return
-        bundle.optra.setdefault(params, []).append(entry)
 
     # -- whole cycle reports --------------------------------------------------
 

@@ -289,6 +289,29 @@ class GroupCoverage:
         self._canonical[key] = result
         return result
 
+    def meet(self, registers: int) -> CoverageResult:
+        """Masks missing only where *both* anchors miss at ``registers``.
+
+        For windows and uncovered groups this is :meth:`result` itself
+        (the anchor does not matter).  For pinned coverage a cell is
+        kept when either anchor keeps it, so the masks are the AND of
+        the low- and high-anchor masks; write-backs are anchor-
+        independent and exact.  The pinned meet is built straight from
+        the region ranks and never memoized, so a caller's bound
+        queries do not grow the result memo that lives for the whole
+        sweep.
+        """
+        covered = self.covered(registers)
+        if (
+            self._kind != "pinned"
+            or covered == 0
+            or not self.group.carries_reuse
+        ):
+            return self.result(registers)
+        return self._pinned_result(
+            covered, self.group.has_active_read, len(self.group.writes), "meet"
+        )
+
     def ram_accesses(self, registers: int) -> int:
         """Total RAM accesses (loop + epilogue) at ``registers``."""
         return self.result(registers).total_ram_accesses
@@ -469,11 +492,13 @@ class GroupCoverage:
         self, covered: int, has_read: bool, n_writes: int, anchor: str
     ) -> CoverageResult:
         ranks, first_touch = self._region_ranks()
+        region_elements = int(ranks.max()) + 1
         if anchor == "low":
             in_cover = ranks < covered
-        else:
-            region_elements = int(ranks.max()) + 1
+        elif anchor == "high":
             in_cover = ranks >= region_elements - covered
+        else:  # "meet": kept under either anchor
+            in_cover = (ranks < covered) | (ranks >= region_elements - covered)
         level = self._carrying_level
         assert level is not None
         if has_read:
@@ -484,7 +509,6 @@ class GroupCoverage:
         if n_writes:
             write_miss = ~in_cover
             regions = int(np.prod(self._shape[: level - 1], dtype=np.int64))
-            region_elements = int(ranks.max()) + 1
             writebacks = regions * min(covered, region_elements)
         else:
             write_miss = np.zeros(self._shape, dtype=bool)

@@ -254,40 +254,21 @@ class TestStatsExactAccounting:
         # A different overhead is a different table, not a hit.
         assert ctx.pattern_costs(kernel, groups, dfg, model, 1, 0) is not costs
 
-        params = ("fp", 1, 1)
-        entry = {"budget": 16, "total": 9, "registers": (), "cycles": 1}
-        assert ctx.optra_lookup(kernel, groups, params, 16) is None
-        ctx.optra_store(kernel, groups, params, entry)
-        # Certified at 16 with total 9: answers every budget in [9, 16].
-        assert ctx.optra_lookup(kernel, groups, params, 16) == entry
-        assert ctx.optra_lookup(kernel, groups, params, 9) == entry
-        assert ctx.optra_lookup(kernel, groups, params, 8) is None
-        assert (ctx.stats.optra_misses, ctx.stats.optra_hits) == (2, 2)
-
     def test_optra_query_sequence(self):
-        """OPT-RA at budgets (16, 16, 15, 8): the 16-budget optimum is
-        certified with total 15, so the repeat and the 15-budget query
-        answer from the memo while 8 falls below the certified interval
-        and recomputes.  Every counter is pinned — the evaluation plane
-        is deterministic, so this ledger is too.
+        """OPT-RA at budgets (16, 16, 15, 8) in one context: every query
+        runs its own search, and every counter is pinned — the
+        evaluation plane is deterministic, so this ledger is too.
 
-        Pattern values are priced through the context's cost table,
-        which replaced the per-pattern schedule memo: ``cost_misses``
-        are the 8 distinct values, each scheduled once (formerly
-        ``schedule_misses``), and every later sighting is one of the
-        ``cost_hits`` (formerly 899 ``schedule_hits``; there are more
-        now because every anchor combination is priced on the shared
-        base instead of being answered by a whole-report memo hit).
-        The anchor search no longer
-        counts each combination through the report memo: a design
-        point with anchor candidates makes one lookup under its
-        best-anchor key, so ``cycles_hits`` fell from 39 to 20.
-        The winner's report is built from the classification the
-        search already made instead of a second ``count_cycles``: each
-        of the 91 searches drops one report lookup under the winning
-        anchors (``cycles_misses`` 183 -> 92; none of those lookups
-        ever hit) and one re-pricing of the winner's pattern values
-        (``cost_hits`` 1335 -> 899)."""
+        Each query looks its kernel up once, the DFG three times and the
+        coverage computers twice; its CPA-RA and KS-RA seeds make one
+        critical-graph and one knapsack lookup, which miss on the first
+        query only.  The cycle-report memo sees each search's seed
+        vectors, the leaves the search evaluates and the final design:
+        22 lookups, 10 of them new reports: the meet bound and the
+        sibling pre-check cut most leaves before they reach that memo.
+        The pre-checks classify through the same cost table: 563
+        pattern lookups over the 8 distinct values, each scheduled
+        once."""
         ctx = EvalContext()
         for budget in (16, 16, 15, 8):
             record = evaluate_query(
@@ -297,11 +278,10 @@ class TestStatsExactAccounting:
             assert record.error is None
         assert ctx.stats.as_dict() == {
             "kernel_hits": 3, "kernel_misses": 1,
-            "dfg_hits": 7, "dfg_misses": 1,
-            "coverage_hits": 5, "coverage_misses": 1,
-            "critical_hits": 1, "critical_misses": 1,
-            "knapsack_hits": 1, "knapsack_misses": 1,
-            "cost_hits": 899, "cost_misses": 8,
-            "cycles_hits": 20, "cycles_misses": 92,
-            "optra_hits": 2, "optra_misses": 2,
+            "dfg_hits": 11, "dfg_misses": 1,
+            "coverage_hits": 7, "coverage_misses": 1,
+            "critical_hits": 3, "critical_misses": 1,
+            "knapsack_hits": 3, "knapsack_misses": 1,
+            "cost_hits": 555, "cost_misses": 8,
+            "cycles_hits": 12, "cycles_misses": 10,
         }
