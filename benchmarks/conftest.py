@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark suite.
 
 Each benchmark regenerates one paper artifact (table/figure) or one
-ablation from DESIGN.md's experiment index.  Heavy flows run once per
+ablation of :mod:`repro.bench.sweeps`.  Heavy flows run once per
 benchmark via ``benchmark.pedantic`` — we are measuring the reproduction
 pipeline itself, and more importantly printing the regenerated artifacts
 (run with ``-s`` to see them).

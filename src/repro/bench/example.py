@@ -1,6 +1,6 @@
 """The paper's running example (Figures 1 and 2) as a reusable harness.
 
-Reconstructed bounds (see DESIGN.md section 2): ``Ni=4, Nj=20, Nk=30``
+Reconstructed bounds (the paper does not print them): ``Ni=4, Nj=20, Nk=30``
 and a 64-register budget — the unique small solution consistent with all
 the worked numbers the paper states (``beta_a=30, beta_c=20, beta_d=30``,
 FR-RA's leftover of 11 registers, PR-RA's ``beta_d=12``, CPA-RA's

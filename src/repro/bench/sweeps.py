@@ -1,6 +1,6 @@
 """Design-space sweeps and ablations beyond the paper's tables.
 
-These are the A1-A4 experiments of DESIGN.md: register-budget sweeps,
+Four experiments beyond the paper's tables: register-budget sweeps,
 RAM-latency sweeps, allocator-policy comparisons (including the exact
 knapsack), and the residency-policy study that justifies the coverage
 model's pinned/Belady split.

@@ -7,7 +7,8 @@ replacement (``beta - 1``), value = accesses saved — giving the optimum of
 the paper's "simple objective function" (eliminate the most memory
 accesses).  It ignores the critical path, so comparing it against CPA-RA
 isolates how much of CPA-RA's win comes from path awareness rather than
-greedy suboptimality (ablation A3 in DESIGN.md).
+greedy suboptimality (the allocator-policy ablation,
+:func:`repro.bench.sweeps.policy_comparison`).
 """
 
 from __future__ import annotations

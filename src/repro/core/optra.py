@@ -287,8 +287,9 @@ class _Search:
         else:
             self.dfg = build_dfg(self.kernel, self.groups)
             self.coverages = coverage_for(self.kernel, self.groups)
-        self.shape = self.kernel.nest.trip_counts()
-        self.space = int(np.prod(self.shape))
+        # Bounds price vectors over the kernel's iteration classes.
+        self.classes = self.coverages.classes
+        self.space = self.classes.size
         self.extra_budget = self.budget - len(self.groups)
         self.betas = {g.name: g.full_registers for g in self.groups}
 
@@ -429,7 +430,7 @@ class _Search:
             meet = coverage.meet(registers)
             plane = None
             if meet.ram_reads or meet.write_misses:
-                plane = self.costs.layout.pack(self.shape, {name: meet})
+                plane = self.costs.layout.pack(self.classes, {name: meet})
             entry = (plane, meet.writeback_stores)
             self._planes[key] = entry
         return entry
@@ -438,7 +439,7 @@ class _Search:
         self, registers: "dict[str, int]"
     ) -> "tuple[np.ndarray, int]":
         """The OR of the groups' meet planes, and their write-backs."""
-        pattern = np.zeros(self.shape, dtype=self.costs.layout.dtype)
+        pattern = np.zeros(self.classes.count, dtype=self.costs.layout.dtype)
         writebacks = 0
         for name, r in registers.items():
             plane, stores = self._meet_plane(name, r)
@@ -448,7 +449,7 @@ class _Search:
         return pattern, writebacks
 
     def _price(self, pattern: np.ndarray, writebacks: int) -> int:
-        in_loop, _, _ = classify_patterns(pattern, self.costs)
+        in_loop, _, _ = classify_patterns(pattern, self.classes, self.costs)
         return in_loop + writebacks * self.model.ram_latency
 
     def _relaxed_bound(self, decided: "dict[str, int]", remaining: int) -> int:

@@ -338,7 +338,7 @@ class SqliteBackend(CacheBackend):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(str(self.path), timeout=self.timeout)
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
+            self._use_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             for statement in self.SCHEMA:
                 conn.execute(statement)
@@ -350,6 +350,29 @@ class SqliteBackend(CacheBackend):
             ) from exc
         self._conn = conn
         return conn
+
+    def _use_wal(self, conn: sqlite3.Connection) -> None:
+        """Switch the database to WAL mode, unless it already is.
+
+        The busy timeout does not cover the switch: while another
+        connection holds a write lock on a fresh file, ``PRAGMA
+        journal_mode=WAL`` fails at once with "database is locked".
+        Processes opening one new database together race exactly
+        there, so the switch is retried until :attr:`timeout` runs out.
+        """
+        deadline = time.monotonic() + self.timeout
+        pause = 0.005
+        while True:
+            try:
+                (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
+                if mode.lower() != "wal":
+                    conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(pause)
+            pause = min(2 * pause, 0.1)
 
     @staticmethod
     def _os_error(exc: sqlite3.OperationalError) -> "OSError | None":

@@ -24,7 +24,8 @@ body DFG                      the kernel bundle (DFG depends only on
 coverage computers            the kernel bundle — one
                               :class:`~repro.scalar.coverage.GroupCoverage`
                               per group, which itself memoizes results per
-                              ``(registers, anchor)``
+                              ``(registers, anchor)``, sharing the
+                              kernel's one iteration-class partition
 pattern cost tables           ``(kernel bundle, latency-model
                               fingerprint, ram_ports, overhead)`` —
                               packed pattern value -> ``(makespan +
@@ -71,7 +72,7 @@ from repro.dfg.build import build_dfg
 from repro.dfg.critical import CriticalGraph, critical_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
-from repro.scalar.coverage import GroupCoverage, coverage_for
+from repro.scalar.coverage import CoverageMap, GroupCoverage, coverage_for
 from repro.sim.cycles import PatternCosts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,8 +121,8 @@ class _KernelArtifacts:
     kernel: "Kernel"
     groups: "tuple[RefGroup, ...]"
     dfg: "DataFlowGraph | None" = None
-    #: group name -> GroupCoverage
-    coverages: "dict[str, GroupCoverage] | None" = None
+    #: group name -> GroupCoverage, plus their iteration classes
+    coverages: "CoverageMap | None" = None
     #: (model fp, ram_ports, overhead) -> per-pattern-value cost table
     costs: "dict[tuple, PatternCosts]" = field(default_factory=dict)
     #: (model fp, frozen per-group hits) -> CriticalGraph
@@ -279,13 +280,14 @@ class EvalContext:
         self,
         kernel: "Kernel",
         groups: "tuple[RefGroup, ...] | None" = None,
-    ) -> "dict[str, GroupCoverage]":
+    ) -> CoverageMap:
         """Shared coverage computers for every group of ``kernel``.
 
         The returned :class:`GroupCoverage` objects memoize their own
         results per ``(registers, anchor)``, so sharing them across the
         budget/allocator axes is where a sweep's rank/Belady work
-        collapses to once-per-kernel.  Callers must treat the dict as
+        collapses to once-per-kernel; the map also carries the kernel's
+        one iteration-class partition.  Callers must treat the dict as
         read-only.
         """
         bundle = self._bundle_for(kernel, groups)

@@ -8,7 +8,8 @@ source of truth shared by the cycle simulator, the allocators' partial-
 benefit queries and the experiment tables, so planning and "execution"
 cannot drift apart.
 
-Coverage semantics (paper-faithful; see DESIGN.md section 5):
+Coverage semantics (paper-faithful; ``tests/test_paper_example.py`` pins
+them to the paper's Figure 2(c) numbers):
 
 * ``covered(r) = min(r, beta)`` elements of the footprint are register-
   resident, except that a single register (``r == 1``) is only the
@@ -30,6 +31,20 @@ Coverage semantics (paper-faithful; see DESIGN.md section 5):
   opt_trace`), simulated on the real address stream.  LRU would be wrong
   here — on strided windows it evicts the whole reusable window with
   dead values (see the residency ablation benchmark).
+
+Results are computed per *iteration class*, not per iteration.  The
+computers of one :func:`coverage_for` map share one
+:class:`IterationClasses` partition of the kernel: two iterations share
+a class when their miss flags agree on every group, at every register
+count and under every anchor (a pinned group's region rank and
+first-touch flag, a window group's stack distance).  A
+:class:`CoverageResult` carries per-class miss vectors, its RAM-access
+counts are sums weighted by the class sizes, and its per-iteration
+``read_miss`` / ``write_miss`` / ``retain`` grids are expanded from the
+vectors only when read (the interpreter and the tests do).  A result
+built from grids (a test oracle's) is compressed onto a partition by a
+verifying gather that raises unless each grid is constant on every
+class.
 """
 
 from __future__ import annotations
@@ -49,7 +64,9 @@ from repro.sim.residency import OptTraceLadder
 
 __all__ = [
     "GroupCoverage",
+    "CoverageMap",
     "CoverageResult",
+    "IterationClasses",
     "coverage_for",
     "trace_engine_seconds",
 ]
@@ -74,9 +91,116 @@ def _charge_trace(since: float) -> None:
     _TRACE_SECONDS += time.perf_counter() - since
 
 
-@dataclass(frozen=True)
+class IterationClasses:
+    """One kernel's iterations, split once into classes.
+
+    Two iterations share a class when every group's miss flags agree at
+    every register count and under every anchor, so every coverage mask
+    of the kernel is constant on each class.  Each member group gives one
+    signature column (:meth:`GroupCoverage._signature`): a pinned group
+    its region rank plus first-touch flag, a window group its stack
+    distance (already clamped at ``beta + 1``); an uncovered group, or
+    one with no carried reuse, gives none.  The columns are combined by
+    repeated 1-D ``np.unique`` over ``class * (column.max() + 1) +
+    column``, which is several times faster than a row-wise
+    ``np.unique(axis=0)`` over the signature matrix.  The signatures are
+    dropped once the partition is built; what stays is, per class, its
+    first iteration (:attr:`representatives`) and its size
+    (:attr:`weights`), plus the compact iteration-to-class map
+    (:attr:`inverse`, ``uint8``/``uint16``/``int32``).
+
+    The partition is built on first use, after which no member can join.
+    """
+
+    def __init__(self, shape: "tuple[int, ...]") -> None:
+        self.shape = tuple(shape)
+        self.size = int(np.prod(self.shape, dtype=np.int64))
+        self._members: "list[GroupCoverage]" = []
+
+    def add(self, member: "GroupCoverage") -> None:
+        """Give ``member``'s signature column a say in the partition."""
+        if "_partition" in self.__dict__:
+            raise AnalysisError(
+                f"{member.group.name}: the iteration classes are already built"
+            )
+        self._members.append(member)
+
+    @cached_property
+    def _partition(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        inverse = np.zeros(self.size, dtype=np.int64)
+        first = np.zeros(min(self.size, 1), dtype=np.int64)
+        for member in self._members:
+            column = member._signature()
+            if column is None:
+                continue
+            key = inverse * (int(column.max()) + 1) + column
+            _, first, inverse = np.unique(
+                key, return_index=True, return_inverse=True
+            )
+        weights = np.bincount(inverse, minlength=len(first))
+        dtype = (
+            np.uint8 if len(first) <= 1 << 8
+            else np.uint16 if len(first) <= 1 << 16
+            else np.int32
+        )
+        self._members = []
+        return first, weights, inverse.astype(dtype)
+
+    @property
+    def count(self) -> int:
+        """The number of classes, ``K``."""
+        return len(self._partition[0])
+
+    @property
+    def representatives(self) -> np.ndarray:
+        """Flat index of each class's first iteration."""
+        return self._partition[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Iterations per class (``int64``; they sum to :attr:`size`)."""
+        return self._partition[1]
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """Class of each flat iteration."""
+        return self._partition[2]
+
+    def expand(self, vector: np.ndarray) -> np.ndarray:
+        """The per-iteration grid of a per-class ``vector``."""
+        return vector[self.inverse].reshape(self.shape)
+
+    def gather(self, mask: np.ndarray) -> np.ndarray:
+        """The per-class vector of a per-iteration ``mask``, verified.
+
+        Raises :class:`SimulationError` unless ``mask`` is constant on
+        every class — a foreign mask the partition cannot represent.
+        """
+        flat = np.broadcast_to(mask, self.shape).reshape(-1)
+        vector = flat[self.representatives]
+        if not np.array_equal(vector[self.inverse], flat):
+            raise SimulationError(
+                "a miss mask is not constant on its iteration classes"
+            )
+        return vector
+
+
+#: The per-iteration grid attributes of a :class:`CoverageResult`, in
+#: the order of its ``_masks``.
+_GRIDS = ("read_miss", "write_miss", "retain")
+
+
+@dataclass(frozen=True, init=False)
 class CoverageResult:
     """Exact access behaviour of one group under one register count.
+
+    Production results are class-level: ``read_miss``, ``write_miss``
+    and ``retain`` are given as per-class vectors over ``classes`` (an
+    :class:`IterationClasses`), and the per-iteration grids these
+    attributes name are expanded from them on first read.  A result
+    built without ``classes`` (a test oracle's) is given the grids
+    themselves; the cycle counter compresses it onto its partition with
+    the verifying :meth:`IterationClasses.gather`.
 
     Attributes
     ----------
@@ -108,18 +232,72 @@ class CoverageResult:
         read of :attr:`window_inserted` / :attr:`window_evicted` /
         :attr:`window_freed` and is kept from then on.  ``None``
         otherwise.
+    classes:
+        The partition the masks are given over, or ``None``.
     """
 
-    read_miss: np.ndarray
-    write_miss: np.ndarray
+    read_miss: np.ndarray = field(repr=False)
+    write_miss: np.ndarray = field(repr=False)
     writeback_stores: int
-    kind: str = "none"
-    covered: int = 0
-    region_level: "int | None" = None
-    retain: "np.ndarray | None" = None
+    kind: str
+    covered: int
+    region_level: "int | None"
+    retain: "np.ndarray | None" = field(repr=False)
     placement: (
         "Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] | None"
-    ) = field(default=None, repr=False, compare=False)
+    ) = field(repr=False, compare=False)
+    classes: "IterationClasses | None" = field(repr=False, compare=False)
+
+    def __init__(
+        self,
+        read_miss: np.ndarray,
+        write_miss: np.ndarray,
+        writeback_stores: int,
+        kind: str = "none",
+        covered: int = 0,
+        region_level: "int | None" = None,
+        retain: "np.ndarray | None" = None,
+        placement: (
+            "Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] | None"
+        ) = None,
+        classes: "IterationClasses | None" = None,
+    ) -> None:
+        fields = {
+            "writeback_stores": writeback_stores,
+            "kind": kind,
+            "covered": covered,
+            "region_level": region_level,
+            "placement": placement,
+            "classes": classes,
+            "_masks": (read_miss, write_miss, retain),
+        }
+        if classes is None:
+            fields.update(read_miss=read_miss, write_miss=write_miss,
+                          retain=retain)
+        self.__dict__.update(fields)
+
+    def __getattr__(self, name: str) -> "np.ndarray | None":
+        # Reached only when normal lookup fails: a class-level result's
+        # grid on its first read, expanded once and kept.
+        masks = self.__dict__.get("_masks")
+        if name not in _GRIDS or masks is None:
+            raise AttributeError(name)
+        mask = masks[_GRIDS.index(name)]
+        grid = None if mask is None else self.classes.expand(mask)
+        self.__dict__[name] = grid
+        return grid
+
+    def class_masks(
+        self, classes: IterationClasses
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The ``(read, write)`` miss vectors over ``classes``.
+
+        A result over another partition, or over none, is compressed by
+        the verifying :meth:`IterationClasses.gather`.
+        """
+        if classes is self.classes:
+            return self._masks[0], self._masks[1]
+        return classes.gather(self.read_miss), classes.gather(self.write_miss)
 
     @cached_property
     def _placement_trace(
@@ -145,15 +323,21 @@ class CoverageResult:
         return self._placement_trace[2]
 
     # Results are immutable and re-read by every count of a sweep, so
-    # the mask reductions are paid once per result.
+    # the mask reductions are paid once per result: weighted sums over
+    # the classes, or plain counts over a foreign result's grids.
+    def _misses(self, mask: np.ndarray) -> int:
+        if self.classes is None:
+            return int(np.count_nonzero(mask))
+        return int(self.classes.weights[mask].sum())
+
     @cached_property
     def ram_reads(self) -> int:
-        return int(np.count_nonzero(self.read_miss))
+        return self._misses(self._masks[0])
 
     @cached_property
     def write_misses(self) -> int:
         """In-loop RAM stores (True cells of ``write_miss``)."""
-        return int(np.count_nonzero(self.write_miss))
+        return self._misses(self._masks[1])
 
     @property
     def ram_writes(self) -> int:
@@ -182,6 +366,10 @@ class GroupCoverage:
     per-count reference computations these are pinned against live with
     the tests (``tests/coverage_oracle.py``).
 
+    Results are class-level, over :attr:`classes`: the partition shared
+    by every computer of one :func:`coverage_for` map, or a partition of
+    this group alone for a computer built on its own.
+
     Results are memoized per ``(registers, anchor)`` *and* per the
     canonical key they reduce to (``covered`` for windows,
     ``(covered, anchor)`` for pinned coverage): the pipeline's
@@ -190,7 +378,12 @@ class GroupCoverage:
     the same covered set.
     """
 
-    def __init__(self, kernel: Kernel, group: RefGroup) -> None:
+    def __init__(
+        self,
+        kernel: Kernel,
+        group: RefGroup,
+        classes: "IterationClasses | None" = None,
+    ) -> None:
         self.kernel = kernel
         self.group = group
         self.beta = group.full_registers
@@ -200,6 +393,7 @@ class GroupCoverage:
         self._window_plane: "OptTraceLadder | None" = None
         self._distances: "np.ndarray | None" = None
         self._hits_upto: "np.ndarray | None" = None
+        self._class_columns: "tuple[np.ndarray, ...] | None" = None
         self._shape = kernel.nest.trip_counts()
         best = min(
             group.profile.points, key=lambda p: (p.accesses, p.registers)
@@ -218,6 +412,12 @@ class GroupCoverage:
         else:
             loop_var = kernel.nest.loops[carrying_level - 1].var
             self._kind = "pinned" if not group.ref.depends_on(loop_var) else "window"
+        #: The partition this computer's results are given over: shared
+        #: by every computer of one :func:`coverage_for` map, else its own.
+        self.classes = (
+            IterationClasses(self._shape) if classes is None else classes
+        )
+        self.classes.add(self)
 
     # -- public API -----------------------------------------------------------
 
@@ -275,13 +475,14 @@ class GroupCoverage:
         if memoized is not None:
             return memoized
         if key[0] == "none":
-            read_miss = np.full(self._shape, has_read, dtype=bool)
-            write_miss = (
-                np.full(self._shape, n_writes > 0, dtype=bool)
-                if n_writes
-                else np.zeros(self._shape, dtype=bool)
+            count = self.classes.count
+            result = CoverageResult(
+                np.full(count, has_read, dtype=bool),
+                np.full(count, n_writes > 0, dtype=bool),
+                0,
+                kind="none",
+                classes=self.classes,
             )
-            result = CoverageResult(read_miss, write_miss, 0, kind="none")
         elif key[0] == "pinned":
             result = self._pinned_result(covered, has_read, n_writes, anchor)
         else:
@@ -297,9 +498,9 @@ class GroupCoverage:
         kept when either anchor keeps it, so the masks are the AND of
         the low- and high-anchor masks; write-backs are anchor-
         independent and exact.  The pinned meet is built straight from
-        the region ranks and never memoized, so a caller's bound
-        queries do not grow the result memo that lives for the whole
-        sweep.
+        the class ranks (no per-iteration work) and never memoized, so
+        a caller's bound queries do not grow the result memo that lives
+        for the whole sweep.
         """
         covered = self.covered(registers)
         if (
@@ -488,10 +689,42 @@ class GroupCoverage:
         _charge_trace(started)
         return self._region_cache
 
+    # -- iteration classes ----------------------------------------------------
+
+    def _signature(self) -> "np.ndarray | None":
+        """This group's column of the iteration-class signature, or None
+        when every result of the group is constant over the nest."""
+        if not self.group.carries_reuse or self._kind == "none":
+            return None
+        if self._kind == "pinned":
+            ranks, first = self._region_ranks()
+            return ranks.reshape(-1) * 2 + first.reshape(-1)
+        # Distances never exceed beta + 1 (hit at no covered count).
+        return self._window_distances()
+
+    def _class_signature(self) -> "tuple[np.ndarray, ...]":
+        """The signature at each class's representative: ``(ranks,
+        first-touch flags)`` for pinned coverage, ``(distances,)`` for
+        windows."""
+        if self._class_columns is None:
+            at = self.classes.representatives
+            if self._kind == "pinned":
+                ranks, first = self._region_ranks()
+                self._class_columns = (
+                    ranks.reshape(-1)[at], first.reshape(-1)[at]
+                )
+            else:
+                self._class_columns = (self._window_distances()[at],)
+        return self._class_columns
+
+    # -- pinned (invariant) coverage, per class -------------------------------
+
     def _pinned_result(
         self, covered: int, has_read: bool, n_writes: int, anchor: str
     ) -> CoverageResult:
-        ranks, first_touch = self._region_ranks()
+        ranks, first_touch = self._class_signature()
+        # Every rank occurs at some representative, so this is the
+        # region's element count.
         region_elements = int(ranks.max()) + 1
         if anchor == "low":
             in_cover = ranks < covered
@@ -505,13 +738,13 @@ class GroupCoverage:
             # Pinned & already fetched -> hit; first touch or unpinned -> RAM.
             read_miss = ~(in_cover & ~first_touch)
         else:
-            read_miss = np.zeros(self._shape, dtype=bool)
+            read_miss = np.zeros(len(ranks), dtype=bool)
         if n_writes:
             write_miss = ~in_cover
             regions = int(np.prod(self._shape[: level - 1], dtype=np.int64))
             writebacks = regions * min(covered, region_elements)
         else:
-            write_miss = np.zeros(self._shape, dtype=bool)
+            write_miss = np.zeros(len(ranks), dtype=bool)
             writebacks = 0
         return CoverageResult(
             read_miss,
@@ -521,6 +754,7 @@ class GroupCoverage:
             covered=covered,
             region_level=level,
             retain=in_cover,
+            classes=self.classes,
         )
 
     # -- window (Belady) coverage ----------------------------------------------
@@ -578,11 +812,12 @@ class GroupCoverage:
     def _window_result(
         self, covered: int, has_read: bool, n_writes: int
     ) -> CoverageResult:
-        misses = (self._window_distances() > covered).reshape(self._shape)
+        (distances,) = self._class_signature()
+        misses = distances > covered
         if has_read:
             read_miss = misses
         else:
-            read_miss = np.zeros(self._shape, dtype=bool)
+            read_miss = np.zeros(len(misses), dtype=bool)
         if n_writes:
             # Windowed writes: covered stores are coalesced in registers and
             # flushed on eviction; conservatively charge one store per
@@ -591,7 +826,7 @@ class GroupCoverage:
             write_miss = misses
             writebacks = covered
         else:
-            write_miss = np.zeros(self._shape, dtype=bool)
+            write_miss = np.zeros(len(misses), dtype=bool)
             writebacks = 0
         return CoverageResult(
             read_miss,
@@ -601,11 +836,27 @@ class GroupCoverage:
             covered=covered,
             region_level=self._carrying_level,
             placement=functools.partial(self._traced_placement, covered),
+            classes=self.classes,
         )
+
+
+class CoverageMap(dict):
+    """Group name -> :class:`GroupCoverage`, plus the one partition
+    (:attr:`classes`) every computer of the map shares."""
+
+    def __init__(
+        self, computers: "dict[str, GroupCoverage]", classes: IterationClasses
+    ) -> None:
+        super().__init__(computers)
+        self.classes = classes
 
 
 def coverage_for(
     kernel: Kernel, groups: "tuple[RefGroup, ...]"
-) -> dict[str, GroupCoverage]:
-    """Coverage computers for every group, keyed by group name."""
-    return {g.name: GroupCoverage(kernel, g) for g in groups}
+) -> CoverageMap:
+    """Coverage computers for every group, keyed by group name, sharing
+    one :class:`IterationClasses` partition of the kernel."""
+    classes = IterationClasses(kernel.nest.trip_counts())
+    return CoverageMap(
+        {g.name: GroupCoverage(kernel, g, classes) for g in groups}, classes
+    )

@@ -6,18 +6,28 @@ makespan of the body DFG scheduled with that iteration's hit/miss pattern
 e.g. with ``d`` covered for ``k < 12``, iterations split into the
 ``k < 12`` and ``k >= 12`` classes of the paper's Figure 2(c) arithmetic.
 
-Iterations with identical patterns cost the same, so the counter
-classifies the whole iteration space into patterns (vectorized), schedules
-each distinct pattern once, and takes a weighted sum — exact, and fast
-even for the million-iteration kernels.
+Iterations with identical patterns cost the same, so the counter never
+looks at single iterations.  Each kernel's iterations are split once
+into classes (:class:`~repro.scalar.coverage.IterationClasses`) on which
+every miss mask is constant, at every register count and anchor — 64 to
+512 classes on the registered kernels, against up to 61,504 iterations.
+Coverage results carry per-class miss vectors, so a count works on
+vectors of length ``K``, the number of classes: it packs them, schedules
+each distinct pattern once, and takes a sum weighted by the class sizes
+— exact, and fast even for the million-iteration kernels.  A result
+without class vectors (a test oracle's per-iteration grids) is
+compressed onto the partition by a verifying gather, which raises
+unless the grid is constant on every class.
 
 Patterns are packed.  A kernel's access channels get fixed bit positions
-(:class:`PatternLayout`), each miss mask is ORed in as one bit plane of a
-``uint8`` grid (``uint16``/``uint32`` past 8/16 channels), and a
-:class:`PatternCosts` table maps each packed value to its iteration
-cost.  The channel set depends only on the groups, so one layout and
-one cost table serve every count of a kernel; with an
+(:class:`PatternLayout`), each class miss vector is ORed in as one bit
+plane of a ``uint8`` vector (``uint16``/``uint32`` past 8/16 channels),
+and a :class:`PatternCosts` table maps each packed value to its
+iteration cost.  The channel set depends only on the groups, so one
+layout and one cost table serve every count of a kernel; with an
 :class:`~repro.explore.context.EvalContext` they serve a whole sweep.
+:func:`classify_patterns` is the one pricing function: the counts,
+the anchor search and OPT-RA's bounds all call it.
 
 Total cycles also include:
 
@@ -42,7 +52,12 @@ from repro.dfg.latency import LatencyModel
 from repro.dfg.nodes import ReadNode, WriteNode
 from repro.errors import SimulationError
 from repro.ir.kernel import Kernel
-from repro.scalar.coverage import CoverageResult, GroupCoverage
+from repro.scalar.coverage import (
+    CoverageResult,
+    GroupCoverage,
+    IterationClasses,
+    coverage_for,
+)
 from repro.sim.scheduler import schedule_iteration
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,23 +169,28 @@ class PatternLayout:
 
     def pack(
         self,
-        shape: "tuple[int, ...]",
+        classes: IterationClasses,
         results: "Mapping[str, CoverageResult]",
         into: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """OR the miss masks of ``results`` into a packed pattern grid.
+        """OR the class miss vectors of ``results`` into a packed pattern.
 
+        The pattern holds one value per class of ``classes``.
         ``results`` maps group names to coverage results; absent groups
-        never miss.  ``into`` (a packed grid, updated in place) lets a
-        caller start from a shared partial pattern.
+        never miss.  ``into`` (a packed pattern, updated in place) lets
+        a caller start from a shared partial pattern.
         """
-        pattern = np.zeros(shape, dtype=self.dtype) if into is None else into
-        plane = None
+        pattern = (
+            np.zeros(classes.count, dtype=self.dtype) if into is None else into
+        )
         for name, result in results.items():
+            reads, writes = result.ram_reads, result.write_misses
+            if not (reads or writes):
+                continue
             read, write = self.bits[name]
+            read_miss, write_miss = result.class_masks(classes)
             for bit, miss, count in (
-                (read, result.read_miss, result.ram_reads),
-                (write, result.write_miss, result.write_misses),
+                (read, read_miss, reads), (write, write_miss, writes)
             ):
                 if not count:
                     continue
@@ -179,10 +199,7 @@ class PatternLayout:
                         f"group {name} misses on an access channel "
                         f"it does not have"
                     )
-                if plane is None:
-                    plane = np.empty(shape, dtype=self.dtype)
-                np.multiply(miss.view(np.uint8), self._weights[bit], out=plane)
-                pattern |= plane
+                pattern |= miss.view(np.uint8) * self._weights[bit]
         return pattern
 
 
@@ -307,7 +324,9 @@ def count_cycles(
     ``coverages`` optionally shares pre-built coverage computers across
     repeated counts of the same design point (the pipeline's anchor
     search); any object with the :meth:`GroupCoverage.result` interface
-    serves, which is how the tests count cycles over reference coverage.
+    serves, which is how the tests count cycles over reference coverage
+    (a plain dict's masks are gathered onto the kernel's canonical
+    iteration classes, verified).
 
     ``context`` (an :class:`~repro.explore.context.EvalContext`) memoizes
     whole reports per full parameterization, plus the layout and the
@@ -341,24 +360,21 @@ def count_cycles(
         if memoized is not None:
             return memoized
 
-    results: "dict[str, CoverageResult]" = {}
-    for group in groups:
-        if coverages is not None and group.name in coverages:
-            coverage = coverages[group.name]
-        else:
-            coverage = GroupCoverage(kernel, group)
-        results[group.name] = coverage.result(
-            allocation.registers_for(group.name),
-            anchor=anchors.get(group.name, "low"),
+    if coverages is None:
+        coverages = coverage_for(kernel, groups)
+    results = {
+        g.name: coverages[g.name].result(
+            allocation.registers_for(g.name), anchor=anchors.get(g.name, "low")
         )
+        for g in groups
+    }
     costs = pattern_costs(
         kernel, groups, dfg, model, ram_ports, overhead_per_iteration, context
     )
+    classes = _classes(kernel, groups, coverages, context)
     report = _report(
         results,
-        classify_patterns(
-            costs.layout.pack(kernel.nest.trip_counts(), results), costs
-        ),
+        classify_patterns(costs.layout.pack(classes, results), classes, costs),
         model,
     )
     if memo_key is not None:
@@ -366,6 +382,26 @@ def count_cycles(
             kernel, groups, memo_key, report, dfg=dfg, coverages=coverages
         )
     return report
+
+
+def _classes(
+    kernel: Kernel,
+    groups: "tuple[RefGroup, ...]",
+    coverages: "Mapping[str, GroupCoverage]",
+    context: "EvalContext | None",
+) -> IterationClasses:
+    """The partition a count packs onto: the one its coverage map
+    shares, else the canonical map's of ``kernel`` (a plain dict, such
+    as a test oracle's, is gathered onto that one)."""
+    classes = getattr(coverages, "classes", None)
+    if classes is None:
+        canonical = (
+            context.coverages(kernel, groups)
+            if context is not None
+            else coverage_for(kernel, groups)
+        )
+        classes = canonical.classes
+    return classes
 
 
 def _report(
@@ -414,13 +450,13 @@ def best_anchors(
     costs = pattern_costs(
         kernel, groups, dfg, model, ram_ports, overhead_per_iteration, context
     )
-    shape = kernel.nest.trip_counts()
+    classes = _classes(kernel, groups, coverages, context)
     fixed = {
         g.name: coverages[g.name].result(allocation.registers_for(g.name))
         for g in groups
         if g.name not in candidates
     }
-    base = costs.layout.pack(shape, fixed)
+    base = costs.layout.pack(classes, fixed)
     base_writebacks = sum(r.writeback_stores for r in fixed.values())
     options = [
         tuple(
@@ -438,7 +474,7 @@ def best_anchors(
             for bit, name in enumerate(candidates)
         }
         classified = classify_patterns(
-            costs.layout.pack(shape, chosen, into=base.copy()), costs
+            costs.layout.pack(classes, chosen, into=base.copy()), classes, costs
         )
         writebacks = base_writebacks + sum(
             r.writeback_stores for r in chosen.values()
@@ -452,29 +488,37 @@ def best_anchors(
 
 
 def classify_patterns(
-    pattern: np.ndarray, costs: PatternCosts
+    pattern: np.ndarray, classes: IterationClasses, costs: PatternCosts
 ) -> "tuple[int, int, list[tuple[tuple[str, ...], int, int]]]":
     """The pattern-classification core shared by every cycle counter.
 
-    ``pattern`` is a packed grid (:meth:`PatternLayout.pack`); the
-    iterations sharing one value form one pattern, costed once through
-    ``costs``.  Returns ``(in_loop_cycles, memory_cycles,
-    pattern_rows)`` exactly as :func:`count_cycles` reports them, rows
-    in ascending value order; OPT-RA's admissible relaxation bounds
-    reuse this so the bound arithmetic cannot drift from the real
-    counter's.
+    ``pattern`` is a packed vector over the iteration classes
+    (:meth:`PatternLayout.pack`); the iterations whose classes share one
+    value form one pattern, costed once through ``costs``.  Returns
+    ``(in_loop_cycles, memory_cycles, pattern_rows)`` exactly as
+    :func:`count_cycles` reports them, rows in ascending value order;
+    OPT-RA's admissible relaxation bounds reuse this so the bound
+    arithmetic cannot drift from the real counter's.
+
+    The iteration counts are a weighted ``bincount`` over the class
+    weights.  It accumulates in float64, which is exact here: every
+    partial sum is an integer below the iteration count, far under
+    ``2**53``.
     """
-    counts = np.bincount(pattern.reshape(-1), minlength=1)
+    counts = np.bincount(pattern, weights=classes.weights)
     values = np.flatnonzero(counts)
     in_loop = 0
     memory_cycles = 0
+    total = 0
     pattern_rows: list[tuple[tuple[str, ...], int, int]] = []
     for value, count in zip(values.tolist(), counts[values].tolist()):
+        count = int(count)
         cost, pattern_memory, misses = costs[value]
         in_loop += cost * count
         memory_cycles += pattern_memory * count
+        total += count
         pattern_rows.append((misses, count, cost))
 
-    if sum(count for _, count, _ in pattern_rows) != pattern.size:
+    if total != classes.size:
         raise SimulationError("pattern classification lost iterations")
     return in_loop, memory_cycles, pattern_rows

@@ -1,7 +1,7 @@
 """Clock-period estimation.
 
-Stands in for the paper's Monet -> Synplify Pro -> Xilinx ISE flow (see
-DESIGN.md, substitutions).  The model captures the *mechanisms* the paper
+Stands in for the paper's Monet -> Synplify Pro -> Xilinx ISE flow, which
+is proprietary and not reproducible here.  The model captures the *mechanisms* the paper
 uses to explain its clock-rate observations:
 
 * the base period covers the slowest single-cycle datapath stage (widest

@@ -12,8 +12,10 @@ import errno
 import hashlib
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -380,6 +382,29 @@ def test_two_process_sqlite_concurrency(tmp_path):
     assert stitched.stats.evaluated == 0
     fresh = Executor(**opts).run(grid)
     assert docs(stitched) == docs(fresh)
+
+
+def test_sqlite_connect_waits_out_a_lock_on_a_fresh_file(tmp_path):
+    """Opening a fresh database while another connection holds its write
+    lock waits the lock out: the WAL switch retries instead of failing
+    with "database is locked" (the race of two sweeps opening one new
+    file together)."""
+    db = tmp_path / "fresh.db"
+    blocker = sqlite3.connect(db, isolation_level=None, check_same_thread=False)
+    blocker.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.2, blocker.execute, ("COMMIT",))
+    started = time.perf_counter()
+    release.start()
+    try:
+        conn = SqliteBackend(db, timeout=5.0)._connect(create=True)
+        waited = time.perf_counter() - started
+        (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
+        conn.close()
+    finally:
+        release.join()
+        blocker.close()
+    assert mode == "wal"
+    assert waited >= 0.1
 
 
 # -- CLI surfaces -------------------------------------------------------------

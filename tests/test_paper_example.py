@@ -1,4 +1,4 @@
-"""E3: the paper's worked example, number for number (DESIGN.md).
+"""E3: the paper's worked example, number for number.
 
 Section 4 of the paper walks the three allocators over the Figure 1 code
 with a 64-register budget.  These tests pin every stated outcome:
