@@ -24,7 +24,11 @@ from repro.explore.cache import ResultCache
 from repro.explore.executor import Executor
 from repro.explore.query import DesignQuery, DesignRecord, LatencySpec
 from repro.ir.kernel import Kernel
-from repro.sim.residency import OptTraceLadder, lru_miss_counts, pinned_misses
+from repro.sim.residency import (
+    lru_miss_counts,
+    opt_stack_distances,
+    pinned_misses,
+)
 
 __all__ = [
     "BudgetPoint",
@@ -335,12 +339,12 @@ def residency_study(
     invariant references (LRU thrashes on cyclic sweeps) and Belady for
     windows (LRU dies on strided windows).
 
-    The whole capacity axis of each group is evaluated in one ladder
-    pass: LRU misses for every capacity come from a single
-    stack-distance histogram (:func:`lru_miss_counts`) and the Belady
-    traces share one capacity-independent
-    :class:`~repro.sim.residency.OptTraceLadder` plane — bit-identical
-    to the per-capacity calls they replace.
+    The whole capacity axis of each group is evaluated in one pass per
+    policy: LRU misses for every capacity come from a single
+    stack-distance histogram (:func:`lru_miss_counts`), and Belady misses
+    from one OPT stack walk (:func:`opt_stack_distances`) plus a
+    histogram — an access misses exactly the capacities below its
+    distance.
     """
     groups = build_groups(kernel)
     grids = kernel.nest.meshgrids()
@@ -355,7 +359,10 @@ def residency_study(
         caps = capacities or sorted({1, max(2, beta // 4), max(2, beta // 2), beta})
         caps = [min(capacity, beta) for capacity in caps]
         lru_by_capacity = lru_miss_counts(stream, sorted(set(caps)))
-        plane = OptTraceLadder(stream)
+        top = max(caps)
+        opt_hits = np.cumsum(
+            np.bincount(opt_stack_distances(stream, top), minlength=top + 2)
+        )
         for capacity in caps:
             pinned_set = set(np.unique(stream)[:capacity].tolist())
             points.append(
@@ -364,7 +371,7 @@ def residency_study(
                     capacity=capacity,
                     pinned=int(pinned_misses(stream, pinned_set).sum()),
                     lru=lru_by_capacity[capacity],
-                    opt=int(plane.trace(capacity)[0].sum()),
+                    opt=len(stream) - int(opt_hits[capacity]),
                 )
             )
     return points

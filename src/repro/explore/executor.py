@@ -53,7 +53,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.errors import ReproError, SweepInterrupted
 from repro.explore import faults as faults_mod
@@ -192,6 +192,17 @@ class ExploreStats:
         return "\n".join(lines)
 
 
+class _Lookup(NamedTuple):
+    """A space expanded, sharded and looked up in the cache."""
+
+    queries: Sequence[DesignQuery]
+    records: "dict[int, DesignRecord]"  # cache hits, by query index
+    pending: "list[tuple[int, DesignQuery]]"  # what is left to evaluate
+    timings: "list[tuple[DesignQuery, float]]"  # the hits' recorded seconds
+    stale: int
+    corrupt: int
+
+
 class Executor:
     """Runs design queries, in parallel, through an optional cache.
 
@@ -291,47 +302,18 @@ class Executor:
         been flushed to the cache — the message reports how much of the
         sweep is resumable.
         """
-        if isinstance(space, ExplorationSpace):
-            queries: Sequence[DesignQuery] = space.expand()
-        else:
-            queries = list(space)
-        if self.shard is not None:
-            queries = shard_queries(queries, *self.shard)
         started = time.perf_counter()
         self._cache_read_only = False
         self._driver = None
-
-        records: dict[int, DesignRecord] = {}
-        hits = 0
-        stale = 0
-        corrupt = 0
-        pending: list[tuple[int, DesignQuery]] = []
-        timings: list[tuple[DesignQuery, float]] = []
         if self.cache is not None:
-            if self.reuse_cache:
-                # Observe any source edits made since the previous run,
-                # even when this executor instance is reused in one
-                # process.
-                self.cache.refresh()
             # Reap tmp files orphaned by workers that died mid-write in
             # an *earlier* run; anything younger may be a concurrent
             # shard's in-flight write.
             self.cache.reap_tmp()
-        for index, query in enumerate(queries):
-            cached = None
-            if self.cache is not None and self.reuse_cache:
-                cached, status = self.cache.lookup(query)
-                stale += status == "stale"
-                corrupt += status == "corrupt"
-            if cached is not None:
-                records[index] = cached
-                hits += 1
-                if cached.seconds is not None:
-                    timings.append((query, cached.seconds))
-            else:
-                pending.append((index, query))
-
-        done = len(records)
+        queries, records, pending, timings, stale, corrupt = self._lookup(
+            space
+        )
+        hits = done = len(records)
         if progress:
             progress(done, len(queries))
         # The inline path (jobs=1, and the degraded remainder of a
@@ -391,6 +373,40 @@ class Executor:
             stage_seconds=stage_seconds,
         )
         return ResultSet(ordered, stats)
+
+    def _lookup(
+        self, space: "ExplorationSpace | Iterable[DesignQuery]"
+    ) -> _Lookup:
+        """Expand, shard and look ``space`` up in the cache: the one
+        planning step :meth:`run` and :meth:`dry_run` share."""
+        if isinstance(space, ExplorationSpace):
+            queries: Sequence[DesignQuery] = space.expand()
+        else:
+            queries = list(space)
+        if self.shard is not None:
+            queries = shard_queries(queries, *self.shard)
+        records: dict[int, DesignRecord] = {}
+        stale = 0
+        corrupt = 0
+        pending: list[tuple[int, DesignQuery]] = []
+        timings: list[tuple[DesignQuery, float]] = []
+        if self.cache is not None and self.reuse_cache:
+            # Observe any source edits made since the previous run, even
+            # when this executor instance is reused in one process.
+            self.cache.refresh()
+        for index, query in enumerate(queries):
+            cached = None
+            if self.cache is not None and self.reuse_cache:
+                cached, status = self.cache.lookup(query)
+                stale += status == "stale"
+                corrupt += status == "corrupt"
+            if cached is not None:
+                records[index] = cached
+                if cached.seconds is not None:
+                    timings.append((query, cached.seconds))
+            else:
+                pending.append((index, query))
+        return _Lookup(queries, records, pending, timings, stale, corrupt)
 
     def _persist_cost_model(
         self, run_timings: "list[tuple[DesignQuery, float]]"
@@ -541,27 +557,8 @@ class Executor:
         per lease.  Planned fault injections are marked — scheduling
         decisions stay debuggable without burning a sweep.
         """
-        if isinstance(space, ExplorationSpace):
-            queries: Sequence[DesignQuery] = space.expand()
-        else:
-            queries = list(space)
-        if self.shard is not None:
-            queries = shard_queries(queries, *self.shard)
-        hits = 0
-        pending: list[tuple[int, DesignQuery]] = []
-        timings: list[tuple[DesignQuery, float]] = []
-        if self.cache is not None and self.reuse_cache:
-            self.cache.refresh()
-        for index, query in enumerate(queries):
-            cached = None
-            if self.cache is not None and self.reuse_cache:
-                cached, _ = self.cache.lookup(query)
-            if cached is not None:
-                hits += 1
-                if cached.seconds is not None:
-                    timings.append((query, cached.seconds))
-            else:
-                pending.append((index, query))
+        queries, records, pending, timings, _, _ = self._lookup(space)
+        hits = len(records)
         model = self._cost_model(timings)
         unit = "s" if model.fitted else "u"
         lines = [

@@ -27,10 +27,13 @@ them to the paper's Figure 2(c) numbers):
 
 * Sliding-window references are compiler-managed rotating register files:
   the full access stream is known statically, so placement follows
-  Belady's clairvoyant policy with bypass (:func:`repro.sim.residency.
-  opt_trace`), simulated on the real address stream.  LRU would be wrong
-  here — on strided windows it evicts the whole reusable window with
-  dead values (see the residency ablation benchmark).
+  Belady's clairvoyant policy with bypass, simulated on the real address
+  stream by the OPT stack walk of :mod:`repro.sim.residency`: one walk
+  at depth ``beta`` gives the miss mask of every register count, and
+  the placement trace the interpreter replays is one walk at depth
+  ``covered``.  LRU would be wrong here — on strided windows it evicts
+  the whole reusable window with dead values (see the residency
+  ablation benchmark).
 
 Results are computed per *iteration class*, not per iteration.  The
 computers of one :func:`coverage_for` map share one

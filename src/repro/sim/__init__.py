@@ -11,10 +11,6 @@ from repro.sim.residency import (
     OptTraceLadder,
     lru_miss_counts,
     lru_misses,
-    miss_count,
-    opt_miss_ladder,
-    opt_misses,
-    opt_trace_ladder,
     pinned_misses,
 )
 from repro.sim.scheduler import IterationSchedule, schedule_iteration
@@ -27,10 +23,6 @@ __all__ = [
     "count_cycles",
     "lru_miss_counts",
     "lru_misses",
-    "miss_count",
-    "opt_miss_ladder",
-    "opt_misses",
-    "opt_trace_ladder",
     "pinned_misses",
     "random_inputs",
     "run_kernel",

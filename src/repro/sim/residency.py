@@ -10,60 +10,45 @@ elements are resident is a *policy* choice made by the compiler:
   degenerates.
 * ``lru`` — keep the most recently used elements (what a rotating-register
   window does for sliding references like FIR's ``x[i+j]``).
-* ``opt`` — Belady's clairvoyant policy; an upper bound used by the
-  residency ablation benchmark.
+* ``opt`` — Belady's clairvoyant policy with bypass: what a
+  compiler-managed rotating register file does, since the whole access
+  stream is known at compile time.
 
-The simulators are NumPy array kernels: :func:`lru_misses` computes
-stack distances from ``next_uses``-style links (a vectorized
-count-smaller-to-the-left merge), and :func:`pinned_misses` reduces to
-a first-touch mask over :func:`prev_uses` links.  The straightforward
-dict/heap simulators they are differenced against live with the tests
-(``tests/residency_oracle.py``).
+The LRU and pinned simulators are NumPy array kernels:
+:func:`lru_misses` computes stack distances from ``next_uses``-style
+links (a vectorized count-smaller-to-the-left merge), and
+:func:`pinned_misses` reduces to a first-touch mask over
+:func:`prev_uses` links.  :func:`lru_miss_counts` answers a whole
+budget axis from one stack-distance histogram.
 
-Four budget-ladder entry points evaluate **every capacity of a budget
-axis** against one stream without redoing per-stream work:
+Belady with bypass has exactly one simulator, the OPT stack walk
+(:class:`_StackWalk`).  Belady with bypass is a stack algorithm
+(Mattson et al.), so a priority stack truncated at ``depth`` slots
+holds the register file of every capacity up to ``depth`` at once.  One
+walk at depth ``beta`` gives :func:`opt_stack_distances` — each
+access's smallest hitting capacity, the miss mask of the whole budget
+axis — and one walk at depth ``c`` gives :func:`opt_trace`, the full
+placement trace at capacity ``c``.  :class:`OptTraceLadder` shares the
+use links and the period-ladder row classification (:class:`_LadderLevel`)
+between all walks over one stream.
 
-* :func:`lru_stack_distances` / :func:`lru_miss_counts` — the classic
-  reuse-distance observation: one stack-distance pass determines the
-  LRU miss count of *all* capacities at once via a histogram +
-  suffix-sum reduction (an access at distance ``d`` misses exactly the
-  capacities below ``d``).
-* :class:`OptTraceLadder` / :func:`opt_trace_ladder` — a capacity-shared
-  plane for the production Belady-with-bypass trace: the use links and
-  the period-ladder row classification (:class:`_LadderLevel`) are pure
-  functions of the stream, so only the memoized signature walk runs per
-  capacity.  Bit-identical to per-capacity :func:`opt_trace` by
-  construction (:func:`opt_trace` *is* a one-capacity plane).
-* :func:`opt_stack_distances` — the production trace's miss flags at
-  every capacity from ONE pass: Belady with bypass is a stack algorithm
-  (Mattson et al.), so a truncated priority stack with holes yields
-  each access's smallest hitting capacity.  It replays steady-state
-  rows through the same period ladder (:class:`_RowReplay`).
-* :func:`opt_miss_ladder` — the ablation's Belady bound across
-  capacities, sharing the next-use links.
+The walk replays steady-state rows: a row whose *normalized* signature —
+stack state, address pattern and next-use structure relative to the
+row's base — was seen before replays the recorded outputs instead of
+being re-walked; the walk's decisions depend only on that signature, so
+the replayed walk is bit-identical to the plain one.  The memo works on
+a **period ladder** (``periods``, row → tile → inner tile): a boundary
+row at one level is re-examined at the next finer period before any
+per-access step runs, so inner-tile steady states replay even when the
+outer row never repeats (the tiling perspective of Domagała et al.),
+and runs of consecutive fixpoint rows are stamped out with one
+vectorized copy.
 
-:func:`opt_trace` sits on the production cycle-counting path.  Its
-batched mode classifies fixed-length *rows* of the stream into
-steady-state and boundary classes: a row whose *normalized* signature —
-register-file state, address pattern and next-use structure relative to
-the row's base — was seen before replays the recorded trace instead of
-being re-interpreted; Belady's decisions depend only on that signature,
-so the batched trace is bit-identical to the plain simulation (asserted
-case-by-case by the fuzz suite).  The memo works on a **period ladder**
-(``periods``, row → tile → inner tile): a boundary row at one level is
-re-examined at the next finer period before any per-access simulation
-runs, so inner-tile steady states replay even when the outer row never
-repeats (the tiling perspective of Domagała et al.), and runs of
-consecutive fixpoint rows are stamped out with one vectorized copy.
-
-Genuine eviction decisions — the only inherently sequential part of
-Belady — use a lazy-deletion max-heap keyed by next use instead of an
-O(r) ``max`` victim scan.
+The straightforward dict and ``max``-scan simulators all of this is
+differenced against live with the tests (``tests/residency_oracle.py``).
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -74,15 +59,11 @@ __all__ = [
     "lru_stack_distances",
     "lru_miss_counts",
     "pinned_misses",
-    "opt_misses",
-    "opt_miss_ladder",
     "opt_trace",
-    "opt_trace_ladder",
     "opt_stack_distances",
     "OptTraceLadder",
     "next_uses",
     "prev_uses",
-    "miss_count",
 ]
 
 #: Normalized stand-ins with no valid absolute counterpart: a next use
@@ -295,85 +276,12 @@ def pinned_misses(
     return ~(in_pinned & seen_before)
 
 
-# -- Belady (no bypass): the ablation's lower bound ----------------------------
-
-
-def opt_misses(stream: np.ndarray, capacity: int) -> np.ndarray:
-    """Miss flags under Belady's optimal (furthest-next-use) replacement.
-
-    Used only by the residency ablation; gives the lower bound on misses
-    any static or dynamic policy with ``capacity`` registers can reach.
-    The victim search is a lazy-deletion max-heap keyed by next use
-    (O(stream log r) instead of an O(r) scan per eviction).  Heap
-    tie-breaking differs from a dict scan only among values that are
-    never accessed again, and evicting any of those leaves the same live
-    residents — so the miss flags are exactly the reference answer.
-    """
-    if capacity < 0:
-        raise SimulationError(f"capacity must be >= 0, got {capacity}")
-    addresses = np.asarray(stream).reshape(-1)
-    return _opt_misses_with_links(addresses, next_uses(addresses), capacity)
-
-
-def opt_miss_ladder(
-    stream: np.ndarray, capacities: "tuple[int, ...] | list[int]"
-) -> "dict[int, int]":
-    """Belady miss totals at every requested capacity, links shared.
-
-    Belady is a stack algorithm (Mattson et al. 1970), so one priority-
-    stack pass could answer every capacity, as
-    :func:`opt_stack_distances` does for the production bypass policy.
-    This ablation-only bound keeps the plain per-capacity walk instead,
-    hoisting the dominant next-use link computation out and sharing it
-    across the whole ladder.  Bit-identical to per-capacity
-    :func:`opt_misses` by construction.
-    """
-    caps = [int(c) for c in capacities]
-    for c in caps:
-        if c < 0:
-            raise SimulationError(f"capacity must be >= 0, got {c}")
-    addresses = np.asarray(stream).reshape(-1)
-    nxt = next_uses(addresses)
-    return {
-        c: int(_opt_misses_with_links(addresses, nxt, c).sum()) for c in caps
-    }
-
-
-def _opt_misses_with_links(
-    addresses: np.ndarray, nxt: np.ndarray, capacity: int
-) -> np.ndarray:
-    """The :func:`opt_misses` walk with the next-use links precomputed."""
-    n = len(addresses)
-    misses = np.ones(n, dtype=bool)
-    if capacity == 0:
-        return misses
-    resident: dict[int, int] = {}  # address -> its next use position
-    heap: list[tuple[int, int]] = []  # (-next use, address), lazy-deleted
-    for position, (address, mine) in enumerate(
-        zip(addresses.tolist(), nxt.tolist())
-    ):
-        if address in resident:
-            misses[position] = False
-        elif len(resident) >= capacity:
-            while True:
-                negated, victim = heap[0]
-                if resident.get(victim) == -negated:
-                    break
-                heapq.heappop(heap)
-            heapq.heappop(heap)
-            del resident[victim]
-        resident[address] = mine
-        heapq.heappush(heap, (-mine, address))
-    return misses
-
-
-# -- Belady with bypass: the production placement trace ------------------------
+# -- Belady with bypass: the OPT stack walk ------------------------------------
 
 
 def opt_trace(
     stream: np.ndarray,
     capacity: int,
-    row_len: "int | None" = None,
     periods: "tuple[int, ...] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Belady with bypass, returning the full placement trace.
@@ -392,118 +300,17 @@ def opt_trace(
     register is released.  The trace lets the functional interpreter
     replay the exact placement decisions.
 
-    ``row_len`` (a divisor of the stream length, typically the size of
-    one outer-loop iteration) enables the batched steady-state path: rows
-    with a previously seen normalized signature replay their recorded
-    trace instead of being re-simulated.  ``periods`` generalizes it to a
-    descending divisor chain (row → tile → inner tile, typically the
-    suffix products of the loop trip counts); a boundary row is
-    re-examined at each finer period before falling back to per-access
-    simulation, so tile-level steady states replay even when the outer
-    row never repeats.  Entries that do not divide their predecessor (or
-    the stream length) are dropped — a non-divisor ``row_len`` falls back
-    to the plain simulation, as before.  Results are bit-identical across
-    all of it.
+    ``periods`` (a descending divisor chain of the stream length,
+    typically the suffix products of the loop trip counts: row → tile →
+    inner tile) enables steady-state row replay.  Entries that do not
+    divide their predecessor (or the stream length) are dropped.
+    Results are bit-identical with and without it.
 
     A one-capacity call builds (and discards) a one-stream
     :class:`OptTraceLadder`; callers evaluating a whole budget axis
     should hold the plane themselves so the stream-level work is shared.
     """
-    return OptTraceLadder(stream, row_len=row_len, periods=periods).trace(
-        capacity
-    )
-
-
-class OptTraceLadder:
-    """Capacity-shared evaluation plane for :func:`opt_trace`.
-
-    Everything about the trace that does *not* depend on the register
-    capacity — the flattened address stream, the use links (the
-    dominant cost), and the per-period row
-    classification (:class:`_LadderLevel`: bases, shift-normalized
-    patterns, adjacent-row equality, base deltas) — is computed lazily
-    once and shared by every :meth:`trace` call.  Only the per-capacity
-    signature-memoized walk runs per budget, so a full budget column
-    costs one stream analysis plus one (cheap, heavily replayed) walk
-    per capacity.  Each :meth:`trace` starts from a cold register file
-    and fresh output arrays, so a plane trace is bit-identical to a
-    standalone :func:`opt_trace` call by construction.
-    """
-
-    def __init__(
-        self,
-        stream: np.ndarray,
-        row_len: "int | None" = None,
-        periods: "tuple[int, ...] | None" = None,
-    ) -> None:
-        self.addresses = np.asarray(stream).reshape(-1)
-        self.n = len(self.addresses)
-        self.ladder = _period_ladder(self.n, row_len, periods)
-        self._links: "tuple[np.ndarray, np.ndarray] | None" = None
-        # Shared capacity-independent level structures, built lazily by
-        # the first walk (trace or distance pass) that needs each depth.
-        self._levels: "list[_LadderLevel | None]" = [None] * len(self.ladder)
-
-    def _use_links(self) -> "tuple[np.ndarray, np.ndarray]":
-        if self._links is None:
-            self._links = _use_links(self.addresses)
-        return self._links
-
-    def trace(
-        self, capacity: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The :func:`opt_trace` result at ``capacity``, plane-shared."""
-        if capacity < 0:
-            raise SimulationError(f"capacity must be >= 0, got {capacity}")
-        n = self.n
-        misses = np.ones(n, dtype=bool)
-        inserted = np.zeros(n, dtype=bool)
-        evicted = np.full(n, -1, dtype=np.int64)
-        freed = np.zeros(n, dtype=bool)
-        if capacity == 0 or n == 0:
-            return misses, inserted, evicted, freed
-        out = (misses, inserted, evicted, freed)
-        nxt, prv = self._use_links()
-        _ArrayTracer(
-            self.addresses, nxt, prv, capacity, self.ladder, {}, out,
-            levels=self._levels,
-        ).run()
-        return out
-
-    def stack_distances(self, max_capacity: int) -> np.ndarray:
-        """The :func:`opt_stack_distances` pass over this plane.
-
-        Shares the plane's use links and period levels with its
-        :meth:`trace` calls.  A row replay
-        normalizes up to ``max_capacity`` stack slots, which costs more
-        than walking a row shorter than that, so the pass descends only
-        the ladder levels whose period is at least ``max_capacity``
-        (a prefix of the descending ladder, so the level structures are
-        shared as they are).
-        """
-        if max_capacity < 0:
-            raise SimulationError(f"capacity must be >= 0, got {max_capacity}")
-        distances = np.full(self.n, max_capacity + 1, dtype=np.int64)
-        if max_capacity == 0 or self.n == 0:
-            return distances
-        nxt, prv = self._use_links()
-        ladder = tuple(p for p in self.ladder if p >= max_capacity)
-        _StackPass(
-            self.addresses, nxt, prv, max_capacity, ladder, distances,
-            levels=self._levels,
-        ).run()
-        return distances
-
-
-def opt_trace_ladder(
-    stream: np.ndarray,
-    capacities: "tuple[int, ...] | list[int]",
-    row_len: "int | None" = None,
-    periods: "tuple[int, ...] | None" = None,
-) -> "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]":
-    """:func:`opt_trace` at every requested capacity over one shared plane."""
-    plane = OptTraceLadder(stream, row_len=row_len, periods=periods)
-    return {int(c): plane.trace(int(c)) for c in capacities}
+    return OptTraceLadder(stream, periods=periods).trace(capacity)
 
 
 def opt_stack_distances(
@@ -534,27 +341,91 @@ def opt_stack_distances(
     off the end is resident at no tracked capacity.
 
     ``periods`` enables the period-ladder row replay (the stack state
-    normalizes like the register file does);
-    non-divisor entries are dropped as in :func:`opt_trace`.  Callers
-    that also trace placements should hold an :class:`OptTraceLadder`
-    and call :meth:`~OptTraceLadder.stack_distances` on it, so both
-    share one stream analysis.
+    normalizes like the register file does); non-divisor entries are
+    dropped as in :func:`opt_trace`.  Callers that also trace
+    placements should hold an :class:`OptTraceLadder` and call
+    :meth:`~OptTraceLadder.stack_distances` on it, so both share one
+    stream analysis.
     """
     return OptTraceLadder(stream, periods=periods).stack_distances(
         max_capacity
     )
 
 
+class OptTraceLadder:
+    """Capacity-shared evaluation plane for the OPT stack walk.
+
+    Everything about a walk that does *not* depend on its depth — the
+    flattened address stream, the use links (the dominant cost), and
+    the per-period row classification (:class:`_LadderLevel`: bases,
+    shift-normalized patterns, adjacent-row equality, base deltas) — is
+    computed lazily once and shared by every :meth:`trace` and
+    :meth:`stack_distances` call.  Each call runs one fresh walk
+    (:class:`_StackWalk`) from an empty stack, so a plane result is
+    bit-identical to a standalone :func:`opt_trace` or
+    :func:`opt_stack_distances` call by construction.
+    """
+
+    def __init__(
+        self,
+        stream: np.ndarray,
+        periods: "tuple[int, ...] | None" = None,
+    ) -> None:
+        self.addresses = np.asarray(stream).reshape(-1)
+        self.n = len(self.addresses)
+        self.ladder = _period_ladder(self.n, periods)
+        self._links: "tuple[np.ndarray, np.ndarray] | None" = None
+        # Shared depth-independent level structures, built lazily by the
+        # first walk that needs each ladder level.
+        self._levels: "list[_LadderLevel | None]" = [None] * len(self.ladder)
+
+    def _use_links(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The stream's ``(next, prev)`` same-address links."""
+        if self._links is None:
+            self._links = _use_links(self.addresses)
+        return self._links
+
+    def _level(self, index: int) -> "_LadderLevel":
+        """The row classification of ladder level ``index``."""
+        level = self._levels[index]
+        if level is None:
+            level = _LadderLevel(
+                self.addresses, self._use_links()[0], self.ladder[index]
+            )
+            self._levels[index] = level
+        return level
+
+    def trace(
+        self, capacity: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The :func:`opt_trace` result at ``capacity``: one walk at
+        depth ``capacity``."""
+        walk = self._walk(capacity)
+        return (
+            walk.distances > capacity, walk.inserted, walk.evicted, walk.freed
+        )
+
+    def stack_distances(self, max_capacity: int) -> np.ndarray:
+        """The :func:`opt_stack_distances` result: one walk at depth
+        ``max_capacity``."""
+        return self._walk(max_capacity).distances
+
+    def _walk(self, depth: int) -> "_StackWalk":
+        if depth < 0:
+            raise SimulationError(f"capacity must be >= 0, got {depth}")
+        walk = _StackWalk(self, depth)
+        if depth and self.n:
+            walk.run()
+        return walk
+
+
 def _period_ladder(
-    n: int, row_len: "int | None", periods: "tuple[int, ...] | None"
+    n: int, periods: "tuple[int, ...] | None"
 ) -> tuple[int, ...]:
     """The valid descending divisor chain among the requested periods."""
-    requested = tuple(periods) if periods is not None else (
-        (row_len,) if row_len else ()
-    )
     ladder: list[int] = []
     previous = n
-    for period in requested:
+    for period in periods or ():
         period = int(period)
         if 0 < period < previous and previous % period == 0:
             ladder.append(period)
@@ -562,72 +433,19 @@ def _period_ladder(
     return tuple(ladder)
 
 
-def _belady_span(
-    positions: "list[int]",
-    span_addresses: "list[int]",
-    span_next: "list[int]",
-    n: int,
-    capacity: int,
-    resident: "dict[int, int]",
-    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """The per-access Belady-with-bypass decision loop.
-
-    ``positions`` lists the absolute stream positions to simulate
-    (:meth:`_RowReplay._span` pre-filters compulsory bypasses out of
-    it).  The victim search is a lazy-deletion max-heap
-    keyed by next use; next-use positions are unique, so the heap's
-    victim is exactly the ``max`` scan's.
-    """
-    misses, inserted, evicted, freed = out
-    heap = [(-use, address) for address, use in resident.items()]
-    heapq.heapify(heap)
-    for position, address, mine in zip(positions, span_addresses, span_next):
-        if address in resident:
-            misses[position] = False
-            if mine >= n:
-                del resident[address]  # last use: free the register
-                freed[position] = True
-            else:
-                resident[address] = mine
-                heapq.heappush(heap, (-mine, address))
-            continue
-        if mine >= n:
-            continue  # never used again: bypass
-        if len(resident) < capacity:
-            resident[address] = mine
-            inserted[position] = True
-            heapq.heappush(heap, (-mine, address))
-            continue
-        while True:
-            negated, victim = heap[0]
-            if resident.get(victim) == -negated:
-                break
-            heapq.heappop(heap)
-        if -negated > mine:
-            heapq.heappop(heap)
-            del resident[victim]
-            resident[address] = mine
-            inserted[position] = True
-            evicted[position] = victim
-            heapq.heappush(heap, (-mine, address))
-        # else: bypass (victim is more useful than we are)
-
-
 class _LadderLevel:
-    """Vectorized per-period structures the array tracer classifies with.
+    """Vectorized per-period structures the stack walk classifies rows with.
 
     Everything here is a whole-stream array computation done once per
     ladder level: row bases, the shift-normalized (address, next-use)
     pattern per row, adjacent-row pattern equality (for steady-state run
     stamping) and base deltas.  A row's signature is the shift-normalized
     pattern plus the normalized pre-row state, so the memo equivalence
-    classes are exactly the rows Belady treats alike.
+    classes are exactly the rows the walk treats alike.
 
-    Deliberately capacity-independent: replay memos (which record
-    capacity-dependent decisions) live on the walk (:class:`_RowReplay`),
-    so one level can be shared across a whole budget ladder of traces
-    and the stack-distance pass (:class:`OptTraceLadder`).
+    Deliberately depth-independent: replay memos (which record the
+    walk's decisions) live on the walk (:class:`_StackWalk`), so one
+    level is shared by every walk over a plane (:class:`OptTraceLadder`).
     """
 
     __slots__ = (
@@ -673,18 +491,34 @@ class _LadderLevel:
         return 1 + (int(bad[0]) if len(bad) else len(same))
 
 
-class _RowReplay:
-    """Period-ladder row memo shared by the stream walks.
+class _StackWalk:
+    """One OPT stack walk at ``depth``: the Belady-with-bypass simulator.
 
-    A walk carries a register-file *state* along the stream and writes
-    per-access *outputs*.  Each step compares addresses and next-use
-    positions but never measures them, so a row's outputs and post-state
-    are a pure function of its normalized signature: the state and the
-    row pattern relative to the row's base address and start position.
-    Three array-at-a-time accelerations follow:
+    The state is a priority stack truncated at ``depth`` slots: a list of
+    addresses or ``None`` (a hole), plus each stacked address's next
+    use.  Its first ``c`` slots are exactly the residents of a
+    Belady-with-bypass register file of capacity ``c``, for every
+    ``c <= depth`` at once (the inclusion property; see
+    :func:`opt_stack_distances`).  So the walk records, per access:
+
+    * ``distances`` — the smallest capacity that hits, or ``depth + 1``;
+    * the placement trace at capacity ``depth`` itself.  A found access
+      with no next use is ``freed``.  On a miss, the carry decides: if
+      it drops into a hole the newcomer is ``inserted`` and nothing is
+      evicted; if it falls off the stack carrying another value, the
+      newcomer is ``inserted`` and that value ``evicted``; if it falls
+      off carrying the newcomer, the access is a bypass.
+
+    Row replay: each step compares addresses and next-use positions but
+    never measures them, so a row's outputs and post-state are a pure
+    function of its normalized signature — the stack state (slot tuple
+    relative to the row's base address and start position, trailing
+    holes trimmed) and the row pattern.  Three array-at-a-time
+    accelerations follow:
 
     * per-level row patterns, adjacent equality and base deltas are
-      vectorized whole-stream computations (:class:`_LadderLevel`),
+      vectorized whole-stream computations (:class:`_LadderLevel`,
+      shared through the plane),
     * a replayed row whose post-state re-normalizes to its own input
       signature is a *fixpoint*: the maximal run of following rows with
       the same pattern and base delta replays identically and is
@@ -695,74 +529,142 @@ class _RowReplay:
       never-reused addresses, which change no state — filtered out in
       bulk.
 
-    Subclasses own the state (:meth:`_normalize`, :meth:`_load`,
-    :meth:`_shift`) and the per-access step (:meth:`_walk`).  ``out``
-    holds the output arrays; ``relative[k]`` marks an address-valued
-    one (``-1`` for none), recorded relative to the row base.
+    A replay normalizes up to ``depth`` slots, which costs more than
+    walking a row shorter than that, so the walk descends only the
+    ladder levels whose period is at least ``depth`` (a prefix of the
+    descending ladder, so the plane's levels are shared as they are).
     """
 
-    def __init__(
-        self,
-        addresses: np.ndarray,
-        nxt: np.ndarray,
-        prv: np.ndarray,
-        ladder: tuple[int, ...],
-        levels: "list[_LadderLevel | None] | None",
-        out: "tuple[np.ndarray, ...]",
-        relative: "tuple[bool, ...]",
-    ):
-        self.addresses = addresses
-        self.nxt = nxt
-        self.prev = prv
-        self.n = len(addresses)
-        self.ladder = ladder
-        self.out = out
-        self.relative = relative
-        # Level structures are capacity-independent; an OptTraceLadder
-        # passes its own (lazily filled) list so every capacity of a
-        # budget column shares them.  The replay memos are NOT shared —
-        # they record the walk's decisions.
-        self._levels = levels if levels is not None else [None] * len(ladder)
-        self._memos: "list[dict[tuple, tuple]]" = [{} for _ in ladder]
+    #: Which outputs hold addresses, recorded relative to the row base.
+    _RELATIVE = (False, False, True, False)
 
-    # -- state hooks -----------------------------------------------------------
+    def __init__(self, plane: OptTraceLadder, depth: int):
+        n = plane.n
+        self.plane = plane
+        self.n = n
+        self.depth = depth
+        self.distances = np.full(n, depth + 1, dtype=np.int64)
+        self.inserted = np.zeros(n, dtype=bool)
+        self.evicted = np.full(n, -1, dtype=np.int64)
+        self.freed = np.zeros(n, dtype=bool)
+        self.out = (self.distances, self.inserted, self.evicted, self.freed)
+        self.ladder = tuple(p for p in plane.ladder if p >= depth)
+        self.slots: "list[int | None]" = [None] * depth
+        self.uses: "dict[int, int]" = {}  # stacked address -> next use
+        # The replay memos record this walk's decisions, so unlike the
+        # levels they are never shared.
+        self._memos: "list[dict[tuple, tuple]]" = [{} for _ in self.ladder]
+
+    def run(self) -> None:
+        self.nxt, self.prev = self.plane._use_links()
+        self._replay(0, 0, self.n)
+
+    # -- the stack state -------------------------------------------------------
 
     def _normalize(self, base: int, start: int) -> tuple:
-        """The live state relative to ``(base, start)``, hashable."""
-        raise NotImplementedError
+        """The live stack relative to ``(base, start)``, hashable."""
+        uses = self.uses
+        state = [
+            None if a is None else (a - base, uses[a] - start)
+            for a in self.slots
+        ]
+        while state and state[-1] is None:
+            state.pop()
+        return tuple(state)
 
     def _load(self, state_rel: tuple, base: int, start: int) -> None:
-        """Make ``state_rel`` (framed at ``(base, start)``) the live state."""
-        raise NotImplementedError
+        """Make ``state_rel`` (framed at ``(base, start)``) the live stack."""
+        slots: "list[int | None]" = [None] * self.depth
+        uses: "dict[int, int]" = {}
+        for slot, entry in enumerate(state_rel):
+            if entry is not None:
+                address = entry[0] + base
+                slots[slot] = address
+                uses[address] = entry[1] + start
+        self.slots = slots
+        self.uses = uses
 
     @staticmethod
     def _shift(state_rel: tuple, shift_a: int, shift_u: int) -> tuple:
-        """Re-frame a normalized state (uniform shifts keep its order)."""
-        raise NotImplementedError
+        """Re-frame a normalized stack (uniform shifts keep its order)."""
+        return tuple(
+            None if entry is None else (entry[0] + shift_a, entry[1] + shift_u)
+            for entry in state_rel
+        )
 
-    def _walk(
+    # -- the per-access step ---------------------------------------------------
+
+    def _step(
         self, positions: "list[int]", addresses: "list[int]", nexts: "list[int]"
     ) -> None:
-        """Step the live state through the listed accesses."""
-        raise NotImplementedError
-
-    # -- the shared ladder walk ------------------------------------------------
-
-    def _level(self, depth: int) -> _LadderLevel:
-        level = self._levels[depth]
-        if level is None:
-            level = _LadderLevel(self.addresses, self.nxt, self.ladder[depth])
-            self._levels[depth] = level
-        return level
-
-    def run(self) -> None:
-        self._trace(0, 0, self.n)
+        """Walk the stack through the listed accesses."""
+        n = self.n
+        depth = self.depth
+        slots = self.slots
+        uses = self.uses
+        hits: "list[int]" = []
+        found_at: "list[int]" = []
+        freed: "list[int]" = []
+        inserted: "list[int]" = []
+        evicted_at: "list[int]" = []
+        victims: "list[int]" = []
+        for position, address, mine in zip(positions, addresses, nexts):
+            found = address in uses
+            if found:
+                slot = slots.index(address)
+                hits.append(position)
+                found_at.append(slot + 1)
+                if mine >= n:
+                    slots[slot] = None  # last use: the freed slot is a hole
+                    del uses[address]
+                    freed.append(position)
+                    continue
+            elif mine >= n:
+                continue  # never used again: bypassed at every capacity
+            else:
+                slot = depth
+            uses[address] = mine
+            # Carry down: each slot above the accessed one keeps the
+            # sooner next use of (itself, the carried value) and passes
+            # the farther one on.  A hole takes the carried value and
+            # ends the carry; a found value's old slot becomes the hole.
+            carried, carried_use = address, mine
+            for above in range(slot):
+                held = slots[above]
+                if held is None:
+                    slots[above] = carried
+                    if found:
+                        slots[slot] = None
+                    else:
+                        inserted.append(position)  # into a free register
+                    break
+                held_use = uses[held]
+                if held_use > carried_use:
+                    slots[above] = carried
+                    carried, carried_use = held, held_use
+            else:
+                if found:
+                    slots[slot] = carried
+                else:
+                    del uses[carried]  # fell off the truncated stack
+                    if carried != address:
+                        inserted.append(position)
+                        evicted_at.append(position)
+                        victims.append(carried)
+        if hits:
+            self.distances[hits] = found_at
+        if freed:
+            self.freed[freed] = True
+        if inserted:
+            self.inserted[inserted] = True
+        if evicted_at:
+            self.evicted[evicted_at] = victims
 
     def _span(self, start: int, stop: int) -> None:
         """Finest level: the per-access walk minus compulsory bypasses.
 
         A position whose address was never accessed before cannot be
-        resident, and if it is also never accessed again the access is a
+        stacked, and if it is also never accessed again the access is a
         plain bypass miss — exactly the outputs' initial values — with
         no state change.  Those segments are skipped wholesale.
         """
@@ -772,18 +674,21 @@ class _RowReplay:
         if not active.any():
             return
         offsets = np.flatnonzero(active)
-        self._walk(
+        self._step(
             (start + offsets).tolist(),
-            self.addresses[start:stop][offsets].tolist(),
+            self.plane.addresses[start:stop][offsets].tolist(),
             span_next[offsets].tolist(),
         )
 
-    def _trace(self, depth: int, start: int, stop: int) -> None:
-        if depth >= len(self.ladder):
+    # -- the period-ladder row replay ------------------------------------------
+
+    def _replay(self, rung: int, start: int, stop: int) -> None:
+        """Walk ``[start, stop)`` from ladder level ``rung`` down."""
+        if rung >= len(self.ladder):
             self._span(start, stop)
             return
-        level = self._level(depth)
-        memo = self._memos[depth]
+        level = self.plane._level(rung)
+        memo = self._memos[rung]
         period = level.period
         first_row = start // period
         last_row = stop // period
@@ -806,7 +711,7 @@ class _RowReplay:
                     self._load(state_rel, *frame)
                     state_rel = None
                 row_stop = row_start + period
-                self._trace(depth + 1, row_start, row_stop)
+                self._replay(rung + 1, row_start, row_stop)
                 memo[signature] = (
                     tuple(
                         np.where(segment >= 0, segment - base, _NO_EVICTION)
@@ -814,7 +719,7 @@ class _RowReplay:
                         else segment.copy()
                         for segment, relative in zip(
                             (array[row_start:row_stop] for array in self.out),
-                            self.relative,
+                            self._RELATIVE,
                         )
                     ),
                     self._normalize(base, row_start),
@@ -829,7 +734,7 @@ class _RowReplay:
                     run_rows = level.run_length(row, last_row, delta)
             segment = slice(row_start, (row + run_rows) * period)
             for array, values, relative in zip(
-                self.out, recorded, self.relative
+                self.out, recorded, self._RELATIVE
             ):
                 if relative:
                     run_bases = level.bases[row : row + run_rows, None]
@@ -848,168 +753,3 @@ class _RowReplay:
             row += run_rows
         if state_rel is not None:
             self._load(state_rel, *frame)
-
-
-class _ArrayTracer(_RowReplay):
-    """The tracer behind :func:`opt_trace`.
-
-    Runs the signature-memoized Belady-with-bypass simulation through
-    the shared period-ladder walk (:class:`_RowReplay`): the state is
-    the resident ``address -> next use`` map, normalized as a sorted
-    tuple, and the finest level runs :func:`_belady_span`.
-    """
-
-    def __init__(
-        self,
-        addresses: np.ndarray,
-        nxt: np.ndarray,
-        prv: np.ndarray,
-        capacity: int,
-        ladder: tuple[int, ...],
-        resident: "dict[int, int]",
-        out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        levels: "list[_LadderLevel | None] | None" = None,
-    ):
-        super().__init__(
-            addresses, nxt, prv, ladder, levels, out,
-            relative=(False, False, True, False),
-        )
-        self.capacity = capacity
-        self.resident = resident
-
-    def _normalize(self, base: int, start: int) -> tuple:
-        return tuple(
-            sorted((a - base, u - start) for a, u in self.resident.items())
-        )
-
-    def _load(self, state_rel: tuple, base: int, start: int) -> None:
-        self.resident.clear()
-        self.resident.update((a + base, u + start) for a, u in state_rel)
-
-    @staticmethod
-    def _shift(state_rel: tuple, shift_a: int, shift_u: int) -> tuple:
-        return tuple((a + shift_a, u + shift_u) for a, u in state_rel)
-
-    def _walk(
-        self, positions: "list[int]", addresses: "list[int]", nexts: "list[int]"
-    ) -> None:
-        _belady_span(
-            positions, addresses, nexts, self.n, self.capacity,
-            self.resident, self.out,
-        )
-
-
-class _StackPass(_RowReplay):
-    """The one-pass OPT stack walk behind :func:`opt_stack_distances`.
-
-    The state is a priority stack truncated at ``depth`` slots: a list of
-    addresses or ``None`` (a hole), plus each stacked address's next
-    use.  Its first ``c`` slots are exactly the residents of a
-    Belady-with-bypass register file of capacity ``c``, for every
-    ``c <= depth`` at once (the inclusion property; see
-    :func:`opt_stack_distances`).  Normalized, the state is the slot
-    tuple with trailing holes trimmed.
-    """
-
-    def __init__(
-        self,
-        addresses: np.ndarray,
-        nxt: np.ndarray,
-        prv: np.ndarray,
-        depth: int,
-        ladder: tuple[int, ...],
-        distances: np.ndarray,
-        levels: "list[_LadderLevel | None] | None" = None,
-    ):
-        super().__init__(
-            addresses, nxt, prv, ladder, levels, (distances,),
-            relative=(False,),
-        )
-        self.depth = depth
-        self.slots: "list[int | None]" = [None] * depth
-        self.uses: "dict[int, int]" = {}  # stacked address -> next use
-
-    def _normalize(self, base: int, start: int) -> tuple:
-        uses = self.uses
-        state = [
-            None if a is None else (a - base, uses[a] - start)
-            for a in self.slots
-        ]
-        while state and state[-1] is None:
-            state.pop()
-        return tuple(state)
-
-    def _load(self, state_rel: tuple, base: int, start: int) -> None:
-        slots = [None] * self.depth
-        uses: "dict[int, int]" = {}
-        for slot, entry in enumerate(state_rel):
-            if entry is not None:
-                address = entry[0] + base
-                slots[slot] = address
-                uses[address] = entry[1] + start
-        self.slots = slots
-        self.uses = uses
-
-    @staticmethod
-    def _shift(state_rel: tuple, shift_a: int, shift_u: int) -> tuple:
-        return tuple(
-            None if entry is None else (entry[0] + shift_a, entry[1] + shift_u)
-            for entry in state_rel
-        )
-
-    def _walk(
-        self, positions: "list[int]", addresses: "list[int]", nexts: "list[int]"
-    ) -> None:
-        n = self.n
-        depth = self.depth
-        slots = self.slots
-        uses = self.uses
-        hits: "list[int]" = []
-        found_at: "list[int]" = []
-        for position, address, mine in zip(positions, addresses, nexts):
-            found = address in uses
-            if found:
-                slot = slots.index(address)
-                hits.append(position)
-                found_at.append(slot + 1)
-                if mine >= n:
-                    slots[slot] = None  # last use: the freed slot is a hole
-                    del uses[address]
-                    continue
-            elif mine >= n:
-                continue  # never used again: bypassed at every capacity
-            else:
-                slot = depth
-            uses[address] = mine
-            # Carry down: each slot above the accessed one keeps the
-            # sooner next use of (itself, the carried value) and passes
-            # the farther one on.  A hole takes the carried value and
-            # ends the carry; a found value's old slot becomes the hole.
-            carried, carried_use = address, mine
-            for above in range(slot):
-                held = slots[above]
-                if held is None:
-                    slots[above] = carried
-                    if found:
-                        slots[slot] = None
-                    break
-                held_use = uses[held]
-                if held_use > carried_use:
-                    slots[above] = carried
-                    carried, carried_use = held, held_use
-            else:
-                if found:
-                    slots[slot] = carried
-                else:
-                    del uses[carried]  # fell off the truncated stack
-        if hits:
-            self.out[0][hits] = found_at
-
-
-def miss_count(stream: np.ndarray, capacity: int, policy: str = "lru") -> int:
-    """Convenience: total misses of ``policy`` in {'lru', 'opt'}."""
-    if policy == "lru":
-        return int(lru_misses(stream, capacity).sum())
-    if policy == "opt":
-        return int(opt_misses(stream, capacity).sum())
-    raise SimulationError(f"unknown policy {policy!r}")

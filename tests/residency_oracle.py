@@ -1,8 +1,10 @@
 """Reference residency simulators: the straightforward dict/heap code, test-only.
 
 These are the register-file simulators written the plain way, one access
-at a time: an ``OrderedDict`` LRU, a touched-set pinned file, and Belady
-with bypass as a ``max`` scan over the resident next uses.  They share
+at a time: an ``OrderedDict`` LRU, a touched-set pinned file, Belady
+with bypass as a ``max`` scan over the resident next uses, and plain
+Belady (no bypass, :func:`belady_misses`), the bound the property tests
+hold the bypassing policy to.  They share
 nothing with :mod:`repro.sim.residency` except :func:`next_uses`.
 :func:`trace_rows` is the single-period row memo (the first batched
 trace): rows with a previously seen normalized signature replay their
@@ -23,6 +25,7 @@ from repro.sim.residency import next_uses
 __all__ = [
     "lru_misses",
     "pinned_misses",
+    "belady_misses",
     "opt_trace",
     "trace_rows",
 ]
@@ -62,6 +65,29 @@ def pinned_misses(stream, pinned) -> np.ndarray:
                 misses[position] = False
             else:
                 touched.add(address)
+    return misses
+
+
+def belady_misses(stream, capacity: int) -> np.ndarray:
+    """Belady miss flags without bypass: every miss is installed.
+
+    On a miss with a full file the resident value with the farthest
+    next use (a plain ``max`` scan) is evicted, even when the newcomer's
+    own next use is farther still.
+    """
+    addresses = np.asarray(stream).reshape(-1)
+    n = len(addresses)
+    misses = np.ones(n, dtype=bool)
+    if capacity == 0:
+        return misses
+    nxt = next_uses(addresses).tolist()
+    resident: dict[int, int] = {}
+    for position, address in enumerate(addresses.tolist()):
+        if address in resident:
+            misses[position] = False
+        elif len(resident) >= capacity:
+            del resident[max(resident, key=resident.__getitem__)]
+        resident[address] = nxt[position]
     return misses
 
 

@@ -1,8 +1,7 @@
 """Budget-ladder pins: every budget of an axis from one shared pass.
 
-The miss-count ladders (:func:`~repro.sim.residency.lru_miss_counts`,
-:func:`~repro.sim.residency.opt_miss_ladder`) and the capacity-shared
-trace plane (:class:`~repro.sim.residency.OptTraceLadder`) are pinned
+The LRU miss-count ladder (:func:`~repro.sim.residency.lru_miss_counts`)
+and the capacity-shared trace plane (:class:`~repro.sim.residency.OptTraceLadder`) are pinned
 white-box against per-capacity simulation; coverage's
 :meth:`~repro.scalar.coverage.GroupCoverage.ram_access_ladder` and its
 masks are pinned against the per-count reference coverage of
@@ -28,10 +27,7 @@ from repro.sim.residency import (
     OptTraceLadder,
     lru_miss_counts,
     lru_misses,
-    opt_miss_ladder,
-    opt_misses,
     opt_trace,
-    opt_trace_ladder,
 )
 
 
@@ -60,19 +56,6 @@ def test_lru_miss_counts_edges():
     assert lru_miss_counts(stream, [0, 1]) == {0: 3, 1: 1}
     with pytest.raises(SimulationError):
         lru_miss_counts(stream, [-1])
-
-
-def test_opt_miss_ladder_matches_per_capacity():
-    for seed in range(60):
-        addresses, _, _ = random_stream(seed)
-        stream = np.asarray(addresses, dtype=np.int64)
-        footprint = len(set(addresses))
-        capacities = sorted({0, 1, 3, footprint // 2, footprint, 128})
-        ladder = opt_miss_ladder(stream, capacities)
-        for capacity in capacities:
-            assert ladder[capacity] == int(opt_misses(stream, capacity).sum()), (
-                f"seed {seed} cap {capacity}"
-            )
 
 
 # -- the capacity-shared trace plane ------------------------------------------
@@ -109,11 +92,11 @@ def test_opt_trace_ladder_convenience_matches_opt_trace():
         addresses, capacity, row_len = random_stream(seed)
         stream = np.asarray(addresses, dtype=np.int64)
         capacities = sorted({0, 1, capacity, capacity + 3})
-        traces = opt_trace_ladder(stream, capacities, row_len=row_len)
-        assert sorted(traces) == capacities
-        for c, got in traces.items():
+        plane = OptTraceLadder(stream, periods=(row_len,))
+        for c in capacities:
             _assert_traces_equal(
-                opt_trace(stream, c, row_len=row_len), got, f"seed {seed}/{c}"
+                opt_trace(stream, c, periods=(row_len,)), plane.trace(c),
+                f"seed {seed}/{c}",
             )
 
 

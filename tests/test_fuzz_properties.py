@@ -43,8 +43,6 @@ from repro.sim.residency import (
     OptTraceLadder,
     lru_miss_counts,
     lru_misses,
-    opt_miss_ladder,
-    opt_misses,
     opt_trace,
     pinned_misses,
 )
@@ -353,7 +351,7 @@ def test_fuzz_opt_trace_row_memoization():
         addresses, capacity, row_len = random_stream(seed)
         stream = np.asarray(addresses, dtype=np.int64)
         plain = opt_trace(stream, capacity)
-        rowed = opt_trace(stream, capacity, row_len=row_len)
+        rowed = opt_trace(stream, capacity, periods=(row_len,))
         for left, right in zip(plain, rowed):
             assert np.array_equal(left, right), (
                 f"stream seed {seed} (capacity {capacity}, row {row_len})"
@@ -371,7 +369,7 @@ def test_fuzz_trace_engines_bit_identical():
     """Production vs reference simulator: all four trace arrays, every mode.
 
     Covers plain spans, the single-row memo, period ladders, and the
-    non-divisor ``row_len`` fallback, on 150 random streams.
+    non-divisor period fallback, on 150 random streams.
     """
     for seed in range(150):
         addresses, capacity, row_len = random_stream(seed)
@@ -379,10 +377,9 @@ def test_fuzz_trace_engines_bit_identical():
         reference = residency_oracle.opt_trace(stream, capacity)
         variants = (
             {},
-            {"row_len": row_len},
             {"periods": (row_len,)},
             {"periods": (row_len, max(1, row_len // 2))},
-            {"row_len": row_len + 1},  # non-divisor: plain fallback
+            {"periods": (row_len + 1,)},  # non-divisor: plain fallback
             {"periods": (row_len, row_len + 1, 1)},  # broken chain pruned
         )
         for kwargs in variants:
@@ -420,12 +417,11 @@ def test_fuzz_tiled_streams_ladder_bit_identical():
 
 
 def test_fuzz_budget_ladder_miss_counts_bit_identical():
-    """The whole-axis ladders == per-capacity calls on random streams.
+    """The whole-axis ladder == per-capacity calls on random streams.
 
-    ``lru_miss_counts`` (one histogram + suffix sum) and
-    ``opt_miss_ladder`` (shared lazy-deletion-heap plane) must agree
-    with the per-capacity APIs at every rung, including capacity 0 and
-    capacities past the footprint.
+    ``lru_miss_counts`` (one histogram + suffix sum) must agree with the
+    per-capacity API at every rung, including capacity 0 and capacities
+    past the footprint.
     """
     for seed in SEEDS:
         addresses, capacity, _ = random_stream(seed)
@@ -433,13 +429,9 @@ def test_fuzz_budget_ladder_miss_counts_bit_identical():
         footprint = len(set(addresses))
         rungs = sorted({0, 1, 2, capacity, footprint, footprint + 7})
         lru_ladder = lru_miss_counts(stream, rungs)
-        opt_ladder = opt_miss_ladder(stream, rungs)
         for rung in rungs:
             assert lru_ladder[rung] == int(lru_misses(stream, rung).sum()), (
                 f"lru ladder seed {seed} capacity {rung}"
-            )
-            assert opt_ladder[rung] == int(opt_misses(stream, rung).sum()), (
-                f"opt ladder seed {seed} capacity {rung}"
             )
 
 
@@ -480,48 +472,6 @@ def test_fuzz_lru_and_pinned_engines_agree():
         fast = pinned_misses(stream, pinned)
         slow = residency_oracle.pinned_misses(stream, pinned)
         assert np.array_equal(fast, slow), f"pinned seed {seed}"
-
-
-def test_fuzz_opt_misses_heap_matches_max_scan():
-    """The lazy-deletion heap == the O(r) max-scan oracle, large caps too.
-
-    Pins the satellite claim that heap tie-breaking among never-reused
-    residents cannot change miss flags — including capacities at and
-    beyond the footprint, where every resident ends up dead.
-    """
-
-    def max_scan_reference(stream, capacity):
-        n = len(stream)
-        misses = np.ones(n, dtype=bool)
-        if capacity == 0:
-            return misses
-        addresses = stream.tolist()
-        next_use = [float("inf")] * n
-        last_seen = {}
-        for position in range(n - 1, -1, -1):
-            next_use[position] = last_seen.get(addresses[position], float("inf"))
-            last_seen[addresses[position]] = position
-        resident = {}
-        for position, address in enumerate(addresses):
-            if address in resident:
-                misses[position] = False
-            else:
-                if len(resident) >= capacity:
-                    victim = max(resident, key=lambda a: resident[a])
-                    del resident[victim]
-            resident[address] = next_use[position]
-        return misses
-
-    for seed in range(120):
-        addresses, _, _ = random_stream(seed)
-        stream = np.asarray(addresses, dtype=np.int64)
-        footprint = len(set(addresses))
-        for capacity in (0, 1, 2, 4, footprint, footprint + 7, 256):
-            got = opt_misses(stream, capacity)
-            want = max_scan_reference(stream, capacity)
-            assert np.array_equal(got, want), (
-                f"opt seed {seed} capacity {capacity}"
-            )
 
 
 @pytest.mark.parametrize("seed", range(0, 120, 10))

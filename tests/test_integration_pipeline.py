@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import residency_oracle
 
+from repro.analysis.groups import build_groups
+from repro.bench import residency_study
 from repro.core import PAPER_VERSIONS, evaluate_kernel
 from repro.dfg import LatencyModel
 from repro.kernels import (
@@ -102,3 +105,25 @@ class TestBenchHarnesses:
         points = residency_study(build_fir(n=16, taps=4))
         for p in points:
             assert p.opt <= p.lru
+
+
+@pytest.mark.parametrize("kernel", SMALL_KERNELS, ids=lambda k: k.name)
+def test_residency_study_matches_reference_simulators(kernel):
+    """The Belady and LRU columns equal the one-access-at-a-time oracles."""
+    grids = kernel.nest.meshgrids()
+    streams = {
+        group.name: np.broadcast_to(
+            group.ref.flat_address_grid(grids), kernel.nest.trip_counts()
+        ).reshape(-1)
+        for group in build_groups(kernel)
+    }
+    for capacities in (None, [0, 1, 3, 64]):
+        points = residency_study(kernel, capacities)
+        assert points
+        for p in points:
+            stream = streams[p.group]
+            label = f"{kernel.name} {p.group} capacity {p.capacity}"
+            want_opt = residency_oracle.opt_trace(stream, p.capacity)[0]
+            assert p.opt == int(want_opt.sum()), label
+            want_lru = residency_oracle.lru_misses(stream, p.capacity)
+            assert p.lru == int(want_lru.sum()), label

@@ -13,6 +13,8 @@ Three layers:
   suppression carries a justification.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -241,18 +243,6 @@ def test_check_filter_still_runs_hygiene():
     ]
 
 
-# -- self-clean contract over the shipped tree -------------------------------
-
-
-def test_shipped_tree_is_lint_clean():
-    report = run_lint()
-    assert report.unsuppressed == ()
-    # Deliberate designs are suppressed, never silently dropped — and
-    # every suppression records why it is sound.
-    assert len(report.findings) >= 10
-    assert all(f.justification for f in report.findings if f.suppressed)
-
-
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -262,10 +252,29 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_strict_self_clean(capsys):
-    code, out, _ = run_cli(capsys, "lint", "--strict")
+@pytest.fixture(scope="module")
+def self_clean_run():
+    """One ``repro lint --strict --format json`` run over the shipped tree,
+    shared by the self-clean tests so tier-1 runs the analyzer once."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["lint", "--strict", "--format", "json"])
+    return code, json.loads(buf.getvalue())
+
+
+def test_shipped_tree_is_lint_clean(self_clean_run):
+    _, doc = self_clean_run
+    assert doc["unsuppressed"] == 0
+    # Deliberate designs are suppressed, never silently dropped — and
+    # every suppression records why it is sound.
+    assert len(doc["findings"]) >= 10
+    assert all(f["justification"] for f in doc["findings"] if f["suppressed"])
+
+
+def test_cli_strict_self_clean(self_clean_run):
+    code, doc = self_clean_run
     assert code == 0
-    assert "0 findings" in out
+    assert doc["unsuppressed"] == 0
 
 
 def test_cli_list(capsys):

@@ -7,9 +7,7 @@ import residency_oracle as oracle
 from repro.errors import SimulationError
 from repro.sim.residency import (
     lru_misses,
-    miss_count,
     next_uses,
-    opt_misses,
     opt_trace,
     pinned_misses,
     prev_uses,
@@ -18,6 +16,14 @@ from repro.sim.residency import (
 
 def stream(*values):
     return np.array(values, dtype=np.int64)
+
+
+def opt_count(s, capacity):
+    return int(opt_trace(s, capacity)[0].sum())
+
+
+def lru_count(s, capacity):
+    return int(lru_misses(s, capacity).sum())
 
 
 class TestLRU:
@@ -62,25 +68,21 @@ class TestPinned:
 class TestOpt:
     def test_opt_beats_lru_on_sweep(self):
         s = np.tile(np.arange(5), 4)
-        assert miss_count(s, 4, "opt") < miss_count(s, 4, "lru")
+        assert opt_count(s, 4) < lru_count(s, 4)
 
     def test_opt_never_worse_than_lru(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = rng.integers(0, 8, size=60)
             for cap in (1, 2, 3, 5):
-                assert miss_count(s, cap, "opt") <= miss_count(s, cap, "lru")
+                assert opt_count(s, cap) <= lru_count(s, cap)
 
     def test_full_capacity_means_cold_misses_only(self):
         rng = np.random.default_rng(3)
         s = rng.integers(0, 6, size=50)
         distinct = len(set(s.tolist()))
-        assert miss_count(s, distinct, "opt") == distinct
-        assert miss_count(s, distinct, "lru") == distinct
-
-    def test_unknown_policy(self):
-        with pytest.raises(SimulationError):
-            miss_count(stream(1), 1, "fifo")
+        assert opt_count(s, distinct) == distinct
+        assert lru_count(s, distinct) == distinct
 
 
 class TestOptTrace:
@@ -159,7 +161,9 @@ class TestEngines:
             for capacity in (0, 1, 2, 5, 12):
                 for row_len in (None, 8, 12):
                     expected = oracle.opt_trace(s, capacity, row_len=row_len)
-                    got = opt_trace(s, capacity, row_len=row_len)
+                    got = opt_trace(
+                        s, capacity, periods=(row_len,) if row_len else None
+                    )
                     for left, right in zip(expected, got):
                         assert np.array_equal(left, right)
 
@@ -173,17 +177,10 @@ class TestEngines:
 
     def test_non_divisor_row_len_falls_back(self):
         s = stream(0, 1, 2, 0, 1, 2, 0)
-        for trace in (opt_trace, oracle.opt_trace):
-            plain = trace(s, 2)
-            fallback = trace(s, 2, row_len=3)  # 3 does not divide 7
-            for left, right in zip(plain, fallback):
+        # A period of 3 does not divide the length 7: plain fallback.
+        for trace, fallback in (
+            (opt_trace, opt_trace(s, 2, periods=(3,))),
+            (oracle.opt_trace, oracle.opt_trace(s, 2, row_len=3)),
+        ):
+            for left, right in zip(trace(s, 2), fallback):
                 assert np.array_equal(left, right)
-
-    def test_opt_misses_at_and_beyond_footprint_capacity(self):
-        # Large capacities leave only the distinct-address cold misses —
-        # the heap's tie-breaking among dead residents must not matter.
-        rng = np.random.default_rng(8)
-        s = rng.integers(0, 12, size=80)
-        distinct = len(set(s.tolist()))
-        for capacity in (distinct, distinct + 5, 512):
-            assert int(opt_misses(s, capacity).sum()) == distinct

@@ -31,7 +31,6 @@ from repro.sim.residency import (
     OptTraceLadder,
     opt_stack_distances,
     opt_trace,
-    opt_trace_ladder,
 )
 
 PLACEMENT = ("window_inserted", "window_evicted", "window_freed")
@@ -45,9 +44,10 @@ def _assert_matches_traces(stream, max_capacity, periods=None, label=""):
     assert distances.shape == stream.shape
     assert distances.min(initial=1) >= 1
     assert distances.max(initial=1) <= max_capacity + 1
-    traces = opt_trace_ladder(stream, range(max_capacity + 1), periods=periods)
+    plane = OptTraceLadder(stream, periods=periods)
     row_len = periods[0] if periods else None
-    for capacity, (misses, *_) in traces.items():
+    for capacity in range(max_capacity + 1):
+        misses = plane.trace(capacity)[0]
         assert np.array_equal(distances > capacity, misses), (
             f"{label} capacity={capacity}"
         )

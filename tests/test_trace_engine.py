@@ -41,14 +41,14 @@ def test_ladder_replays_tiles_when_rows_never_repeat(monkeypatch):
     stream = np.asarray(addresses, dtype=np.int64)
 
     spans = []
-    real = residency._belady_span
+    real = residency._StackWalk._step
 
-    def spy(positions, *args, **kwargs):
+    def spy(walk, positions, *args, **kwargs):
         spans.append(len(positions))
-        return real(positions, *args, **kwargs)
+        return real(walk, positions, *args, **kwargs)
 
     reference = oracle.opt_trace(stream, 2)
-    monkeypatch.setattr(residency, "_belady_span", spy)
+    monkeypatch.setattr(residency._StackWalk, "_step", spy)
 
     spans.clear()
     row_only = opt_trace(stream, 2, periods=(12,))
