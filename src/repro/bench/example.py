@@ -19,10 +19,10 @@ from repro.analysis.groups import build_groups
 from repro.core.cpara import CriticalPathAwareAllocator
 from repro.core.frra import FullReuseAllocator
 from repro.core.prra import PartialReuseAllocator
-from repro.dfg.build import build_dfg
 from repro.dfg.critical import critical_graph
 from repro.dfg.cuts import enumerate_cuts
 from repro.dfg.latency import LatencyModel
+from repro.explore.context import EvalContext
 from repro.ir import INT16, Kernel, KernelBuilder
 from repro.sim.cycles import count_cycles
 
@@ -86,7 +86,10 @@ def figure2_report(budget: int = 64) -> Figure2Report:
     """Regenerate Figure 2: the CG, its cuts, and the three Tmem numbers."""
     kernel = build_example_kernel()
     groups = build_groups(kernel)
-    dfg = build_dfg(kernel, groups)
+    # The three allocators are one sweep's allocator axis: one context
+    # serves them all.
+    context = EvalContext()
+    dfg = context.dfg(kernel, groups)
 
     cg = critical_graph(dfg, LatencyModel.tmem())
     structural = enumerate_cuts(cg, removable=lambda _: True)
@@ -99,8 +102,10 @@ def figure2_report(budget: int = 64) -> Figure2Report:
         PartialReuseAllocator(),
         CriticalPathAwareAllocator(),
     ):
-        allocation = allocator.allocate(kernel, budget, groups)
-        report = count_cycles(kernel, groups, allocation, tmem_model)
+        allocation = allocator.allocate(kernel, budget, groups, context=context)
+        report = count_cycles(
+            kernel, groups, allocation, tmem_model, context=context
+        )
         rows.append(
             Figure2Row(
                 algorithm=allocation.algorithm,

@@ -28,12 +28,14 @@ __all__ = ["Allocator", "AllocationState"]
 class AllocationState:
     """Mutable working state shared by the concrete allocators.
 
-    ``context`` (set by :meth:`Allocator.allocate`) exposes the sweep's
-    shared-artifact memo plane to policies that redo whole-kernel
-    analysis per budget point — CPA-RA's DFG/critical-graph walks, KS-RA's
-    DP table — and is ``None`` for standalone allocations.  Policies must
-    treat anything obtained from it as read-only; using it never changes
-    the resulting allocation.
+    ``context`` is the shared-artifact memo plane policies take their
+    whole-kernel analysis from — CPA-RA's DFG and critical graphs,
+    KS-RA's DP table, OPT-RA's DFG, coverage and cycle counts.  A sweep
+    passes its own (through :meth:`Allocator.allocate`); without one the
+    state gets a fresh :class:`~repro.explore.context.EvalContext`, so a
+    standalone allocation is a one-point sweep.  Policies must treat
+    anything obtained from it as read-only; using it never changes the
+    resulting allocation.
     """
 
     def __init__(self, kernel: Kernel, groups: tuple[RefGroup, ...], budget: int,
@@ -43,10 +45,14 @@ class AllocationState:
                 f"budget {budget} cannot cover the mandatory register of "
                 f"{len(groups)} references in kernel {kernel.name}"
             )
+        if context is None:
+            from repro.explore.context import EvalContext
+
+            context = EvalContext()
         self.kernel = kernel
         self.groups = groups
         self.budget = budget
-        self.context = context
+        self.context: "EvalContext" = context
         self.assigned: dict[str, int] = {g.name: 1 for g in groups}
         self.remaining = budget - len(groups)
         self.trace: list[str] = [

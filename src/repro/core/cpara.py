@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from repro.analysis.groups import RefGroup
 from repro.core.base import AllocationState, Allocator
-from repro.dfg.build import build_dfg
-from repro.dfg.critical import critical_graph
 from repro.dfg.cuts import Cut, enumerate_cuts
 from repro.dfg.latency import LatencyModel
 from repro.errors import AllocationError
@@ -49,12 +47,9 @@ class CriticalPathAwareAllocator(Allocator):
         # Budget points of one sweep share the DFG and — in the early
         # rounds, where adjacent budgets reach identical hit maps — the
         # extracted CG itself, so both go through the shared-artifact
-        # context when the sweep provides one.
+        # context.
         ctx = state.context
-        if ctx is not None:
-            dfg = ctx.dfg(state.kernel, state.groups)
-        else:
-            dfg = build_dfg(state.kernel, state.groups)
+        dfg = ctx.dfg(state.kernel, state.groups)
         rounds = 0
         max_rounds = len(state.groups) + 2  # each round retires >= 1 group
         while state.remaining > 0 and rounds < max_rounds:
@@ -63,10 +58,7 @@ class CriticalPathAwareAllocator(Allocator):
                 g.name: state.is_full(g) and g.carries_reuse
                 for g in state.groups
             }
-            if ctx is not None:
-                cg = ctx.critical_graph(state.kernel, dfg, self._model, hits)
-            else:
-                cg = critical_graph(dfg, self._model, hits)
+            cg = ctx.critical_graph(state.kernel, dfg, self._model, hits)
             cuts = enumerate_cuts(
                 cg,
                 removable=lambda name: self._removable(state, name),

@@ -4,9 +4,10 @@ Lives outside the allocator plugin modules on purpose: the result
 cache's dependency cones prune the allocator fan-out per query (a PR-RA
 point must not depend on ``core/knapsack.py`` — see
 :mod:`repro.explore.versions`), and the evaluation context
-(:mod:`repro.explore.context`) needs the knapsack DP for its
+(:mod:`repro.explore.context`) owns the knapsack DP for its
 cross-budget memo without dragging the KS-RA plugin into every query's
-cone.
+cone.  KS-RA reaches the DP only through that context
+(:meth:`~repro.explore.context.EvalContext.knapsack_tables`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ def solve_knapsack(
     tables answer every capacity at or below the one they were solved
     for bit-identically — the property the evaluation context's
     cross-budget memo (:meth:`repro.explore.context.EvalContext.
-    knapsack_tables`) relies on.  The single DP implementation shared by
-    KS-RA and that memo.
+    knapsack_tables`) relies on.  The single DP implementation; only
+    that memo calls it.
     """
     best = [0] * (capacity + 1)
     keep: "list[list[bool]]" = []

@@ -14,7 +14,6 @@ greedy suboptimality (the allocator-policy ablation,
 from __future__ import annotations
 
 from repro.core.base import AllocationState, Allocator
-from repro.core.dp import solve_knapsack
 
 __all__ = ["KnapsackAllocator"]
 
@@ -33,21 +32,16 @@ class KnapsackAllocator(Allocator):
         # Classic DP over capacity; reconstruct the chosen set.  The DP
         # recurrence for capacity ``c`` never reads beyond ``c``, so one
         # table computed at the all-items capacity answers *every*
-        # budget of a sweep bit-identically — the batched ladder DP.
-        # The context memoizes that table across points; without a
-        # context the table still covers the whole budget axis of this
-        # call (and reconstruction below only reads columns <= capacity).
+        # budget of a sweep bit-identically — the batched ladder DP the
+        # context memoizes across points (reconstruction below only
+        # reads columns <= capacity).
         signature = tuple(
             (g.name, weight, value)
             for g, weight, value in zip(items, weights, values)
         )
-        if state.context is not None:
-            best, keep = state.context.knapsack_tables(
-                state.kernel, signature, capacity
-            )
-        else:
-            target = max(capacity, sum(weights))
-            best, keep = solve_knapsack(signature, target)
+        best, keep = state.context.knapsack_tables(
+            state.kernel, signature, capacity
+        )
 
         chosen: list[int] = []
         cap = capacity

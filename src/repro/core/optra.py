@@ -95,17 +95,9 @@ from repro.core.frra import FullReuseAllocator
 from repro.core.knapsack import KnapsackAllocator
 from repro.core.naive import NaiveAllocator
 from repro.core.prra import PartialReuseAllocator
-from repro.dfg.build import build_dfg
 from repro.dfg.latency import LatencyModel
 from repro.errors import ReproError
-
-# The cycle counter must initialize before the coverage module:
-# repro.sim and repro.scalar import each other, and only the sim-first
-# order resolves the cycle (repro.scalar.coverage can import
-# repro.sim.residency from a partially initialized repro.sim, but not
-# the other way around).
-from repro.sim.cycles import classify_patterns, pattern_costs  # isort: skip
-from repro.scalar.coverage import coverage_for  # isort: skip
+from repro.sim.cycles import classify_patterns
 from repro.synth.estimate import classify_operand_storage, count_with_best_anchors
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -281,12 +273,8 @@ class _Search:
         self.ram_ports = ram_ports
         self.overhead = overhead
 
-        if self.ctx is not None:
-            self.dfg = self.ctx.dfg(self.kernel, self.groups)
-            self.coverages = self.ctx.coverages(self.kernel, self.groups)
-        else:
-            self.dfg = build_dfg(self.kernel, self.groups)
-            self.coverages = coverage_for(self.kernel, self.groups)
+        self.dfg = self.ctx.dfg(self.kernel, self.groups)
+        self.coverages = self.ctx.coverages(self.kernel, self.groups)
         # Bounds price vectors over the kernel's iteration classes.
         self.classes = self.coverages.classes
         self.space = self.classes.size
@@ -310,9 +298,8 @@ class _Search:
 
         # The leaf objective's cost table: bounds classify through the
         # same layout and costs as the leaves.
-        self.costs = pattern_costs(
-            self.kernel, self.groups, self.dfg, model, ram_ports, overhead,
-            self.ctx,
+        self.costs = self.ctx.pattern_costs(
+            self.kernel, self.groups, self.dfg, model, ram_ports, overhead
         )
         self._leaf_memo: "dict[tuple[int, ...], int]" = {}
         # (group, covered) -> (packed meet plane or None when it never

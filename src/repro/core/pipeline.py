@@ -81,12 +81,20 @@ def evaluate_kernel(
     ram_ports: int | None = None,
     overhead_per_iteration: int = 1,
 ) -> PipelineResult:
-    """Run the full flow for each requested algorithm on ``kernel``."""
+    """Run the full flow for each requested algorithm on ``kernel``.
+
+    The algorithms are the allocator axis of a one-kernel sweep, so they
+    share one :class:`~repro.explore.context.EvalContext`: the DFG,
+    coverage computers and pattern costs are built once.
+    """
+    from repro.explore.context import EvalContext
+
+    context = EvalContext()
     groups = build_groups(kernel)
     designs: dict[str, HardwareDesign] = {}
     for name in algorithms:
         allocator = allocator_by_name(name)
-        allocation = allocator.allocate(kernel, budget, groups)
+        allocation = allocator.allocate(kernel, budget, groups, context=context)
         designs[name] = build_design(
             kernel,
             allocation,
@@ -95,6 +103,7 @@ def evaluate_kernel(
             model=model,
             ram_ports=ram_ports,
             overhead_per_iteration=overhead_per_iteration,
+            context=context,
         )
     return PipelineResult(
         kernel=kernel, groups=groups, budget=budget, designs=designs

@@ -48,11 +48,7 @@ from repro.explore.context import (
     process_context,
     reset_process_context,
 )
-from repro.explore.evaluate import (
-    code_version,
-    evaluate_query,
-    evaluate_query_safe,
-)
+from repro.explore.evaluate import evaluate_query, evaluate_query_safe
 from repro.explore.executor import Executor, ExploreStats, run_queries
 from repro.explore.faults import (
     FaultPlan,
@@ -79,6 +75,7 @@ from repro.explore.supervise import (
 )
 from repro.explore.versions import (
     VersionRegistry,
+    code_version,
     default_registry,
     query_roots,
     query_vector,

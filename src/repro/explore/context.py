@@ -41,10 +41,14 @@ Every memoized artifact is immutable (or treated as such by every
 consumer), and every memo key captures the full input of the computation
 it short-circuits, so evaluation with a context is bit-identical to
 evaluation on a fresh one; ``tests/test_eval_context.py`` and the fuzz
-suite pin that equivalence.  The lower layers (allocators,
+suite pin that equivalence.  It is also the only evaluation path: every
+layer below the public entries (allocators, the cycle counter, the
+synthesis estimate) takes its artifacts from a context.  A standalone
+call is a one-point sweep — :class:`~repro.core.base.AllocationState`,
 :func:`~repro.synth.estimate.build_design`,
-:func:`~repro.sim.cycles.count_cycles`) also run with ``context=None``,
-unmemoized.
+:func:`~repro.sim.cycles.count_cycles` and
+:func:`~repro.synth.estimate.count_with_best_anchors` each turn a
+missing context into a fresh ``EvalContext()`` once, at the entry.
 
 Kernels are evicted LRU once more than ``kernel_memo_size`` distinct
 subjects have been seen (default :data:`DEFAULT_KERNEL_MEMO`); evicting
@@ -65,7 +69,7 @@ from __future__ import annotations
 # repro-lint: ok-file determinism:id-key -- every id()-keyed lookup here is guarded by an `is` check against the stored object (and evicted with it), so a recycled id can never answer for a different kernel/model
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.dp import solve_knapsack
 from repro.dfg.build import build_dfg
@@ -73,7 +77,7 @@ from repro.dfg.critical import CriticalGraph, critical_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
 from repro.scalar.coverage import CoverageMap, GroupCoverage, coverage_for
-from repro.sim.cycles import PatternCosts
+from repro.sim.cycles import CycleReport, PatternCosts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.groups import RefGroup
@@ -131,8 +135,8 @@ class _KernelArtifacts:
     knapsack: "dict[tuple, tuple[int, list, list]]" = field(
         default_factory=dict
     )
-    #: full count_cycles key -> CycleReport (see EvalContext.get_cycle_report)
-    cycle_reports: "dict[tuple, object]" = field(default_factory=dict)
+    #: full count_cycles key -> CycleReport (see EvalContext.cycle_report)
+    cycle_reports: "dict[tuple, CycleReport]" = field(default_factory=dict)
 
 
 def _model_fingerprint(model: LatencyModel) -> tuple:
@@ -283,12 +287,12 @@ class EvalContext:
     ) -> CoverageMap:
         """Shared coverage computers for every group of ``kernel``.
 
-        The returned :class:`GroupCoverage` objects memoize their own
-        results per ``(registers, anchor)``, so sharing them across the
-        budget/allocator axes is where a sweep's rank/Belady work
-        collapses to once-per-kernel; the map also carries the kernel's
-        one iteration-class partition.  Callers must treat the dict as
-        read-only.
+        The returned :class:`~repro.scalar.coverage.GroupCoverage`
+        objects memoize their own results per ``(registers, anchor)``,
+        so sharing them across the budget/allocator axes is where a
+        sweep's rank/Belady work collapses to once-per-kernel; the map
+        also carries the kernel's one iteration-class partition.
+        Callers must treat the dict as read-only.
         """
         bundle = self._bundle_for(kernel, groups)
         if bundle is None:
@@ -311,20 +315,24 @@ class EvalContext:
         model: LatencyModel,
         ram_ports: int,
         overhead: int,
-    ) -> "PatternCosts | None":
-        """The shared cost table of one objective, or None.
+    ) -> PatternCosts:
+        """The cost table of one objective.
 
         The bundle fixes the channel layout (its groups and DFG); the
         table is keyed by the latency model's fingerprint, the port
         count and the per-iteration overhead, so every count of a sweep
         schedules each distinct pattern once.  A foreign DFG or
-        grouping declines (``None``), like the sibling memos.
+        grouping gets a fresh, unshared table (the sibling memos decline
+        foreign artifacts the same way).
         """
         bundle = self._resident(kernel)
         if bundle is None or bundle.dfg is not dfg or (
             groups is not bundle.groups
         ):
-            return None
+            return PatternCosts(
+                groups, dfg, model, ram_ports, overhead,
+                label=f"kernel {kernel.name}",
+            )
         key = (self._model_fp(model), ram_ports, overhead)
         costs = bundle.costs.get(key)
         if costs is None:
@@ -398,67 +406,43 @@ class EvalContext:
 
     # -- whole cycle reports --------------------------------------------------
 
-    def get_cycle_report(
+    def cycle_report(
         self,
         kernel: "Kernel",
         groups: "tuple[RefGroup, ...]",
         key: tuple,
         dfg: DataFlowGraph,
-        coverages: "dict[str, GroupCoverage] | None",
-    ) -> "object | None":
-        """A memoized :class:`~repro.sim.cycles.CycleReport`, or None.
+        coverages: "dict[str, GroupCoverage]",
+        compute: "Callable[[], CycleReport]",
+    ) -> "CycleReport":
+        """The :class:`~repro.sim.cycles.CycleReport` under ``key``,
+        from ``compute()`` on a miss.
 
-        The key (built by :func:`~repro.sim.cycles.count_cycles`) captures
+        The key (built by :func:`~repro.sim.cycles.report_key`) captures
         the full parameterization of one count — latency model, ports,
-        overhead, per-group register assignment and anchors —
-        so allocators that reach the same register distribution, and the
-        anchor search's repeated counts, share one report.  Like the
-        sibling memos, caller-supplied artifacts that are not the
-        bundle's canonical ``dfg``/``coverages`` decline memoization
-        entirely (a foreign artifact must neither poison the memo nor be
-        answered from it).  Reports are frozen; consumers must not
+        overhead, per-group register assignment and anchors (or the
+        best-anchor marker) — so allocators that reach the same register
+        distribution, and the anchor search's repeated counts, share one
+        report.  Like the sibling memos, caller-supplied artifacts that
+        are not the bundle's canonical ``dfg``/``coverages`` decline
+        memoization entirely: ``compute()`` runs and nothing is counted
+        or stored (a foreign artifact must neither poison the memo nor
+        be answered from it).  Reports are frozen; consumers must not
         mutate ``ram_accesses``.
         """
-        bundle = self._report_bundle(kernel, groups, dfg, coverages)
-        if bundle is None:
-            return None
+        bundle = self._resident(kernel)
+        if bundle is None or groups is not bundle.groups or (
+            dfg is not bundle.dfg or coverages is not bundle.coverages
+        ):
+            return compute()
         report = bundle.cycle_reports.get(key)
         if report is not None:
             self.stats.cycles_hits += 1
-        else:
-            self.stats.cycles_misses += 1
+            return report
+        self.stats.cycles_misses += 1
+        report = compute()
+        bundle.cycle_reports[key] = report
         return report
-
-    def put_cycle_report(
-        self,
-        kernel: "Kernel",
-        groups: "tuple[RefGroup, ...]",
-        key: tuple,
-        report: object,
-        dfg: DataFlowGraph,
-        coverages: "dict[str, GroupCoverage] | None",
-    ) -> None:
-        """Store a computed report under its full-parameterization key."""
-        bundle = self._report_bundle(kernel, groups, dfg, coverages)
-        if bundle is not None:
-            bundle.cycle_reports[key] = report
-
-    def _report_bundle(
-        self,
-        kernel: "Kernel",
-        groups: "tuple[RefGroup, ...]",
-        dfg: DataFlowGraph,
-        coverages: "dict[str, GroupCoverage] | None",
-    ) -> "_KernelArtifacts | None":
-        """The bundle a cycle-report may memoize against, or None."""
-        bundle = self._resident(kernel)
-        if bundle is None or groups is not bundle.groups:
-            return None
-        if dfg is not bundle.dfg:
-            return None
-        if coverages is not None and coverages is not bundle.coverages:
-            return None
-        return bundle
 
     # -- misc -----------------------------------------------------------------
 

@@ -43,7 +43,6 @@ __all__ = [
     "design_for",
     "evaluate_query",
     "evaluate_query_safe",
-    "code_version",
 ]
 
 
@@ -142,10 +141,3 @@ def evaluate_query_safe(
         record = DesignRecord.crashed(query, exc)
     return replace(record, seconds=time.perf_counter() - started)
 
-
-def code_version() -> str:
-    """Stable whole-tree fingerprint (kept for back-compat; see
-    :func:`repro.explore.versions.code_version`)."""
-    from repro.explore.versions import code_version as whole_tree
-
-    return whole_tree()

@@ -319,13 +319,11 @@ def default_registry() -> VersionRegistry:
 
 @lru_cache(maxsize=1)
 def _kernel_modules() -> dict[str, str]:
-    # repro-lint: ok version-cone:wholesale-plugin-use -- metadata-only read (defining-module names) used to build the version registry itself; no plugin code runs
     return {name: factory.__module__ for name, factory in KERNEL_FACTORIES.items()}
 
 
 @lru_cache(maxsize=1)
 def _allocator_modules() -> dict[str, str]:
-    # repro-lint: ok version-cone:wholesale-plugin-use -- metadata-only read (defining-module names) used to build the version registry itself; no plugin code runs
     return {name: cls.__module__ for name, cls in _ALLOCATORS.items()}
 
 

@@ -32,7 +32,7 @@ in no closure is reported as a missing key member.
 
 The analysis is deliberately conservative the *other* way too: memo
 accesses whose keys are opaque (a bare ``key`` parameter) still count
-their mapping-selection closure, so ``get_cycle_report``-style designs
+their mapping-selection closure, so ``cycle_report``-style designs
 — knobs captured by the bundle lookup, key built by the caller — pass
 without suppression.
 """

@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.analysis.groups import RefGroup
 from repro.core.allocation import Allocation
-from repro.dfg.build import build_dfg
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
 from repro.dfg.nodes import ReadNode, WriteNode
@@ -56,7 +55,6 @@ from repro.scalar.coverage import (
     CoverageResult,
     GroupCoverage,
     IterationClasses,
-    coverage_for,
 )
 from repro.sim.scheduler import schedule_iteration
 
@@ -70,7 +68,6 @@ __all__ = [
     "best_anchors",
     "classify_patterns",
     "count_cycles",
-    "pattern_costs",
     "report_key",
 ]
 
@@ -211,8 +208,8 @@ class PatternCosts:
     The table owns the :class:`PatternLayout` of ``groups`` over
     ``dfg``.  Contexts keep one table per (DFG, latency model, ports,
     overhead) so a sweep's counts share it (``stats`` then receives
-    ``cost_hits`` / ``cost_misses``); without a context a table lives
-    for one count or one OPT-RA search.
+    ``cost_hits`` / ``cost_misses``); a foreign DFG or grouping gets a
+    table that lives for one count or one OPT-RA search.
     """
 
     def __init__(
@@ -260,29 +257,6 @@ class PatternCosts:
         return entry
 
 
-def pattern_costs(
-    kernel: Kernel,
-    groups: "tuple[RefGroup, ...]",
-    dfg: DataFlowGraph,
-    model: LatencyModel,
-    ram_ports: int,
-    overhead_per_iteration: int,
-    context: "EvalContext | None" = None,
-) -> PatternCosts:
-    """The cost table of one objective: the context's shared one, or a
-    fresh table when there is no context (or it declines)."""
-    if context is not None:
-        costs = context.pattern_costs(
-            kernel, groups, dfg, model, ram_ports, overhead_per_iteration
-        )
-        if costs is not None:
-            return costs
-    return PatternCosts(
-        groups, dfg, model, ram_ports, overhead_per_iteration,
-        label=f"kernel {kernel.name}",
-    )
-
-
 def report_key(
     context: "EvalContext",
     model: LatencyModel,
@@ -328,80 +302,38 @@ def count_cycles(
     (a plain dict's masks are gathered onto the kernel's canonical
     iteration classes, verified).
 
-    ``context`` (an :class:`~repro.explore.context.EvalContext`) memoizes
-    whole reports per full parameterization, plus the layout and the
-    per-pattern cost table across the counts of a sweep — the grid
-    points of one kernel mostly re-encounter the same patterns, so the
-    DFG is re-scheduled only for genuinely new ones.  Results are
-    bit-identical with and without it.
+    ``context`` (an :class:`~repro.explore.context.EvalContext`; a fresh
+    one when omitted) supplies the DFG and coverage computers the caller
+    does not, and memoizes whole reports per full parameterization, plus
+    the layout and the per-pattern cost table across the counts of a
+    sweep — the grid points of one kernel mostly re-encounter the same
+    patterns, so the DFG is re-scheduled only for genuinely new ones.
+    A count is :func:`best_anchors` with no candidates.
     """
+    if context is None:
+        from repro.explore.context import EvalContext
+
+        context = EvalContext()
     if dfg is None:
-        dfg = (
-            context.dfg(kernel, groups)
-            if context is not None
-            else build_dfg(kernel, groups)
-        )
-    anchors = anchors or {}
-    memo_key = None
-    if context is not None:
-        if coverages is None:
-            coverages = context.coverages(kernel, groups)
-        # The full parameterization of this count.  The context declines
-        # the memo when ``dfg``/``coverages`` are not its canonical
-        # artifacts for this kernel, so foreign coverage (a test oracle)
-        # neither answers from nor poisons it.
-        memo_key = report_key(
-            context, model, ram_ports, overhead_per_iteration, groups,
-            allocation, tuple(sorted(anchors.items())),
-        )
-        memoized = context.get_cycle_report(
-            kernel, groups, memo_key, dfg=dfg, coverages=coverages
-        )
-        if memoized is not None:
-            return memoized
-
+        dfg = context.dfg(kernel, groups)
     if coverages is None:
-        coverages = coverage_for(kernel, groups)
-    results = {
-        g.name: coverages[g.name].result(
-            allocation.registers_for(g.name), anchor=anchors.get(g.name, "low")
-        )
-        for g in groups
-    }
-    costs = pattern_costs(
-        kernel, groups, dfg, model, ram_ports, overhead_per_iteration, context
+        coverages = context.coverages(kernel, groups)
+    anchors = anchors or {}
+    # The full parameterization of this count.  The context declines
+    # the memo when ``dfg``/``coverages`` are not its canonical
+    # artifacts for this kernel, so foreign coverage (a test oracle)
+    # neither answers from nor poisons it.
+    key = report_key(
+        context, model, ram_ports, overhead_per_iteration, groups,
+        allocation, tuple(sorted(anchors.items())),
     )
-    classes = _classes(kernel, groups, coverages, context)
-    report = _report(
-        results,
-        classify_patterns(costs.layout.pack(classes, results), classes, costs),
-        model,
+    return context.cycle_report(
+        kernel, groups, key, dfg, coverages,
+        lambda: best_anchors(
+            kernel, groups, allocation, model, ram_ports,
+            overhead_per_iteration, dfg, coverages, [], context, anchors,
+        ),
     )
-    if memo_key is not None:
-        context.put_cycle_report(
-            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages
-        )
-    return report
-
-
-def _classes(
-    kernel: Kernel,
-    groups: "tuple[RefGroup, ...]",
-    coverages: "Mapping[str, GroupCoverage]",
-    context: "EvalContext | None",
-) -> IterationClasses:
-    """The partition a count packs onto: the one its coverage map
-    shares, else the canonical map's of ``kernel`` (a plain dict, such
-    as a test oracle's, is gathered onto that one)."""
-    classes = getattr(coverages, "classes", None)
-    if classes is None:
-        canonical = (
-            context.coverages(kernel, groups)
-            if context is not None
-            else coverage_for(kernel, groups)
-        )
-        classes = canonical.classes
-    return classes
 
 
 def _report(
@@ -435,24 +367,35 @@ def best_anchors(
     dfg: DataFlowGraph,
     coverages: "dict[str, GroupCoverage]",
     candidates: "list[str]",
-    context: "EvalContext | None" = None,
+    context: "EvalContext",
+    anchors: "Mapping[str, str] | None" = None,
 ) -> CycleReport:
     """The report of the ``candidates`` anchors that minimize total cycles.
 
     Combination ``mask`` anchors ``candidates[i]`` high iff bit ``i`` is
     set; masks are costed in ascending order and the first strict
-    minimum wins.  The other groups' planes do not depend on the choice,
-    so they are packed once into a shared base and each combination
-    adds only the candidate planes.  The winner's classification is
-    kept, so its report (equal to :func:`count_cycles` at the winning
-    anchors) costs no second pack or classification.
+    minimum wins.  The other groups keep their ``anchors`` entry
+    (default ``"low"``); their planes do not depend on the choice, so
+    they are packed once into a shared base and each combination adds
+    only the candidate planes.  The winner's classification is kept,
+    so its report (equal to :func:`count_cycles` at the winning
+    anchors) costs no second pack or classification.  With no
+    candidates this is the one pack + classify + report of a count.
     """
-    costs = pattern_costs(
-        kernel, groups, dfg, model, ram_ports, overhead_per_iteration, context
+    anchors = anchors or {}
+    costs = context.pattern_costs(
+        kernel, groups, dfg, model, ram_ports, overhead_per_iteration
     )
-    classes = _classes(kernel, groups, coverages, context)
+    classes = getattr(coverages, "classes", None)
+    if classes is None:
+        # A plain dict (a test oracle's coverage) is gathered onto the
+        # canonical map's partition.
+        classes = context.coverages(kernel, groups).classes
     fixed = {
-        g.name: coverages[g.name].result(allocation.registers_for(g.name))
+        g.name: coverages[g.name].result(
+            allocation.registers_for(g.name),
+            anchor=anchors.get(g.name, "low"),
+        )
         for g in groups
         if g.name not in candidates
     }

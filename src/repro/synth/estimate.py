@@ -12,18 +12,12 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.groups import RefGroup, build_groups
 from repro.core.allocation import Allocation
-from repro.dfg.build import build_dfg
-from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
 from repro.dfg.nodes import OpNode, ReadNode
 from repro.hw.binding import bind_arrays
 from repro.hw.device import Device, XCV1000
 from repro.ir.kernel import Kernel
-from repro.scalar.coverage import (
-    GroupCoverage,
-    coverage_for,
-    trace_engine_seconds,
-)
+from repro.scalar.coverage import GroupCoverage, trace_engine_seconds
 from repro.sim.cycles import best_anchors, count_cycles, report_key
 from repro.synth.area import estimate_area
 from repro.synth.design import HardwareDesign
@@ -119,7 +113,6 @@ def build_design(
     model: LatencyModel | None = None,
     ram_ports: int | None = None,
     overhead_per_iteration: int = 1,
-    dfg: "DataFlowGraph | None" = None,
     coverages: "dict[str, GroupCoverage] | None" = None,
     context: "EvalContext | None" = None,
     stages: "dict[str, float] | None" = None,
@@ -133,31 +126,27 @@ def build_design(
     The Figure 2(c) benchmarks override ``model`` with
     :meth:`LatencyModel.tmem` and zero overhead.
 
-    ``dfg``/``coverages`` accept prebuilt artifacts, and ``context`` (an
-    :class:`~repro.explore.context.EvalContext`) supplies them — plus
-    per-pattern cost tables inside the cycle counter — when the
-    caller does not; all three leave results bit-identical.
+    ``context`` (an :class:`~repro.explore.context.EvalContext`; a fresh
+    one when omitted) supplies the DFG, the coverage computers and the
+    per-pattern cost tables inside the cycle counter; ``coverages``
+    overrides the context's computers (the fuzz oracle passes reference
+    coverage).  Neither changes results.
     ``stages`` optionally accumulates the ``--profile`` wall-time
     breakdown; the evaluator (:func:`repro.explore.evaluate.design_for`)
     splits the residency share out into a distinct ``trace`` stage via
     :func:`fold_trace_stage`.
     """
     started = time.perf_counter()
+    if context is None:
+        from repro.explore.context import EvalContext
+
+        context = EvalContext()
     groups = groups if groups is not None else build_groups(kernel)
     model = model or LatencyModel.realistic(ram_latency=2)
     ram_ports = ram_ports if ram_ports is not None else device.bram_ports
-    if dfg is None:
-        dfg = (
-            context.dfg(kernel, groups)
-            if context is not None
-            else build_dfg(kernel, groups)
-        )
-
+    dfg = context.dfg(kernel, groups)
     if coverages is None:
-        if context is not None:
-            coverages = context.coverages(kernel, groups)
-        else:
-            coverages = coverage_for(kernel, groups)
+        coverages = context.coverages(kernel, groups)
     storage_class = {
         g.name: classify_operand_storage(
             g, coverages[g.name], allocation.registers_for(g.name)
@@ -237,7 +226,13 @@ def count_with_best_anchors(
     point — :func:`build_design` reports it, and the exact allocator
     (:mod:`repro.core.optra`) optimizes it directly, so the oracle's
     optimum and the pipeline's reported metric cannot drift apart.
+    ``context`` defaults to a fresh
+    :class:`~repro.explore.context.EvalContext`.
     """
+    if context is None:
+        from repro.explore.context import EvalContext
+
+        context = EvalContext()
     candidates = [
         g.name
         for g in groups
@@ -245,48 +240,30 @@ def count_with_best_anchors(
         and coverages[g.name].kind == "pinned"
     ]
     candidates = candidates[:4]  # 2^4 design points at most
-
-    if candidates:
-        # The winner is memoized under the count's key with the search
-        # in place of the anchors, so a repeated point skips the search.
-        memo_key = None
-        if context is not None:
-            memo_key = report_key(
-                context, model, ram_ports, overhead_per_iteration, groups,
-                allocation, "best",
-            )
-            report = context.get_cycle_report(
-                kernel, groups, memo_key, dfg=dfg, coverages=coverages
-            )
-            if report is not None:
-                return report
-        report = best_anchors(
+    if not candidates:
+        return count_cycles(
             kernel,
             groups,
             allocation,
             model,
-            ram_ports,
-            overhead_per_iteration,
-            dfg,
-            coverages,
-            candidates,
-            context,
+            ram_ports=ram_ports,
+            overhead_per_iteration=overhead_per_iteration,
+            dfg=dfg,
+            coverages=coverages,
+            context=context,
         )
-        if memo_key is not None:
-            context.put_cycle_report(
-                kernel, groups, memo_key, report, dfg=dfg, coverages=coverages
-            )
-        return report
-    return count_cycles(
-        kernel,
-        groups,
-        allocation,
-        model,
-        ram_ports=ram_ports,
-        overhead_per_iteration=overhead_per_iteration,
-        dfg=dfg,
-        coverages=coverages,
-        context=context,
+    # The winner is memoized under the count's key with the search in
+    # place of the anchors, so a repeated point skips the search.
+    key = report_key(
+        context, model, ram_ports, overhead_per_iteration, groups,
+        allocation, "best",
+    )
+    return context.cycle_report(
+        kernel, groups, key, dfg, coverages,
+        lambda: best_anchors(
+            kernel, groups, allocation, model, ram_ports,
+            overhead_per_iteration, dfg, coverages, candidates, context,
+        ),
     )
 
 

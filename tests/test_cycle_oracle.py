@@ -108,6 +108,32 @@ def check_against_reference(kernel, groups, vectors, budget, context):
         ), (kernel.name, registers)
 
 
+def check_explicit_anchors(kernel, groups, vectors, budget, context):
+    """Explicit ``anchors=`` counts == reference, one partially covered
+    pinned group at ``"high"`` at a time; returns the cases checked."""
+    reference = reference_coverages(kernel, groups)
+    coverages = context.coverages(kernel, groups)
+    checked = 0
+    for registers in vectors:
+        allocation = _allocation(kernel, groups, registers, budget)
+        for group in groups:
+            if coverages[group.name].kind != "pinned" or classify_operand_storage(
+                group, coverages[group.name], registers[group.name]
+            ) != "both":
+                continue
+            anchors = {group.name: "high"}
+            got = count_cycles(
+                kernel, groups, allocation, MODEL, overhead_per_iteration=1,
+                anchors=anchors, context=context,
+            )
+            assert got == reference_count_cycles(
+                kernel, groups, allocation, MODEL, 1, 1, anchors=anchors,
+                coverages=reference,
+            ), (kernel.name, registers, group.name)
+            checked += 1
+    return checked
+
+
 @pytest.fixture(scope="module")
 def shared_context():
     return EvalContext(kernel_memo_size=8)
@@ -119,12 +145,17 @@ def test_objective_matches_reference_on_registered_kernels(
     name, shared_context
 ):
     kernel, groups = shared_context.kernel_and_groups(name, None)
+    anchored = 0
     for budget in BUDGETS:
         vectors = sample_vectors(
             groups, budget, VECTORS_PER_BUDGET,
             seed=budget * 1009 + REGISTERED.index(name),
         )
         check_against_reference(kernel, groups, vectors, budget, shared_context)
+        anchored += check_explicit_anchors(
+            kernel, groups, vectors, budget, shared_context
+        )
+    assert anchored  # every registered kernel has a partial pinned group
 
 
 @pytest.mark.oracle

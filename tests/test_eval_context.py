@@ -86,6 +86,43 @@ class TestGridEquivalence:
         _assert_records_identical(tuple(inline), tuple(pooled))
 
 
+class TestStandaloneEntries:
+    @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
+    def test_evaluate_kernel_shares_one_context(self, name, monkeypatch):
+        """``evaluate_kernel`` runs every allocator on one context, and
+        each design is bit-identical to a per-algorithm ``allocate`` +
+        ``build_design`` on fresh contexts."""
+        import repro.explore.context as context_module
+        from repro.analysis.groups import build_groups
+        from repro.core.pipeline import _ALLOCATORS, evaluate_kernel
+        from repro.kernels.registry import get_kernel
+        from repro.synth.estimate import build_design
+
+        kernel = get_kernel(name)
+        algorithms = tuple(sorted(_ALLOCATORS))
+        built = []
+
+        class CountingContext(EvalContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(context_module, "EvalContext", CountingContext)
+        shared = evaluate_kernel(kernel, algorithms=algorithms)
+        monkeypatch.undo()
+        assert len(built) == 1
+
+        groups = build_groups(kernel)
+        for tag in algorithms:
+            allocation = allocator_by_name(tag).allocate(
+                kernel, shared.budget, groups, context=EvalContext()
+            )
+            design = build_design(
+                kernel, allocation, groups=groups, context=EvalContext()
+            )
+            assert shared.design(tag) == design, tag
+
+
 class TestForeignArtifactSafety:
     def test_cycle_report_memo_declines_foreign_dfg(self):
         """A caller-supplied DFG neither poisons nor reads the memo."""

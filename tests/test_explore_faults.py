@@ -114,9 +114,21 @@ def test_kill_rebuilds_the_pool(jobs):
 # -- quarantine matrix: fault outlives the retry budget -----------------------
 
 
-@pytest.mark.parametrize("backend", ["dir", "sqlite"])
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("kind", ["crash", "hang", "kill"])
+def _quarantine_cases():
+    """Every (kind, jobs, backend) case.  The cache backend plays no
+    part in a hang, so ``hang-2-sqlite`` (the slowest case) runs in the
+    slow tier; ``hang-2-dir`` keeps the pooled hang in tier-1."""
+    for kind in ("crash", "hang", "kill"):
+        for jobs in (1, 2):
+            for backend in ("dir", "sqlite"):
+                slow = (kind, jobs, backend) == ("hang", 2, "sqlite")
+                yield pytest.param(
+                    kind, jobs, backend, id=f"{kind}-{jobs}-{backend}",
+                    marks=pytest.mark.slow if slow else (),
+                )
+
+
+@pytest.mark.parametrize("kind, jobs, backend", _quarantine_cases())
 def test_quarantine_matrix(kind, jobs, backend, baseline, tmp_path):
     root = (
         tmp_path / "cache" if backend == "dir"
