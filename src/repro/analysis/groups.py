@@ -158,7 +158,7 @@ def build_groups(kernel: Kernel, multilevel: bool = False) -> tuple[RefGroup, ..
     ``c[j]`` first with B/C = 2380/20).  ``multilevel=True`` additionally
     exposes intermediate reuse levels (e.g. ``c[j]`` held across the
     innermost loop with one register) — a strictly better planning model
-    used by the ablation benchmarks.
+    used by the planning-profile ablation.
     """
     forwarded = forwarded_read_sites(kernel)
     by_ref: dict[ArrayRef, list[ReferenceSite]] = {}

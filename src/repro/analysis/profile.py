@@ -132,19 +132,6 @@ class AccessProfile:
         """Accesses eliminated relative to the 1-register baseline."""
         return self.baseline_accesses - self.accesses(registers)
 
-    def marginal_registers_for_next_level(self, registers: int) -> int:
-        """Registers still missing to reach the next better profile point."""
-        for point in self.points:
-            if point.registers > registers:
-                return point.registers - registers
-        return 0
-
-    def fraction_covered(self, registers: int) -> Fraction:
-        """Fraction of the full-replacement savings realized at ``registers``."""
-        if self.full_saved == 0:
-            return Fraction(1)
-        return Fraction(self.saved(registers), self.full_saved)
-
     def __str__(self) -> str:
         pts = ", ".join(f"({p.registers}r -> {p.accesses})" for p in self.points)
         return f"AccessProfile[{pts}]"

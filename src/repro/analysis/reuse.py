@@ -76,20 +76,6 @@ class SiteReuse:
     def has_reuse(self) -> bool:
         return self.profile.has_reuse
 
-    @property
-    def best_level(self) -> int:
-        """The reuse level full replacement exploits (depth+1 if none)."""
-        best_registers, best_accesses = None, None
-        best = max(self.level_points)  # depth+1 fallback
-        for level, (registers, accesses) in self.level_points.items():
-            if (
-                best_accesses is None
-                or accesses < best_accesses
-                or (accesses == best_accesses and registers < best_registers)
-            ):
-                best, best_registers, best_accesses = level, registers, accesses
-        return best
-
 
 def analyze_site(kernel: Kernel, site: ReferenceSite) -> SiteReuse:
     """Compute :class:`SiteReuse` for one reference site of ``kernel``."""

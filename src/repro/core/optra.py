@@ -20,19 +20,11 @@ descending *knapsack density* — the best savings-per-register ratio on
 each group's RAM-access ladder — and register values are tried from
 high to low, so the strong incumbents surface early.
 
-Bounds (all admissible)
------------------------
-* **Fractional-knapsack access floor** (cheap, checked first): each
-  group's remaining accesses are lower-bounded via the concave envelope
-  of its savings ladder (``saved(r) <= min(density * (r-1),
-  max_saved)``), and every access occupies a RAM port for
-  ``ram_latency`` cycles, at most ``ram_ports`` at a time — so
-  ``space * overhead + ceil(accesses * L / ports)`` cycles are
-  unavoidable for the busiest group no matter how the remaining budget
-  is spent.
-* **Budget-aware meet bound** (strong): the real pattern classifier
-  (:func:`~repro.sim.cycles.classify_patterns`) prices one pattern in
-  which every group sits at its *meet* mask
+Bounds (both admissible)
+------------------------
+* **Budget-aware meet bound** (at inner nodes): the real pattern
+  classifier (:func:`~repro.sim.cycles.classify_patterns`) prices one
+  pattern in which every group sits at its *meet* mask
   (:meth:`~repro.scalar.coverage.GroupCoverage.meet`: a cell misses
   only where both the low and the high anchor miss).  A decided group
   takes the meet at its exact count — for all but partially covered
@@ -73,17 +65,14 @@ Anytime behaviour
 -----------------
 The search is seeded with every heuristic's allocation before the first
 branch, so OPT-RA is never worse than FR-RA/PR-RA/CPA-RA/KS-RA/NO-SR —
-even when the deterministic ``node_limit`` (or the optional wall-clock
-``time_box``) truncates the search.  A truncated run returns the best
-incumbent with ``certified=False`` and a proven ``lower_bound``
-(bracketing the true optimum) instead of raising; truncated results are
-never written to the result cache.
+even when the deterministic ``node_limit`` truncates the search.  A
+truncated run returns the best incumbent with ``certified=False`` and a
+proven ``lower_bound`` (bracketing the true optimum) instead of raising;
+truncated results are never written to the result cache.
 """
 
 from __future__ import annotations
 
-import time
-from math import ceil
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -127,37 +116,24 @@ _SEED_ALLOCATORS = (
 class OptimalAllocator(Allocator):
     """Exact branch-and-bound allocation ("OPT-RA"), anytime-bounded.
 
-    ``node_limit`` is the deterministic truncation knob (every node
-    counts: bounded subtrees, evaluated leaves and leaves the sibling
-    pre-check skips); ``time_box`` optionally adds a wall-clock
-    box in seconds for genuinely huge instances — note a wall clock is
-    inherently nondeterministic, so reproducible pipelines should steer
-    with ``node_limit`` alone (the default).  Objective parameters
-    default to the pipeline's (realistic two-cycle RAM, one port, one
-    overhead cycle per iteration); :meth:`tune` aligns them with a
-    specific query before :meth:`allocate` — the evaluator calls it so
-    sweep grids optimize exactly what they report.
+    ``node_limit`` is the one truncation knob, and a deterministic one
+    (every node counts: bounded subtrees, evaluated leaves and leaves
+    the sibling pre-check skips).  Objective parameters default to the
+    pipeline's (realistic two-cycle RAM, one port, one overhead cycle
+    per iteration); :meth:`tune` aligns them with a specific query
+    before :meth:`allocate` — the evaluator calls it so sweep grids
+    optimize exactly what they report.
     """
 
     name = "OPT-RA"
 
-    def __init__(
-        self,
-        model: "LatencyModel | None" = None,
-        ram_ports: "int | None" = None,
-        overhead_per_iteration: int = 1,
-        node_limit: "int | None" = None,
-        time_box: "float | None" = None,
-    ) -> None:
+    def __init__(self, node_limit: "int | None" = None) -> None:
         if node_limit is not None and node_limit < 1:
             raise ReproError(f"node_limit must be >= 1, got {node_limit}")
-        if time_box is not None and time_box < 0:
-            raise ReproError(f"time_box must be >= 0 seconds, got {time_box}")
-        self._model = model
-        self._ram_ports = ram_ports
-        self._overhead = overhead_per_iteration
+        self._model: "LatencyModel | None" = None
+        self._ram_ports: "int | None" = None
+        self._overhead = 1
         self.node_limit = node_limit
-        self.time_box = time_box
 
     def tune(
         self,
@@ -191,7 +167,7 @@ class OptimalAllocator(Allocator):
         )
 
         search = _Search(state, model, ram_ports, overhead)
-        outcome = search.solve(node_limit, self.time_box)
+        outcome = search.solve(node_limit)
 
         self._apply(state, outcome.registers)
         state.certified = outcome.certified
@@ -241,17 +217,17 @@ class _Outcome:
         self.nodes = nodes
         self.seeds = seeds
         self.seed_cycles = seed_cycles
-        #: Search counters: leaves evaluated, subtrees cut by the access
-        #: floor and by the meet bound, leaves cut by the pre-check.
+        #: Search counters: leaves evaluated, subtrees cut by the meet
+        #: bound, leaves cut by the pre-check.
         self.cuts = cuts
 
     def counts(self) -> str:
         """The search counters as a decision-trace phrase."""
         cuts = self.cuts
         return (
-            f"{cuts['leaves']} leaves evaluated; cut {cuts['floor']} by "
-            f"the access floor, {cuts['meet']} by the meet bound, "
-            f"{cuts['sibling']} leaves by the sibling pre-check"
+            f"{cuts['leaves']} leaves evaluated; cut {cuts['meet']} by "
+            f"the meet bound, {cuts['sibling']} leaves by the sibling "
+            f"pre-check"
         )
 
 
@@ -277,7 +253,6 @@ class _Search:
         self.coverages = self.ctx.coverages(self.kernel, self.groups)
         # Bounds price vectors over the kernel's iteration classes.
         self.classes = self.coverages.classes
-        self.space = self.classes.size
         self.extra_budget = self.budget - len(self.groups)
         self.betas = {g.name: g.full_registers for g in self.groups}
 
@@ -288,9 +263,7 @@ class _Search:
         self.caps = {
             g.name: min(g.full_registers, 1 + self.extra_budget) for g in free
         }
-        self.densities, self.savings_caps, self.base_accesses = (
-            self._knapsack_profile(free)
-        )
+        self.densities = self._knapsack_profile(free)
         self.order = sorted(
             free,
             key=lambda g: (-self.densities[g.name], self._index(g.name)),
@@ -308,7 +281,7 @@ class _Search:
         # The last parent's sibling base: (its prefix, packed meet
         # pattern of every group but the branched one, write-backs).
         self._siblings: "tuple[tuple[int, ...], np.ndarray, int] | None" = None
-        self.cuts = {"leaves": 0, "floor": 0, "meet": 0, "sibling": 0}
+        self.cuts = {"leaves": 0, "meet": 0, "sibling": 0}
 
     def _index(self, name: str) -> int:
         for index, group in enumerate(self.groups):
@@ -316,39 +289,22 @@ class _Search:
                 return index
         raise ReproError(f"no group named {name!r}")  # pragma: no cover
 
-    # -- knapsack (fractional) relaxation data --------------------------------
+    # -- branch order ----------------------------------------------------------
 
-    def _knapsack_profile(
-        self, free: "list[RefGroup]"
-    ) -> "tuple[dict[str, float], dict[str, int], dict[str, int]]":
-        """Per-group density, savings cap and one-register RAM accesses
-        from the RAM-access ladder.
-
-        ``density`` is the steepest savings-per-extra-register ratio
-        anywhere on the group's ladder, so ``saved(1 + w) <=
-        min(density * w, cap)`` — a concave upper envelope of the true
-        (possibly non-concave) savings curve, which is exactly what the
-        admissible fractional relaxation needs.
-        """
+    def _knapsack_profile(self, free: "list[RefGroup]") -> "dict[str, float]":
+        """Per-group knapsack density from the RAM-access ladder: the
+        steepest savings-per-extra-register ratio anywhere on it."""
         densities: "dict[str, float]" = {}
-        caps: "dict[str, int]" = {}
-        bases: "dict[str, int]" = {}
         for group in free:
             cap = self.caps[group.name]
             ladder = self.coverages[group.name].ram_access_ladder(
                 list(range(1, cap + 1))
             )
-            base = ladder[1]
-            best_density = 0.0
-            best_saved = 0
-            for r in range(2, cap + 1):
-                saved = base - ladder[r]
-                best_saved = max(best_saved, saved)
-                best_density = max(best_density, saved / (r - 1))
-            densities[group.name] = best_density
-            caps[group.name] = best_saved
-            bases[group.name] = base
-        return densities, caps, bases
+            ratios = [
+                (ladder[1] - ladder[r]) / (r - 1) for r in range(2, cap + 1)
+            ]
+            densities[group.name] = max([0.0] + ratios)
+        return densities
 
     # -- objective (leaf) evaluation ------------------------------------------
 
@@ -387,24 +343,6 @@ class _Search:
         return cycles
 
     # -- admissible bounds ----------------------------------------------------
-
-    def _access_floor(self, decided: "dict[str, int]") -> int:
-        """Cheap bound: the busiest group's port time is unavoidable."""
-        latency = self.model.ram_latency
-        remaining = self.extra_budget - sum(r - 1 for r in decided.values())
-        floor = 0
-        for group in self.groups:
-            name = group.name
-            r = decided.get(name)
-            if r is not None:
-                accesses = self.coverages[name].result(r).total_ram_accesses
-            else:
-                saved_ub = min(
-                    self.densities[name] * remaining, self.savings_caps[name]
-                )
-                accesses = max(0, ceil(self.base_accesses[name] - saved_ub))
-            floor = max(floor, ceil(accesses * latency / self.ram_ports))
-        return self.space * self.overhead + floor
 
     def _meet_plane(
         self, name: str, registers: int
@@ -472,10 +410,7 @@ class _Search:
 
     # -- branch and bound -----------------------------------------------------
 
-    def solve(self, node_limit: int, time_box: "float | None") -> _Outcome:
-        deadline = (
-            time.perf_counter() + time_box if time_box is not None else None
-        )
+    def solve(self, node_limit: int) -> _Outcome:
         fixed = {
             g.name: 1 for g in self.groups if g.full_registers <= 1
         }
@@ -512,9 +447,7 @@ class _Search:
         stack: "list[tuple[tuple[int, ...], int]]" = [((), 0)]
         while stack:
             prefix, inherited = stack.pop()
-            if truncated or nodes >= node_limit or (
-                deadline is not None and time.perf_counter() > deadline
-            ):
+            if truncated or nodes >= node_limit:
                 truncated = True
                 cut_bounds.append(inherited)
                 continue
@@ -546,11 +479,7 @@ class _Search:
             for index in range(depth):
                 decided[self.order[index].name] = 1 + prefix[index]
             nodes += 1
-            bound = self._access_floor(decided)
-            if self._prunable(bound, prefix, best_key):
-                self.cuts["floor"] += 1
-                continue
-            bound = max(bound, self._relaxed_bound(decided, remaining))
+            bound = self._relaxed_bound(decided, remaining)
             if self._prunable(bound, prefix, best_key):
                 self.cuts["meet"] += 1
                 continue

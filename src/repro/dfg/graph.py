@@ -58,9 +58,6 @@ class DataFlowGraph:
     def sources(self) -> list[DFGNode]:
         return [n for n in self.nodes if not self._pred[n.uid]]
 
-    def sinks(self) -> list[DFGNode]:
-        return [n for n in self.nodes if not self._succ[n.uid]]
-
     def reads(self) -> list[ReadNode]:
         return [n for n in self.nodes if isinstance(n, ReadNode)]
 

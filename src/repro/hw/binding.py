@@ -46,9 +46,6 @@ class StorageBinding:
     def total_blocks(self) -> int:
         return sum(self.blocks_by_array.values())
 
-    def uses_ram(self, array_name: str) -> bool:
-        return array_name in self.ram_arrays
-
 
 def bind_arrays(
     kernel: Kernel,

@@ -119,12 +119,6 @@ class Kernel:
     def iteration_count(self) -> int:
         return self.nest.iteration_count
 
-    def input_arrays(self) -> list[Array]:
-        return [a for a in self.arrays.values() if a.role == "input"]
-
-    def output_arrays(self) -> list[Array]:
-        return [a for a in self.arrays.values() if a.role == "output"]
-
     def memory_accesses_per_iteration(self) -> int:
         """Accesses a naive (no scalar replacement) implementation performs
         each innermost iteration: one per reference site."""

@@ -85,12 +85,6 @@ class LoopNest:
     def iteration_count(self) -> int:
         return int(np.prod([loop.trip_count for loop in self.loops]))
 
-    def loop_of(self, var: str) -> Loop:
-        for loop in self.loops:
-            if loop.var == var:
-                return loop
-        raise IRError(f"no loop with variable {var!r} in nest {self.loop_vars}")
-
     def level_of(self, var: str) -> int:
         """1-based level of ``var`` (1 = outermost), as the paper counts."""
         for level, loop in enumerate(self.loops, start=1):

@@ -33,7 +33,7 @@ them to the paper's Figure 2(c) numbers):
   the placement trace the interpreter replays is one walk at depth
   ``covered``.  LRU would be wrong here — on strided windows it evicts
   the whole reusable window with dead values (see the residency
-  ablation benchmark).
+  ablation, :func:`repro.bench.residency_study`).
 
 Results are computed per *iteration class*, not per iteration.  The
 computers of one :func:`coverage_for` map share one

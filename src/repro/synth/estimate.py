@@ -123,8 +123,8 @@ def build_design(
     single-ported RAM blocks with a two-cycle access (address + data cycle
     of a synchronous BlockRAM driven by a Monet-style FSM), realistic
     operator latencies, one FSM cycle of control overhead per iteration.
-    The Figure 2(c) benchmarks override ``model`` with
-    :meth:`LatencyModel.tmem` and zero overhead.
+    Figure 2(c) (:func:`repro.bench.example.figure2_report`) prices with
+    :meth:`LatencyModel.tmem` and zero overhead instead.
 
     ``context`` (an :class:`~repro.explore.context.EvalContext`; a fresh
     one when omitted) supplies the DFG, the coverage computers and the
