@@ -32,7 +32,13 @@ from repro.bench import figure2_report, generate_table1, render_table, render_ta
 from repro.codegen import generate_vhdl
 from repro.core import evaluate_kernel
 from repro.core.pipeline import _ALLOCATORS, allocator_by_name
-from repro.explore import Executor, ExplorationSpace, LatencySpec, ResultCache
+from repro.explore import (
+    DEFAULT_POINT_TIMEOUT,
+    Executor,
+    ExplorationSpace,
+    LatencySpec,
+    ResultCache,
+)
 from repro.hw.device import DEVICES, XCV1000
 from repro.kernels import KERNEL_FACTORIES, PAPER_REGISTER_BUDGET, get_kernel
 
@@ -120,6 +126,15 @@ def _ram_latency(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"a timeout must be > 0 seconds, got {text}"
+        )
+    return value
+
+
 def _cmd_explore(args: argparse.Namespace) -> int:
     latencies = (
         tuple(LatencySpec("realistic", lat) for lat in args.ram_latencies)
@@ -144,7 +159,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
         faults = parse_fault_spec(args.inject, seed=args.inject_seed)
     from repro.errors import SweepInterrupted
-    from repro.explore import DeadlinePolicy, RetryPolicy
+    from repro.explore import RetryPolicy
 
     executor = Executor(
         jobs=args.jobs,
@@ -152,7 +167,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         reuse_cache=reuse,
         shard=args.shard,
         retry=RetryPolicy(max_retries=args.max_retries),
-        deadlines=DeadlinePolicy(timeout_factor=args.timeout_factor),
+        point_timeout=args.point_timeout,
         faults=faults,
     )
     if args.dry_run:
@@ -351,8 +366,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_explore.add_argument(
         "--dry-run", action="store_true",
-        help="print the planned queue (per-lease predicted cost from "
-        "the persisted cost model, cold-prior points marked) and exit "
+        help="print the planned queue (the cache-hit count and the "
+        "leases in dispatch order, injected faults marked) and exit "
         "without evaluating anything",
     )
     p_explore.add_argument(
@@ -361,9 +376,11 @@ def main(argv: "list[str] | None" = None) -> int:
         "(default 2)",
     )
     p_explore.add_argument(
-        "--timeout-factor", type=float, default=20.0, metavar="X",
-        help="per-point deadline as X times the cost model's prediction "
-        "(clamped; catches hung workers, default 20)",
+        "--point-timeout", type=_positive_seconds,
+        default=DEFAULT_POINT_TIMEOUT, metavar="S",
+        help="seconds one point may run before its worker counts as "
+        "hung and is restarted (a lease gets the sum over its points; "
+        f"default {DEFAULT_POINT_TIMEOUT:g})",
     )
     p_explore.add_argument(
         "--inject", default=None, metavar="SPEC",

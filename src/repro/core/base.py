@@ -21,6 +21,7 @@ from repro.ir.kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.explore.context import EvalContext
+    from repro.synth.estimate import Objective
 
 __all__ = ["Allocator", "AllocationState"]
 
@@ -36,10 +37,16 @@ class AllocationState:
     standalone allocation is a one-point sweep.  Policies must treat
     anything obtained from it as read-only; using it never changes the
     resulting allocation.
+
+    ``objective`` is the cycle objective the design will be reported
+    under (:class:`~repro.synth.estimate.Objective`; the pipeline's
+    default when omitted).  Only objective-aware policies (OPT-RA) read
+    it.
     """
 
     def __init__(self, kernel: Kernel, groups: tuple[RefGroup, ...], budget: int,
-                 context: "EvalContext | None" = None):
+                 context: "EvalContext | None" = None,
+                 objective: "Objective | None" = None):
         if budget < len(groups):
             raise AllocationError(
                 f"budget {budget} cannot cover the mandatory register of "
@@ -49,10 +56,15 @@ class AllocationState:
             from repro.explore.context import EvalContext
 
             context = EvalContext()
+        if objective is None:
+            from repro.synth.estimate import Objective
+
+            objective = Objective.resolve()
         self.kernel = kernel
         self.groups = groups
         self.budget = budget
         self.context: "EvalContext" = context
+        self.objective: "Objective" = objective
         self.assigned: dict[str, int] = {g.name: 1 for g in groups}
         self.remaining = budget - len(groups)
         self.trace: list[str] = [
@@ -119,9 +131,12 @@ class Allocator(ABC):
         budget: int,
         groups: "tuple[RefGroup, ...] | None" = None,
         context: "EvalContext | None" = None,
+        objective: "Objective | None" = None,
     ) -> Allocation:
         groups = groups if groups is not None else build_groups(kernel)
-        state = AllocationState(kernel, groups, budget, context=context)
+        state = AllocationState(
+            kernel, groups, budget, context=context, objective=objective
+        )
         self._run(state)
         return state.finish(kernel.name, self.name)
 

@@ -84,7 +84,6 @@ from repro.core.frra import FullReuseAllocator
 from repro.core.knapsack import KnapsackAllocator
 from repro.core.naive import NaiveAllocator
 from repro.core.prra import PartialReuseAllocator
-from repro.dfg.latency import LatencyModel
 from repro.errors import ReproError
 from repro.sim.cycles import classify_patterns
 from repro.synth.estimate import classify_operand_storage, count_with_best_anchors
@@ -118,11 +117,10 @@ class OptimalAllocator(Allocator):
 
     ``node_limit`` is the one truncation knob, and a deterministic one
     (every node counts: bounded subtrees, evaluated leaves and leaves
-    the sibling pre-check skips).  Objective parameters default to the
-    pipeline's (realistic two-cycle RAM, one port, one overhead cycle
-    per iteration); :meth:`tune` aligns them with a specific query
-    before :meth:`allocate` — the evaluator calls it so sweep grids
-    optimize exactly what they report.
+    the sibling pre-check skips).  The search minimizes the objective
+    carried on the :class:`~repro.core.base.AllocationState` — the one
+    :meth:`~repro.core.base.Allocator.allocate` was given, which is the
+    one the design is reported under.
     """
 
     name = "OPT-RA"
@@ -130,44 +128,16 @@ class OptimalAllocator(Allocator):
     def __init__(self, node_limit: "int | None" = None) -> None:
         if node_limit is not None and node_limit < 1:
             raise ReproError(f"node_limit must be >= 1, got {node_limit}")
-        self._model: "LatencyModel | None" = None
-        self._ram_ports: "int | None" = None
-        self._overhead = 1
         self.node_limit = node_limit
-
-    def tune(
-        self,
-        model: "LatencyModel | None" = None,
-        ram_ports: "int | None" = None,
-        overhead_per_iteration: "int | None" = None,
-    ) -> "OptimalAllocator":
-        """Align the search objective with a query's evaluation setup.
-
-        Only given parameters change; returns ``self`` for chaining.
-        The evaluator (:func:`repro.explore.evaluate.design_for`) calls
-        this before :meth:`allocate`, so what OPT-RA optimizes is
-        exactly what the resulting record reports.
-        """
-        if model is not None:
-            self._model = model
-        if ram_ports is not None:
-            self._ram_ports = ram_ports
-        if overhead_per_iteration is not None:
-            self._overhead = overhead_per_iteration
-        return self
 
     # -- the search -----------------------------------------------------------
 
     def _run(self, state: AllocationState) -> None:
-        model = self._model or LatencyModel.realistic(ram_latency=2)
-        ram_ports = self._ram_ports if self._ram_ports is not None else 1
-        overhead = self._overhead
         node_limit = (
             self.node_limit if self.node_limit is not None else DEFAULT_NODE_LIMIT
         )
 
-        search = _Search(state, model, ram_ports, overhead)
-        outcome = search.solve(node_limit)
+        outcome = _Search(state).solve(node_limit)
 
         self._apply(state, outcome.registers)
         state.certified = outcome.certified
@@ -234,20 +204,14 @@ class _Outcome:
 class _Search:
     """One branch-and-bound instance over a kernel's free groups."""
 
-    def __init__(
-        self,
-        state: AllocationState,
-        model: LatencyModel,
-        ram_ports: int,
-        overhead: int,
-    ) -> None:
+    def __init__(self, state: AllocationState) -> None:
         self.kernel = state.kernel
         self.groups = state.groups
         self.budget = state.budget
         self.ctx = state.context
-        self.model = model
-        self.ram_ports = ram_ports
-        self.overhead = overhead
+        self.model = state.objective.model
+        self.ram_ports = state.objective.ram_ports
+        self.overhead = state.objective.overhead_per_iteration
 
         self.dfg = self.ctx.dfg(self.kernel, self.groups)
         self.coverages = self.ctx.coverages(self.kernel, self.groups)
@@ -272,7 +236,8 @@ class _Search:
         # The leaf objective's cost table: bounds classify through the
         # same layout and costs as the leaves.
         self.costs = self.ctx.pattern_costs(
-            self.kernel, self.groups, self.dfg, model, ram_ports, overhead
+            self.kernel, self.groups, self.dfg, self.model, self.ram_ports,
+            self.overhead,
         )
         self._leaf_memo: "dict[tuple[int, ...], int]" = {}
         # (group, covered) -> (packed meet plane or None when it never

@@ -21,7 +21,7 @@ from repro.errors import ReproError
 from repro.hw.device import Device, XCV1000
 from repro.ir.kernel import Kernel
 from repro.synth.design import HardwareDesign
-from repro.synth.estimate import build_design
+from repro.synth.estimate import Objective, build_design
 
 __all__ = ["PipelineResult", "evaluate_kernel", "allocator_by_name", "PAPER_VERSIONS"]
 
@@ -85,24 +85,29 @@ def evaluate_kernel(
 
     The algorithms are the allocator axis of a one-kernel sweep, so they
     share one :class:`~repro.explore.context.EvalContext`: the DFG,
-    coverage computers and pattern costs are built once.
+    coverage computers and pattern costs are built once.  ``model``,
+    ``ram_ports`` and ``overhead_per_iteration`` resolve into one
+    :class:`~repro.synth.estimate.Objective` that every allocator is
+    given and every design is reported under.
     """
     from repro.explore.context import EvalContext
 
     context = EvalContext()
+    objective = Objective.resolve(
+        device, model, ram_ports, overhead_per_iteration
+    )
     groups = build_groups(kernel)
     designs: dict[str, HardwareDesign] = {}
     for name in algorithms:
-        allocator = allocator_by_name(name)
-        allocation = allocator.allocate(kernel, budget, groups, context=context)
+        allocation = allocator_by_name(name).allocate(
+            kernel, budget, groups, context=context, objective=objective
+        )
         designs[name] = build_design(
             kernel,
             allocation,
             groups=groups,
             device=device,
-            model=model,
-            ram_ports=ram_ports,
-            overhead_per_iteration=overhead_per_iteration,
+            objective=objective,
             context=context,
         )
     return PipelineResult(

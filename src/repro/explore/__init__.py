@@ -6,9 +6,9 @@ models x devices x RAM ports), expand it to hashable
 :class:`DesignQuery` points, and hand it to an :class:`Executor` that
 evaluates points in parallel worker processes through an on-disk
 :class:`ResultCache`.  Sweeps are fault-tolerant (an unexpected worker
-exception becomes a crash record, never an aborted sweep), scheduled by
-a per-point cost model (:mod:`repro.explore.schedule`), and shardable
-across machines (:mod:`repro.explore.shard`).  Cache entries are keyed by config hash and
+exception becomes a crash record, never an aborted sweep), dispatched
+in fixed-size single-kernel leases (:mod:`repro.explore.schedule`), and
+shardable across machines (:mod:`repro.explore.shard`).  Cache entries are keyed by config hash and
 guarded by per-module *version vectors* (:mod:`repro.explore.versions`),
 so a resumed sweep after a source edit re-runs only the points whose
 dependency cone changed.  Evaluation runs on the shared-artifact
@@ -59,17 +59,11 @@ from repro.explore.faults import (
 )
 from repro.explore.query import DesignQuery, DesignRecord, LatencySpec
 from repro.explore.results import ResultSet
-from repro.explore.schedule import (
-    CostModel,
-    Lease,
-    persist_cost_model,
-    plan_leases,
-    static_cost,
-)
+from repro.explore.schedule import Lease, plan_leases
 from repro.explore.shard import parse_shard, shard_index, shard_queries
 from repro.explore.space import ExplorationSpace
 from repro.explore.supervise import (
-    DeadlinePolicy,
+    DEFAULT_POINT_TIMEOUT,
     RetryPolicy,
     SupervisedDriver,
 )
@@ -84,8 +78,7 @@ from repro.explore.versions import (
 __all__ = [
     "CacheBackend",
     "CacheCorruptionWarning",
-    "CostModel",
-    "DeadlinePolicy",
+    "DEFAULT_POINT_TIMEOUT",
     "DesignQuery",
     "DesignRecord",
     "DirBackend",
@@ -114,7 +107,6 @@ __all__ = [
     "evaluate_query_safe",
     "parse_fault_spec",
     "parse_shard",
-    "persist_cost_model",
     "plan_leases",
     "process_context",
     "query_roots",
@@ -123,5 +115,4 @@ __all__ = [
     "run_queries",
     "shard_index",
     "shard_queries",
-    "static_cost",
 ]

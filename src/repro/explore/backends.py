@@ -7,13 +7,13 @@ quarantine-on-corruption — while a :class:`CacheBackend` owns the entry
 
 :class:`DirBackend`
     The original layout: one ``<digest>.json`` file per entry under a
-    root directory, ``quarantine/`` for damaged entries, ``meta/`` for
-    envelope documents (the persisted cost model), atomic tmp+rename
-    writes (optionally fsync'd).  This is what a bare path selects.
+    root directory, ``quarantine/`` for damaged entries, atomic
+    tmp+rename writes (optionally fsync'd).  This is what a bare path
+    selects.
 
 :class:`SqliteBackend`
     A single-file SQLite database in WAL mode (``entries`` /
-    ``quarantine`` / ``meta`` tables), selected by the ``sqlite:``
+    ``quarantine`` tables), selected by the ``sqlite:``
     URI scheme (``--cache-dir sqlite:sweep.db``).  WAL plus a busy
     timeout makes one database safe for *concurrent* sweeps — readers
     never block the writer and writers queue instead of failing — so
@@ -55,10 +55,9 @@ __all__ = [
 #: Subdirectory (DirBackend) damaged entries are moved into.
 QUARANTINE_DIR = "quarantine"
 
-#: Subdirectory (DirBackend) for non-entry envelope documents, e.g. the
-#: persisted cost model.  Outside the ``*.json`` entry namespace, so
-#: fsck and the cost-model cache scan never mistake meta for entries.
-META_DIR = "meta"
+#: Subdirectory (DirBackend) where earlier versions kept a cost-model
+#: document.  It is not an entry: counts skip it, and nothing reads it.
+LEGACY_META_DIR = "meta"
 
 #: How long (seconds) a writer waits on a locked SQLite database before
 #: giving up — generous, because a concurrent sweep's transaction is
@@ -100,7 +99,7 @@ class CacheBackend:
         raise NotImplementedError
 
     def entries(self) -> "list[StoredEntry]":
-        """Every stored entry (never quarantined/meta blobs), sorted."""
+        """Every stored entry (never quarantined blobs), sorted."""
         raise NotImplementedError
 
     def count(self) -> int:
@@ -115,12 +114,6 @@ class CacheBackend:
 
     def delete_quarantined(self, name: str) -> int:
         """Delete one quarantined blob; returns the bytes freed."""
-        raise NotImplementedError
-
-    def read_meta(self, key: str) -> "str | None":
-        raise NotImplementedError
-
-    def write_meta(self, key: str, text: str) -> None:
         raise NotImplementedError
 
     def tmp_orphans(self, max_age: float) -> "list[str]":
@@ -209,11 +202,10 @@ class DirBackend(CacheBackend):
     def count(self) -> int:
         if not self.root.is_dir():
             return 0
-        quarantine = self.root / QUARANTINE_DIR
-        meta = self.root / META_DIR
+        skip = (self.root / QUARANTINE_DIR, self.root / LEGACY_META_DIR)
         return sum(
             1 for path in self.root.rglob("*.json")
-            if quarantine not in path.parents and meta not in path.parents
+            if not any(where in path.parents for where in skip)
         )
 
     def quarantine(self, name: str) -> "str | None":
@@ -238,19 +230,6 @@ class DirBackend(CacheBackend):
             return size
         except OSError:
             return 0
-
-    def read_meta(self, key: str) -> "str | None":
-        try:
-            return (self.root / META_DIR / f"{key}.json").read_text()
-        except OSError:
-            return None
-
-    def write_meta(self, key: str, text: str) -> None:
-        path = self.root / META_DIR / f"{key}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
 
     def tmp_orphans(self, max_age: float) -> "list[str]":
         if not self.root.is_dir():
@@ -316,9 +295,6 @@ class SqliteBackend(CacheBackend):
         "CREATE TABLE IF NOT EXISTS quarantine ("
         " name TEXT PRIMARY KEY, doc TEXT NOT NULL,"
         " quarantined_at REAL NOT NULL)",
-        "CREATE TABLE IF NOT EXISTS meta ("
-        " key TEXT PRIMARY KEY, value TEXT NOT NULL,"
-        " updated_at REAL NOT NULL)",
     )
 
     def __init__(self, path: "Path | str", timeout: float = SQLITE_BUSY_TIMEOUT):
@@ -493,22 +469,6 @@ class SqliteBackend(CacheBackend):
         with conn:
             conn.execute("DELETE FROM quarantine WHERE name = ?", (name,))
         return int(row[0])
-
-    def read_meta(self, key: str) -> "str | None":
-        conn = self._connect(create=False)
-        if conn is None:
-            return None
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return row[0] if row else None
-
-    def write_meta(self, key: str, text: str) -> None:
-        self._write_row(
-            "INSERT OR REPLACE INTO meta (key, value, updated_at)"
-            " VALUES (?, ?, ?)",
-            (key, text, time.time()),
-        )
 
     def corrupt(self, name: str) -> None:
         raw = self.read(name)

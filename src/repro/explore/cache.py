@@ -6,10 +6,10 @@ Entry semantics (one JSON document per design point)::
 
 ``seconds`` is the point's measured evaluation wall time — envelope
 bookkeeping (like ``versions``), not part of the record's identity: it
-feeds the cost model in :mod:`repro.explore.schedule` and is reattached
-to the record on lookup.  Entries written by earlier versions may also
-carry ``trace_engine`` / ``batch`` provenance fields; the checksum
-covers them and lookups ignore them, so those entries still hit.
+is reattached to the record on lookup.  Entries written by earlier
+versions may also carry ``trace_engine`` / ``batch`` provenance fields;
+the checksum covers them and lookups ignore them, so those entries
+still hit.
 
 An entry is stored as one compact line,
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``: because
@@ -397,41 +397,6 @@ class ResultCache:
         transactions leave no orphans).
         """
         return self.backend.reap_tmp(max_age)
-
-    def iter_docs(self):
-        """Yield every decodable entry document (validity not checked).
-
-        Best-effort: unreadable or undecodable entries are skipped (the
-        cache warns about corruption on lookup, not here).  The cost
-        model fits from this.
-        """
-        for entry in self.backend.entries():
-            raw = self.backend.read(entry.name)
-            if raw is None:
-                continue
-            try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError, ValueError):
-                continue
-            if isinstance(doc, dict):
-                yield doc
-
-    def read_meta(self, key: str) -> "dict | None":
-        """A decoded meta document (e.g. the persisted cost model)."""
-        raw = self.backend.read_meta(key)
-        if raw is None:
-            return None
-        try:
-            doc = json.loads(raw)
-        except (json.JSONDecodeError, ValueError):
-            return None
-        return doc if isinstance(doc, dict) else None
-
-    def write_meta(self, key: str, doc: dict) -> None:
-        """Persist one meta document (atomic; may raise ``OSError``)."""
-        self.backend.write_meta(
-            key, json.dumps(doc, indent=2, sort_keys=True)
-        )
 
     def _verify_text(self, raw: "bytes | None") -> "str | None":
         """Why an entry blob is not valid current-format (None if ok)."""

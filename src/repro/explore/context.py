@@ -248,17 +248,6 @@ class EvalContext:
             _, evicted = self._bundles.popitem(last=False)
             self._by_object.pop(id(evicted.kernel), None)
 
-    def resident_kernels(self) -> "tuple[tuple, ...]":
-        """The kernel-identity keys whose artifacts are currently memoized.
-
-        LRU order, oldest first.  Object-identity bundles (ad-hoc kernels
-        cached by ``id``) are excluded — their identity is meaningless to
-        another process.  The work-stealing dispatcher uses this as the
-        worker's affinity fingerprint: a queued lease whose key is
-        resident evaluates without rebuilding artifacts.
-        """
-        return tuple(key for key in self._bundles if key[0] != "@object")
-
     # -- DFG ------------------------------------------------------------------
 
     def dfg(

@@ -37,7 +37,12 @@ from repro.explore.query import DesignQuery, DesignRecord
 from repro.hw.device import Device
 from repro.scalar.coverage import trace_engine_seconds
 from repro.synth.design import HardwareDesign
-from repro.synth.estimate import build_design, charge_stage, fold_trace_stage
+from repro.synth.estimate import (
+    Objective,
+    build_design,
+    charge_stage,
+    fold_trace_stage,
+)
 
 __all__ = [
     "design_for",
@@ -75,18 +80,14 @@ def design_for(
         kernel, groups = ctx.kernel_and_groups(query.kernel, query.kernel_json)
         device = query.build_device()
         mark = charge_stage(stages, "kernel", started)
-        allocator = allocator_by_name(query.allocator)
-        tune = getattr(allocator, "tune", None)
-        if tune is not None:
-            # Objective-aware allocators (OPT-RA) optimize exactly what
-            # build_design below will report for this query.
-            tune(
-                model=query.latency.to_model(),
-                ram_ports=query.ram_ports or device.bram_ports,
-                overhead_per_iteration=query.overhead,
-            )
-        allocation = allocator.allocate(
-            kernel, query.budget, groups, context=ctx
+        objective = Objective.resolve(
+            device,
+            query.latency.to_model(),
+            query.ram_ports or None,
+            query.overhead,
+        )
+        allocation = allocator_by_name(query.allocator).allocate(
+            kernel, query.budget, groups, context=ctx, objective=objective
         )
         charge_stage(stages, "alloc", mark)
         design = build_design(
@@ -94,9 +95,7 @@ def design_for(
             allocation,
             groups=groups,
             device=device,
-            model=query.latency.to_model(),
-            ram_ports=query.ram_ports or None,
-            overhead_per_iteration=query.overhead,
+            objective=objective,
             context=ctx,
             stages=stages,
         )
@@ -131,8 +130,7 @@ def evaluate_query_safe(
     *crash* records carrying the full worker traceback instead of
     propagating out of a process pool and aborting the sweep.  The
     returned record's ``seconds`` holds the evaluation wall time, which
-    the cache persists and the cost model
-    (:mod:`repro.explore.schedule`) learns from.
+    the cache persists in the entry envelope.
     """
     started = time.perf_counter()
     try:

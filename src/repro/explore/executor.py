@@ -17,24 +17,19 @@ Four properties make sweeps production-shaped:
   still reach the cache; crash records are deliberately *not* cached,
   so a resumed run retries them.
 * **supervision** — the drive loop is the
-  :class:`~repro.explore.supervise.SupervisedDriver`: per-point
-  deadlines from the cost model, deterministic retries with backoff,
+  :class:`~repro.explore.supervise.SupervisedDriver`: a per-point
+  deadline (``point_timeout``), deterministic retries with backoff,
   poison-point quarantine, broken-pool recovery (workers terminated,
   pool rebuilt, in-flight points requeued) and graceful degradation to
   inline evaluation after repeated breakage.  A cache-write hitting
   ``ENOSPC``/``EROFS`` flips the sweep to read-only-cache mode with one
   warning — the sweep still completes and a later ``--resume`` heals
   the cache.
-* **cost-model scheduling** — with ``jobs>1`` pending points feed a
-  **work-stealing dispatcher**: small single-kernel leases pulled on
-  demand, ordered longest-first by per-point cost estimates
-  (:mod:`repro.explore.schedule`), with soft kernel affinity and
-  steal-splitting of queued leases when workers would otherwise idle.
-  The cost model (fitted from cached timings, the cache's persisted
-  cross-run model, and static priors for cold starts) only *orders* the
-  queue — a misprediction costs one worker one small lease.  Records
-  are keyed by point index, so any ``jobs`` assembles a bit-identical
-  ResultSet.
+* **lease dispatch** — with ``jobs>1`` pending points are cut into
+  fixed-size single-kernel leases in query order
+  (:mod:`repro.explore.schedule`) that idle workers pull on demand.
+  Records are keyed by point index, so any ``jobs`` assembles a
+  bit-identical ResultSet.
 * **sharding** — ``shard=(i, N)`` (or ``"i/N"``) restricts a run to a
   deterministic, digest-stable subset of the space
   (:mod:`repro.explore.shard`), so independent machines sharing a cache
@@ -61,16 +56,11 @@ from repro.explore.cache import ResultCache
 from repro.explore.context import EvalContext
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.explore.results import ResultSet
-from repro.explore.schedule import (
-    COST_MODEL_META_KEY,
-    CostModel,
-    persist_cost_model,
-    plan_leases,
-)
+from repro.explore.schedule import Lease, plan_leases
 from repro.explore.shard import parse_shard, shard_queries
 from repro.explore.space import ExplorationSpace
 from repro.explore.supervise import (
-    DeadlinePolicy,
+    DEFAULT_POINT_TIMEOUT,
     RetryPolicy,
     SupervisedDriver,
 )
@@ -97,12 +87,8 @@ class ExploreStats:
     ``cache_read_only`` reports that a cache write hit ``ENOSPC`` /
     ``EROFS`` and the sweep finished without writing further entries.
 
-    ``leases`` / ``steals`` / ``affinity_hits`` are the work-stealing
-    dispatcher's observability counters (all 0 on jobs=1 runs): lease
-    tasks submitted, queued multi-point leases split into singletons
-    because workers would otherwise have idled, and lease picks that
-    matched the freed worker's resident kernels.  They
-    describe *scheduling*, which is timing-dependent — records are
+    ``leases`` counts the lease tasks the dispatcher submitted (0 on
+    jobs=1 runs).  It describes dispatch, not results: records are
     bit-identical regardless.
 
     ``stage_seconds`` aggregates the evaluated points' per-stage wall
@@ -127,9 +113,7 @@ class ExploreStats:
     retries: int = 0
     pool_breaks: int = 0
     cache_read_only: bool = False
-    steals: int = 0
     leases: int = 0
-    affinity_hits: int = 0
     stage_seconds: "dict[str, float]" = field(default_factory=dict)
 
     @property
@@ -168,9 +152,11 @@ class ExploreStats:
         total = sum(self.stage_seconds.values())
         scheduler = ""
         if self.leases:
+            # The two always-zero fields stay for the parsers that read
+            # this line (perfbench/run.py's SCHEDULER_LINE).
             scheduler = (
-                f"scheduler: {self.leases} leases, {self.steals} steals, "
-                f"{self.affinity_hits} affinity hits"
+                f"scheduler: {self.leases} leases, 0 steals, "
+                f"0 affinity hits"
             )
         if not total:
             text = "profile: no points evaluated (all cache hits?)"
@@ -198,7 +184,6 @@ class _Lookup(NamedTuple):
     queries: Sequence[DesignQuery]
     records: "dict[int, DesignRecord]"  # cache hits, by query index
     pending: "list[tuple[int, DesignQuery]]"  # what is left to evaluate
-    timings: "list[tuple[DesignQuery, float]]"  # the hits' recorded seconds
     stale: int
     corrupt: int
 
@@ -230,12 +215,13 @@ class Executor:
         ``(index, count)`` or ``"index/count"``: evaluate only this
         run's digest-stable share of the space (1-based).  None (the
         default) runs the whole space.
-    retry / deadlines:
-        The supervision policies
-        (:class:`~repro.explore.supervise.RetryPolicy`,
-        :class:`~repro.explore.supervise.DeadlinePolicy`); None uses
-        the defaults (2 retries, generous deadlines that only catch
-        outright hangs).
+    retry:
+        The :class:`~repro.explore.supervise.RetryPolicy`; None uses
+        the default (2 retries).
+    point_timeout:
+        Seconds one point may run before it counts as hung (a lease
+        gets the sum over its points).  The default, 30 s, only
+        catches outright hangs.
     faults:
         A :class:`~repro.explore.faults.FaultPlan` to inject
         deterministic failures (testing/chaos only).  None — the
@@ -243,9 +229,6 @@ class Executor:
     pool_break_limit:
         Pool teardown/rebuild events tolerated before the sweep
         degrades to in-process serial evaluation of the remainder.
-    lease_points:
-        Cap on points per lease (tests/benchmarks; None — the default —
-        uses the planner's ``min(8, ceil(n / (jobs * 16)))``).
     """
 
     def __init__(
@@ -256,16 +239,15 @@ class Executor:
         context: "EvalContext | None" = None,
         shard: "tuple[int, int] | str | None" = None,
         retry: "RetryPolicy | None" = None,
-        deadlines: "DeadlinePolicy | None" = None,
+        point_timeout: float = DEFAULT_POINT_TIMEOUT,
         faults: "faults_mod.FaultPlan | None" = None,
         pool_break_limit: int = 6,
-        lease_points: "int | None" = None,
     ):
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
-        if lease_points is not None and lease_points < 1:
+        if not point_timeout > 0:
             raise ReproError(
-                f"lease_points must be >= 1, got {lease_points}"
+                f"point_timeout must be > 0 seconds, got {point_timeout}"
             )
         self.jobs = jobs
         if cache is not None and not isinstance(cache, ResultCache):
@@ -275,12 +257,9 @@ class Executor:
         self.context = context
         self.shard = parse_shard(shard) if shard is not None else None
         self.retry = retry if retry is not None else RetryPolicy()
-        self.deadlines = (
-            deadlines if deadlines is not None else DeadlinePolicy()
-        )
+        self.point_timeout = point_timeout
         self.faults = faults
         self.pool_break_limit = pool_break_limit
-        self.lease_points = lease_points
         self._cache_read_only = False
         self._driver: "SupervisedDriver | None" = None
 
@@ -310,9 +289,7 @@ class Executor:
             # an *earlier* run; anything younger may be a concurrent
             # shard's in-flight write.
             self.cache.reap_tmp()
-        queries, records, pending, timings, stale, corrupt = self._lookup(
-            space
-        )
+        queries, records, pending, stale, corrupt = self._lookup(space)
         hits = done = len(records)
         if progress:
             progress(done, len(queries))
@@ -322,17 +299,10 @@ class Executor:
         previous_plan = faults_mod.active_fault_plan()
         if self.faults is not None:
             faults_mod.install_fault_plan(self.faults)
-        run_timings: list[tuple[DesignQuery, float]] = []
         try:
-            for index, record in self._evaluate(pending, timings):
+            for index, record in self._evaluate(pending):
                 records[index] = record
                 self._store(record)
-                if (
-                    record.seconds is not None
-                    and not record.crash
-                    and not record.quarantined
-                ):
-                    run_timings.append((record.query, record.seconds))
                 done += 1
                 if progress:
                     progress(done, len(queries))
@@ -341,7 +311,6 @@ class Executor:
         finally:
             if self.faults is not None:
                 faults_mod.install_fault_plan(previous_plan)
-        self._persist_cost_model(run_timings)
 
         ordered = tuple(records[i] for i in range(len(queries)))
         stage_seconds: dict[str, float] = {}
@@ -365,11 +334,7 @@ class Executor:
             retries=driver.retries if driver is not None else 0,
             pool_breaks=driver.pool_breaks if driver is not None else 0,
             cache_read_only=self._cache_read_only,
-            steals=driver.steals if driver is not None else 0,
             leases=driver.leases if driver is not None else 0,
-            affinity_hits=(
-                driver.affinity_hits if driver is not None else 0
-            ),
             stage_seconds=stage_seconds,
         )
         return ResultSet(ordered, stats)
@@ -389,7 +354,6 @@ class Executor:
         stale = 0
         corrupt = 0
         pending: list[tuple[int, DesignQuery]] = []
-        timings: list[tuple[DesignQuery, float]] = []
         if self.cache is not None and self.reuse_cache:
             # Observe any source edits made since the previous run, even
             # when this executor instance is reused in one process.
@@ -402,36 +366,9 @@ class Executor:
                 corrupt += status == "corrupt"
             if cached is not None:
                 records[index] = cached
-                if cached.seconds is not None:
-                    timings.append((query, cached.seconds))
             else:
                 pending.append((index, query))
-        return _Lookup(queries, records, pending, timings, stale, corrupt)
-
-    def _persist_cost_model(
-        self, run_timings: "list[tuple[DesignQuery, float]]"
-    ) -> None:
-        """Fold this run's measured timings into the cache's persisted
-        cost model (cross-run cold-start predictions).
-
-        Only timings evaluated *this run* go in — cache-hit timings are
-        already represented in the persisted document, and re-absorbing
-        them would double-count every resume.  Persistence is a nicety:
-        a full or read-only disk skips it silently.
-        """
-        if (
-            self.cache is None
-            or self._cache_read_only
-            or not run_timings
-        ):
-            return
-        run_model = CostModel()
-        for query, seconds in run_timings:
-            run_model.observe(query, seconds)
-        try:
-            persist_cost_model(self.cache, run_model)
-        except OSError:
-            pass
+        return _Lookup(queries, records, pending, stale, corrupt)
 
     def _store(self, record: DesignRecord) -> None:
         """Cache one completed record, honouring the no-cache rules.
@@ -482,132 +419,74 @@ class Executor:
                 raise
 
     def _evaluate(
-        self,
-        pending: "list[tuple[int, DesignQuery]]",
-        timings: "list[tuple[DesignQuery, float]] | None" = None,
+        self, pending: "list[tuple[int, DesignQuery]]"
     ) -> "Iterable[tuple[int, DesignRecord]]":
         if not pending:
             return
-        model = self._cost_model(timings)
-        if model.fitted:
-            estimate = model.estimate
-        else:
-            # An unfitted model estimates in relative prior units, not
-            # seconds — useless for deadlines; fall back to the ceiling.
-            estimate = lambda query: None  # noqa: E731
         driver = SupervisedDriver(
             jobs=self.jobs,
             context=self.context,
             retry=self.retry,
-            deadlines=self.deadlines,
+            point_timeout=self.point_timeout,
             plan=self.faults,
-            estimate=estimate,
             pool_break_limit=self.pool_break_limit,
         )
         self._driver = driver
-        leases = self._plan_leases(pending, model) if self.jobs > 1 else None
+        leases = self._plan_leases(pending) if self.jobs > 1 else None
         yield from driver.drive(pending, leases=leases)
 
     def _plan_leases(
-        self,
-        pending: "list[tuple[int, DesignQuery]]",
-        model: CostModel,
-    ) -> list:
-        """The work-stealing lease queue over ``pending``."""
+        self, pending: "list[tuple[int, DesignQuery]]"
+    ) -> "list[Lease]":
+        """The lease queue over ``pending``, keyed by kernel identity."""
         return plan_leases(
             pending,
-            cost=lambda item: model.estimate(item[1]),
             jobs=self.jobs,
             key=lambda item: (item[1].kernel, item[1].kernel_json),
-            max_points=self.lease_points,
         )
-
-    def _cost_model(
-        self,
-        timings: "list[tuple[DesignQuery, float]] | None" = None,
-    ) -> CostModel:
-        """The per-point cost model, fitted from this run's hit timings.
-
-        The cache's *persisted* cross-run model (decayed) folds in on
-        top, so even a fresh grid on a warm cache predicts in real
-        seconds; a run with neither hits nor a persisted model pays an
-        entry scan to learn from the cache instead.
-        """
-        model = CostModel()
-        for query, seconds in timings or ():
-            model.observe(query, seconds)
-        if self.cache is not None:
-            model.absorb_doc(self.cache.read_meta(COST_MODEL_META_KEY))
-        if not model.fitted:
-            model = CostModel.from_cache(self.cache)
-        return model
 
     def dry_run(
         self, space: "ExplorationSpace | Iterable[DesignQuery]"
     ) -> str:
         """Render the planned queue without evaluating anything.
 
-        Shows exactly what :meth:`run` would schedule: cache hits are
-        subtracted, the cost model is fitted from hit timings plus the
-        cache's persisted cross-run model, and the resulting lease
-        queue (the inline point order at ``jobs=1``) is listed with
-        predicted costs.  Predictions print in seconds when the model is
-        fitted and in relative prior units (``u``) when cold; points
-        answered by the bare static prior are counted as *cold-prior*
-        per lease.  Planned fault injections are marked — scheduling
-        decisions stay debuggable without burning a sweep.
+        Shows exactly what :meth:`run` would dispatch: cache hits are
+        subtracted and the resulting lease queue (the inline point
+        order at ``jobs=1``) is listed in dispatch order.  Planned fault
+        injections are marked, so dispatch stays debuggable without
+        burning a sweep.
         """
-        queries, records, pending, timings, _, _ = self._lookup(space)
-        hits = len(records)
-        model = self._cost_model(timings)
-        unit = "s" if model.fitted else "u"
+        queries, records, pending, _, _ = self._lookup(space)
         lines = [
-            f"dry run: {len(queries)} points, {hits} cache hits, "
+            f"dry run: {len(queries)} points, {len(records)} cache hits, "
             f"{len(pending)} to evaluate"
         ]
-        if model.fitted:
-            lines.append(
-                f"cost model: fitted ({model.observations} timings from "
-                f"this cache; predictions in seconds)"
-            )
-        else:
-            lines.append(
-                "cost model: cold (static priors; costs in relative "
-                "units, marked u)"
-            )
         if not pending:
             lines.append("queue: empty — everything is cached")
             return "\n".join(lines)
 
         def marks(items: "list[tuple[int, DesignQuery]]") -> str:
-            cold = sum(
-                1 for _, q in items if model.explain(q)[1] == "prior"
-            )
-            text = f"  ({cold} cold-prior)" if cold else ""
-            if self.faults is not None:
-                kinds = sorted({
-                    kind
-                    for _, q in items
-                    for kind in (self.faults.fault_for(q),)
-                    if kind is not None
-                })
-                if kinds:
-                    text += f"  [inject: {', '.join(kinds)}]"
-            return text
+            if self.faults is None:
+                return ""
+            kinds = sorted({
+                kind
+                for _, q in items
+                for kind in (self.faults.fault_for(q),)
+                if kind is not None
+            })
+            return f"  [inject: {', '.join(kinds)}]" if kinds else ""
 
-        total = sum(model.estimate(q) for _, q in pending)
         if self.jobs > 1:
-            leases = self._plan_leases(pending, model)
+            leases = self._plan_leases(pending)
             lines.append(
-                f"queue: {len(leases)} leases, longest first "
-                f"(work-stealing, jobs={self.jobs})"
+                f"queue: {len(leases)} leases in query order "
+                f"(pulled on demand, jobs={self.jobs})"
             )
             for position, lease in enumerate(leases, 1):
                 items = list(lease.items)
                 lines.append(
                     f"  #{position:<3d} {lease.key[0]:<12} "
-                    f"{len(items):>3d} pt  ~{lease.cost:9.3f}{unit}"
-                    f"{marks(items)}"
+                    f"{len(items):>3d} pt{marks(items)}"
                 )
         else:
             lines.append(
@@ -617,15 +496,9 @@ class Executor:
             for position, (index, query) in enumerate(pending, 1):
                 lines.append(
                     f"  #{position:<3d} {query.kernel:<12} "
-                    f"{query.allocator:<7} b={query.budget:<5d} "
-                    f"~{model.estimate(query):9.3f}{unit}"
+                    f"{query.allocator:<7} b={query.budget:<5d}"
                     f"{marks([(index, query)])}"
                 )
-        lines.append(f"total predicted: ~{total:.3f}{unit}")
-        if self.jobs > 1:
-            lines.append(
-                f"ideal per job:   ~{total / self.jobs:.3f}{unit}"
-            )
         return "\n".join(lines)
 
 
@@ -637,11 +510,12 @@ def run_queries(
     context: "EvalContext | None" = None,
     shard: "tuple[int, int] | str | None" = None,
     retry: "RetryPolicy | None" = None,
-    deadlines: "DeadlinePolicy | None" = None,
+    point_timeout: float = DEFAULT_POINT_TIMEOUT,
     faults: "faults_mod.FaultPlan | None" = None,
 ) -> ResultSet:
     """One-call convenience wrapper around :class:`Executor`."""
     return Executor(
         jobs=jobs, cache=cache, reuse_cache=reuse_cache, context=context,
-        shard=shard, retry=retry, deadlines=deadlines, faults=faults,
+        shard=shard, retry=retry, point_timeout=point_timeout,
+        faults=faults,
     ).run(queries)

@@ -331,8 +331,7 @@ class DesignRecord:
 
     ``seconds`` is the evaluation wall time of this point; it is
     bookkeeping, not identity — excluded from equality and from
-    :meth:`to_dict`, persisted only in the cache entry envelope so the
-    cost model (:mod:`repro.explore.schedule`) can learn from it.
+    :meth:`to_dict`, persisted only in the cache entry envelope.
     ``stages`` is the per-stage wall-time breakdown of the same
     evaluation (kernel / alloc / dfg_schedule / cycles / other), equally
     bookkeeping: excluded from equality, never serialized, aggregated by

@@ -161,9 +161,7 @@ class ResultSet:
                 "quarantined": self.stats.quarantined,
                 "retries": self.stats.retries,
                 "pool_breaks": self.stats.pool_breaks,
-                "steals": self.stats.steals,
                 "leases": self.stats.leases,
-                "affinity_hits": self.stats.affinity_hits,
             }
         return json.dumps(doc, indent=indent)
 

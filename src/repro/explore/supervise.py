@@ -2,15 +2,15 @@
 
 The :class:`SupervisedDriver` is the one drive loop behind
 :class:`~repro.explore.executor.Executor`: ``jobs=1`` runs it inline,
-``jobs>1`` feeds a worker pool from the work-stealing lease queue
-(:func:`~repro.explore.schedule.plan_leases`).  It adds four
-behaviours a plain pool loop cannot provide:
+``jobs>1`` feeds a worker pool from the fixed-size lease queue
+(:func:`~repro.explore.schedule.plan_leases`), one lease per idle
+worker, in queue order.  It adds four behaviours a plain pool loop
+cannot provide:
 
-* **per-point deadlines** — ``timeout_factor x`` the
-  :class:`~repro.explore.schedule.CostModel` prediction, clamped to
-  ``[floor, ceiling]`` (:class:`DeadlinePolicy`); an unfitted model
-  (no prior timings) falls back to the ceiling, so cold sweeps only
-  catch outright hangs, never slow-but-honest points;
+* **per-point deadlines** — every point gets ``point_timeout`` seconds
+  (default :data:`DEFAULT_POINT_TIMEOUT`) and a lease the sum over its
+  points, counted from when its task is first seen running; the
+  default only catches outright hangs, never slow-but-honest points;
 * **deterministic retries** — crash records, lost workers and expired
   deadlines are retried up to :attr:`RetryPolicy.max_retries` times
   with exponential backoff; the attempt count rides on the record
@@ -52,19 +52,24 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import ReproError
 from repro.explore import faults as faults_mod
 from repro.explore.context import EvalContext
 from repro.explore.query import DesignQuery, DesignRecord
+from repro.explore.schedule import Lease
 
 __all__ = [
-    "DeadlinePolicy",
+    "DEFAULT_POINT_TIMEOUT",
     "RetryPolicy",
     "SupervisedDriver",
     "quarantine_record",
 ]
+
+#: Seconds one point may run before it counts as hung.  Far above any
+#: registered grid point's evaluation time, so only hangs trip it.
+DEFAULT_POINT_TIMEOUT = 30.0
 
 #: Poll cadence (seconds) while some in-flight task has not been seen
 #: running yet (its deadline clock starts at first observed running).
@@ -108,40 +113,6 @@ class RetryPolicy:
         )
 
 
-@dataclass(frozen=True)
-class DeadlinePolicy:
-    """Per-point wall-time budgets derived from cost-model predictions.
-
-    ``deadline(predicted)`` is ``timeout_factor * predicted`` clamped
-    to ``[floor, ceiling]``; with no prediction (an unfitted model
-    reports relative units, not seconds) the ceiling applies.  The
-    generous defaults mean production sweeps only ever time out on
-    outright hangs — an OPT-RA point legitimately grinding for minutes
-    is far inside ``20x`` its own prediction.
-    """
-
-    timeout_factor: float = 20.0
-    floor: float = 30.0
-    ceiling: float = 3600.0
-
-    def __post_init__(self) -> None:
-        if self.timeout_factor <= 0:
-            raise ReproError(
-                f"timeout_factor must be > 0, got {self.timeout_factor}"
-            )
-        if not 0 < self.floor <= self.ceiling:
-            raise ReproError(
-                f"need 0 < floor <= ceiling, got floor={self.floor} "
-                f"ceiling={self.ceiling}"
-            )
-
-    def deadline(self, predicted: "float | None") -> float:
-        if predicted is None:
-            return self.ceiling
-        return min(max(self.timeout_factor * predicted, self.floor),
-                   self.ceiling)
-
-
 def quarantine_record(
     query: DesignQuery, error_type: str, attempts: int
 ) -> DesignRecord:
@@ -182,19 +153,12 @@ def _evaluate_one(
 
 def _evaluate_lease(
     items: "list[tuple[DesignQuery, int]]",
-) -> "tuple[list[DesignRecord], tuple]":
+) -> "list[DesignRecord]":
     """Worker task: one lease, one IPC round trip.
 
-    Workers evaluate on their own process-global context.  Returns the
-    records plus the worker's *resident kernel keys* — the artifacts
-    that context holds after this lease.  The dispatcher uses them as
-    the affinity fingerprint of whichever worker frees up next; they
-    carry no result data.
+    Workers evaluate on their own process-global context.
     """
-    from repro.explore.context import process_context
-
-    records = [_evaluate_one(query, attempt) for query, attempt in items]
-    return records, process_context().resident_kernels()
+    return [_evaluate_one(query, attempt) for query, attempt in items]
 
 
 @dataclass
@@ -220,9 +184,8 @@ class SupervisedDriver:
         jobs: int,
         context: "EvalContext | None",
         retry: RetryPolicy,
-        deadlines: DeadlinePolicy,
+        point_timeout: float = DEFAULT_POINT_TIMEOUT,
         plan: "faults_mod.FaultPlan | None" = None,
-        estimate: "Callable[[DesignQuery], float | None] | None" = None,
         pool_break_limit: int = 6,
     ):
         if pool_break_limit < 1:
@@ -232,17 +195,14 @@ class SupervisedDriver:
         self.jobs = jobs
         self.context = context
         self.retry = retry
-        self.deadlines = deadlines
+        self.point_timeout = point_timeout
         self.plan = plan
-        self.estimate = estimate or (lambda query: None)
         self.pool_break_limit = pool_break_limit
         self.retries = 0
         self.quarantined = 0
         self.pool_breaks = 0
         self.degraded = False
-        self.steals = 0
         self.leases = 0
-        self.affinity_hits = 0
 
     # -- shared attribution ------------------------------------------------
 
@@ -331,12 +291,6 @@ class SupervisedDriver:
             [(query, attempt) for _, query, attempt in task.items],
         )
 
-    def _point_deadline(self, query: DesignQuery) -> float:
-        return self.deadlines.deadline(self.estimate(query))
-
-    def _chunk_deadline(self, queries: "list[DesignQuery]") -> float:
-        return sum(self._point_deadline(query) for query in queries)
-
     def _poll_timeout(self, inflight: "dict[Future, _Task]") -> float:
         """How long the next ``wait`` may block before a deadline scan."""
         now = time.perf_counter()
@@ -410,35 +364,12 @@ class SupervisedDriver:
             return None, finals, attributed
         return self._make_pool(), finals, attributed
 
-    def _pick_lease(self, lease_queue: list, prefs: deque):
-        """Pop the next lease, softly preferring the freed worker's kernels.
-
-        ``prefs`` holds the resident-kernel fingerprints of recently
-        completed workers (oldest first).  A queued lease whose kernel is
-        already resident jumps the cost order — that is the *soft*
-        affinity: a preference among queued leases, never a reservation
-        that could idle a worker.
-        """
-        pref = prefs.popleft() if prefs else None
-        position = 0
-        if pref:
-            for i, lease in enumerate(lease_queue):
-                if lease.key in pref:
-                    position = i
-                    break
-        lease = lease_queue.pop(position)
-        if pref and lease.key in pref:
-            self.affinity_hits += 1
-        return lease
-
     def _drive_pool(
-        self, leases: list
+        self, leases: "list[Lease]"
     ) -> "Iterator[tuple[int, DesignRecord]]":
         failures: dict[int, int] = {}
         queue: "deque[tuple[int, DesignQuery, float]]" = deque()
-        lease_queue: list = list(leases)
-        next_seq = max((lease.seq for lease in lease_queue), default=-1) + 1
-        prefs: "deque[frozenset]" = deque()
+        lease_queue: "deque[Lease]" = deque(leases)
         inflight: dict[Future, _Task] = {}
         window = self.jobs
         pool: "ProcessPoolExecutor | None" = self._make_pool()
@@ -464,7 +395,7 @@ class SupervisedDriver:
                     index, query, _ = queue.popleft()
                     task = _Task(
                         items=[(index, query, failures.get(index, 0) + 1)],
-                        deadline=self._point_deadline(query),
+                        deadline=self.point_timeout,
                     )
                     try:
                         inflight[self._submit(pool, task)] = task
@@ -476,44 +407,19 @@ class SupervisedDriver:
                     not submit_failed and lease_queue
                     and len(inflight) < window
                 ):
-                    # Steal: when free slots outnumber queued leases,
-                    # split the most expensive multi-point lease into
-                    # singletons so no worker idles behind a long tail.
-                    # Only *queued* leases split — in-flight ones belong
-                    # to their worker.
-                    free = window - len(inflight)
-                    while free > len(lease_queue) and any(
-                        len(lease.items) > 1 for lease in lease_queue
-                    ):
-                        victim_at = next(
-                            i for i, lease in enumerate(lease_queue)
-                            if len(lease.items) > 1
-                        )
-                        singles = lease_queue.pop(victim_at).split(next_seq)
-                        next_seq += len(singles)
-                        lease_queue.extend(singles)
-                        lease_queue.sort(
-                            key=lambda lease: (-lease.cost, lease.seq)
-                        )
-                        self.steals += 1
-                    lease = self._pick_lease(lease_queue, prefs)
+                    lease = lease_queue.popleft()
                     task = _Task(
                         items=[
                             (i, q, failures.get(i, 0) + 1)
                             for i, q in lease.items
                         ],
-                        deadline=self._chunk_deadline(
-                            [q for _, q in lease.items]
-                        ),
+                        deadline=self.point_timeout * len(lease.items),
                     )
                     try:
                         inflight[self._submit(pool, task)] = task
                         self.leases += 1
                     except BrokenExecutor:
-                        lease_queue.append(lease)
-                        lease_queue.sort(
-                            key=lambda lease: (-lease.cost, lease.seq)
-                        )
+                        lease_queue.appendleft(lease)
                         submit_failed = True
                 if submit_failed:
                     pool, finals, attributed = self._pool_event(
@@ -537,18 +443,13 @@ class SupervisedDriver:
                 for future in done:
                     task = inflight.pop(future)
                     try:
-                        records, resident = future.result()
+                        records = future.result()
                     except BrokenExecutor:
                         broken = True
                         # Re-insert so the event handler sees the task
                         # (attribution needs the full in-flight picture).
                         inflight[future] = task
                         continue
-                    # The freed worker very likely picks up the next
-                    # submission; remember what it has resident.
-                    prefs.append(frozenset(resident))
-                    while len(prefs) > self.jobs:
-                        prefs.popleft()
                     for (index, query, _), record in zip(task.items, records):
                         if record.crash:
                             outcome, final = self._attribute(
@@ -599,7 +500,7 @@ class SupervisedDriver:
                 if not (future.done() and not future.cancelled()):
                     continue
                 try:
-                    records, _ = future.result()
+                    records = future.result()
                 except Exception:
                     continue
                 for (index, _, _), record in zip(task.items, records):
@@ -618,16 +519,15 @@ class SupervisedDriver:
     def drive(
         self,
         pending: "list[tuple[int, DesignQuery]]",
-        leases: "list | None" = None,
+        leases: "list[Lease] | None" = None,
     ) -> "Iterator[tuple[int, DesignRecord]]":
         """Yield ``(index, record)`` for every pending point.
 
         ``jobs=1`` evaluates ``pending`` inline, in order.  Otherwise
         ``leases`` (a :func:`~repro.explore.schedule.plan_leases` queue
-        over ``pending``) feed the pool on demand as workers free up,
-        with soft kernel affinity and steal-splitting.  Results are
-        keyed by point index, so lease composition never changes the
-        assembled ResultSet.
+        over ``pending``) feed the pool in order as workers free up.
+        Results are keyed by point index, so lease composition never
+        changes the assembled ResultSet.
         """
         if not pending:
             return

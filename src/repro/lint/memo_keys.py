@@ -186,7 +186,7 @@ def check_memo_keys(context: LintContext) -> Iterable[Finding]:
     for name, unit in context.units().items():
         # Scope: the evaluation cone plus the whole explore package (the
         # cache/executor/scheduler layer sits above the cone root but
-        # owns the on-disk entry keys and the cost-model memos).
+        # owns the on-disk entry keys).
         if name not in cone and not name.startswith(prefix):
             continue
         yield from _check_unit(context, unit, knobs)

@@ -8,6 +8,7 @@ takes a kernel and an allocation and produces the fully populated
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.groups import RefGroup, build_groups
@@ -27,12 +28,43 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.explore.context import EvalContext
 
 __all__ = [
+    "Objective",
     "build_design",
     "charge_stage",
     "classify_operand_storage",
     "count_with_best_anchors",
     "fold_trace_stage",
 ]
+
+
+@dataclass(frozen=True)
+class Objective:
+    """The cycle objective of one evaluation, resolved against its device.
+
+    One instance is what the allocator optimizes (the exact allocator
+    reads it off :class:`~repro.core.base.AllocationState`) and what
+    :func:`build_design` reports, so the two cannot disagree.
+    """
+
+    model: LatencyModel
+    ram_ports: int
+    overhead_per_iteration: int = 1
+
+    @classmethod
+    def resolve(
+        cls,
+        device: Device = XCV1000,
+        model: "LatencyModel | None" = None,
+        ram_ports: "int | None" = None,
+        overhead_per_iteration: int = 1,
+    ) -> "Objective":
+        """Fill the pipeline defaults in: realistic two-cycle RAM and
+        the device's RAM ports."""
+        return cls(
+            model=model or LatencyModel.realistic(ram_latency=2),
+            ram_ports=ram_ports if ram_ports is not None else device.bram_ports,
+            overhead_per_iteration=overhead_per_iteration,
+        )
 
 
 def charge_stage(
@@ -110,16 +142,15 @@ def build_design(
     allocation: Allocation,
     groups: "tuple[RefGroup, ...] | None" = None,
     device: Device = XCV1000,
-    model: LatencyModel | None = None,
-    ram_ports: int | None = None,
-    overhead_per_iteration: int = 1,
+    objective: "Objective | None" = None,
     coverages: "dict[str, GroupCoverage] | None" = None,
     context: "EvalContext | None" = None,
     stages: "dict[str, float] | None" = None,
 ) -> HardwareDesign:
     """Evaluate one (kernel, allocation) design point.
 
-    Parameters mirror the experimental setup of the paper: XCV1000 target,
+    The default ``objective`` (:meth:`Objective.resolve` on ``device``)
+    mirrors the experimental setup of the paper: XCV1000 target,
     single-ported RAM blocks with a two-cycle access (address + data cycle
     of a synchronous BlockRAM driven by a Monet-style FSM), realistic
     operator latencies, one FSM cycle of control overhead per iteration.
@@ -142,8 +173,8 @@ def build_design(
 
         context = EvalContext()
     groups = groups if groups is not None else build_groups(kernel)
-    model = model or LatencyModel.realistic(ram_latency=2)
-    ram_ports = ram_ports if ram_ports is not None else device.bram_ports
+    if objective is None:
+        objective = Objective.resolve(device)
     dfg = context.dfg(kernel, groups)
     if coverages is None:
         coverages = context.coverages(kernel, groups)
@@ -161,9 +192,9 @@ def build_design(
         kernel,
         groups,
         allocation,
-        model,
-        ram_ports,
-        overhead_per_iteration,
+        objective.model,
+        objective.ram_ports,
+        objective.overhead_per_iteration,
         dfg,
         coverages,
         storage_class,

@@ -3,7 +3,8 @@
 Both backends must be observably identical through the
 :class:`ResultCache` facade — same format-3 entry docs, same
 corruption/quarantine behaviour, same fsck/gc accounting, same
-cost-model persistence — and the SQLite backend must additionally
+tolerance of what earlier versions left behind — and the SQLite backend
+must additionally
 survive two *processes* sweeping disjoint shards into one database
 file concurrently.
 """
@@ -25,7 +26,7 @@ from repro.cli import main
 from repro.errors import ReproError
 from repro.explore import (
     CacheCorruptionWarning,
-    DeadlinePolicy,
+    DesignQuery,
     DirBackend,
     Executor,
     ExplorationSpace,
@@ -44,7 +45,7 @@ QUERIES = SPACE.expand()
 TARGET = QUERIES[0]
 
 FAST = dict(
-    deadlines=DeadlinePolicy(timeout_factor=1.0, floor=2.5, ceiling=2.5),
+    point_timeout=2.5,
     retry=RetryPolicy(max_retries=2, backoff=0.0),
 )
 
@@ -184,28 +185,82 @@ def test_gc_prunes_quarantine_and_stale_formats(backend, tmp_path):
         cache.gc(days=-1)
 
 
+def write_legacy_meta(cache, backend):
+    """Store a cost-model document the way earlier versions did: a
+    ``meta/`` file beside the entries, or a row of a ``meta`` table."""
+    text = json.dumps({"version": 1, "rows": [
+        {"kernel": "fir", "kernel_json_digest": None, "allocator": "FR-RA",
+         "mean": 0.01, "weight": 1.0},
+    ]}, indent=2, sort_keys=True)
+    if backend == "dir":
+        meta = cache.root / "meta"
+        meta.mkdir()
+        (meta / "cost_model.json").write_text(text)
+        return lambda: (meta / "cost_model.json").read_text()
+    with sqlite3.connect(str(cache.root)) as conn:
+        conn.execute(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL,"
+            " updated_at REAL NOT NULL)"
+        )
+        conn.execute(
+            "INSERT INTO meta VALUES (?, ?, ?)",
+            ("cost_model", text, time.time()),
+        )
+
+    def read():
+        with sqlite3.connect(str(cache.root)) as conn:
+            return conn.execute(
+                "SELECT value FROM meta WHERE key = 'cost_model'"
+            ).fetchone()[0]
+    return read
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_cost_model_persists_and_decays(backend, tmp_path):
+def test_legacy_meta_store_is_ignored(backend, tmp_path, capsys):
+    """A cache that still holds an earlier version's cost-model document
+    resumes with every point a hit; fsck neither counts nor quarantines
+    the leftover document, and nothing rewrites it."""
     cache = make_cache(tmp_path, backend)
-    sweep(cache=cache)
-    doc = cache.read_meta("cost_model")
-    assert doc is not None and doc["version"] == 1
-    assert doc["rows"]
-    assert all(
-        row["weight"] == pytest.approx(1.0) for row in doc["rows"]
+    first = sweep(cache=cache)
+    read_meta = write_legacy_meta(cache, backend)
+    before = read_meta()
+
+    resumed = sweep(cache=make_cache(tmp_path, backend))
+    assert resumed.stats.cache_hits == len(QUERIES)
+    assert resumed.stats.corrupt == 0
+    assert docs(resumed) == docs(first)
+    assert len(make_cache(tmp_path, backend)) == len(QUERIES)
+
+    spec = str(cache.root) if backend == "dir" else f"sqlite:{cache.root}"
+    assert main(["cache", "fsck", spec, "--repair"]) == 0
+    out = capsys.readouterr().out
+    assert f"{len(QUERIES)} entries: {len(QUERIES)} ok" in out
+    assert "0 corrupt" in out
+    assert "quarantined" not in out
+    assert make_cache(tmp_path, backend).backend.quarantined() == []
+    assert read_meta() == before
+
+
+def test_parent_entry_is_a_hit(tmp_path):
+    """An entry as caches written before the evaluation knobs were
+    retired stored it, with ``trace_engine``/``batch`` provenance in an
+    ``indent=2`` layout, is still a hit."""
+    query = DesignQuery(kernel="fir", allocator="CPA-RA", budget=16)
+    cache = ResultCache(tmp_path)
+    Executor(jobs=1, cache=cache).run([query])
+    doc = json.loads(cache.backend.read(query.digest()))
+    assert "trace_engine" not in doc and "batch" not in doc
+    doc["trace_engine"] = "array"
+    doc["batch"] = True
+    doc["checksum"] = _entry_checksum(doc)
+    cache.backend.write(
+        query.digest(), json.dumps(doc, indent=2, sort_keys=True)
     )
 
-    # An all-hits resume times nothing: the fitted model is untouched.
-    sweep(cache=make_cache(tmp_path, backend))
-    assert cache.read_meta("cost_model") == doc
-
-    # A forced re-evaluation decays the old mass (x0.5) and stacks the
-    # fresh run's rows (+1.0) on top.
-    sweep(cache=make_cache(tmp_path, backend), reuse_cache=False)
-    redoc = cache.read_meta("cost_model")
-    assert all(
-        row["weight"] == pytest.approx(1.5) for row in redoc["rows"]
-    )
+    resumed = Executor(jobs=1, cache=ResultCache(tmp_path)).run([query])
+    assert resumed.stats.cache_hits == 1
+    assert resumed.stats.hit_rate == 1.0
+    assert resumed.stats.corrupt == 0
 
 
 # -- entry layout, compatibility and integrity --------------------------------

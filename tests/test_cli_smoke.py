@@ -141,6 +141,14 @@ def test_explore_bad_shard_spec(capsys):
     assert excinfo.value.code != 0
 
 
+@pytest.mark.parametrize("seconds", ["0", "-1", "-0.5"])
+def test_explore_rejects_a_non_positive_point_timeout(capsys, seconds):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["explore", "--kernels", "fir", "--point-timeout", seconds])
+    assert excinfo.value.code == 2
+    assert "must be > 0 seconds" in capsys.readouterr().err
+
+
 def test_explore_json(capsys):
     code, out, _ = run_cli(
         capsys, "explore", "--kernels", "mat", "--allocators", "NO-SR",

@@ -82,3 +82,43 @@ class TestPipelineOptions:
     def test_baseline_property(self, kernel):
         result = evaluate_kernel(kernel, budget=12)
         assert result.baseline is result.design("FR-RA")
+
+
+class TestOneObjective:
+    """OPT-RA searches the objective the design is reported under.
+
+    ``evaluate_kernel`` resolves its model, RAM ports and overhead into
+    one objective that both the allocator and ``build_design`` receive,
+    so the trace's certified optimum is the reported cycle count under
+    any setup, not only the default one.
+    """
+
+    SETUPS = {
+        "ram-latency-4": dict(model=LatencyModel.realistic(ram_latency=4)),
+        "no-overhead": dict(overhead_per_iteration=0),
+        "dual-port-ram": dict(ram_ports=2),
+    }
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    @pytest.mark.parametrize(
+        "name, budget", [("example", 16), ("fir", 32), ("imi", 32)]
+    )
+    def test_certified_optimum_is_the_reported_cycles(
+        self, name, budget, setup, example_kernel
+    ):
+        import re
+
+        from repro.kernels import get_kernel
+
+        kernel = example_kernel if name == "example" else get_kernel(name)
+        design = evaluate_kernel(
+            kernel, budget=budget, algorithms=("OPT-RA",),
+            **self.SETUPS[setup],
+        ).design("OPT-RA")
+        (line,) = [
+            text for text in design.allocation.trace
+            if text.startswith("opt-ra: certified optimum")
+        ]
+        certified = int(re.search(r"optimum (\d+) cycles", line).group(1))
+        assert certified == design.total_cycles
+        assert design.allocation.lower_bound == design.total_cycles

@@ -169,21 +169,12 @@ class TestCrashingSweep:
 
 
 class TestExecutorValidation:
-    def test_lease_points_zero_rejected_like_jobs_zero(self):
-        with pytest.raises(ReproError, match="lease_points"):
-            Executor(lease_points=0)
-        with pytest.raises(ReproError, match="lease_points"):
-            Executor(lease_points=-3)
-        assert Executor(lease_points=1).lease_points == 1
-
-    def test_explicit_lease_points_honored(self):
-        space = ExplorationSpace(
-            kernels=("fir",), allocators=("FR-RA", "NO-SR"), budgets=(8, 16)
-        )
-        fixed = Executor(jobs=2, lease_points=1).run(space)
-        adaptive = Executor(jobs=2).run(space)
-        assert [r.to_dict() for r in fixed] == [r.to_dict() for r in adaptive]
-        assert fixed.stats.leases == len(space.expand())
+    def test_point_timeout_zero_rejected_like_jobs_zero(self):
+        with pytest.raises(ReproError, match="point_timeout"):
+            Executor(point_timeout=0)
+        with pytest.raises(ReproError, match="point_timeout"):
+            Executor(point_timeout=-3)
+        assert Executor(point_timeout=0.5).point_timeout == 0.5
 
 
 class TestCorruptAccounting:

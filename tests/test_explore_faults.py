@@ -22,7 +22,6 @@ import pytest
 
 from repro.errors import ReproError, SweepInterrupted
 from repro.explore import (
-    DeadlinePolicy,
     DesignQuery,
     Executor,
     ExplorationSpace,
@@ -47,7 +46,7 @@ TARGET = next(
 #: deadline (well above real evaluation time, well below the suite's
 #: patience), and retries back off by nothing.
 FAST = dict(
-    deadlines=DeadlinePolicy(timeout_factor=1.0, floor=2.5, ceiling=2.5),
+    point_timeout=2.5,
 )
 
 

@@ -1,22 +1,19 @@
-"""Work-stealing dispatcher tests.
+"""Lease dispatcher tests.
 
 The lease queue must be invisible in the results (the fault matrix of
 ``test_explore_faults.py`` runs every fault kind through it at jobs 1
-and 2).  These tests pin the lease planner's determinism, a
-deterministically-forced steal split, the soft-affinity counter,
-read-only-cache degradation and shard-stitch resume under stealing,
-and the ``--dry-run`` planner surface.
+and 2).  These tests pin the lease planner (deterministic, fixed-size,
+single-kernel leases in query order), read-only-cache degradation and
+shard-stitch resume under lease dispatch, and the ``--dry-run``
+planner surface.
 """
 
 import pytest
 
 from repro.explore import (
-    DeadlinePolicy,
-    DesignQuery,
     Executor,
     ExplorationSpace,
     FaultPlan,
-    Lease,
     ResultCache,
     RetryPolicy,
     plan_leases,
@@ -32,7 +29,7 @@ TARGET = next(
 )
 
 FAST = dict(
-    deadlines=DeadlinePolicy(timeout_factor=1.0, floor=2.5, ceiling=2.5),
+    point_timeout=2.5,
 )
 
 
@@ -64,7 +61,7 @@ def baseline():
     return sweep()
 
 
-# -- read-only cache degradation under stealing ------------------------------
+# -- read-only cache degradation under lease dispatch -------------------------
 
 
 def test_enospc_read_only_degradation_under_stealing(baseline, tmp_path):
@@ -76,75 +73,35 @@ def test_enospc_read_only_degradation_under_stealing(baseline, tmp_path):
     assert docs(result) == docs(baseline)
 
 
-# -- forced steal: split is deterministic when workers would idle -------------
-
-
-def test_steal_split_and_counters():
-    """One 24-point lease at jobs=2: the first feed sees more free slots
-    than queued leases and must split — exactly once, since splitting
-    leaves only singletons behind."""
-    queries = [
-        DesignQuery(kernel="fir", allocator="NO-SR", budget=b)
-        for b in range(4, 52, 2)
-    ]
-    assert len(queries) == 24
-    reference = sweep(jobs=1, space=queries)
-    result = sweep(jobs=2, space=queries, lease_points=24)
-    assert docs(result) == docs(reference)
-    stats = result.stats
-    assert stats.steals == 1
-    assert stats.leases == 24  # every point fed as its own stolen lease
-    # All leases share one kernel; once a worker has evaluated anything,
-    # its resident fingerprint matches every queued lease.
-    assert stats.affinity_hits >= 1
-    # The jobs=1 path never touches the scheduler counters.
-    assert reference.stats.leases == 0
-    assert reference.stats.steals == 0
-    assert reference.stats.affinity_hits == 0
-
-
 # -- lease planner ------------------------------------------------------------
 
 
 def test_plan_leases_deterministic_and_single_kernel():
-    queries = list(SPACE.expand()) * 3  # 12 items, 2 kernels
-    items = list(enumerate(queries))
-    cost = lambda item: 1.0 + item[0] * 0.01  # noqa: E731
+    """Leases are deterministic, single-kernel, in query order and of
+    the fixed size ``min(8, ceil(n / (jobs * 16)))``."""
+    queries = ExplorationSpace(
+        kernels=("fir", "mat", "imi"), allocators=("FR-RA", "NO-SR"),
+        budgets=tuple(range(4, 104, 4)),
+    ).expand()
+    items = list(enumerate(queries))  # 150 points, kernel-major
     key = lambda item: item[1].kernel  # noqa: E731
-    first = plan_leases(items, cost=cost, jobs=2, key=key, max_points=4)
-    second = plan_leases(items, cost=cost, jobs=2, key=key, max_points=4)
-    assert first == second
-    assert first == sorted(first, key=lambda lease: (-lease.cost, lease.seq))
-    for lease in first:
-        assert len({item[1].kernel for item in lease.items}) == 1
-        assert len(lease.items) <= 4
-    covered = sorted(i for lease in first for i, _ in lease.items)
-    assert covered == list(range(len(items)))
+    for jobs, size in ((1, 8), (2, 5), (4, 3), (16, 1)):
+        first = plan_leases(items, jobs=jobs, key=key)
+        assert first == plan_leases(items, jobs=jobs, key=key)
+        # Query order: concatenating the leases gives the input back.
+        assert [i for lease in first for i in lease.items] == items
+        for lease in first:
+            assert {item[1].kernel for item in lease.items} == {lease.key}
+        # Fixed size: a kernel's 50 points cut into full leases and one
+        # remainder.
+        for kernel in ("fir", "mat", "imi"):
+            sizes = [len(l.items) for l in first if l.key == kernel]
+            full, rest = divmod(50, size)
+            assert sizes == [size] * full + ([rest] if rest else [])
+    assert plan_leases([], jobs=2, key=key) == []
 
 
-def test_plan_leases_isolates_predicted_expensive_points():
-    items = list(range(20))
-    # Item 7 holds half the predicted mass: it must ride alone.
-    cost = lambda item: 100.0 if item == 7 else 1.0  # noqa: E731
-    leases = plan_leases(
-        items, cost=cost, jobs=2, key=lambda item: "k", max_points=8
-    )
-    singleton = next(l for l in leases if l.items == (7,))
-    assert singleton.costs == (100.0,)
-    # Longest first: the expensive singleton leads the queue.
-    assert leases[0] is singleton
-
-
-def test_lease_split_preserves_order_and_sequencing():
-    lease = Lease(seq=0, key="k", items=(10, 11, 12), costs=(3.0, 2.0, 1.0))
-    singles = lease.split(next_seq=5)
-    assert [l.items for l in singles] == [(10,), (11,), (12,)]
-    assert [l.seq for l in singles] == [5, 6, 7]
-    assert [l.cost for l in singles] == [3.0, 2.0, 1.0]
-    assert all(l.key == "k" for l in singles)
-
-
-# -- shard + resume stay bit-identical under stealing -------------------------
+# -- shard + resume stay bit-identical under lease dispatch --------------------
 
 
 def test_shard_stitch_resume_under_stealing(tmp_path, baseline):
@@ -167,18 +124,15 @@ def test_dry_run_plans_without_evaluating(tmp_path):
     executor = Executor(jobs=2, cache=cache, faults=plan, **FAST)
     text = executor.dry_run(SPACE)
     assert f"dry run: {len(QUERIES)} points, 0 cache hits" in text
-    assert "cost model: cold" in text
-    assert "work-stealing, jobs=2" in text
+    assert "queue: 4 leases in query order (pulled on demand, jobs=2)" in text
     assert "[inject: slow]" in text
-    assert "total predicted:" in text
+    assert "predicted" not in text
     assert len(cache) == 0  # nothing was evaluated or written
 
-    # Warm the cache; the next dry run predicts in seconds and reports
-    # an empty queue.
+    # Warm the cache; the next dry run reports an empty queue.
     sweep(cache=cache)
     warm = executor.dry_run(SPACE)
     assert f"{len(QUERIES)} cache hits" in warm
-    assert "cost model: fitted" in warm
     assert "queue: empty — everything is cached" in warm
 
 
@@ -196,7 +150,7 @@ def test_cli_dry_run(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert "dry run: 4 points" in out
-    assert "work-stealing, jobs=2" in out
+    assert "leases in query order (pulled on demand, jobs=2)" in out
     assert not (tmp_path / "cache").exists() or not any(
         (tmp_path / "cache").glob("*.json")
     )

@@ -46,7 +46,7 @@ from repro.sim.residency import (
     opt_trace,
     pinned_misses,
 )
-from repro.synth.estimate import build_design
+from repro.synth.estimate import Objective, build_design
 
 ALGORITHMS = ("FR-RA", "PR-RA", "CPA-RA", "KS-RA", "NO-SR")
 SEEDS = range(120)
@@ -267,9 +267,10 @@ def _objective_cycles(case, allocation, ctx):
     ).total_cycles
 
 
-def _tuned_optra(**kwargs):
-    return OptimalAllocator(**kwargs).tune(
-        model=MODEL, ram_ports=1, overhead_per_iteration=1
+def _optra(case, budget, context=None, node_limit=None):
+    return OptimalAllocator(node_limit=node_limit).allocate(
+        case.kernel, budget, case.groups, context=context,
+        objective=Objective(MODEL, ram_ports=1, overhead_per_iteration=1),
     )
 
 
@@ -286,9 +287,7 @@ def test_fuzz_optra_differential(seed):
 
     case = oracle_case(seed)
     ctx = _shared_fuzz_context()
-    opt = _tuned_optra().allocate(
-        case.kernel, case.budget, case.groups, context=ctx
-    )
+    opt = _optra(case, case.budget, context=ctx)
     assert opt.certified, f"seed {seed}: default box truncated a tiny search"
     opt_cycles = _objective_cycles(case, opt, ctx)
     assert opt.lower_bound == opt_cycles, (
@@ -316,18 +315,14 @@ def test_fuzz_optra_differential(seed):
             )
 
     # Budget monotonicity: the optimum never worsens as budget grows.
-    floor_alloc = _tuned_optra().allocate(
-        case.kernel, len(case.groups), case.groups, context=ctx
-    )
+    floor_alloc = _optra(case, len(case.groups), context=ctx)
     assert opt_cycles <= _objective_cycles(case, floor_alloc, ctx), (
         f"seed {seed}: optimum worsened as the budget grew"
     )
 
     # Certified-gap runs: a node-boxed search still brackets the
     # optimum and every heuristic, deterministically.
-    boxed = _tuned_optra(node_limit=1).allocate(
-        case.kernel, case.budget, case.groups
-    )
+    boxed = _optra(case, case.budget, node_limit=1)
     boxed_cycles = _objective_cycles(case, boxed, ctx)
     assert boxed.lower_bound <= opt_cycles <= boxed_cycles, (
         f"seed {seed}: anytime bracket [{boxed.lower_bound}, "

@@ -36,16 +36,29 @@ from repro.explore.query import DesignQuery, DesignRecord
 from repro.kernels import KERNEL_FACTORIES, get_kernel
 from repro.analysis.groups import build_groups
 from repro.scalar.coverage import GroupCoverage
-from repro.synth.estimate import classify_operand_storage, count_with_best_anchors
+from repro.synth.estimate import (
+    Objective,
+    classify_operand_storage,
+    count_with_best_anchors,
+)
 
 MODEL = LatencyModel.realistic(ram_latency=2)
+#: The pipeline's default objective, spelled out.
+OBJECTIVE = Objective(MODEL, ram_ports=1, overhead_per_iteration=1)
+#: A non-default objective: slow dual-ported RAM, no loop overhead.
+SLOW_DUAL_RAM = Objective(
+    LatencyModel.realistic(ram_latency=4), ram_ports=2,
+    overhead_per_iteration=0,
+)
 HEURISTICS = ("FR-RA", "PR-RA", "CPA-RA", "KS-RA", "NO-SR")
 REGISTERED = sorted(KERNEL_FACTORIES)
 SMALL_BUDGETS = (6, 9, 12)
 BOUND_BUDGETS = (8, 12, 16, 24)
 
 
-def objective_cycles(kernel, groups, registers, budget, context=None):
+def objective_cycles(
+    kernel, groups, registers, budget, context=None, objective=OBJECTIVE
+):
     """The pipeline's authoritative objective for one register vector."""
     allocation = Allocation(
         kernel_name=kernel.name,
@@ -67,13 +80,16 @@ def objective_cycles(kernel, groups, registers, budget, context=None):
         for g in groups
     }
     report = count_with_best_anchors(
-        kernel, groups, allocation, MODEL, 1, 1, dfg, coverages, storage,
+        kernel, groups, allocation, objective.model, objective.ram_ports,
+        objective.overhead_per_iteration, dfg, coverages, storage,
         context=context,
     )
     return report.total_cycles
 
 
-def brute_force_optimum(kernel, groups, budget, context=None):
+def brute_force_optimum(
+    kernel, groups, budget, context=None, objective=OBJECTIVE
+):
     """Subset-enumeration reference: every feasible register vector.
 
     Returns ``(cycles, registers)`` minimizing the same tie-break key
@@ -91,7 +107,9 @@ def brute_force_optimum(kernel, groups, budget, context=None):
         if sum(combo) > budget:
             continue
         registers = {g.name: r for g, r in zip(groups, combo)}
-        cycles = objective_cycles(kernel, groups, registers, budget, context)
+        cycles = objective_cycles(
+            kernel, groups, registers, budget, context, objective
+        )
         key = (cycles, sum(combo), combo)
         if best_key is None or key < best_key:
             best_key, best_registers = key, registers
@@ -103,20 +121,19 @@ def shared_context():
     return EvalContext(kernel_memo_size=8)
 
 
-def _tuned_opt(**kwargs):
-    opt = OptimalAllocator(**kwargs)
-    return opt.tune(model=MODEL, ram_ports=1, overhead_per_iteration=1)
+def _optra(
+    kernel, budget, groups, context=None, objective=OBJECTIVE,
+    node_limit=None,
+):
+    return OptimalAllocator(node_limit=node_limit).allocate(
+        kernel, budget, groups, context=context, objective=objective
+    )
 
 
 # -- exactness ----------------------------------------------------------------
 
 
-@pytest.mark.oracle
-@pytest.mark.parametrize("name", REGISTERED)
-def test_optra_matches_brute_force_on_registered_kernels(
-    name, shared_context
-):
-    """Bit-identical to exhaustive enumeration at budgets <= 12."""
+def assert_matches_brute_force(name, context, objective):
     kernel = get_kernel(name)
     groups = build_groups(kernel)
     budgets = sorted({len(groups), *SMALL_BUDGETS})
@@ -124,10 +141,10 @@ def test_optra_matches_brute_force_on_registered_kernels(
         if budget < len(groups):
             continue
         want_cycles, want_registers = brute_force_optimum(
-            kernel, groups, budget, context=shared_context
+            kernel, groups, budget, context=context, objective=objective
         )
-        allocation = _tuned_opt().allocate(
-            kernel, budget, groups, context=shared_context
+        allocation = _optra(
+            kernel, budget, groups, context=context, objective=objective
         )
         got = {g.name: allocation.registers_for(g.name) for g in groups}
         assert got == want_registers, (
@@ -138,19 +155,53 @@ def test_optra_matches_brute_force_on_registered_kernels(
         assert allocation.lower_bound == want_cycles
 
 
+@pytest.mark.oracle
+@pytest.mark.parametrize("name", REGISTERED)
+def test_optra_matches_brute_force_on_registered_kernels(
+    name, shared_context
+):
+    """Bit-identical to exhaustive enumeration at budgets <= 12."""
+    assert_matches_brute_force(name, shared_context, OBJECTIVE)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("name", REGISTERED)
+def test_optra_matches_brute_force_under_a_non_default_objective(
+    name, shared_context
+):
+    """The same exactness when the objective is not the default one:
+    OPT-RA searches the objective it is given."""
+    assert_matches_brute_force(name, shared_context, SLOW_DUAL_RAM)
+
+
+def assert_matches_brute_force_on_fuzz(seed, objective):
+    case = oracle_case(seed)
+    want_cycles, want_registers = brute_force_optimum(
+        case.kernel, case.groups, case.budget, objective=objective
+    )
+    allocation = _optra(
+        case.kernel, case.budget, case.groups, objective=objective
+    )
+    got = {g.name: allocation.registers_for(g.name) for g in case.groups}
+    assert got == want_registers, f"seed {seed}: {got} != {want_registers}"
+    assert allocation.certified and allocation.lower_bound == want_cycles
+
+
 @pytest.mark.slow
 @pytest.mark.oracle
 @pytest.mark.parametrize("seed", range(120))
 def test_optra_matches_brute_force_on_fuzz_kernels(seed):
     """Spot-check exactness on random kernels too (tight oracle budgets)."""
-    case = oracle_case(seed)
-    want_cycles, want_registers = brute_force_optimum(
-        case.kernel, case.groups, case.budget
-    )
-    allocation = _tuned_opt().allocate(case.kernel, case.budget, case.groups)
-    got = {g.name: allocation.registers_for(g.name) for g in case.groups}
-    assert got == want_registers, f"seed {seed}: {got} != {want_registers}"
-    assert allocation.certified and allocation.lower_bound == want_cycles
+    assert_matches_brute_force_on_fuzz(seed, OBJECTIVE)
+
+
+@pytest.mark.slow
+@pytest.mark.oracle
+@pytest.mark.parametrize("seed", range(120))
+def test_optra_matches_brute_force_on_fuzz_kernels_non_default_objective(
+    seed,
+):
+    assert_matches_brute_force_on_fuzz(seed, SLOW_DUAL_RAM)
 
 
 # -- admissibility ------------------------------------------------------------
@@ -164,8 +215,10 @@ def assert_bounds_admissible(kernel, groups, budget, context=None):
     the root and at every depth-1 prefix must not exceed the
     brute-force minimum over that prefix's completions.
     """
-    state = AllocationState(kernel, groups, budget, context=context)
-    search = _Search(state, MODEL, 1, 1)
+    state = AllocationState(
+        kernel, groups, budget, context=context, objective=OBJECTIVE
+    )
+    search = _Search(state)
     fixed = {g.name: 1 for g in groups if g.full_registers <= 1}
     ranges = [range(search.caps[g.name]) for g in search.order]
     best_below: "dict[tuple[int, ...], int]" = {}
@@ -226,9 +279,7 @@ def test_optra_dominates_heuristics_on_registered_kernels(
     for budget in sorted({len(groups), 12, 24}):
         if budget < len(groups):
             continue
-        opt = _tuned_opt().allocate(
-            kernel, budget, groups, context=shared_context
-        )
+        opt = _optra(kernel, budget, groups, context=shared_context)
         opt_cycles = objective_cycles(
             kernel, groups, dict(opt.registers), budget, shared_context
         )
@@ -255,13 +306,13 @@ def test_optra_deterministic_across_runs_and_contexts():
     """Same vector from repeated runs, fresh/shared/absent contexts."""
     kernel = get_kernel("fir")
     groups = build_groups(kernel)
-    baseline = _tuned_opt().allocate(kernel, 12, groups)
+    baseline = _optra(kernel, 12, groups)
     ctx = EvalContext()
     for allocation in (
-        _tuned_opt().allocate(kernel, 12, groups),
-        _tuned_opt().allocate(kernel, 12, groups, context=ctx),
-        _tuned_opt().allocate(kernel, 12, groups, context=ctx),  # warm
-        _tuned_opt().allocate(kernel, 12, groups, context=EvalContext()),
+        _optra(kernel, 12, groups),
+        _optra(kernel, 12, groups, context=ctx),
+        _optra(kernel, 12, groups, context=ctx),  # warm
+        _optra(kernel, 12, groups, context=EvalContext()),
     ):
         assert allocation.registers == baseline.registers
         assert allocation.certified
@@ -358,8 +409,8 @@ def test_optra_node_box_returns_anytime_bound():
     """Truncation yields an incumbent + bracket, never an exception."""
     kernel = get_kernel("fir")
     groups = build_groups(kernel)
-    first = _tuned_opt(node_limit=1).allocate(kernel, 64, groups)
-    again = _tuned_opt(node_limit=1).allocate(kernel, 64, groups)
+    first = _optra(kernel, 64, groups, node_limit=1)
+    again = _optra(kernel, 64, groups, node_limit=1)
     assert not first.certified
     assert first.lower_bound is not None
     cycles = objective_cycles(kernel, groups, dict(first.registers), 64)
@@ -376,7 +427,7 @@ def test_optra_node_box_returns_anytime_bound():
     assert again.registers == first.registers
     assert again.lower_bound == first.lower_bound
     # The exact run at the same budget brackets inside the bound.
-    exact = _tuned_opt().allocate(kernel, 64, groups)
+    exact = _optra(kernel, 64, groups)
     assert first.lower_bound <= exact.lower_bound <= cycles
 
 
@@ -384,14 +435,12 @@ def test_optra_truncated_never_enters_context_memo():
     kernel = get_kernel("fir")
     groups = build_groups(kernel)
     ctx = EvalContext()
-    truncated = _tuned_opt(node_limit=1).allocate(
-        kernel, 64, groups, context=ctx
-    )
+    truncated = _optra(kernel, 64, groups, context=ctx, node_limit=1)
     assert not truncated.certified
     # A later exact solve must not be answered by the truncated run.
-    exact = _tuned_opt().allocate(kernel, 64, groups, context=ctx)
+    exact = _optra(kernel, 64, groups, context=ctx)
     assert exact.certified
-    fresh = _tuned_opt().allocate(kernel, 64, groups)
+    fresh = _optra(kernel, 64, groups)
     assert exact.registers == fresh.registers
 
 
