@@ -28,35 +28,7 @@ Subpackages: :mod:`repro.ir` (affine loop-nest IR), :mod:`repro.analysis`
 (the six benchmarks), :mod:`repro.bench` (Table 1 / Figure 2 harnesses).
 """
 
-from repro.analysis import build_groups, rank_candidates
-from repro.bench import figure2_report, generate_table1, render_table1
-from repro.core import (
-    Allocation,
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    KnapsackAllocator,
-    NaiveAllocator,
-    PartialReuseAllocator,
-    evaluate_kernel,
-)
-from repro.dfg import LatencyModel, build_dfg, critical_graph, enumerate_cuts
 from repro.errors import ReproError
-from repro.hw import XCV1000, Device
-from repro.ir import (
-    BIT,
-    INT8,
-    INT16,
-    INT32,
-    UINT8,
-    UINT16,
-    UINT32,
-    Kernel,
-    KernelBuilder,
-    pretty,
-)
-from repro.kernels import PAPER_REGISTER_BUDGET, get_kernel, paper_kernels
-from repro.sim import count_cycles, random_inputs, run_kernel, run_scalar_replaced
-from repro.synth import HardwareDesign, build_design
 
 __version__ = "1.0.0"
 
@@ -101,3 +73,39 @@ __all__ = [
     "run_scalar_replaced",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: a subpackage loads on the first use of one of its names,
+    # so ``import repro`` stays free of numpy.  Plain import statements
+    # keep every edge visible to the version cones' AST import graph.
+    if name in ("build_groups", "rank_candidates"):
+        from repro import analysis as module
+    elif name in ("figure2_report", "generate_table1", "render_table1"):
+        from repro import bench as module
+    elif name in (
+        "Allocation", "CriticalPathAwareAllocator", "FullReuseAllocator",
+        "KnapsackAllocator", "NaiveAllocator", "PartialReuseAllocator",
+        "evaluate_kernel",
+    ):
+        from repro import core as module
+    elif name in ("LatencyModel", "build_dfg", "critical_graph",
+                  "enumerate_cuts"):
+        from repro import dfg as module
+    elif name in ("XCV1000", "Device"):
+        from repro import hw as module
+    elif name in (
+        "BIT", "INT8", "INT16", "INT32", "UINT8", "UINT16", "UINT32",
+        "Kernel", "KernelBuilder", "pretty",
+    ):
+        from repro import ir as module
+    elif name in ("PAPER_REGISTER_BUDGET", "get_kernel", "paper_kernels"):
+        from repro import kernels as module
+    elif name in ("count_cycles", "random_inputs", "run_kernel",
+                  "run_scalar_replaced"):
+        from repro import sim as module
+    elif name in ("HardwareDesign", "build_design"):
+        from repro import synth as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -7,7 +7,7 @@ from repro.bench.example import (
     build_example_kernel,
     figure2_report,
 )
-from repro.bench.formatting import render_table
+from repro.formatting import render_table
 from repro.bench.sweeps import (
     BudgetPoint,
     ResidencyPoint,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import mean
 
-from repro.bench.formatting import render_table
+from repro.formatting import render_table
 from repro.core.pipeline import PAPER_VERSIONS
 from repro.dfg.latency import LatencyModel
 from repro.explore.cache import ResultCache

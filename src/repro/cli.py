@@ -28,30 +28,29 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import figure2_report, generate_table1, render_table, render_table1
-from repro.codegen import generate_vhdl
-from repro.core import evaluate_kernel
-from repro.core.pipeline import _ALLOCATORS, allocator_by_name
-from repro.explore import (
-    DEFAULT_POINT_TIMEOUT,
-    Executor,
-    ExplorationSpace,
-    LatencySpec,
-    ResultCache,
-)
+from repro.explore.supervise import DEFAULT_POINT_TIMEOUT
 from repro.hw.device import DEVICES, XCV1000
-from repro.kernels import KERNEL_FACTORIES, PAPER_REGISTER_BUDGET, get_kernel
+from repro.plugins import ALLOCATOR_MODULES, KERNEL_MODULES, PAPER_REGISTER_BUDGET
 
 __all__ = ["main"]
 
+# Each command imports what it uses inside its own function, so a
+# command that evaluates nothing (``list``, ``--help``, an all-hit
+# ``explore``, ``cache fsck``) never loads numpy or the evaluation stack.
+
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.bench.table1 import generate_table1, render_table1
+
     table = generate_table1(budget=args.budget)
     print(render_table1(table))
     return 0
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    from repro.bench.example import figure2_report
+    from repro.formatting import render_table
+
     report = figure2_report(budget=args.budget)
     print("Critical Graph nodes:", ", ".join(report.cg_nodes))
     print("Cuts:", ", ".join(report.structural_cuts))
@@ -68,6 +67,10 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
+    from repro.core.pipeline import evaluate_kernel
+    from repro.formatting import render_table
+    from repro.kernels.registry import get_kernel
+
     kernel = get_kernel(args.name)
     algorithms = tuple(args.algorithms)
     result = evaluate_kernel(kernel, budget=args.budget, algorithms=algorithms)
@@ -100,6 +103,10 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_vhdl(args: argparse.Namespace) -> int:
+    from repro.codegen.vhdl import generate_vhdl
+    from repro.core.pipeline import allocator_by_name
+    from repro.kernels.registry import get_kernel
+
     kernel = get_kernel(args.name)
     allocator = allocator_by_name(args.algorithm)
     allocation = allocator.allocate(kernel, args.budget)
@@ -136,6 +143,13 @@ def _positive_seconds(text: str) -> float:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.errors import SweepInterrupted
+    from repro.explore.cache import ResultCache
+    from repro.explore.executor import Executor
+    from repro.explore.query import LatencySpec
+    from repro.explore.space import ExplorationSpace
+    from repro.explore.supervise import RetryPolicy
+
     latencies = (
         tuple(LatencySpec("realistic", lat) for lat in args.ram_latencies)
         if args.ram_latencies
@@ -155,12 +169,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     reuse = (cache is not None or args.resume) and not args.fresh
     faults = None
     if args.inject:
-        from repro.explore import parse_fault_spec
+        from repro.explore.faults import parse_fault_spec
 
         faults = parse_fault_spec(args.inject, seed=args.inject_seed)
-    from repro.errors import SweepInterrupted
-    from repro.explore import RetryPolicy
-
     executor = Executor(
         jobs=args.jobs,
         cache=cache,
@@ -214,6 +225,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import CHECKS, render_json, render_text, run_lint
 
+    unknown = sorted(set(args.check or ()) - set(CHECKS))
+    if unknown:
+        print(
+            f"repro lint: error: unknown check(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(sorted(CHECKS))}",
+            file=sys.stderr,
+        )
+        return 2
     if args.list_checks:
         for check in CHECKS.values():
             print(f"{check.name:15} {check.description}")
@@ -244,6 +263,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_fsck(args: argparse.Namespace) -> int:
+    from repro.explore.cache import ResultCache
+
     cache = ResultCache(args.dir)
     report = cache.fsck(repair=args.repair)
     print(f"fsck {args.dir}: {report.summary()}")
@@ -265,8 +286,8 @@ def _cmd_cache_fsck(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    print("kernels:   ", ", ".join(sorted(KERNEL_FACTORIES)))
-    print("allocators:", ", ".join(sorted(_ALLOCATORS)))
+    print("kernels:   ", ", ".join(sorted(KERNEL_MODULES)))
+    print("allocators:", ", ".join(sorted(ALLOCATOR_MODULES)))
     print("devices:   ", ", ".join(sorted(DEVICES)))
     return 0
 
@@ -287,21 +308,21 @@ def main(argv: "list[str] | None" = None) -> int:
     p_fig.set_defaults(func=_cmd_figure2)
 
     p_kernel = sub.add_parser("kernel", help="evaluate one kernel")
-    p_kernel.add_argument("name", choices=sorted(KERNEL_FACTORIES))
+    p_kernel.add_argument("name", choices=sorted(KERNEL_MODULES))
     p_kernel.add_argument("--budget", type=int, default=PAPER_REGISTER_BUDGET)
     p_kernel.add_argument(
         "--algorithms", nargs="+",
         default=["FR-RA", "PR-RA", "CPA-RA"],
-        choices=sorted(_ALLOCATORS),
+        choices=sorted(ALLOCATOR_MODULES),
     )
     p_kernel.add_argument("--trace", action="store_true",
                           help="print allocator decision traces")
     p_kernel.set_defaults(func=_cmd_kernel)
 
     p_vhdl = sub.add_parser("vhdl", help="emit behavioral VHDL")
-    p_vhdl.add_argument("name", choices=sorted(KERNEL_FACTORIES))
+    p_vhdl.add_argument("name", choices=sorted(KERNEL_MODULES))
     p_vhdl.add_argument("--algorithm", default="CPA-RA",
-                        choices=sorted(_ALLOCATORS))
+                        choices=sorted(ALLOCATOR_MODULES))
     p_vhdl.add_argument("--budget", type=int, default=PAPER_REGISTER_BUDGET)
     p_vhdl.set_defaults(func=_cmd_vhdl)
 
@@ -310,12 +331,12 @@ def main(argv: "list[str] | None" = None) -> int:
         help="sweep a design space in parallel with cached, resumable results",
     )
     p_explore.add_argument(
-        "--kernels", nargs="+", default=sorted(KERNEL_FACTORIES),
-        choices=sorted(KERNEL_FACTORIES), metavar="KERNEL",
+        "--kernels", nargs="+", default=sorted(KERNEL_MODULES),
+        choices=sorted(KERNEL_MODULES), metavar="KERNEL",
     )
     p_explore.add_argument(
-        "--allocators", nargs="+", default=sorted(_ALLOCATORS),
-        choices=sorted(_ALLOCATORS), metavar="ALLOC",
+        "--allocators", nargs="+", default=sorted(ALLOCATOR_MODULES),
+        choices=sorted(ALLOCATOR_MODULES), metavar="ALLOC",
     )
     p_explore.add_argument(
         "--budgets", nargs="+", type=int,
@@ -412,12 +433,10 @@ def main(argv: "list[str] | None" = None) -> int:
         help="static cache-soundness & determinism analysis of the "
         "evaluation plane",
     )
-    from repro.lint import CHECKS as _LINT_CHECKS
-
     p_lint.add_argument(
         "--check", action="append", default=None, metavar="NAME",
-        choices=sorted(_LINT_CHECKS),
-        help="run only this check (repeatable; default: all checks)",
+        help="run only this check (repeatable; default: all checks; "
+        "see --list)",
     )
     p_lint.add_argument(
         "--format", default="text", choices=("text", "json"),

@@ -284,8 +284,9 @@ class ResultCache:
         """``(record, status)`` with status in hit/miss/stale/corrupt.
 
         * ``miss`` — no entry stored;
-        * ``corrupt`` — an entry exists but cannot be decoded or fails
-          its checksum (warned, moved to quarantine);
+        * ``corrupt`` — an entry exists but cannot be decoded, fails
+          its checksum, or holds the record of another query (warned,
+          moved to quarantine);
         * ``stale`` — decodes, but some module in its recorded version
           vector has changed (or the entry predates vector keying);
         * ``hit`` — decodes, verifies, and every recorded module hash
@@ -299,11 +300,15 @@ class ResultCache:
             doc = _decode_entry(raw)
             if doc is None:
                 return None, "stale"
+            key = query.key()
+            if doc["query"] != key or doc["record"]["query"] != key:
+                raise ValueError("entry holds the record of another query")
             seconds = doc.get("seconds")
             record = DesignRecord.from_dict(
                 doc["record"],
                 seconds=float(seconds)
                 if isinstance(seconds, (int, float)) else None,
+                query=query,
             )
         except (KeyError, TypeError, ValueError) as exc:
             moved = self.backend.quarantine(digest)
@@ -398,15 +403,20 @@ class ResultCache:
         """
         return self.backend.reap_tmp(max_age)
 
-    def _verify_text(self, raw: "bytes | None") -> "str | None":
-        """Why an entry blob is not valid current-format (None if ok)."""
+    def _verify_text(self, name: str, raw: "bytes | None") -> "str | None":
+        """Why the blob stored as ``name`` is not a valid current-format
+        entry (None if ok).  An entry filed under another query's
+        digest, or whose record names another query, is corrupt."""
         if raw is None:
             return "stale-format"  # vanished mid-scan: not this scan's problem
         try:
             doc = _decode_entry(raw)
             if doc is None:
                 return "stale-format"
-            DesignRecord.from_dict(doc["record"])
+            query = DesignQuery.from_key(doc["query"])
+            DesignRecord.from_dict(doc["record"], query=query)
+            if query.digest() != name or doc["record"]["query"] != doc["query"]:
+                return "corrupt"
         except (KeyError, TypeError, ValueError):
             return "corrupt"
         return None
@@ -427,7 +437,9 @@ class ResultCache:
         quarantined = reaped = 0
         for entry in self.backend.entries():
             scanned += 1
-            problem = self._verify_text(self.backend.read(entry.name))
+            problem = self._verify_text(
+                entry.name, self.backend.read(entry.name)
+            )
             if problem is None:
                 ok += 1
             elif problem == "stale-format":
@@ -471,7 +483,7 @@ class ResultCache:
         for entry in self.backend.entries():
             if entry.age <= cutoff:
                 continue
-            if self._verify_text(self.backend.read(entry.name)) \
+            if self._verify_text(entry.name, self.backend.read(entry.name)) \
                     != "stale-format":
                 continue  # healthy or corrupt: not gc's to delete
             freed += self.backend.delete(entry.name)

@@ -48,12 +48,11 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.errors import ReproError, SweepInterrupted
 from repro.explore import faults as faults_mod
 from repro.explore.cache import ResultCache
-from repro.explore.context import EvalContext
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.explore.results import ResultSet
 from repro.explore.schedule import Lease, plan_leases
@@ -64,6 +63,9 @@ from repro.explore.supervise import (
     RetryPolicy,
     SupervisedDriver,
 )
+
+if TYPE_CHECKING:
+    from repro.explore.context import EvalContext
 
 __all__ = ["Executor", "ExploreStats", "run_queries"]
 
@@ -423,6 +425,12 @@ class Executor:
     ) -> "Iterable[tuple[int, DesignRecord]]":
         if not pending:
             return
+        # The evaluation stack (numpy, the IR, the allocators and the
+        # kernel builders) is loaded here, before the driver forks a
+        # pool, so workers inherit it instead of each importing it again.
+        import repro.explore.evaluate  # noqa: F401
+        import repro.kernels.registry  # noqa: F401
+
         driver = SupervisedDriver(
             jobs=self.jobs,
             context=self.context,

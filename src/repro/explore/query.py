@@ -19,17 +19,15 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.dfg.latency import LatencyModel
 from repro.errors import ReproError
 from repro.hw.device import DEVICES, XCV1000, Device
-from repro.hw.ops import default_op_latencies
-from repro.ir.expr import Op
-from repro.ir.kernel import Kernel
-from repro.ir.serialize import kernel_from_json, kernel_to_json
-from repro.kernels.registry import KERNEL_FACTORIES
-from repro.synth.design import HardwareDesign
+
+if TYPE_CHECKING:
+    from repro.dfg.latency import LatencyModel
+    from repro.ir.kernel import Kernel
+    from repro.synth.design import HardwareDesign
 
 __all__ = [
     "LatencySpec",
@@ -46,8 +44,15 @@ def kernel_identity(kernel: "Kernel | str") -> "tuple[str, str | None]":
 
     Registry kernels travel by name alone; anything else embeds its full
     JSON.  Call once per kernel when building many queries — the registry
-    comparison and serialization are not free.
+    comparison and serialization are not free.  A name needs no IR, so
+    only an in-memory kernel loads the IR and the kernel registry.
     """
+    if isinstance(kernel, str):
+        return kernel, None
+    from repro.ir.kernel import Kernel
+    from repro.ir.serialize import kernel_to_json
+    from repro.kernels.registry import KERNEL_FACTORIES
+
     if not isinstance(kernel, Kernel):
         return kernel, None
     name = kernel.name
@@ -125,6 +130,9 @@ class LatencySpec:
         """The LatencyModel to hand to the pipeline (None = its default)."""
         if self.kind == "default":
             return None
+        from repro.dfg.latency import LatencyModel
+        from repro.ir.expr import Op
+
         if self.kind == "tmem":
             return LatencyModel.tmem(ram_latency=self.ram_latency)
         if self.kind == "realistic":
@@ -140,6 +148,8 @@ class LatencySpec:
         """The spec of any LatencyModel (named where possible)."""
         if model is None:
             return LatencySpec()
+        from repro.hw.ops import default_op_latencies
+
         if model.reg_latency == 0:
             if all(lat == 0 for lat in model.op_latency.values()):
                 return LatencySpec("tmem", model.ram_latency)
@@ -241,9 +251,13 @@ class DesignQuery:
             device_json=device_json,
         )
 
-    def build_kernel(self) -> Kernel:
+    def build_kernel(self) -> "Kernel":
         if self.kernel_json is not None:
+            from repro.ir.serialize import kernel_from_json
+
             return kernel_from_json(self.kernel_json)
+        from repro.kernels.registry import KERNEL_FACTORIES
+
         try:
             return KERNEL_FACTORIES[self.kernel]()
         except KeyError:
@@ -506,14 +520,19 @@ class DesignRecord:
 
     @staticmethod
     def from_dict(
-        doc: dict[str, Any], seconds: "float | None" = None
+        doc: dict[str, Any],
+        seconds: "float | None" = None,
+        query: "DesignQuery | None" = None,
     ) -> "DesignRecord":
         """Rebuild a record from :meth:`to_dict` output.
 
         ``seconds`` is envelope bookkeeping (see the class docstring),
-        passed separately because ``doc`` never carries it.
+        passed separately because ``doc`` never carries it.  ``query``,
+        when given, is the query the caller already holds and knows
+        ``doc["query"]`` to describe; it spares re-parsing the key.
         """
-        query = DesignQuery.from_key(doc["query"])
+        if query is None:
+            query = DesignQuery.from_key(doc["query"])
         if doc.get("error") is not None:
             return DesignRecord(
                 query=query,

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.errors import ReproError
 from repro.explore.query import METRIC_FIELDS, DesignRecord
+from repro.formatting import render_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.explore.executor import ExploreStats
@@ -183,8 +184,6 @@ class ResultSet:
 
     def render(self, title: "str | None" = None) -> str:
         """Human-readable table (one row per record)."""
-        from repro.bench.formatting import render_table
-
         headers = ["Kernel", "Allocator", "Budget", "Latency", "Regs",
                    "Cycles", "RAM acc", "Clock(ns)", "Time(us)", "Slices",
                    "RAMs", "Note"]

@@ -9,23 +9,35 @@ harnesses walked the same grids).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from repro.core.pipeline import _ALLOCATORS
 from repro.errors import ReproError
 from repro.hw.device import DEVICES, XCV1000
-from repro.ir.kernel import Kernel
-from repro.kernels.registry import KERNEL_FACTORIES, PAPER_REGISTER_BUDGET
 from repro.explore.query import DesignQuery, LatencySpec, kernel_identity
+from repro.plugins import ALLOCATOR_MODULES, KERNEL_MODULES, PAPER_REGISTER_BUDGET
 
 __all__ = ["ExplorationSpace"]
 
 
-def _tupled(value: Iterable) -> tuple:
-    if isinstance(value, (str, int, Kernel, LatencySpec)):
+def _tupled(value) -> tuple:
+    """One axis value (a name, number, kernel or spec) or an iterable of them."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
         return (value,)
     return tuple(value)
+
+
+def _check_kernel(name: str) -> None:
+    """Reject an unknown kernel name; the live registry is consulted
+    only for names registered at run time."""
+    if name in KERNEL_MODULES:
+        return
+    from repro.kernels.registry import KERNEL_FACTORIES
+
+    if name not in KERNEL_FACTORIES:
+        raise ReproError(
+            f"unknown kernel {name!r}; available: {sorted(KERNEL_FACTORIES)}"
+        )
 
 
 def _latency_axis(value) -> tuple[LatencySpec, ...]:
@@ -50,8 +62,8 @@ class ExplorationSpace:
     bare kind strings.  A ``ram_ports`` of 0 means the device default.
     """
 
-    kernels: tuple = tuple(KERNEL_FACTORIES)
-    allocators: tuple[str, ...] = tuple(_ALLOCATORS)
+    kernels: tuple = tuple(KERNEL_MODULES)
+    allocators: tuple[str, ...] = tuple(ALLOCATOR_MODULES)
     budgets: tuple[int, ...] = (PAPER_REGISTER_BUDGET,)
     latencies: tuple[LatencySpec, ...] = field(
         default_factory=lambda: (LatencySpec(),)
@@ -72,16 +84,13 @@ class ExplorationSpace:
             if not getattr(self, axis):
                 raise ReproError(f"exploration axis {axis!r} is empty")
         for kernel in self.kernels:
-            if isinstance(kernel, str) and kernel not in KERNEL_FACTORIES:
-                raise ReproError(
-                    f"unknown kernel {kernel!r}; "
-                    f"available: {sorted(KERNEL_FACTORIES)}"
-                )
+            if isinstance(kernel, str):
+                _check_kernel(kernel)
         for allocator in self.allocators:
-            if allocator not in _ALLOCATORS:
+            if allocator not in ALLOCATOR_MODULES:
                 raise ReproError(
                     f"unknown allocator {allocator!r}; "
-                    f"available: {sorted(_ALLOCATORS)}"
+                    f"available: {sorted(ALLOCATOR_MODULES)}"
                 )
         for budget in self.budgets:
             if budget < 1:

@@ -44,21 +44,19 @@ from __future__ import annotations
 import time
 import warnings
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import ReproError
 from repro.explore import faults as faults_mod
-from repro.explore.context import EvalContext
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.explore.schedule import Lease
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.explore.context import EvalContext
 
 __all__ = [
     "DEFAULT_POINT_TIMEOUT",
@@ -277,6 +275,9 @@ class SupervisedDriver:
     # -- the parallel drive loop -------------------------------------------
 
     def _make_pool(self) -> ProcessPoolExecutor:
+        # multiprocessing loads only for a sweep that forks a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         if self.plan is not None:
             return ProcessPoolExecutor(
                 max_workers=self.jobs,

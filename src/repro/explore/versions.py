@@ -21,7 +21,8 @@ drag every plugin into every cone:
 
 Cone traversal therefore *prunes* the edges **from those dispatchers**
 into the plugin families, and :func:`query_roots` adds back the one
-kernel module and one allocator module a query names (all of them,
+kernel module and one allocator module a query names, looked up in the
+numpy-free name tables of :mod:`repro.plugins` (all of them,
 conservatively, when the name is unknown).  Pruning is scoped to the
 dispatchers' own edges: a plugin that genuinely imports another plugin
 (PR-RA delegates to FR-RA's pass) keeps that edge, so editing the
@@ -44,8 +45,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
-from repro.core.pipeline import _ALLOCATORS
-from repro.kernels.registry import KERNEL_FACTORIES
+from repro.plugins import ALLOCATOR_MODULES, KERNEL_MODULES
 
 __all__ = [
     "VersionRegistry",
@@ -317,31 +317,21 @@ def default_registry() -> VersionRegistry:
 # -- plugin families ------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _kernel_modules() -> dict[str, str]:
-    return {name: factory.__module__ for name, factory in KERNEL_FACTORIES.items()}
-
-
-@lru_cache(maxsize=1)
-def _allocator_modules() -> dict[str, str]:
-    return {name: cls.__module__ for name, cls in _ALLOCATORS.items()}
-
-
 def kernel_module(name: str) -> "str | None":
     """The builder module of a registry kernel, or None if unknown."""
-    return _kernel_modules().get(name)
+    return KERNEL_MODULES.get(name)
 
 
 def allocator_module(name: str) -> "str | None":
     """The implementation module of an allocator tag, or None if unknown."""
-    return _allocator_modules().get(name)
+    return ALLOCATOR_MODULES.get(name)
 
 
 @lru_cache(maxsize=1)
 def plugin_modules() -> frozenset[str]:
     """Modules selected per query rather than imported-and-used wholesale."""
-    return frozenset(_kernel_modules().values()) | frozenset(
-        _allocator_modules().values()
+    return frozenset(KERNEL_MODULES.values()) | frozenset(
+        ALLOCATOR_MODULES.values()
     )
 
 
@@ -357,9 +347,9 @@ def query_roots(query) -> tuple[str, ...]:
     roots = [EVALUATION_ROOT]
     if query.kernel_json is None:
         module = kernel_module(query.kernel)
-        roots.extend([module] if module else sorted(_kernel_modules().values()))
+        roots.extend([module] if module else sorted(KERNEL_MODULES.values()))
     module = allocator_module(query.allocator)
-    roots.extend([module] if module else sorted(_allocator_modules().values()))
+    roots.extend([module] if module else sorted(ALLOCATOR_MODULES.values()))
     return tuple(roots)
 
 

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benchmark reports."""
+"""Plain-text table rendering for reports, harnesses and sweep results."""
 
 from __future__ import annotations
 

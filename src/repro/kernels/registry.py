@@ -20,11 +20,9 @@ from repro.kernels.fir import build_fir
 from repro.kernels.imi import build_imi
 from repro.kernels.mat import build_mat
 from repro.kernels.pat import build_pat
+from repro.plugins import PAPER_REGISTER_BUDGET
 
 __all__ = ["KERNEL_FACTORIES", "paper_kernels", "get_kernel", "PAPER_REGISTER_BUDGET"]
-
-#: The register budget the paper imposes on every implementation.
-PAPER_REGISTER_BUDGET = 64
 
 KERNEL_FACTORIES: dict[str, Callable[[], Kernel]] = {
     "fir": build_fir,

@@ -29,9 +29,9 @@ This check flags the constructs that break either:
     all" accessors).
 ``late-registration``
     Subscript-assignment into a dispatch mapping from inside a function
-    (anywhere in the tree): the plugin -> module tables are snapshotted
-    once per process (``lru_cache``), so post-import registration
-    silently desynchronizes cone roots from the registry.
+    (anywhere in the tree): cone roots come from the static plugin ->
+    module tables of :mod:`repro.plugins`, so a post-import
+    registration silently desynchronizes cone roots from the registry.
 """
 
 from __future__ import annotations
@@ -225,11 +225,11 @@ def _check_unit(
                     yield finding(
                         "late-registration", target,
                         f"{node.name}() registers into dispatch mapping "
-                        f"{dmap.name} after import: the plugin->module "
-                        f"tables behind cone pruning are snapshotted once "
-                        f"per process and will not see it",
-                        "register plugins at module import time (or "
-                        "invalidate the version registry's plugin tables)",
+                        f"{dmap.name} after import: the static plugin->module "
+                        f"tables behind cone pruning (repro.plugins) will "
+                        f"not list it",
+                        "register plugins at module import time and list "
+                        "them in repro.plugins",
                     )
 
 

@@ -366,6 +366,47 @@ def test_fsck_accepts_both_layouts(backend, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_a_record_of_another_query_is_never_served(backend, tmp_path):
+    """An entry with a valid checksum, stored under one query's digest
+    but holding another query's record, is corrupt: quarantined and
+    warned, never a hit.  Both the envelope's query and the record's
+    own query must match the query looked up."""
+    cache = make_cache(tmp_path, backend)
+    sweep(cache=cache)
+    other = QUERIES[-1]
+    assert (other.kernel, other.allocator) == ("mat", "NO-SR")
+    hit, status = cache.lookup(TARGET)
+    assert status == "hit" and hit.query is TARGET
+
+    rewrite(cache, stored(cache, other))
+    with pytest.warns(CacheCorruptionWarning, match="another query"):
+        assert cache.lookup(TARGET) == (None, "corrupt")
+    assert stored(cache) is None
+    assert len(cache.backend.quarantined()) == 1
+
+    sweep(cache=cache)  # heals the entry
+    doc = json.loads(stored(cache))
+    del doc["checksum"]
+    doc["record"]["query"] = other.key()
+    rewrite(cache, compact({**doc, "checksum": _entry_checksum(doc)}).encode())
+    with pytest.warns(CacheCorruptionWarning, match="another query"):
+        assert cache.lookup(TARGET) == (None, "corrupt")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fsck_flags_an_entry_filed_under_another_digest(backend, tmp_path):
+    cache = make_cache(tmp_path, backend)
+    sweep(cache=cache)
+    rewrite(cache, stored(cache, QUERIES[-1]))
+    report = cache.fsck()
+    assert report.scanned == len(QUERIES)
+    assert report.ok == len(QUERIES) - 1
+    assert len(report.corrupt) == 1 and TARGET.digest() in report.corrupt[0]
+    assert cache.fsck(repair=True).quarantined == 1
+    assert cache.fsck().clean
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_refresh_forgets_memoized_verdicts(backend, tmp_path, copied_tree,
                                            monkeypatch):
     cache = ResultCache(make_cache(tmp_path, backend).backend,

@@ -33,6 +33,9 @@ from repro.explore.versions import (
     plugin_modules,
 )
 from repro.kernels import build_fir
+from repro.plugins import ALLOCATOR_MODULES, KERNEL_MODULES
+
+GOLDEN_CONES = Path(__file__).parent / "golden" / "query_cones.json"
 
 
 def make_tree(root: Path) -> Path:
@@ -162,6 +165,42 @@ class TestQueryVectors:
         query = DesignQuery(kernel="nope", allocator="nope", budget=8)
         roots = set(query_roots(query))
         assert plugin_modules() <= roots
+
+    def test_name_tables_match_the_live_dispatch_maps(self):
+        # The numpy-free tables name the same plugins, in the same
+        # order (the default axes), as the maps evaluation dispatches on.
+        from repro.core.pipeline import _ALLOCATORS
+        from repro.kernels.registry import KERNEL_FACTORIES
+
+        assert list(KERNEL_MODULES.items()) == [
+            (name, factory.__module__)
+            for name, factory in KERNEL_FACTORIES.items()
+        ]
+        assert list(ALLOCATOR_MODULES.items()) == [
+            (name, cls.__module__) for name, cls in _ALLOCATORS.items()
+        ]
+
+    def test_every_registered_pair_has_its_pinned_cone(self):
+        """Each kernel x allocator cone is the shared base plus the
+        kernel's and the allocator's own modules, as pinned.  Moving an
+        import into a function keeps its edge; dropping one shrinks a
+        cone and fails here.  Update the golden file only for an import
+        edge changed on purpose."""
+        golden = json.loads(GOLDEN_CONES.read_text())
+        wrong = {}
+        for kernel in KERNEL_MODULES:
+            for allocator in ALLOCATOR_MODULES:
+                cone = set(query_vector(
+                    DesignQuery(kernel=kernel, allocator=allocator, budget=8)
+                ))
+                pinned = set(golden["base"]).union(
+                    golden["kernels"][kernel], golden["allocators"][allocator]
+                )
+                if cone != pinned:
+                    wrong[f"{kernel}/{allocator}"] = (
+                        sorted(cone - pinned), sorted(pinned - cone)
+                    )
+        assert not wrong, f"(extra, missing) modules per pair: {wrong}"
 
     def test_vector_excludes_unrelated_subsystems(self):
         vector = query_vector(

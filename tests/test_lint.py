@@ -305,6 +305,14 @@ def test_cli_fixtures_strict_fails_with_json(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == doc
 
 
+def test_cli_unknown_check_exits_2_listing_the_checks(capsys):
+    code, out, err = run_cli(capsys, "lint", "--check", "bogus")
+    assert code == 2 and out == ""
+    assert "bogus" in err
+    for name in CHECKS:
+        assert name in err
+
+
 def test_cli_check_filter(capsys):
     code, out, _ = run_cli(
         capsys, "lint", "--root", str(FIXTURES), "--package", "lintfix",
