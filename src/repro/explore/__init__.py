@@ -36,7 +36,6 @@ See ``docs/explore.md`` for the full API, the cache layout and the
 # loads) runs.  Every other name loads on first use, below.
 from repro.explore.versions import (
     VersionRegistry,
-    code_version,
     default_registry,
     query_roots,
     query_vector,
@@ -68,7 +67,6 @@ __all__ = [
     "WorkerLost",
     "WouldHang",
     "backend_for",
-    "code_version",
     "default_registry",
     "evaluate_query",
     "evaluate_query_safe",

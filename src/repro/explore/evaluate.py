@@ -35,14 +35,9 @@ from repro.errors import ReproError
 from repro.explore.context import EvalContext, process_context
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.hw.device import Device
-from repro.scalar.coverage import trace_engine_seconds
+from repro.spans import collect, span
 from repro.synth.design import HardwareDesign
-from repro.synth.estimate import (
-    Objective,
-    build_design,
-    charge_stage,
-    fold_trace_stage,
-)
+from repro.synth.estimate import Objective, build_design
 
 __all__ = [
     "design_for",
@@ -52,9 +47,7 @@ __all__ = [
 
 
 def design_for(
-    query: DesignQuery,
-    context: "EvalContext | None" = None,
-    stages: "dict[str, float] | None" = None,
+    query: DesignQuery, context: "EvalContext | None" = None
 ) -> "tuple[HardwareDesign, Device]":
     """The fully evaluated design of one query (raises on domain errors).
 
@@ -63,23 +56,15 @@ def design_for(
     it so new pipeline parameters cannot silently diverge between
     callers.
 
-    ``stages``, when given, accumulates per-stage wall seconds under the
-    keys ``kernel`` / ``alloc`` / ``dfg_schedule`` / ``trace`` /
-    ``cycles`` / ``other`` (the ``--profile`` breakdown).  The trace
-    share is folded out in a ``finally`` around the whole evaluation
-    (:func:`~repro.synth.estimate.fold_trace_stage`): the split happens
-    in the evaluating process itself — pool workers included, which is
-    what keeps ``--profile`` totals invariant under ``--jobs`` — and
-    survives domain errors, so failed records carry their trace
-    attribution too.
+    Its work runs under the spans ``kernel`` and ``alloc`` (and
+    :func:`~repro.synth.estimate.build_design`'s), the ``--profile``
+    breakdown :func:`evaluate_query` collects.
     """
     ctx = context if context is not None else process_context()
-    started = time.perf_counter()
-    trace_before = trace_engine_seconds()
-    try:
+    with span("kernel"):
         kernel, groups = ctx.kernel_and_groups(query.kernel, query.kernel_json)
         device = query.build_device()
-        mark = charge_stage(stages, "kernel", started)
+    with span("alloc"):
         objective = Objective.resolve(
             device,
             query.latency.to_model(),
@@ -89,19 +74,25 @@ def design_for(
         allocation = allocator_by_name(query.allocator).allocate(
             kernel, query.budget, groups, context=ctx, objective=objective
         )
-        charge_stage(stages, "alloc", mark)
-        design = build_design(
-            kernel,
-            allocation,
-            groups=groups,
-            device=device,
-            objective=objective,
-            context=ctx,
-            stages=stages,
-        )
-    finally:
-        fold_trace_stage(stages, trace_before)
+    design = build_design(
+        kernel,
+        allocation,
+        groups=groups,
+        device=device,
+        objective=objective,
+        context=ctx,
+    )
     return design, device
+
+
+def _evaluate(
+    query: DesignQuery, context: "EvalContext | None"
+) -> DesignRecord:
+    try:
+        design, device = design_for(query, context=context)
+    except ReproError as exc:
+        return DesignRecord.failed(query, exc)
+    return DesignRecord.from_design(query, design, device)
 
 
 def evaluate_query(
@@ -110,14 +101,14 @@ def evaluate_query(
     """Run the full pipeline for one design point.
 
     Domain errors (:class:`~repro.errors.ReproError`) become failed
-    records so one infeasible point does not abort a whole sweep.
+    records so one infeasible point does not abort a whole sweep.  The
+    record's ``stages`` hold the self seconds of the evaluation's spans
+    (:mod:`repro.spans`), collected in the evaluating process itself —
+    pool workers included, so ``--profile`` totals do not depend on
+    ``--jobs``.
     """
-    stages: dict[str, float] = {}
-    try:
-        design, device = design_for(query, context=context, stages=stages)
-    except ReproError as exc:
-        return replace(DesignRecord.failed(query, exc), stages=stages)
-    record = DesignRecord.from_design(query, design, device)
+    with collect() as stages:
+        record = _evaluate(query, context)
     return replace(record, stages=stages)
 
 
@@ -130,12 +121,17 @@ def evaluate_query_safe(
     *crash* records carrying the full worker traceback instead of
     propagating out of a process pool and aborting the sweep.  The
     returned record's ``seconds`` holds the evaluation wall time, which
-    the cache persists in the entry envelope.
+    the cache persists in the entry envelope; its ``stages`` are
+    collected as in :func:`evaluate_query`, and a crash record keeps
+    those its spans charged before the exception.
     """
     started = time.perf_counter()
-    try:
-        record = evaluate_query(query, context=context)
-    except Exception as exc:  # noqa: BLE001 — the whole point
-        record = DesignRecord.crashed(query, exc)
-    return replace(record, seconds=time.perf_counter() - started)
+    with collect() as stages:
+        try:
+            record = _evaluate(query, context)
+        except Exception as exc:  # noqa: BLE001 — the whole point
+            record = DesignRecord.crashed(query, exc)
+    return replace(
+        record, stages=stages, seconds=time.perf_counter() - started
+    )
 

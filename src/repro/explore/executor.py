@@ -93,14 +93,14 @@ class ExploreStats:
     jobs=1 runs).  It describes dispatch, not results: records are
     bit-identical regardless.
 
-    ``stage_seconds`` aggregates the evaluated points' per-stage wall
+    ``stage_seconds`` aggregates the evaluated points' per-stage self
     times (kernel build / allocation / DFG+coverage / trace engine /
-    cycle count / other) — CPU seconds spent inside evaluation, summed
-    across workers, so with ``jobs>1`` the total exceeds the sweep's
-    wall ``seconds``.  The ``trace`` stage is the residency-simulation
-    share split out of the cycle count, so the trace engine's cost is
-    visible on its own.  Cache hits contribute
-    nothing (they did no stage work this run).
+    cycle count / other, the spans of :mod:`repro.spans`) — CPU seconds
+    spent inside evaluation, summed across workers, so with ``jobs>1``
+    the total exceeds the sweep's wall ``seconds``.  The ``trace``
+    stage is the trace engine's own time, wherever it ran (cycle count
+    or allocation), so its cost is visible on its own.  Cache hits
+    contribute nothing (they did no stage work this run).
     """
 
     total: int
@@ -228,9 +228,6 @@ class Executor:
         A :class:`~repro.explore.faults.FaultPlan` to inject
         deterministic failures (testing/chaos only).  None — the
         default — injects nothing.
-    pool_break_limit:
-        Pool teardown/rebuild events tolerated before the sweep
-        degrades to in-process serial evaluation of the remainder.
     """
 
     def __init__(
@@ -243,7 +240,6 @@ class Executor:
         retry: "RetryPolicy | None" = None,
         point_timeout: float = DEFAULT_POINT_TIMEOUT,
         faults: "faults_mod.FaultPlan | None" = None,
-        pool_break_limit: int = 6,
     ):
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
@@ -261,7 +257,6 @@ class Executor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.point_timeout = point_timeout
         self.faults = faults
-        self.pool_break_limit = pool_break_limit
         self._cache_read_only = False
         self._driver: "SupervisedDriver | None" = None
 
@@ -437,7 +432,6 @@ class Executor:
             retry=self.retry,
             point_timeout=self.point_timeout,
             plan=self.faults,
-            pool_break_limit=self.pool_break_limit,
         )
         self._driver = driver
         leases = self._plan_leases(pending) if self.jobs > 1 else None

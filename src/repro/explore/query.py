@@ -346,9 +346,9 @@ class DesignRecord:
     ``seconds`` is the evaluation wall time of this point; it is
     bookkeeping, not identity — excluded from equality and from
     :meth:`to_dict`, persisted only in the cache entry envelope.
-    ``stages`` is the per-stage wall-time breakdown of the same
-    evaluation (kernel / alloc / dfg_schedule / cycles / other), equally
-    bookkeeping: excluded from equality, never serialized, aggregated by
+    ``stages`` is the per-span self-time breakdown of the same
+    evaluation (kernel / alloc / dfg_schedule / trace / cycles / other,
+    see :mod:`repro.spans`), equally bookkeeping: excluded from equality, never serialized, aggregated by
     :class:`~repro.explore.executor.ExploreStats` for ``--profile``.
     """
 

@@ -22,8 +22,8 @@ cannot provide:
 * **pool recovery and degradation** — a broken or hung
   ``ProcessPoolExecutor`` is torn down (workers terminated) and
   rebuilt with the in-flight points requeued; after
-  ``pool_break_limit`` rebuilds the driver abandons pools entirely and
-  finishes the remaining points inline.
+  :data:`POOL_BREAK_LIMIT` rebuilds the driver abandons pools entirely
+  and finishes the remaining points inline.
 
 **Failure attribution** is what keeps injected runs deterministic
 across ``jobs``: a point's failure count increments only when the
@@ -60,6 +60,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_POINT_TIMEOUT",
+    "POOL_BREAK_LIMIT",
     "RetryPolicy",
     "SupervisedDriver",
     "quarantine_record",
@@ -68,6 +69,14 @@ __all__ = [
 #: Seconds one point may run before it counts as hung.  Far above any
 #: registered grid point's evaluation time, so only hangs trip it.
 DEFAULT_POINT_TIMEOUT = 30.0
+
+#: Pool teardown/rebuild events tolerated before a sweep degrades to
+#: in-process serial evaluation of the remainder.
+POOL_BREAK_LIMIT = 6
+
+#: Growth factor and cap (seconds) of the retry backoff.
+_BACKOFF_FACTOR = 2.0
+_MAX_BACKOFF = 2.0
 
 #: Poll cadence (seconds) while some in-flight task has not been seen
 #: running yet (its deadline clock starts at first observed running).
@@ -81,33 +90,26 @@ class RetryPolicy:
     """How often and how eagerly a failing point is retried.
 
     ``delay(n)`` after the ``n``-th attributed failure is
-    ``backoff * backoff_factor**(n-1)``, capped at ``max_backoff`` —
-    deterministic, so injected runs replay identically.
+    ``backoff * 2**(n-1)`` seconds, capped at 2 s — deterministic, so
+    injected runs replay identically.
     """
 
     max_retries: int = 2
     backoff: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ReproError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff < 0 or self.max_backoff < 0:
+        if self.backoff < 0:
             raise ReproError("backoff must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ReproError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
 
     def delay(self, failures: int) -> float:
         if failures <= 0 or self.backoff <= 0:
             return 0.0
         return min(
-            self.backoff * self.backoff_factor ** (failures - 1),
-            self.max_backoff,
+            self.backoff * _BACKOFF_FACTOR ** (failures - 1), _MAX_BACKOFF
         )
 
 
@@ -184,18 +186,12 @@ class SupervisedDriver:
         retry: RetryPolicy,
         point_timeout: float = DEFAULT_POINT_TIMEOUT,
         plan: "faults_mod.FaultPlan | None" = None,
-        pool_break_limit: int = 6,
     ):
-        if pool_break_limit < 1:
-            raise ReproError(
-                f"pool_break_limit must be >= 1, got {pool_break_limit}"
-            )
         self.jobs = jobs
         self.context = context
         self.retry = retry
         self.point_timeout = point_timeout
         self.plan = plan
-        self.pool_break_limit = pool_break_limit
         self.retries = 0
         self.quarantined = 0
         self.pool_breaks = 0
@@ -355,7 +351,7 @@ class SupervisedDriver:
                     queue.append((index, query, now))
         inflight.clear()
         self._teardown(pool)
-        if self.pool_breaks >= self.pool_break_limit:
+        if self.pool_breaks >= POOL_BREAK_LIMIT:
             self.degraded = True
             warnings.warn(
                 f"process pool broke {self.pool_breaks} times; degrading "

@@ -58,7 +58,6 @@ __all__ = [
     "plugin_modules",
     "query_roots",
     "query_vector",
-    "code_version",
 ]
 
 #: The work-unit module every design-point evaluation enters through.
@@ -363,22 +362,6 @@ def query_vector(
         prune=plugin_modules(),
         prune_from=DISPATCH_MODULES,
     )
-
-
-def code_version(registry: "VersionRegistry | None" = None) -> str:
-    """Global fingerprint of the whole source tree (16 hex chars).
-
-    Retained for display and for callers that want whole-tree keying;
-    the cache itself keys on per-query vectors from :func:`query_vector`.
-    """
-    registry = registry or default_registry()
-    digest = hashlib.sha256()
-    for module in sorted(registry.modules()):
-        digest.update(module.encode())
-        digest.update(b"\0")
-        digest.update(registry.module_hash(module).encode())
-        digest.update(b"\0")
-    return digest.hexdigest()[:16]
 
 
 def _snapshot_default_hashes() -> None:

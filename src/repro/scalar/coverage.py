@@ -53,7 +53,6 @@ class.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -64,6 +63,7 @@ from repro.analysis.groups import RefGroup
 from repro.errors import AnalysisError, SimulationError
 from repro.ir.kernel import Kernel
 from repro.sim.residency import OptTraceLadder
+from repro.spans import span
 
 __all__ = [
     "GroupCoverage",
@@ -71,28 +71,7 @@ __all__ = [
     "CoverageResult",
     "IterationClasses",
     "coverage_for",
-    "trace_engine_seconds",
 ]
-
-#: Process-global wall seconds spent inside the trace-engine work —
-#: window distance passes, window placement traces and region-rank
-#: classification.  ``build_design``
-#: snapshots it around the cycle count to split a distinct ``trace``
-#: stage out of the ``--profile`` breakdown, so the residency share of
-#: evaluation time is visible without an external profiler.
-_TRACE_SECONDS = 0.0
-
-
-def trace_engine_seconds() -> float:
-    """Cumulative trace-engine seconds of this process (monotone)."""
-    return _TRACE_SECONDS
-
-
-# repro-lint: ok version-cone:mutable-global -- per-process telemetry accumulator (trace seconds) read only by bench reporting; never feeds an evaluated result
-def _charge_trace(since: float) -> None:
-    global _TRACE_SECONDS
-    _TRACE_SECONDS += time.perf_counter() - since
-
 
 class IterationClasses:
     """One kernel's iterations, split once into classes.
@@ -650,46 +629,46 @@ class GroupCoverage:
         """
         if self._region_cache is not None:
             return self._region_cache
-        started = time.perf_counter()
-        level = self._carrying_level
-        assert level is not None
-        grids = self.kernel.nest.meshgrids()
-        flat = np.broadcast_to(
-            self.group.ref.flat_address_grid(grids), self._shape
-        )
-        outer_size = int(np.prod(self._shape[: level - 1], dtype=np.int64))
-        region_size = int(np.prod(self._shape[level - 1 :], dtype=np.int64))
-        by_region = flat.reshape(outer_size, region_size)
-        ranks = np.empty_like(by_region)
-        first = np.zeros_like(by_region, dtype=bool)
-        normalized = by_region - by_region[:, :1]
-        if bool((normalized[1:] == normalized[:1]).all()):
-            # Single shift-class (always so for one region): rank the
-            # representative region and stamp every row at once.
-            _, first_positions, inverse = np.unique(
-                normalized[0], return_index=True, return_inverse=True
+        with span("trace"):
+            level = self._carrying_level
+            assert level is not None
+            grids = self.kernel.nest.meshgrids()
+            flat = np.broadcast_to(
+                self.group.ref.flat_address_grid(grids), self._shape
             )
-            ranks[:] = inverse[None, :]
-            stamp = np.zeros(region_size, dtype=bool)
-            stamp[first_positions] = True
-            first[:] = stamp[None, :]
-        else:
-            classes, members = np.unique(
-                normalized, axis=0, return_inverse=True
-            )
-            for index in range(len(classes)):
+            shape = self._shape
+            outer_size = int(np.prod(shape[: level - 1], dtype=np.int64))
+            region_size = int(np.prod(shape[level - 1 :], dtype=np.int64))
+            by_region = flat.reshape(outer_size, region_size)
+            ranks = np.empty_like(by_region)
+            first = np.zeros_like(by_region, dtype=bool)
+            normalized = by_region - by_region[:, :1]
+            if bool((normalized[1:] == normalized[:1]).all()):
+                # Single shift-class (always so for one region): rank the
+                # representative region and stamp every row at once.
                 _, first_positions, inverse = np.unique(
-                    classes[index], return_index=True, return_inverse=True
+                    normalized[0], return_index=True, return_inverse=True
                 )
-                rows = members.reshape(-1) == index
-                ranks[rows] = inverse
+                ranks[:] = inverse[None, :]
                 stamp = np.zeros(region_size, dtype=bool)
                 stamp[first_positions] = True
-                first[rows] = stamp
-        self._region_cache = (
-            ranks.reshape(self._shape), first.reshape(self._shape)
-        )
-        _charge_trace(started)
+                first[:] = stamp[None, :]
+            else:
+                classes, members = np.unique(
+                    normalized, axis=0, return_inverse=True
+                )
+                for index in range(len(classes)):
+                    _, first_positions, inverse = np.unique(
+                        classes[index], return_index=True, return_inverse=True
+                    )
+                    rows = members.reshape(-1) == index
+                    ranks[rows] = inverse
+                    stamp = np.zeros(region_size, dtype=bool)
+                    stamp[first_positions] = True
+                    first[rows] = stamp
+            self._region_cache = (
+                ranks.reshape(self._shape), first.reshape(self._shape)
+            )
         return self._region_cache
 
     # -- iteration classes ----------------------------------------------------
@@ -793,18 +772,16 @@ class GroupCoverage:
     def _window_distances(self) -> np.ndarray:
         """Per flattened access, the smallest covered count that hits."""
         if self._distances is None:
-            started = time.perf_counter()
-            self._distances = self._plane().stack_distances(self.beta)
-            _charge_trace(started)
+            with span("trace"):
+                self._distances = self._plane().stack_distances(self.beta)
         return self._distances
 
     def _traced_placement(
         self, covered: int
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """The placement trace behind a distance-pass mask, on demand."""
-        started = time.perf_counter()
-        misses, inserted, evicted, freed = self._plane().trace(covered)
-        _charge_trace(started)
+        with span("trace"):
+            misses, inserted, evicted, freed = self._plane().trace(covered)
         if not np.array_equal(misses, self._window_distances() > covered):
             raise SimulationError(
                 f"{self.group.name}: placement trace disagrees with the "

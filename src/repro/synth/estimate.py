@@ -7,7 +7,6 @@ takes a kernel and an allocation and produces the fully populated
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -18,8 +17,9 @@ from repro.dfg.nodes import OpNode, ReadNode
 from repro.hw.binding import bind_arrays
 from repro.hw.device import Device, XCV1000
 from repro.ir.kernel import Kernel
-from repro.scalar.coverage import GroupCoverage, trace_engine_seconds
+from repro.scalar.coverage import GroupCoverage
 from repro.sim.cycles import best_anchors, count_cycles, report_key
+from repro.spans import span
 from repro.synth.area import estimate_area
 from repro.synth.design import HardwareDesign
 from repro.synth.timing import estimate_clock
@@ -30,10 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Objective",
     "build_design",
-    "charge_stage",
     "classify_operand_storage",
     "count_with_best_anchors",
-    "fold_trace_stage",
 ]
 
 
@@ -67,58 +65,6 @@ class Objective:
         )
 
 
-def charge_stage(
-    stages: "dict[str, float] | None", name: str, since: float
-) -> float:
-    """Charge the time since ``since`` to ``stages[name]``; return now.
-
-    The one accumulator behind the ``--profile`` breakdown; both this
-    module and :mod:`repro.explore.evaluate` charge their stages through
-    it so the per-stage numbers merged into
-    :attr:`~repro.explore.executor.ExploreStats.stage_seconds` cannot
-    drift apart in methodology.
-    """
-    now = time.perf_counter()
-    if stages is not None:
-        stages[name] = stages.get(name, 0.0) + (now - since)
-    return now
-
-
-def fold_trace_stage(
-    stages: "dict[str, float] | None", trace_before: float
-) -> None:
-    """Split trace-engine seconds since ``trace_before`` into ``"trace"``.
-
-    The trace clock (:func:`~repro.scalar.coverage.trace_engine_seconds`)
-    ticks *inside* wall intervals other stages already charged — window
-    Belady traces run under the ``cycles`` charge, region ranking can
-    run under ``alloc`` when an allocator queries coverage.  This fold
-    moves that share into a distinct ``trace`` stage, deducting from
-    the stages that absorbed it (``cycles`` first, where residency
-    simulation normally lands) and clamping at zero so a partially
-    charged breakdown — e.g. after an exception mid-stage — can never
-    go negative.  It runs in the evaluator's ``finally`` so failed and
-    crashed records keep their trace attribution too, and it runs in
-    the *worker* process, which is what makes ``--profile`` totals
-    invariant under ``--jobs``.
-    """
-    if stages is None:
-        return
-    spent = trace_engine_seconds() - trace_before
-    if spent <= 0.0:
-        return
-    stages["trace"] = stages.get("trace", 0.0) + spent
-    for name in ("cycles", "alloc", "dfg_schedule", "kernel", "other"):
-        if spent <= 0.0:
-            break
-        have = stages.get(name)
-        if not have or have <= 0.0:
-            continue
-        take = min(have, spent)
-        stages[name] = have - take
-        spent -= take
-
-
 def classify_operand_storage(
     group: RefGroup, coverage: GroupCoverage, registers: int
 ) -> str:
@@ -145,7 +91,6 @@ def build_design(
     objective: "Objective | None" = None,
     coverages: "dict[str, GroupCoverage] | None" = None,
     context: "EvalContext | None" = None,
-    stages: "dict[str, float] | None" = None,
 ) -> HardwareDesign:
     """Evaluate one (kernel, allocation) design point.
 
@@ -162,62 +107,61 @@ def build_design(
     per-pattern cost tables inside the cycle counter; ``coverages``
     overrides the context's computers (the fuzz oracle passes reference
     coverage).  Neither changes results.
-    ``stages`` optionally accumulates the ``--profile`` wall-time
-    breakdown; the evaluator (:func:`repro.explore.evaluate.design_for`)
-    splits the residency share out into a distinct ``trace`` stage via
-    :func:`fold_trace_stage`.
+    Its work runs under the ``--profile`` spans ``dfg_schedule``,
+    ``cycles`` and ``other`` (:mod:`repro.spans`).
     """
-    started = time.perf_counter()
-    if context is None:
-        from repro.explore.context import EvalContext
+    with span("dfg_schedule"):
+        if context is None:
+            from repro.explore.context import EvalContext
 
-        context = EvalContext()
-    groups = groups if groups is not None else build_groups(kernel)
-    if objective is None:
-        objective = Objective.resolve(device)
-    dfg = context.dfg(kernel, groups)
-    if coverages is None:
-        coverages = context.coverages(kernel, groups)
-    storage_class = {
-        g.name: classify_operand_storage(
-            g, coverages[g.name], allocation.registers_for(g.name)
+            context = EvalContext()
+        groups = groups if groups is not None else build_groups(kernel)
+        if objective is None:
+            objective = Objective.resolve(device)
+        dfg = context.dfg(kernel, groups)
+        if coverages is None:
+            coverages = context.coverages(kernel, groups)
+        storage_class = {
+            g.name: classify_operand_storage(
+                g, coverages[g.name], allocation.registers_for(g.name)
+            )
+            for g in groups
+        }
+        partial_groups = sum(
+            1 for cls in storage_class.values() if cls == "both"
         )
-        for g in groups
-    }
-    partial_groups = sum(1 for cls in storage_class.values() if cls == "both")
-    mixed_ops = _count_mixed_operand_ops(dfg, storage_class)
-    mark = charge_stage(stages, "dfg_schedule", started)
+        mixed_ops = _count_mixed_operand_ops(dfg, storage_class)
 
-    cycles = count_with_best_anchors(
-        kernel,
-        groups,
-        allocation,
-        objective.model,
-        objective.ram_ports,
-        objective.overhead_per_iteration,
-        dfg,
-        coverages,
-        storage_class,
-        context,
-    )
-    mark = charge_stage(stages, "cycles", mark)
+    with span("cycles"):
+        cycles = count_with_best_anchors(
+            kernel,
+            groups,
+            allocation,
+            objective.model,
+            objective.ram_ports,
+            objective.overhead_per_iteration,
+            dfg,
+            coverages,
+            storage_class,
+            context,
+        )
 
-    timing = estimate_clock(
-        dfg,
-        device,
-        total_registers=allocation.total_registers,
-        partial_groups=partial_groups,
-        mixed_operand_ops=mixed_ops,
-    )
-    register_bits = {
-        g.name: (allocation.registers_for(g.name), g.ref.array.dtype.bits)
-        for g in groups
-    }
-    area = estimate_area(kernel, dfg, register_bits, partial_groups)
+    with span("other"):
+        timing = estimate_clock(
+            dfg,
+            device,
+            total_registers=allocation.total_registers,
+            partial_groups=partial_groups,
+            mixed_operand_ops=mixed_ops,
+        )
+        register_bits = {
+            g.name: (allocation.registers_for(g.name), g.ref.array.dtype.bits)
+            for g in groups
+        }
+        area = estimate_area(kernel, dfg, register_bits, partial_groups)
 
-    ram_resident = _ram_resident_arrays(kernel, groups, storage_class)
-    binding = bind_arrays(kernel, ram_resident, device)
-    charge_stage(stages, "other", mark)
+        ram_resident = _ram_resident_arrays(kernel, groups, storage_class)
+        binding = bind_arrays(kernel, ram_resident, device)
 
     return HardwareDesign(
         kernel_name=kernel.name,

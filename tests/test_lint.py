@@ -102,7 +102,7 @@ def _chain_tree(root, flags):
     params = "".join(f", {flag}=True" for flag in flags)
     (package / "evaluate.py").write_text(
         f"def evaluate_query(query{params}):\n    return query\n\n\n"
-        f"def design_for(query, stages=None{params}):\n    return query\n"
+        f"def design_for(query, context=None{params}):\n    return query\n"
     )
     return LintContext(root=root, package="chainpkg")
 
@@ -275,7 +275,6 @@ def test_shipped_tree_is_lint_clean(self_clean_run):
     assert designs == {
         ("repro/explore/context.py", "determinism:id-key"): 5,
         ("repro/explore/context.py", "version-cone:mutable-global"): 2,
-        ("repro/scalar/coverage.py", "version-cone:mutable-global"): 1,
     }
     assert all(f["justification"] for f in doc["findings"] if f["suppressed"])
 

@@ -24,14 +24,14 @@ from repro.analysis.groups import build_groups
 from repro.core.allocation import Allocation
 from repro.errors import SimulationError
 from repro.kernels.registry import KERNEL_FACTORIES, get_kernel
-from repro.scalar import coverage as coverage_module
-from repro.scalar.coverage import GroupCoverage, trace_engine_seconds
+from repro.scalar.coverage import GroupCoverage
 from repro.sim import random_inputs, run_kernel, run_scalar_replaced
 from repro.sim.residency import (
     OptTraceLadder,
     opt_stack_distances,
     opt_trace,
 )
+from repro.spans import collect
 
 PLACEMENT = ("window_inserted", "window_evicted", "window_freed")
 
@@ -225,7 +225,7 @@ def test_fuzz_kernel_results_equal_their_twins(seed):
         )
 
 
-def test_placement_is_traced_lazily_and_charged_to_the_trace_clock():
+def test_placement_is_traced_lazily_and_charged_to_the_trace_span():
     kernel = get_kernel("bic")
     (group,) = [g for g in build_groups(kernel) if g.name == "I[r + u][c + v]"]
     coverage = GroupCoverage(kernel, group)
@@ -240,10 +240,10 @@ def test_placement_is_traced_lazily_and_charged_to_the_trace_clock():
     coverage._window_plane.trace = spy
     assert result.ram_reads > 0  # masks need no placement trace
     assert traced == []
-    before = trace_engine_seconds()
-    inserted = result.window_inserted
+    with collect() as stages:
+        inserted = result.window_inserted
     assert traced == [20]
-    assert trace_engine_seconds() > before
+    assert stages["trace"] > 0.0
     # Read once, kept: the other arrays come from the same trace.
     assert result.window_evicted is not None
     assert result.window_freed is not None
@@ -251,15 +251,15 @@ def test_placement_is_traced_lazily_and_charged_to_the_trace_clock():
     assert traced == [20]
 
 
-def test_distance_pass_is_charged_to_the_trace_clock(monkeypatch):
+def test_distance_pass_is_charged_to_the_trace_span():
     kernel = get_kernel("fir")
     (group,) = [
         g for g in build_groups(kernel)
         if GroupCoverage(kernel, g).kind == "window"
     ]
-    monkeypatch.setattr(coverage_module, "_TRACE_SECONDS", 0.0)
-    GroupCoverage(kernel, group).result(8)
-    assert trace_engine_seconds() > 0.0
+    with collect() as stages:
+        GroupCoverage(kernel, group).result(8)
+    assert stages["trace"] > 0.0
 
 
 # -- interpreter replay --------------------------------------------------------

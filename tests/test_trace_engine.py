@@ -6,12 +6,16 @@ never repeat (bit-identical to the reference simulator of
 ``residency_oracle.py``).
 """
 
+import time
+
 import numpy as np
 import residency_oracle as oracle
 
 from repro.explore import DesignQuery, EvalContext, run_queries
+from repro.explore.evaluate import evaluate_query
 from repro.sim import residency
-from repro.sim.residency import opt_trace
+from repro.sim.residency import OptTraceLadder, opt_trace
+from repro.synth import estimate
 
 
 def test_profile_splits_out_a_trace_stage():
@@ -21,6 +25,33 @@ def test_profile_splits_out_a_trace_stage():
     assert "trace" in stages and stages["trace"] > 0.0
     assert stages.get("cycles", 0.0) >= 0.0
     assert "trace engine" in results.stats.profile()
+
+
+def test_trace_inside_allocation_is_not_taken_from_cycles(monkeypatch):
+    """OPT-RA runs the window distance pass inside ``allocate`` (on a
+    fresh context): that time is charged to ``trace`` alone, and the
+    cycle count keeps its own."""
+    distances = OptTraceLadder.stack_distances
+    count = estimate.count_with_best_anchors
+
+    def slow_distances(self, *args, **kwargs):
+        time.sleep(0.05)
+        return distances(self, *args, **kwargs)
+
+    def slow_count(*args, **kwargs):
+        time.sleep(0.03)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(OptTraceLadder, "stack_distances", slow_distances)
+    # build_design's call only: OPT-RA's leaves import the function.
+    monkeypatch.setattr(estimate, "count_with_best_anchors", slow_count)
+    record = evaluate_query(
+        DesignQuery(kernel="fir", allocator="OPT-RA", budget=16),
+        context=EvalContext(),
+    )
+    assert record.ok
+    assert record.stages["trace"] >= 0.05
+    assert record.stages["cycles"] >= 0.03
 
 
 def test_ladder_replays_tiles_when_rows_never_repeat(monkeypatch):
