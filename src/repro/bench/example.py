@@ -25,6 +25,7 @@ from repro.dfg.latency import LatencyModel
 from repro.explore.context import EvalContext
 from repro.ir import INT16, Kernel, KernelBuilder
 from repro.sim.cycles import count_cycles
+from repro.synth.estimate import Objective
 
 __all__ = [
     "build_example_kernel",
@@ -94,7 +95,9 @@ def figure2_report(budget: int = 64) -> Figure2Report:
     cg = critical_graph(dfg, LatencyModel.tmem())
     structural = enumerate_cuts(cg, removable=lambda _: True)
 
-    tmem_model = LatencyModel.tmem()
+    # Figure 2(c) units: memory-only latencies, one RAM port, no
+    # per-iteration control overhead.
+    tmem = Objective(LatencyModel.tmem(), ram_ports=1, overhead_per_iteration=0)
     ni = kernel.nest.loops[0].trip_count
     rows = []
     for allocator in (
@@ -103,9 +106,7 @@ def figure2_report(budget: int = 64) -> Figure2Report:
         CriticalPathAwareAllocator(),
     ):
         allocation = allocator.allocate(kernel, budget, groups, context=context)
-        report = count_cycles(
-            kernel, groups, allocation, tmem_model, context=context
-        )
+        report = count_cycles(kernel, groups, allocation, tmem, context=context)
         rows.append(
             Figure2Row(
                 algorithm=allocation.algorithm,

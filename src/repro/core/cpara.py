@@ -19,9 +19,9 @@ e.g. when every critical path is pinned by an irreducible access such as
 the running example's ``e[i][j][k]`` store.
 
 The CG is extracted under a latency model with *known operation
-latencies* (paper section 3); the default is the operator library's
-realistic model.  Using a memory-only model would let short all-register
-paths tie into the CG and distort cut selection.
+latencies* (paper section 3): the operator library's realistic model,
+:data:`CG_MODEL`.  Using a memory-only model would let short
+all-register paths tie into the CG and distort cut selection.
 """
 
 from __future__ import annotations
@@ -32,16 +32,18 @@ from repro.dfg.cuts import Cut, enumerate_cuts
 from repro.dfg.latency import LatencyModel
 from repro.errors import AllocationError
 
-__all__ = ["CriticalPathAwareAllocator"]
+__all__ = ["CG_MODEL", "CriticalPathAwareAllocator"]
+
+#: The latency model every Critical Graph is extracted under: operator-
+#: library latencies and single-cycle RAM, whatever the RAM latency the
+#: design is reported under.
+CG_MODEL = LatencyModel.realistic()
 
 
 class CriticalPathAwareAllocator(Allocator):
     """The paper's CPA-RA algorithm."""
 
     name = "CPA-RA"
-
-    def __init__(self, latency_model: LatencyModel | None = None) -> None:
-        self._model = latency_model or LatencyModel.realistic()
 
     def _run(self, state: AllocationState) -> None:
         # Budget points of one sweep share the DFG and — in the early
@@ -58,7 +60,7 @@ class CriticalPathAwareAllocator(Allocator):
                 g.name: state.is_full(g) and g.carries_reuse
                 for g in state.groups
             }
-            cg = ctx.critical_graph(state.kernel, dfg, self._model, hits)
+            cg = ctx.critical_graph(state.kernel, dfg, CG_MODEL, hits)
             cuts = enumerate_cuts(
                 cg,
                 removable=lambda name: self._removable(state, name),

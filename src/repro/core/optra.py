@@ -86,7 +86,7 @@ from repro.core.naive import NaiveAllocator
 from repro.core.prra import PartialReuseAllocator
 from repro.errors import ReproError
 from repro.sim.cycles import classify_patterns
-from repro.synth.estimate import classify_operand_storage, count_with_best_anchors
+from repro.synth.estimate import count_with_best_anchors
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.groups import RefGroup
@@ -209,9 +209,7 @@ class _Search:
         self.groups = state.groups
         self.budget = state.budget
         self.ctx = state.context
-        self.model = state.objective.model
-        self.ram_ports = state.objective.ram_ports
-        self.overhead = state.objective.overhead_per_iteration
+        self.objective = state.objective
 
         self.dfg = self.ctx.dfg(self.kernel, self.groups)
         self.coverages = self.ctx.coverages(self.kernel, self.groups)
@@ -236,8 +234,7 @@ class _Search:
         # The leaf objective's cost table: bounds classify through the
         # same layout and costs as the leaves.
         self.costs = self.ctx.pattern_costs(
-            self.kernel, self.groups, self.dfg, self.model, self.ram_ports,
-            self.overhead,
+            self.kernel, self.groups, self.dfg, self.objective
         )
         self._leaf_memo: "dict[tuple[int, ...], int]" = {}
         # (group, covered) -> (packed meet plane or None when it never
@@ -285,22 +282,13 @@ class _Search:
             registers=dict(registers),
             betas=dict(self.betas),
         )
-        storage = {
-            g.name: classify_operand_storage(
-                g, self.coverages[g.name], registers[g.name]
-            )
-            for g in self.groups
-        }
         report = count_with_best_anchors(
             self.kernel,
             self.groups,
             allocation,
-            self.model,
-            self.ram_ports,
-            self.overhead,
+            self.objective,
             self.dfg,
             self.coverages,
-            storage,
             self.ctx,
         )
         cycles = report.total_cycles
@@ -340,7 +328,7 @@ class _Search:
 
     def _price(self, pattern: np.ndarray, writebacks: int) -> int:
         in_loop, _, _ = classify_patterns(pattern, self.classes, self.costs)
-        return in_loop + writebacks * self.model.ram_latency
+        return in_loop + writebacks * self.objective.model.ram_latency
 
     def _relaxed_bound(self, decided: "dict[str, int]", remaining: int) -> int:
         """Strong bound: decided groups at their meet masks, undecided

@@ -37,11 +37,16 @@ class LatencyModel:
     reg_latency:
         Cycles for a register-resident access (paper's 1-vs-L becomes
         0-vs-L here: register operands are wired into the datapath).
+    key:
+        Hashable identity of the full parameterization (``op_latency``
+        is a mapping, so the model itself is unhashable), computed once:
+        equal models built separately share every memo keyed on it.
     """
 
     op_latency: Mapping[Op, int]
     ram_latency: int = 1
     reg_latency: int = 0
+    key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ram_latency < 1:
@@ -50,6 +55,12 @@ class LatencyModel:
             raise AnalysisError("register latency must be >= 0")
         if self.reg_latency > self.ram_latency:
             raise AnalysisError("register access cannot be slower than RAM")
+        ops = tuple(
+            sorted((op.value, lat) for op, lat in self.op_latency.items())
+        )
+        object.__setattr__(
+            self, "key", (self.ram_latency, self.reg_latency, ops)
+        )
 
     @staticmethod
     def tmem(ram_latency: int = 1) -> "LatencyModel":

@@ -123,9 +123,6 @@ class CacheBackend:
     def remove_tmp(self, path: str) -> bool:
         return False
 
-    def reap_tmp(self, max_age: float) -> int:
-        return 0
-
     def corrupt(self, name: str) -> None:
         """Chaos hook: damage one stored entry like a torn write would."""
         raise NotImplementedError
@@ -250,12 +247,6 @@ class DirBackend(CacheBackend):
             return True
         except OSError:
             return False
-
-    def reap_tmp(self, max_age: float) -> int:
-        return sum(
-            1 for orphan in self.tmp_orphans(max_age)
-            if self.remove_tmp(orphan)
-        )
 
     def corrupt(self, name: str) -> None:
         path = self._path(name)

@@ -401,7 +401,11 @@ class ResultCache:
         files were deleted (always 0 on the SQLite backend — WAL
         transactions leave no orphans).
         """
-        return self.backend.reap_tmp(max_age)
+        return self._reap(self.backend.tmp_orphans(max_age))
+
+    def _reap(self, orphans: "list[str]") -> int:
+        """Delete the listed tmp files; how many went."""
+        return sum(1 for orphan in orphans if self.backend.remove_tmp(orphan))
 
     def _verify_text(self, name: str, raw: "bytes | None") -> "str | None":
         """Why the blob stored as ``name`` is not a valid current-format
@@ -450,9 +454,7 @@ class ResultCache:
                     quarantined += 1
         tmp = self.backend.tmp_orphans(tmp_max_age)
         if repair:
-            reaped = sum(
-                1 for orphan in tmp if self.backend.remove_tmp(orphan)
-            )
+            reaped = self._reap(tmp)
         return FsckReport(
             scanned=scanned,
             ok=ok,

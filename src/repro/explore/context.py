@@ -26,12 +26,11 @@ coverage computers            the kernel bundle — one
                               per group, which itself memoizes results per
                               ``(registers, anchor)``, sharing the
                               kernel's one iteration-class partition
-pattern cost tables           ``(kernel bundle, latency-model
-                              fingerprint, ram_ports, overhead)`` —
+pattern cost tables           ``(kernel bundle, objective key)`` —
                               packed pattern value -> ``(makespan +
                               overhead, memory_cycles)``
-critical graphs (CPA-RA)      ``(dfg, latency-model fingerprint,
-                              frozen per-group hit map)``
+critical graphs (CPA-RA)      ``(dfg, latency-model key, frozen
+                              per-group hit map)``
 knapsack DP tables (KS-RA)    ``(kernel bundle, item signature)`` —
                               one DP table serves every budget at or
                               below its computed capacity
@@ -66,7 +65,7 @@ cached records exactly like editing the evaluator itself.
 
 from __future__ import annotations
 
-# repro-lint: ok-file determinism:id-key -- every id()-keyed lookup here is guarded by an `is` check against the stored object (and evicted with it), so a recycled id can never answer for a different kernel/model
+# repro-lint: ok-file determinism:id-key -- every id()-keyed lookup here is guarded by an `is` check against the stored kernel object (and evicted with it), so a recycled id can never answer for a different kernel
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -75,13 +74,14 @@ from repro.core.dp import solve_knapsack
 from repro.dfg.build import build_dfg
 from repro.dfg.critical import CriticalGraph, critical_graph
 from repro.dfg.graph import DataFlowGraph
-from repro.dfg.latency import LatencyModel
 from repro.scalar.coverage import CoverageMap, GroupCoverage, coverage_for
 from repro.sim.cycles import CycleReport, PatternCosts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.groups import RefGroup
+    from repro.dfg.latency import LatencyModel
     from repro.ir.kernel import Kernel
+    from repro.synth.estimate import Objective
 
 __all__ = [
     "EvalContext",
@@ -127,9 +127,9 @@ class _KernelArtifacts:
     dfg: "DataFlowGraph | None" = None
     #: group name -> GroupCoverage, plus their iteration classes
     coverages: "CoverageMap | None" = None
-    #: (model fp, ram_ports, overhead) -> per-pattern-value cost table
+    #: objective key -> per-pattern-value cost table
     costs: "dict[tuple, PatternCosts]" = field(default_factory=dict)
-    #: (model fp, frozen per-group hits) -> CriticalGraph
+    #: (model key, frozen per-group hits) -> CriticalGraph
     critical: "dict[tuple, CriticalGraph]" = field(default_factory=dict)
     #: item signature -> (capacity, best[], keep[][])
     knapsack: "dict[tuple, tuple[int, list, list]]" = field(
@@ -137,15 +137,6 @@ class _KernelArtifacts:
     )
     #: full count_cycles key -> CycleReport (see EvalContext.cycle_report)
     cycle_reports: "dict[tuple, CycleReport]" = field(default_factory=dict)
-
-
-def _model_fingerprint(model: LatencyModel) -> tuple:
-    """Hashable identity of a latency model (its full parameterization)."""
-    return (
-        model.ram_latency,
-        model.reg_latency,
-        tuple(sorted((op.value, lat) for op, lat in model.op_latency.items())),
-    )
 
 
 class EvalContext:
@@ -168,14 +159,6 @@ class EvalContext:
         #: id(kernel object) -> bundle, for artifact lookups that receive
         #: the kernel object rather than its name (allocators).
         self._by_object: "dict[int, _KernelArtifacts]" = {}
-        #: id(model) -> (model, fingerprint): fingerprints are cheap but
-        #: computed per pattern lookup, so cache them per model object.
-        #: Bounded LRU — evaluation builds a fresh model per point, so an
-        #: unbounded map would retain one model object per point for the
-        #: life of the process-global context.
-        self._model_fps: "OrderedDict[int, tuple[LatencyModel, tuple]]" = (
-            OrderedDict()
-        )
 
     # -- kernel + groups ------------------------------------------------------
 
@@ -301,35 +284,32 @@ class EvalContext:
         kernel: "Kernel",
         groups: "tuple[RefGroup, ...]",
         dfg: DataFlowGraph,
-        model: LatencyModel,
-        ram_ports: int,
-        overhead: int,
+        objective: "Objective",
     ) -> PatternCosts:
         """The cost table of one objective.
 
         The bundle fixes the channel layout (its groups and DFG); the
-        table is keyed by the latency model's fingerprint, the port
-        count and the per-iteration overhead, so every count of a sweep
-        schedules each distinct pattern once.  A foreign DFG or
-        grouping gets a fresh, unshared table (the sibling memos decline
-        foreign artifacts the same way).
+        table is keyed by the objective's key (latency model identity,
+        port count, per-iteration overhead), so every count of a sweep
+        schedules each distinct pattern once, even though each point
+        builds its own objective.  A foreign DFG or grouping gets a
+        fresh, unshared table (the sibling memos decline foreign
+        artifacts the same way).
         """
         bundle = self._resident(kernel)
         if bundle is None or bundle.dfg is not dfg or (
             groups is not bundle.groups
         ):
             return PatternCosts(
-                groups, dfg, model, ram_ports, overhead,
-                label=f"kernel {kernel.name}",
+                groups, dfg, objective, label=f"kernel {kernel.name}"
             )
-        key = (self._model_fp(model), ram_ports, overhead)
-        costs = bundle.costs.get(key)
+        costs = bundle.costs.get(objective.key)
         if costs is None:
             costs = PatternCosts(
-                bundle.groups, dfg, model, ram_ports, overhead,
+                bundle.groups, dfg, objective,
                 label=f"kernel {kernel.name}", stats=self.stats,
             )
-            bundle.costs[key] = costs
+            bundle.costs[objective.key] = costs
         return costs
 
     # -- critical graphs (CPA-RA) ---------------------------------------------
@@ -338,7 +318,7 @@ class EvalContext:
         self,
         kernel: "Kernel",
         dfg: DataFlowGraph,
-        model: LatencyModel,
+        model: "LatencyModel",
         hits: "dict[str, bool]",
     ) -> CriticalGraph:
         """The CG of ``dfg`` under ``hits``, shared across budget points.
@@ -350,7 +330,7 @@ class EvalContext:
         bundle = self._resident(kernel)
         if bundle is None or bundle.dfg is not dfg:
             return critical_graph(dfg, model, hits)
-        key = (self._model_fp(model), tuple(sorted(hits.items())))
+        key = (model.key, tuple(sorted(hits.items())))
         memo = bundle.critical.get(key)
         if memo is not None:
             self.stats.critical_hits += 1
@@ -408,9 +388,9 @@ class EvalContext:
         from ``compute()`` on a miss.
 
         The key (built by :func:`~repro.sim.cycles.report_key`) captures
-        the full parameterization of one count — latency model, ports,
-        overhead, per-group register assignment and anchors (or the
-        best-anchor marker) — so allocators that reach the same register
+        the full parameterization of one count — the objective key, the
+        per-group register assignment and the anchors (or the best-anchor
+        marker) — so allocators that reach the same register
         distribution, and the anchor search's repeated counts, share one
         report.  Like the sibling memos, caller-supplied artifacts that
         are not the bundle's canonical ``dfg``/``coverages`` decline
@@ -435,28 +415,10 @@ class EvalContext:
 
     # -- misc -----------------------------------------------------------------
 
-    def model_fingerprint(self, model: LatencyModel) -> tuple:
-        """Public alias of the cached latency-model fingerprint."""
-        return self._model_fp(model)
-
-    _MODEL_FP_MEMO = 128
-
-    def _model_fp(self, model: LatencyModel) -> tuple:
-        cached = self._model_fps.get(id(model))
-        if cached is not None and cached[0] is model:
-            self._model_fps.move_to_end(id(model))
-            return cached[1]
-        fp = _model_fingerprint(model)
-        self._model_fps[id(model)] = (model, fp)
-        while len(self._model_fps) > self._MODEL_FP_MEMO:
-            self._model_fps.popitem(last=False)
-        return fp
-
     def clear(self) -> None:
         """Drop every memoized artifact (stats are kept)."""
         self._bundles.clear()
         self._by_object.clear()
-        self._model_fps.clear()
 
 
 # -- the process-global context -----------------------------------------------

@@ -95,12 +95,16 @@ class ExploreStats:
 
     ``stage_seconds`` aggregates the evaluated points' per-stage self
     times (kernel build / allocation / DFG+coverage / trace engine /
-    cycle count / other, the spans of :mod:`repro.spans`) — CPU seconds
-    spent inside evaluation, summed across workers, so with ``jobs>1``
-    the total exceeds the sweep's wall ``seconds``.  The ``trace``
-    stage is the trace engine's own time, wherever it ran (cycle count
-    or allocation), so its cost is visible on its own.  Cache hits
-    contribute nothing (they did no stage work this run).
+    cycle count / other, the spans of :mod:`repro.spans`) — self *wall*
+    seconds (``perf_counter``) spent inside evaluation, summed across
+    workers, so with ``jobs>1`` the total exceeds the sweep's wall
+    ``seconds``.  They are not CPU time: a worker that is descheduled
+    or blocked inside a span is charged too.  (The ``profile:`` line
+    still says "evaluation CPU" because ``perfbench/run.py`` parses
+    that label.)  The ``trace`` stage is the trace engine's own time,
+    wherever it ran (cycle count or allocation), so its cost is
+    visible on its own.  Cache hits contribute nothing (they did no
+    stage work this run).
     """
 
     total: int

@@ -54,7 +54,6 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 from repro.errors import ReproError
@@ -68,7 +67,6 @@ __all__ = [
     "WouldHang",
     "active_fault_plan",
     "apply_fault",
-    "corrupt_entry",
     "install_fault_plan",
     "parse_fault_spec",
 ]
@@ -235,17 +233,6 @@ def parse_fault_spec(spec: str, seed: int = 0, **kwargs) -> FaultPlan:
     if not rates:
         raise ReproError(f"empty fault spec {spec!r}")
     return FaultPlan(seed=seed, rates=tuple(rates), **kwargs)
-
-
-def corrupt_entry(path: "Path | str") -> None:
-    """Flip one byte in the middle of ``path`` (a torn/bit-rotted write)."""
-    path = Path(path)
-    data = bytearray(path.read_bytes())
-    if not data:
-        return
-    middle = len(data) // 2
-    data[middle] ^= 0xFF
-    path.write_bytes(bytes(data))
 
 
 #: The process-active plan: None almost always.  Installed by the

@@ -53,9 +53,7 @@ __all__ = [
     "default_registry",
     "EVALUATION_ROOT",
     "find_dynamic_imports",
-    "kernel_module",
-    "allocator_module",
-    "plugin_modules",
+    "PLUGIN_MODULES",
     "query_roots",
     "query_vector",
 ]
@@ -316,22 +314,10 @@ def default_registry() -> VersionRegistry:
 # -- plugin families ------------------------------------------------------------
 
 
-def kernel_module(name: str) -> "str | None":
-    """The builder module of a registry kernel, or None if unknown."""
-    return KERNEL_MODULES.get(name)
-
-
-def allocator_module(name: str) -> "str | None":
-    """The implementation module of an allocator tag, or None if unknown."""
-    return ALLOCATOR_MODULES.get(name)
-
-
-@lru_cache(maxsize=1)
-def plugin_modules() -> frozenset[str]:
-    """Modules selected per query rather than imported-and-used wholesale."""
-    return frozenset(KERNEL_MODULES.values()) | frozenset(
-        ALLOCATOR_MODULES.values()
-    )
+#: Modules selected per query rather than imported-and-used wholesale.
+PLUGIN_MODULES = frozenset(KERNEL_MODULES.values()) | frozenset(
+    ALLOCATOR_MODULES.values()
+)
 
 
 def query_roots(query) -> tuple[str, ...]:
@@ -345,9 +331,9 @@ def query_roots(query) -> tuple[str, ...]:
     """
     roots = [EVALUATION_ROOT]
     if query.kernel_json is None:
-        module = kernel_module(query.kernel)
+        module = KERNEL_MODULES.get(query.kernel)
         roots.extend([module] if module else sorted(KERNEL_MODULES.values()))
-    module = allocator_module(query.allocator)
+    module = ALLOCATOR_MODULES.get(query.allocator)
     roots.extend([module] if module else sorted(ALLOCATOR_MODULES.values()))
     return tuple(roots)
 
@@ -359,7 +345,7 @@ def query_vector(
     registry = registry or default_registry()
     return registry.vector(
         query_roots(query),
-        prune=plugin_modules(),
+        prune=PLUGIN_MODULES,
         prune_from=DISPATCH_MODULES,
     )
 

@@ -47,7 +47,6 @@ import numpy as np
 from repro.analysis.groups import RefGroup
 from repro.core.allocation import Allocation
 from repro.dfg.graph import DataFlowGraph
-from repro.dfg.latency import LatencyModel
 from repro.dfg.nodes import ReadNode, WriteNode
 from repro.errors import SimulationError
 from repro.ir.kernel import Kernel
@@ -60,6 +59,7 @@ from repro.sim.scheduler import schedule_iteration
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.explore.context import EvalContext
+    from repro.synth.estimate import Objective
 
 __all__ = [
     "CycleReport",
@@ -203,30 +203,27 @@ class PatternLayout:
 class PatternCosts:
     """Packed pattern value -> ``(cost, memory cycles, miss labels)``.
 
-    A value's cost is its scheduled makespan plus the per-iteration
-    overhead; each distinct value is scheduled once, on first sight.
-    The table owns the :class:`PatternLayout` of ``groups`` over
-    ``dfg``.  Contexts keep one table per (DFG, latency model, ports,
-    overhead) so a sweep's counts share it (``stats`` then receives
-    ``cost_hits`` / ``cost_misses``); a foreign DFG or grouping gets a
-    table that lives for one count or one OPT-RA search.
+    A value's cost is its makespan under ``objective`` (latency model
+    and RAM ports) plus the objective's per-iteration overhead; each
+    distinct value is scheduled once, on first sight.  The table owns
+    the :class:`PatternLayout` of ``groups`` over ``dfg``.  Contexts
+    keep one table per (DFG, objective key) so a sweep's counts share
+    it (``stats`` then receives ``cost_hits`` / ``cost_misses``); a
+    foreign DFG or grouping gets a table that lives for one count or
+    one OPT-RA search.
     """
 
     def __init__(
         self,
         groups: "tuple[RefGroup, ...]",
         dfg: DataFlowGraph,
-        model: LatencyModel,
-        ram_ports: int,
-        overhead: int,
+        objective: "Objective",
         label: str = "kernel",
         stats: object = None,
     ) -> None:
         self.layout = PatternLayout(groups, dfg, label=label)
         self._dfg = dfg
-        self._model = model
-        self._ram_ports = ram_ports
-        self._overhead = overhead
+        self._objective = objective
         self._stats = stats
         self._table: "dict[int, tuple[int, int, tuple[str, ...]]]" = {}
 
@@ -239,9 +236,10 @@ class PatternCosts:
         if self._stats is not None:
             self._stats.cost_misses += 1
         layout = self.layout
+        objective = self._objective
         hit = {uid: not (value >> bit) & 1 for uid, bit in layout.node_bits}
         schedule = schedule_iteration(
-            self._dfg, self._model, hit, self._ram_ports
+            self._dfg, objective.model, hit, objective.ram_ports
         )
         misses = tuple(
             channel
@@ -249,7 +247,7 @@ class PatternCosts:
             if (value >> bit) & 1
         )
         entry = (
-            schedule.makespan + self._overhead,
+            schedule.makespan + objective.overhead_per_iteration,
             schedule.memory_cycles,
             misses,
         )
@@ -258,10 +256,7 @@ class PatternCosts:
 
 
 def report_key(
-    context: "EvalContext",
-    model: LatencyModel,
-    ram_ports: int,
-    overhead_per_iteration: int,
+    objective: "Objective",
     groups: "tuple[RefGroup, ...]",
     allocation: Allocation,
     anchors: object,
@@ -270,9 +265,7 @@ def report_key(
     parameterization, with ``anchors`` the sorted anchor overrides (or
     a marker for a best-anchor search)."""
     return (
-        context.model_fingerprint(model),
-        ram_ports,
-        overhead_per_iteration,
+        objective.key,
         tuple((g.name, allocation.registers_for(g.name)) for g in groups),
         anchors,
     )
@@ -282,9 +275,7 @@ def count_cycles(
     kernel: Kernel,
     groups: tuple[RefGroup, ...],
     allocation: Allocation,
-    model: LatencyModel,
-    ram_ports: int = 1,
-    overhead_per_iteration: int = 0,
+    objective: "Objective",
     dfg: DataFlowGraph | None = None,
     anchors: "dict[str, str] | None" = None,
     coverages: "dict[str, GroupCoverage] | None" = None,
@@ -292,6 +283,8 @@ def count_cycles(
 ) -> CycleReport:
     """Count execution cycles of ``kernel`` under ``allocation``.
 
+    ``objective`` (a :class:`~repro.synth.estimate.Objective`) fixes the
+    latency model, the RAM port count and the per-iteration overhead.
     ``anchors`` optionally overrides the pinned-coverage anchor per group
     (see :meth:`GroupCoverage.result`); defaults to ``"low"``.
 
@@ -324,14 +317,13 @@ def count_cycles(
     # artifacts for this kernel, so foreign coverage (a test oracle)
     # neither answers from nor poisons it.
     key = report_key(
-        context, model, ram_ports, overhead_per_iteration, groups,
-        allocation, tuple(sorted(anchors.items())),
+        objective, groups, allocation, tuple(sorted(anchors.items()))
     )
     return context.cycle_report(
         kernel, groups, key, dfg, coverages,
         lambda: best_anchors(
-            kernel, groups, allocation, model, ram_ports,
-            overhead_per_iteration, dfg, coverages, [], context, anchors,
+            kernel, groups, allocation, objective, dfg, coverages, [],
+            context, anchors,
         ),
     )
 
@@ -339,13 +331,13 @@ def count_cycles(
 def _report(
     results: "Mapping[str, CoverageResult]",
     classified: "tuple[int, int, list[tuple[tuple[str, ...], int, int]]]",
-    model: LatencyModel,
+    ram_latency: int,
 ) -> CycleReport:
     """The report of one count from its coverage results (group order)
     and their :func:`classify_patterns` output."""
     in_loop, memory_cycles, pattern_rows = classified
     writebacks = sum(r.writeback_stores for r in results.values())
-    epilogue = writebacks * model.ram_latency
+    epilogue = writebacks * ram_latency
     return CycleReport(
         in_loop_cycles=in_loop,
         epilogue_cycles=epilogue,
@@ -361,9 +353,7 @@ def best_anchors(
     kernel: Kernel,
     groups: "tuple[RefGroup, ...]",
     allocation: Allocation,
-    model: LatencyModel,
-    ram_ports: int,
-    overhead_per_iteration: int,
+    objective: "Objective",
     dfg: DataFlowGraph,
     coverages: "dict[str, GroupCoverage]",
     candidates: "list[str]",
@@ -383,9 +373,8 @@ def best_anchors(
     candidates this is the one pack + classify + report of a count.
     """
     anchors = anchors or {}
-    costs = context.pattern_costs(
-        kernel, groups, dfg, model, ram_ports, overhead_per_iteration
-    )
+    costs = context.pattern_costs(kernel, groups, dfg, objective)
+    ram_latency = objective.model.ram_latency
     classes = getattr(coverages, "classes", None)
     if classes is None:
         # A plain dict (a test oracle's coverage) is gathered onto the
@@ -422,12 +411,14 @@ def best_anchors(
         writebacks = base_writebacks + sum(
             r.writeback_stores for r in chosen.values()
         )
-        total = classified[0] + writebacks * model.ram_latency
+        total = classified[0] + writebacks * ram_latency
         if best_total is None or total < best_total:
             best_total, best = total, (chosen, classified)
     chosen, classified = best
     merged = {**fixed, **chosen}
-    return _report({g.name: merged[g.name] for g in groups}, classified, model)
+    return _report(
+        {g.name: merged[g.name] for g in groups}, classified, ram_latency
+    )
 
 
 def classify_patterns(

@@ -41,12 +41,19 @@ class Objective:
 
     One instance is what the allocator optimizes (the exact allocator
     reads it off :class:`~repro.core.base.AllocationState`) and what
-    :func:`build_design` reports, so the two cannot disagree.
+    :func:`build_design` reports, so the two cannot disagree; it travels
+    whole down to the cycle counter and its pattern cost tables.
     """
 
     model: LatencyModel
     ram_ports: int
     overhead_per_iteration: int = 1
+
+    @property
+    def key(self) -> tuple:
+        """Hashable identity: equal objectives share every memo entry,
+        whichever model object each was built on."""
+        return (self.model.key, self.ram_ports, self.overhead_per_iteration)
 
     @classmethod
     def resolve(
@@ -134,16 +141,7 @@ def build_design(
 
     with span("cycles"):
         cycles = count_with_best_anchors(
-            kernel,
-            groups,
-            allocation,
-            objective.model,
-            objective.ram_ports,
-            objective.overhead_per_iteration,
-            dfg,
-            coverages,
-            storage_class,
-            context,
+            kernel, groups, allocation, objective, dfg, coverages, context
         )
 
     with span("other"):
@@ -178,12 +176,9 @@ def count_with_best_anchors(
     kernel,
     groups,
     allocation,
-    model,
-    ram_ports,
-    overhead_per_iteration,
+    objective,
     dfg,
     coverages,
-    storage_class,
     context=None,
 ):
     """Coverage-placement pass: choose pinned anchors minimizing cycles.
@@ -192,7 +187,8 @@ def count_with_best_anchors(
     generation freedom; aligning pinned hits with window hits lets both
     inputs of an operation come from registers in the same iterations.
     The search space is tiny (one binary choice per partially covered
-    pinned group), so it is explored exhaustively by
+    pinned group, i.e. storage class ``'both'`` under
+    :func:`classify_operand_storage`), so it is explored exhaustively by
     :func:`~repro.sim.cycles.best_anchors` on a shared base pattern,
     which also returns the winner's report from the classification it
     already made.
@@ -211,33 +207,25 @@ def count_with_best_anchors(
     candidates = [
         g.name
         for g in groups
-        if storage_class[g.name] == "both"
-        and coverages[g.name].kind == "pinned"
+        if coverages[g.name].kind == "pinned"
+        and classify_operand_storage(
+            g, coverages[g.name], allocation.registers_for(g.name)
+        ) == "both"
     ]
     candidates = candidates[:4]  # 2^4 design points at most
     if not candidates:
         return count_cycles(
-            kernel,
-            groups,
-            allocation,
-            model,
-            ram_ports=ram_ports,
-            overhead_per_iteration=overhead_per_iteration,
-            dfg=dfg,
-            coverages=coverages,
-            context=context,
+            kernel, groups, allocation, objective, dfg=dfg,
+            coverages=coverages, context=context,
         )
     # The winner is memoized under the count's key with the search in
     # place of the anchors, so a repeated point skips the search.
-    key = report_key(
-        context, model, ram_ports, overhead_per_iteration, groups,
-        allocation, "best",
-    )
+    key = report_key(objective, groups, allocation, "best")
     return context.cycle_report(
         kernel, groups, key, dfg, coverages,
         lambda: best_anchors(
-            kernel, groups, allocation, model, ram_ports,
-            overhead_per_iteration, dfg, coverages, candidates, context,
+            kernel, groups, allocation, objective, dfg, coverages,
+            candidates, context,
         ),
     )
 

@@ -2,14 +2,22 @@
 
 Each test asserts exit code 0 plus load-bearing substrings in captured
 stdout — cheap insurance that argument wiring, imports and renderers
-stay hooked together.
+stay hooked together.  ``table1`` and ``figure2`` print the paper's
+artifacts, so their stdout is also compared byte for byte with
+``tests/golden/``.  To regenerate after an *intentional* change::
+
+    PYTHONPATH=src python -m repro table1 > tests/golden/table1.txt
+    PYTHONPATH=src python -m repro figure2 > tests/golden/figure2.txt
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +33,7 @@ def test_table1(capsys):
     assert "Aggregates:" in out
     for kernel in ("fir", "decfir", "mat", "imi", "pat", "bic"):
         assert kernel in out
+    assert out == (GOLDEN_DIR / "table1.txt").read_text()
 
 
 def test_kernel_trace(capsys):
@@ -46,6 +55,9 @@ def test_figure2(capsys):
     code, out, _ = run_cli(capsys, "figure2")
     assert code == 0
     assert "Figure 2(c), reproduced" in out
+    # The one production count under a non-pipeline objective: memory-
+    # only latencies, one RAM port, no per-iteration overhead.
+    assert out == (GOLDEN_DIR / "figure2.txt").read_text()
 
 
 def test_list(capsys):

@@ -30,9 +30,14 @@ from repro.explore.context import EvalContext
 from repro.ir import INT16, INT32, KernelBuilder
 from repro.kernels import KERNEL_FACTORIES, get_kernel
 from repro.sim.cycles import PatternLayout, count_cycles
-from repro.synth.estimate import classify_operand_storage, count_with_best_anchors
+from repro.synth.estimate import (
+    Objective,
+    classify_operand_storage,
+    count_with_best_anchors,
+)
 
 MODEL = LatencyModel.realistic(ram_latency=2)
+OBJECTIVE = Objective(MODEL, ram_ports=1, overhead_per_iteration=1)
 REGISTERED = sorted(KERNEL_FACTORIES)
 BUDGETS = (16, 24, 32, 48, 64)
 VECTORS_PER_BUDGET = 3
@@ -75,14 +80,8 @@ def _objective(kernel, groups, allocation, context):
     else:
         dfg = build_dfg(kernel, groups)
         coverages = reference_coverages(kernel, groups)
-    storage = {
-        g.name: classify_operand_storage(
-            g, coverages[g.name], allocation.registers_for(g.name)
-        )
-        for g in groups
-    }
     return count_with_best_anchors(
-        kernel, groups, allocation, MODEL, 1, 1, dfg, coverages, storage,
+        kernel, groups, allocation, OBJECTIVE, dfg, coverages,
         context=context,
     )
 
@@ -100,8 +99,7 @@ def check_against_reference(kernel, groups, vectors, budget, context):
             assert got == want, (kernel.name, registers, ctx is not None)
             assert got.total_cycles == want.total_cycles
         low = count_cycles(
-            kernel, groups, allocation, MODEL, overhead_per_iteration=1,
-            context=context,
+            kernel, groups, allocation, OBJECTIVE, context=context
         )
         assert low == reference_count_cycles(
             kernel, groups, allocation, MODEL, 1, 1, coverages=reference
@@ -123,8 +121,8 @@ def check_explicit_anchors(kernel, groups, vectors, budget, context):
                 continue
             anchors = {group.name: "high"}
             got = count_cycles(
-                kernel, groups, allocation, MODEL, overhead_per_iteration=1,
-                anchors=anchors, context=context,
+                kernel, groups, allocation, OBJECTIVE, anchors=anchors,
+                context=context,
             )
             assert got == reference_count_cycles(
                 kernel, groups, allocation, MODEL, 1, 1, anchors=anchors,

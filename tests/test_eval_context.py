@@ -130,20 +130,27 @@ class TestForeignArtifactSafety:
         from repro.dfg.build import build_dfg
         from repro.dfg.latency import LatencyModel
         from repro.sim.cycles import count_cycles
+        from repro.synth.estimate import Objective
 
         ctx = EvalContext()
         kernel, groups = ctx.kernel_and_groups("fir", None)
         allocation = allocator_by_name("FR-RA").allocate(kernel, 16, groups)
-        model = LatencyModel.realistic(ram_latency=2)
+        objective = Objective(
+            LatencyModel.realistic(ram_latency=2), ram_ports=1,
+            overhead_per_iteration=0,
+        )
 
         foreign_dfg = build_dfg(kernel, groups)  # equal, not canonical
         foreign = count_cycles(
-            kernel, groups, allocation, model, dfg=foreign_dfg, context=ctx
+            kernel, groups, allocation, objective, dfg=foreign_dfg,
+            context=ctx,
         )
         canonical = count_cycles(
-            kernel, groups, allocation, model, context=ctx
+            kernel, groups, allocation, objective, context=ctx
         )
-        again = count_cycles(kernel, groups, allocation, model, context=ctx)
+        again = count_cycles(
+            kernel, groups, allocation, objective, context=ctx
+        )
         assert foreign == canonical == again
         # The foreign-DFG count was never stored: the canonical count
         # missed, and only the canonical repeat hit.
@@ -156,14 +163,20 @@ class TestForeignArtifactSafety:
         from coverage_oracle import reference_coverages
         from repro.dfg.latency import LatencyModel
         from repro.sim.cycles import count_cycles
+        from repro.synth.estimate import Objective
 
         ctx = EvalContext()
         kernel, groups = ctx.kernel_and_groups("pat", None)
         allocation = allocator_by_name("PR-RA").allocate(kernel, 16, groups)
-        model = LatencyModel.realistic(ram_latency=2)
-        canonical = count_cycles(kernel, groups, allocation, model, context=ctx)
+        objective = Objective(
+            LatencyModel.realistic(ram_latency=2), ram_ports=1,
+            overhead_per_iteration=0,
+        )
+        canonical = count_cycles(
+            kernel, groups, allocation, objective, context=ctx
+        )
         foreign = count_cycles(
-            kernel, groups, allocation, model, context=ctx,
+            kernel, groups, allocation, objective, context=ctx,
             coverages=reference_coverages(kernel, groups),
         )
         assert foreign == canonical
@@ -270,6 +283,7 @@ class TestStatsExactAccounting:
 
     def test_direct_memo_sequence(self):
         from repro.dfg.latency import LatencyModel
+        from repro.synth.estimate import Objective
 
         ctx = EvalContext()
         kernel, groups = ctx.kernel_and_groups("fir", None)
@@ -283,13 +297,28 @@ class TestStatsExactAccounting:
         assert (ctx.stats.dfg_misses, ctx.stats.dfg_hits) == (1, 1)
 
         model = LatencyModel.realistic(ram_latency=2)
-        costs = ctx.pattern_costs(kernel, groups, dfg, model, 1, 1)
-        assert ctx.pattern_costs(kernel, groups, dfg, model, 1, 1) is costs
+        objective = Objective(model, ram_ports=1, overhead_per_iteration=1)
+        costs = ctx.pattern_costs(kernel, groups, dfg, objective)
+        assert ctx.pattern_costs(kernel, groups, dfg, objective) is costs
+        # design_for builds a fresh model per point: an equal objective
+        # on a distinct model object is the same table.
+        twin = Objective(
+            LatencyModel.realistic(ram_latency=2), ram_ports=1,
+            overhead_per_iteration=1,
+        )
+        assert twin.model is not model
+        assert ctx.pattern_costs(kernel, groups, dfg, twin) is costs
         first = costs[0]
         assert costs[0] == first
         assert (ctx.stats.cost_misses, ctx.stats.cost_hits) == (1, 1)
         # A different overhead is a different table, not a hit.
-        assert ctx.pattern_costs(kernel, groups, dfg, model, 1, 0) is not costs
+        assert ctx.pattern_costs(
+            kernel, groups, dfg, Objective(model, 1, 0)
+        ) is not costs
+        # So is a different port count.
+        assert ctx.pattern_costs(
+            kernel, groups, dfg, Objective(model, 2, 1)
+        ) is not costs
 
     def test_optra_query_sequence(self):
         """OPT-RA at budgets (16, 16, 15, 8) in one context: every query

@@ -26,12 +26,7 @@ from repro.explore import (
     query_roots,
     query_vector,
 )
-from repro.explore.versions import (
-    EVALUATION_ROOT,
-    allocator_module,
-    kernel_module,
-    plugin_modules,
-)
+from repro.explore.versions import EVALUATION_ROOT, PLUGIN_MODULES
 from repro.kernels import build_fir
 from repro.plugins import ALLOCATOR_MODULES, KERNEL_MODULES
 
@@ -148,10 +143,10 @@ class TestQueryVectors:
         query = DesignQuery(kernel="fir", allocator="KS-RA", budget=8)
         roots = query_roots(query)
         assert EVALUATION_ROOT in roots
-        assert kernel_module("fir") in roots
-        assert allocator_module("KS-RA") in roots
-        assert kernel_module("mat") not in roots
-        assert allocator_module("FR-RA") not in roots
+        assert KERNEL_MODULES["fir"] in roots
+        assert ALLOCATOR_MODULES["KS-RA"] in roots
+        assert KERNEL_MODULES["mat"] not in roots
+        assert ALLOCATOR_MODULES["FR-RA"] not in roots
 
     def test_embedded_kernel_needs_no_kernel_module(self):
         query = DesignQuery.from_kernel(
@@ -164,7 +159,7 @@ class TestQueryVectors:
     def test_unknown_names_fall_back_to_whole_family(self):
         query = DesignQuery(kernel="nope", allocator="nope", budget=8)
         roots = set(query_roots(query))
-        assert plugin_modules() <= roots
+        assert PLUGIN_MODULES <= roots
 
     def test_name_tables_match_the_live_dispatch_maps(self):
         # The numpy-free tables name the same plugins, in the same

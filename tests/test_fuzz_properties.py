@@ -51,6 +51,7 @@ from repro.synth.estimate import Objective, build_design
 ALGORITHMS = ("FR-RA", "PR-RA", "CPA-RA", "KS-RA", "NO-SR")
 SEEDS = range(120)
 MODEL = LatencyModel.realistic(ram_latency=2)
+OBJECTIVE = Objective(MODEL, ram_ports=1, overhead_per_iteration=1)
 
 
 def _reports(case, coverages=None):
@@ -62,8 +63,8 @@ def _reports(case, coverages=None):
         reports[algorithm] = (
             allocation,
             count_cycles(
-                case.kernel, case.groups, allocation, MODEL,
-                overhead_per_iteration=1, coverages=coverages,
+                case.kernel, case.groups, allocation, OBJECTIVE,
+                coverages=coverages,
             ),
         )
     return reports
@@ -174,12 +175,9 @@ def test_registered_kernels_count_like_reference_coverage(kernel_name):
             except AllocationError:
                 continue
             want = count_cycles(
-                kernel, groups, allocation, MODEL, overhead_per_iteration=1,
-                coverages=reference,
+                kernel, groups, allocation, OBJECTIVE, coverages=reference
             )
-            got = count_cycles(
-                kernel, groups, allocation, MODEL, overhead_per_iteration=1
-            )
+            got = count_cycles(kernel, groups, allocation, OBJECTIVE)
             assert got == want, f"{kernel_name} {algorithm}@{budget}"
 
 
@@ -248,29 +246,20 @@ _FUZZ_CONTEXT = None
 
 def _objective_cycles(case, allocation, ctx):
     """The authoritative design objective (anchor-minimized cycles)."""
-    from repro.synth.estimate import (
-        classify_operand_storage,
-        count_with_best_anchors,
-    )
+    from repro.synth.estimate import count_with_best_anchors
 
     dfg = ctx.dfg(case.kernel, case.groups)
     coverages = ctx.coverages(case.kernel, case.groups)
-    storage = {
-        g.name: classify_operand_storage(
-            g, coverages[g.name], allocation.registers_for(g.name)
-        )
-        for g in case.groups
-    }
     return count_with_best_anchors(
-        case.kernel, case.groups, allocation, MODEL, 1, 1, dfg, coverages,
-        storage, context=ctx,
+        case.kernel, case.groups, allocation, OBJECTIVE, dfg, coverages,
+        context=ctx,
     ).total_cycles
 
 
 def _optra(case, budget, context=None, node_limit=None):
     return OptimalAllocator(node_limit=node_limit).allocate(
         case.kernel, budget, case.groups, context=context,
-        objective=Objective(MODEL, ram_ports=1, overhead_per_iteration=1),
+        objective=OBJECTIVE,
     )
 
 

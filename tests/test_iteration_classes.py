@@ -35,9 +35,10 @@ from repro.explore.context import EvalContext
 from repro.kernels import KERNEL_FACTORIES, get_kernel
 from repro.scalar.coverage import GroupCoverage, IterationClasses, coverage_for
 from repro.sim.cycles import best_anchors, count_cycles
-from repro.synth.estimate import classify_operand_storage
+from repro.synth.estimate import Objective, classify_operand_storage
 
 MODEL = LatencyModel.realistic(ram_latency=2)
+OBJECTIVE = Objective(MODEL, ram_ports=1, overhead_per_iteration=1)
 REGISTERED = sorted(KERNEL_FACTORIES)
 
 
@@ -147,8 +148,8 @@ def check_reports(kernel, groups, vectors):
         )
         for given in (None, foreign):
             got = count_cycles(
-                kernel, groups, allocation, MODEL, overhead_per_iteration=1,
-                coverages=given, context=context,
+                kernel, groups, allocation, OBJECTIVE, coverages=given,
+                context=context,
             )
             assert got == want, (kernel.name, registers, given is None)
         candidates = [
@@ -160,7 +161,7 @@ def check_reports(kernel, groups, vectors):
             and coverages[g.name].kind == "pinned"
         ][:4]
         assert best_anchors(
-            kernel, groups, allocation, MODEL, 1, 1, dfg, coverages,
+            kernel, groups, allocation, OBJECTIVE, dfg, coverages,
             candidates, context,
         ) == reference_best_anchors(kernel, groups, allocation, MODEL, 1, 1)
 
@@ -232,7 +233,8 @@ def test_gather_rejects_merged_classes():
         merged.gather(result.read_miss)
     with pytest.raises(SimulationError):
         count_cycles(
-            kernel, groups, _allocation(kernel, groups, {"c[j]": 12}), MODEL,
+            kernel, groups, _allocation(kernel, groups, {"c[j]": 12}),
+            Objective(MODEL, ram_ports=1, overhead_per_iteration=0),
             coverages=_Foreign(coverages, merged),
         )
 

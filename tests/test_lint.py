@@ -273,7 +273,7 @@ def test_shipped_tree_is_lint_clean(self_clean_run):
         (f["path"], f"{f['check']}:{f['code']}") for f in doc["findings"]
     )
     assert designs == {
-        ("repro/explore/context.py", "determinism:id-key"): 5,
+        ("repro/explore/context.py", "determinism:id-key"): 3,
         ("repro/explore/context.py", "version-cone:mutable-global"): 2,
     }
     assert all(f["justification"] for f in doc["findings"] if f["suppressed"])

@@ -36,11 +36,7 @@ from repro.explore.query import DesignQuery, DesignRecord
 from repro.kernels import KERNEL_FACTORIES, get_kernel
 from repro.analysis.groups import build_groups
 from repro.scalar.coverage import GroupCoverage
-from repro.synth.estimate import (
-    Objective,
-    classify_operand_storage,
-    count_with_best_anchors,
-)
+from repro.synth.estimate import Objective, count_with_best_anchors
 
 MODEL = LatencyModel.realistic(ram_latency=2)
 #: The pipeline's default objective, spelled out.
@@ -73,15 +69,8 @@ def objective_cycles(
     else:
         dfg = build_dfg(kernel, groups)
         coverages = {g.name: GroupCoverage(kernel, g) for g in groups}
-    storage = {
-        g.name: classify_operand_storage(
-            g, coverages[g.name], registers[g.name]
-        )
-        for g in groups
-    }
     report = count_with_best_anchors(
-        kernel, groups, allocation, objective.model, objective.ram_ports,
-        objective.overhead_per_iteration, dfg, coverages, storage,
+        kernel, groups, allocation, objective, dfg, coverages,
         context=context,
     )
     return report.total_cycles

@@ -40,6 +40,7 @@ from repro.dfg import LatencyModel, build_dfg, critical_graph, enumerate_cuts
 from repro.hw import XCV1000
 from repro.kernels import build_decfir, build_fir, build_mat, paper_kernels
 from repro.sim import count_cycles
+from repro.synth.estimate import Objective
 
 BUDGETS = [4, 8, 16, 32, 64, 128]
 LATENCIES = [1, 2, 4, 8]
@@ -296,7 +297,8 @@ def test_example_cycle_counter(example_kernel, example_groups):
         example_kernel, 64, example_groups
     )
     report = count_cycles(
-        example_kernel, example_groups, allocation, LatencyModel.tmem()
+        example_kernel, example_groups, allocation,
+        Objective(LatencyModel.tmem(), ram_ports=1, overhead_per_iteration=0),
     )
     assert report.total_cycles > 0
 

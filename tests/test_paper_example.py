@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.dfg import LatencyModel
 from repro.sim import count_cycles
+from repro.synth.estimate import Objective
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,9 @@ class TestFigure2Tmem:
 
     def _tmem_per_outer(self, kernel, groups, allocator):
         alloc = allocator.allocate(kernel, 64, groups)
-        report = count_cycles(kernel, groups, alloc, LatencyModel.tmem())
+        report = count_cycles(
+            kernel, groups, alloc, Objective(LatencyModel.tmem(), 1, 0)
+        )
         return report.in_loop_cycles / kernel.nest.loops[0].trip_count
 
     def test_fr_ra_matches_exactly(self, kernel, groups):

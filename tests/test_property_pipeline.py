@@ -24,6 +24,7 @@ from repro.dfg import LatencyModel
 from repro.ir import INT16, INT32, KernelBuilder
 from repro.scalar.coverage import GroupCoverage
 from repro.sim import count_cycles, random_inputs, run_kernel, run_scalar_replaced
+from repro.synth.estimate import Objective
 
 
 @st.composite
@@ -91,11 +92,11 @@ def test_semantic_equivalence_and_traffic(kernel, budget, allocator_cls):
 @settings(max_examples=25, deadline=None)
 def test_memory_cycles_monotone_in_budget(kernel):
     groups = build_groups(kernel)
-    model = LatencyModel.tmem()
+    tmem = Objective(LatencyModel.tmem(), ram_ports=1, overhead_per_iteration=0)
     previous = None
     for budget in (len(groups), len(groups) + 3, len(groups) + 8, 40):
         allocation = CriticalPathAwareAllocator().allocate(kernel, budget, groups)
-        report = count_cycles(kernel, groups, allocation, model)
+        report = count_cycles(kernel, groups, allocation, tmem)
         if previous is not None:
             assert report.in_loop_cycles <= previous
         previous = report.in_loop_cycles

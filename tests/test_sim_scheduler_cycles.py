@@ -11,6 +11,10 @@ from repro.core import (
 from repro.dfg import LatencyModel, build_dfg
 from repro.errors import SimulationError
 from repro.sim import count_cycles, schedule_iteration
+from repro.synth.estimate import Objective
+
+#: Figure 2(c) units: memory-only latencies, one port, no overhead.
+TMEM = Objective(LatencyModel.tmem(), ram_ports=1, overhead_per_iteration=0)
 
 
 class TestScheduler:
@@ -82,16 +86,16 @@ class TestCycleCounter:
     def test_naive_tmem_counts_three_per_iteration(self, example_kernel):
         groups = build_groups(example_kernel)
         alloc = NaiveAllocator().allocate(example_kernel, 64, groups)
-        report = count_cycles(example_kernel, groups, alloc, LatencyModel.tmem())
+        report = count_cycles(example_kernel, groups, alloc, TMEM)
         assert report.in_loop_cycles == 3 * example_kernel.iteration_count
 
     def test_overhead_added_per_iteration(self, example_kernel):
         groups = build_groups(example_kernel)
         alloc = NaiveAllocator().allocate(example_kernel, 64, groups)
-        base = count_cycles(example_kernel, groups, alloc, LatencyModel.tmem())
+        base = count_cycles(example_kernel, groups, alloc, TMEM)
         plus = count_cycles(
-            example_kernel, groups, alloc, LatencyModel.tmem(),
-            overhead_per_iteration=1,
+            example_kernel, groups, alloc,
+            Objective(LatencyModel.tmem(), ram_ports=1, overhead_per_iteration=1),
         )
         assert (
             plus.in_loop_cycles - base.in_loop_cycles
@@ -101,7 +105,7 @@ class TestCycleCounter:
     def test_pattern_counts_partition_space(self, example_kernel):
         groups = build_groups(example_kernel)
         alloc = CriticalPathAwareAllocator().allocate(example_kernel, 64, groups)
-        report = count_cycles(example_kernel, groups, alloc, LatencyModel.tmem())
+        report = count_cycles(example_kernel, groups, alloc, TMEM)
         assert (
             sum(count for _, count, _ in report.pattern_counts)
             == example_kernel.iteration_count
@@ -112,7 +116,7 @@ class TestCycleCounter:
 
         groups = build_groups(example_kernel)
         alloc = FullReuseAllocator().allocate(example_kernel, 64, groups)
-        report = count_cycles(example_kernel, groups, alloc, LatencyModel.tmem())
+        report = count_cycles(example_kernel, groups, alloc, TMEM)
         for group in groups:
             cov = GroupCoverage(example_kernel, group)
             assert report.ram_accesses[group.name] == cov.ram_accesses(
@@ -126,9 +130,7 @@ class TestCycleCounter:
             alloc = CriticalPathAwareAllocator().allocate(
                 example_kernel, budget, groups
             )
-            report = count_cycles(
-                example_kernel, groups, alloc, LatencyModel.tmem()
-            )
+            report = count_cycles(example_kernel, groups, alloc, TMEM)
             if previous is not None:
                 assert report.in_loop_cycles <= previous
             previous = report.in_loop_cycles
@@ -136,6 +138,10 @@ class TestCycleCounter:
     def test_epilogue_cycles_scale_with_latency(self, example_kernel):
         groups = build_groups(example_kernel)
         alloc = CriticalPathAwareAllocator().allocate(example_kernel, 64, groups)
-        one = count_cycles(example_kernel, groups, alloc, LatencyModel.tmem(1))
-        two = count_cycles(example_kernel, groups, alloc, LatencyModel.tmem(2))
+        one = count_cycles(
+            example_kernel, groups, alloc, Objective(LatencyModel.tmem(1), 1, 0)
+        )
+        two = count_cycles(
+            example_kernel, groups, alloc, Objective(LatencyModel.tmem(2), 1, 0)
+        )
         assert two.epilogue_cycles == 2 * one.epilogue_cycles
