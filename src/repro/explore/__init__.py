@@ -77,7 +77,6 @@ __all__ = [
     "query_roots",
     "query_vector",
     "reset_process_context",
-    "run_queries",
     "shard_index",
     "shard_queries",
 ]
@@ -96,7 +95,7 @@ def __getattr__(name: str):
         from repro.explore import context as module
     elif name in ("evaluate_query", "evaluate_query_safe"):
         from repro.explore import evaluate as module
-    elif name in ("Executor", "ExploreStats", "run_queries"):
+    elif name in ("Executor", "ExploreStats"):
         from repro.explore import executor as module
     elif name in ("FaultPlan", "InjectedCrash", "WorkerLost", "WouldHang",
                   "parse_fault_spec"):

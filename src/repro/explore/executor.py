@@ -51,7 +51,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.errors import ReproError, SweepInterrupted
-from repro.explore import faults as faults_mod
 from repro.explore.cache import ResultCache
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.explore.results import ResultSet
@@ -66,8 +65,9 @@ from repro.explore.supervise import (
 
 if TYPE_CHECKING:
     from repro.explore.context import EvalContext
+    from repro.explore.faults import FaultPlan
 
-__all__ = ["Executor", "ExploreStats", "run_queries"]
+__all__ = ["Executor", "ExploreStats"]
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ class Executor:
         shard: "tuple[int, int] | str | None" = None,
         retry: "RetryPolicy | None" = None,
         point_timeout: float = DEFAULT_POINT_TIMEOUT,
-        faults: "faults_mod.FaultPlan | None" = None,
+        faults: "FaultPlan | None" = None,
     ):
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
@@ -294,12 +294,6 @@ class Executor:
         hits = done = len(records)
         if progress:
             progress(done, len(queries))
-        # The inline path (jobs=1, and the degraded remainder of a
-        # jobs>1 run) reads the process-global fault plan; install it
-        # for the duration of the drive and restore whatever was there.
-        previous_plan = faults_mod.active_fault_plan()
-        if self.faults is not None:
-            faults_mod.install_fault_plan(self.faults)
         try:
             for index, record in self._evaluate(pending):
                 records[index] = record
@@ -309,9 +303,6 @@ class Executor:
                     progress(done, len(queries))
         except KeyboardInterrupt:
             raise SweepInterrupted(done=done, total=len(queries)) from None
-        finally:
-            if self.faults is not None:
-                faults_mod.install_fault_plan(previous_plan)
 
         ordered = tuple(records[i] for i in range(len(queries)))
         stage_seconds: dict[str, float] = {}
@@ -507,21 +498,3 @@ class Executor:
                 )
         return "\n".join(lines)
 
-
-def run_queries(
-    queries: "Iterable[DesignQuery]",
-    jobs: int = 1,
-    cache: "ResultCache | Path | str | None" = None,
-    reuse_cache: bool = True,
-    context: "EvalContext | None" = None,
-    shard: "tuple[int, int] | str | None" = None,
-    retry: "RetryPolicy | None" = None,
-    point_timeout: float = DEFAULT_POINT_TIMEOUT,
-    faults: "faults_mod.FaultPlan | None" = None,
-) -> ResultSet:
-    """One-call convenience wrapper around :class:`Executor`."""
-    return Executor(
-        jobs=jobs, cache=cache, reuse_cache=reuse_cache, context=context,
-        shard=shard, retry=retry, point_timeout=point_timeout,
-        faults=faults,
-    ).run(queries)

@@ -19,7 +19,7 @@ attempt)``, whether a design point's evaluation misbehaves and how:
     ``BrokenProcessPool`` in a pool worker.  Inline it raises
     :class:`WorkerLost`, the jobs=1 stand-in with the same attribution.
 ``slow``
-    The evaluation sleeps ``slow_seconds`` first, then proceeds
+    The evaluation sleeps :data:`SLOW_SECONDS` first, then proceeds
     normally (deadline/latency jitter without failure).
 ``corrupt-write`` / ``enospc``
     Cache-plane faults: they fire in the *parent* at cache-write time
@@ -27,11 +27,13 @@ attempt)``, whether a design point's evaluation misbehaves and how:
     byte of the just-written entry or raising a synthetic
     ``OSError(ENOSPC)``.
 
-The plan travels across the process boundary through the pool's worker
-initializer (it is a frozen, picklable dataclass), so an injected run
-is reproducible under any multiprocessing start method and independent
-of which worker evaluates which point.  ``attempt`` gates every fault
-(``attempt <= fires``), so a retried point recovers deterministically.
+The plan is an argument, never a process global: it rides with each
+lease submitted to a pool worker (it is a small frozen, picklable
+dataclass) and is passed straight to the inline evaluation, so an
+injected run is reproducible under any multiprocessing start method
+and independent of which worker evaluates which point.  ``attempt``
+gates every fault (``attempt <= fires``), so a retried point recovers
+deterministically.
 
 Because decisions are pure in ``(seed, digest, attempt)``, a plan is
 also **lease-shape independent**: whether a point reaches a worker
@@ -53,7 +55,7 @@ import hashlib
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import ReproError
@@ -65,9 +67,6 @@ __all__ = [
     "InjectedCrash",
     "WorkerLost",
     "WouldHang",
-    "active_fault_plan",
-    "apply_fault",
-    "install_fault_plan",
     "parse_fault_spec",
 ]
 
@@ -76,6 +75,9 @@ FAULT_KINDS = ("crash", "hang", "kill", "slow", "corrupt-write", "enospc")
 
 #: Kinds applied by the parent at cache-write time, not in evaluation.
 _CACHE_KINDS = frozenset({"corrupt-write", "enospc"})
+
+#: Seconds a ``slow`` fault sleeps before the evaluation proceeds.
+SLOW_SECONDS = 0.01
 
 
 class InjectedCrash(RuntimeError):
@@ -112,7 +114,6 @@ class FaultPlan:
     pins: "tuple[tuple[str, str], ...]" = ()
     fires: int = 1
     hang_seconds: float = 30.0
-    slow_seconds: float = 0.01
 
     def __post_init__(self) -> None:
         total = 0.0
@@ -191,7 +192,7 @@ class FaultPlan:
         if kind is None or kind in _CACHE_KINDS or attempt > self.fires:
             return None
         if kind == "slow":
-            time.sleep(self.slow_seconds)
+            time.sleep(SLOW_SECONDS)
             return None
         if kind == "crash":
             return DesignRecord.crashed(
@@ -234,30 +235,3 @@ def parse_fault_spec(spec: str, seed: int = 0, **kwargs) -> FaultPlan:
         raise ReproError(f"empty fault spec {spec!r}")
     return FaultPlan(seed=seed, rates=tuple(rates), **kwargs)
 
-
-#: The process-active plan: None almost always.  Installed by the
-#: executor for the inline path and by the pool's worker initializer
-#: for workers; plain rebinding (never mutation), so fork-inherited
-#: copies stay independent.
-_ACTIVE_PLAN: "FaultPlan | None" = None
-_IN_WORKER = False
-
-
-def install_fault_plan(
-    plan: "FaultPlan | None", worker: bool = False
-) -> None:
-    """Install ``plan`` process-globally (None uninstalls)."""
-    global _ACTIVE_PLAN, _IN_WORKER
-    _ACTIVE_PLAN = plan
-    _IN_WORKER = bool(worker)
-
-
-def active_fault_plan() -> "FaultPlan | None":
-    return _ACTIVE_PLAN
-
-
-def apply_fault(query: DesignQuery, attempt: int) -> "DesignRecord | None":
-    """Apply the installed plan (no-op without one); see :meth:`FaultPlan.apply`."""
-    if _ACTIVE_PLAN is None:
-        return None
-    return _ACTIVE_PLAN.apply(query, attempt, worker=_IN_WORKER)

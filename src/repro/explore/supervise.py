@@ -2,10 +2,14 @@
 
 The :class:`SupervisedDriver` is the one drive loop behind
 :class:`~repro.explore.executor.Executor`: ``jobs=1`` runs it inline,
-``jobs>1`` feeds a worker pool from the fixed-size lease queue
-(:func:`~repro.explore.schedule.plan_leases`), one lease per idle
-worker, in queue order.  It adds four behaviours a plain pool loop
-cannot provide:
+``jobs>1`` feeds a worker pool from one queue of unsubmitted work,
+one task per idle worker, in queue order.  The queue starts as the
+fixed-size lease plan (:func:`~repro.explore.schedule.plan_leases`);
+retried and requeued points re-enter at its front, one point per
+entry, and an entry still backing off keeps its place without blocking
+the ready work behind it.  The fault plan, if any, rides with each
+task as an argument.  The driver adds four behaviours a plain pool
+loop cannot provide:
 
 * **per-point deadlines** — every point gets ``point_timeout`` seconds
   (default :data:`DEFAULT_POINT_TIMEOUT`) and a lease the sum over its
@@ -32,9 +36,10 @@ deadline expiry of a single-point task, a pool break while that point
 was the sole task in flight, or the inline
 :class:`~repro.explore.faults.WorkerLost`/:class:`~repro.explore.faults.WouldHang`
 stand-ins.  A pool break with several tasks in flight requeues them
-*without* attribution and shrinks the submission window to one task,
-so the culprit identifies itself on the next break; once attributed,
-the window re-opens.  ``jobs=1`` and ``jobs=N`` therefore agree on
+*without* attribution, at the front of the queue, and shrinks the
+submission window to one task, so the culprit identifies itself on the
+next break before any further lease is sent; once attributed, the
+window re-opens.  ``jobs=1`` and ``jobs=N`` therefore agree on
 retry and quarantine counts (pool-rebuild counts are inherently
 parallel-only).
 """
@@ -134,18 +139,17 @@ def quarantine_record(
     )
 
 
-def _worker_init(plan: "faults_mod.FaultPlan | None") -> None:
-    """Pool initializer: thread the fault plan across the boundary."""
-    faults_mod.install_fault_plan(plan, worker=True)
-
-
 def _evaluate_one(
-    query: DesignQuery, attempt: int, context: "EvalContext | None" = None
+    query: DesignQuery,
+    attempt: int,
+    plan: "faults_mod.FaultPlan | None",
+    worker: bool,
+    context: "EvalContext | None" = None,
 ) -> DesignRecord:
     """Evaluate one point, fault-aware; the supervised work unit."""
     from repro.explore.evaluate import evaluate_query_safe
 
-    record = faults_mod.apply_fault(query, attempt)
+    record = plan.apply(query, attempt, worker) if plan is not None else None
     if record is None:
         record = evaluate_query_safe(query, context=context)
     return record
@@ -153,12 +157,17 @@ def _evaluate_one(
 
 def _evaluate_lease(
     items: "list[tuple[DesignQuery, int]]",
+    plan: "faults_mod.FaultPlan | None",
 ) -> "list[DesignRecord]":
     """Worker task: one lease, one IPC round trip.
 
-    Workers evaluate on their own process-global context.
+    The fault plan rides with every lease; workers evaluate on their
+    own process-global context.
     """
-    return [_evaluate_one(query, attempt) for query, attempt in items]
+    return [
+        _evaluate_one(query, attempt, plan, worker=True)
+        for query, attempt in items
+    ]
 
 
 @dataclass
@@ -197,6 +206,9 @@ class SupervisedDriver:
         self.pool_breaks = 0
         self.degraded = False
         self.leases = 0
+        #: Attributed failures per point index, shared by the pool and
+        #: its degraded inline remainder.
+        self.failures: "dict[int, int]" = {}
 
     # -- shared attribution ------------------------------------------------
 
@@ -204,68 +216,59 @@ class SupervisedDriver:
         self,
         index: int,
         query: DesignQuery,
-        failures: "dict[int, int]",
         record: "DesignRecord | None" = None,
         loss_type: "str | None" = None,
-    ) -> "tuple[str, DesignRecord | None]":
-        """One attributed failure: ``('retry', None)`` or ``('final', rec)``."""
-        count = failures[index] = failures.get(index, 0) + 1
+    ) -> "DesignRecord | None":
+        """One attributed failure: None to retry, else the final record."""
+        count = self.failures[index] = self.failures.get(index, 0) + 1
         if count > self.retry.max_retries:
             self.quarantined += 1
             if record is not None:
-                final = replace(record, quarantined=True, attempts=count)
-            else:
-                final = quarantine_record(query, loss_type or "WorkerLost",
-                                          count)
-            return "final", final
+                return replace(record, quarantined=True, attempts=count)
+            return quarantine_record(query, loss_type or "WorkerLost", count)
         self.retries += 1
-        return "retry", None
+        return None
 
-    def _finish(
-        self, index: int, failures: "dict[int, int]", record: DesignRecord
-    ) -> DesignRecord:
+    def _finish(self, index: int, record: DesignRecord) -> DesignRecord:
         """Stamp the attempt count onto a successful-after-retry record."""
-        count = failures.get(index, 0)
+        count = self.failures.get(index, 0)
         return replace(record, attempts=count + 1) if count else record
+
+    def _retry_entry(
+        self, index: int, query: DesignQuery
+    ) -> "tuple[float, tuple, bool]":
+        """A pending-queue entry retrying one point after its backoff."""
+        delay = self.retry.delay(self.failures[index])
+        return time.perf_counter() + delay, ((index, query),), False
 
     # -- inline (jobs=1 and degraded mode) ---------------------------------
 
     def _drive_inline(
-        self,
-        items: "Iterable[tuple[int, DesignQuery]]",
-        failures: "dict[int, int] | None" = None,
+        self, items: "Iterable[tuple[int, DesignQuery]]"
     ) -> "Iterator[tuple[int, DesignRecord]]":
-        if failures is None:
-            failures = {}
         queue = deque(items)
         while queue:
             index, query = queue.popleft()
-            outcome = "final"
-            final: "DesignRecord | None" = None
             try:
                 record = _evaluate_one(
-                    query, failures.get(index, 0) + 1, self.context
+                    query, self.failures.get(index, 0) + 1, self.plan,
+                    worker=False, context=self.context,
                 )
             except faults_mod.WorkerLost:
-                outcome, final = self._attribute(
-                    index, query, failures, loss_type="WorkerLost"
-                )
+                final = self._attribute(index, query, loss_type="WorkerLost")
             except faults_mod.WouldHang:
-                outcome, final = self._attribute(
-                    index, query, failures, loss_type="EvaluationTimeout"
+                final = self._attribute(
+                    index, query, loss_type="EvaluationTimeout"
                 )
             else:
-                if record.crash:
-                    outcome, final = self._attribute(
-                        index, query, failures, record=record
-                    )
-                else:
-                    final = self._finish(index, failures, record)
-            if outcome == "retry":
-                time.sleep(self.retry.delay(failures[index]))
+                final = (
+                    self._attribute(index, query, record=record)
+                    if record.crash else self._finish(index, record)
+                )
+            if final is None:
+                time.sleep(self.retry.delay(self.failures[index]))
                 queue.appendleft((index, query))
             else:
-                assert final is not None
                 yield index, final
 
     # -- the parallel drive loop -------------------------------------------
@@ -274,19 +277,7 @@ class SupervisedDriver:
         # multiprocessing loads only for a sweep that forks a pool.
         from concurrent.futures import ProcessPoolExecutor
 
-        if self.plan is not None:
-            return ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_init,
-                initargs=(self.plan,),
-            )
         return ProcessPoolExecutor(max_workers=self.jobs)
-
-    def _submit(self, pool: ProcessPoolExecutor, task: _Task) -> Future:
-        return pool.submit(
-            _evaluate_lease,
-            [(query, attempt) for _, query, attempt in task.items],
-        )
 
     def _poll_timeout(self, inflight: "dict[Future, _Task]") -> float:
         """How long the next ``wait`` may block before a deadline scan."""
@@ -309,25 +300,110 @@ class SupervisedDriver:
                 continue
         pool.shutdown(wait=False, cancel_futures=True)
 
+    def _submit_ready(
+        self,
+        pool: ProcessPoolExecutor,
+        pending: "deque[tuple[float, tuple, bool]]",
+        inflight: "dict[Future, _Task]",
+        window: int,
+    ) -> bool:
+        """Submit ready entries in queue order until the window is full.
+
+        An entry still backing off keeps its place without blocking the
+        ready work behind it.  Returns True when the pool is broken (the
+        entry that failed to submit stays queued).
+        """
+        now = time.perf_counter()
+        position = 0
+        while position < len(pending) and len(inflight) < window:
+            ready_at, points, planned = pending[position]
+            if ready_at > now:
+                position += 1
+                continue
+            task = _Task(
+                items=[
+                    (index, query, self.failures.get(index, 0) + 1)
+                    for index, query in points
+                ],
+                deadline=self.point_timeout * len(points),
+            )
+            try:
+                future = pool.submit(
+                    _evaluate_lease,
+                    [(query, attempt) for _, query, attempt in task.items],
+                    self.plan,
+                )
+            except BrokenExecutor:
+                return True
+            del pending[position]
+            inflight[future] = task
+            if planned:
+                self.leases += 1
+        return False
+
+    def _collect(
+        self,
+        done: "set[Future]",
+        inflight: "dict[Future, _Task]",
+        pending: "deque[tuple[float, tuple, bool]]",
+    ) -> "Iterator[tuple[int, DesignRecord]]":
+        """Yield the finished tasks' records; crash retries re-enter at
+        the front of ``pending``.  Returns True when a task found the
+        pool broken (that task stays in flight: attribution needs the
+        full in-flight picture)."""
+        broken = False
+        retries: "list[tuple[float, tuple, bool]]" = []
+        for future in done:
+            try:
+                records = future.result()
+            except BrokenExecutor:
+                broken = True
+                continue
+            task = inflight.pop(future)
+            for (index, query, _), record in zip(task.items, records):
+                final = (
+                    self._attribute(index, query, record=record)
+                    if record.crash else self._finish(index, record)
+                )
+                if final is None:
+                    retries.append(self._retry_entry(index, query))
+                else:
+                    yield index, final
+        pending.extendleft(reversed(retries))
+        return broken
+
+    def _expired(self, inflight: "dict[Future, _Task]") -> "set[Future]":
+        """Deadline scan: clocks start at first observed running."""
+        now = time.perf_counter()
+        expired: set[Future] = set()
+        for future, task in inflight.items():
+            if task.started is None and future.running():
+                task.started = now
+            if task.started is not None and now - task.started > task.deadline:
+                expired.add(future)
+        return expired
+
     def _pool_event(
         self,
         pool: ProcessPoolExecutor,
         inflight: "dict[Future, _Task]",
-        failures: "dict[int, int]",
-        queue: "deque[tuple[int, DesignQuery, float]]",
-        expired: "frozenset[Future] | set[Future]" = frozenset(),
+        pending: "deque[tuple[float, tuple, bool]]",
+        expired: "set[Future]",
     ) -> "tuple[ProcessPoolExecutor | None, list[tuple[int, DesignRecord]], bool]":
         """Handle a break/expiry: requeue, attribute, rebuild (or degrade).
 
-        Returns ``(new_pool_or_None, terminal_records, attributed)``;
-        ``None`` means the driver degraded to inline evaluation.
+        Every in-flight point re-enters at the front of ``pending``, one
+        point per entry.  Returns ``(new_pool_or_None, terminal_records,
+        attributed)``; ``None`` means the driver degraded to inline
+        evaluation.
         """
         self.pool_breaks += 1
         now = time.perf_counter()
         finals: list[tuple[int, DesignRecord]] = []
+        requeue: "list[tuple[float, tuple, bool]]" = []
         attributed = False
         sole = next(iter(inflight.values())) if len(inflight) == 1 else None
-        for future, task in list(inflight.items()):
+        for future, task in inflight.items():
             is_expired = future in expired
             blame = len(task.items) == 1 and (
                 is_expired or (not expired and task is sole)
@@ -335,20 +411,18 @@ class SupervisedDriver:
             if blame:
                 index, query, _ = task.items[0]
                 loss = "EvaluationTimeout" if is_expired else "WorkerLost"
-                outcome, final = self._attribute(
-                    index, query, failures, loss_type=loss
-                )
+                final = self._attribute(index, query, loss_type=loss)
                 attributed = True
-                if outcome == "retry":
-                    queue.append(
-                        (index, query, now + self.retry.delay(failures[index]))
-                    )
+                if final is None:
+                    requeue.append(self._retry_entry(index, query))
                 else:
-                    assert final is not None
                     finals.append((index, final))
             else:
-                for index, query, _ in task.items:
-                    queue.append((index, query, now))
+                requeue.extend(
+                    (now, ((index, query),), False)
+                    for index, query, _ in task.items
+                )
+        pending.extendleft(reversed(requeue))
         inflight.clear()
         self._teardown(pool)
         if self.pool_breaks >= POOL_BREAK_LIMIT:
@@ -364,126 +438,44 @@ class SupervisedDriver:
     def _drive_pool(
         self, leases: "list[Lease]"
     ) -> "Iterator[tuple[int, DesignRecord]]":
-        failures: dict[int, int] = {}
-        queue: "deque[tuple[int, DesignQuery, float]]" = deque()
-        lease_queue: "deque[Lease]" = deque(leases)
+        # The one queue of unsubmitted work, ``(ready_at, points,
+        # planned)`` entries: the planned leases in query order, with
+        # retried and requeued points re-entering at the front, one
+        # point per entry (``planned`` counts a submit in ``leases``).
+        pending: "deque[tuple[float, tuple, bool]]" = deque(
+            (0.0, lease.items, True) for lease in leases
+        )
         inflight: dict[Future, _Task] = {}
         window = self.jobs
         pool: "ProcessPoolExecutor | None" = self._make_pool()
         clean = False
         try:
-            while inflight or queue or lease_queue:
+            while inflight or pending:
                 if pool is None:
                     # Degraded: no more pools — finish what's left inline
                     # (injected faults switch to their inline semantics).
-                    leftovers = [(i, q) for i, q, _ in queue]
-                    leftovers.extend(
-                        item for lease in lease_queue for item in lease.items
-                    )
-                    queue.clear()
-                    lease_queue.clear()
-                    yield from self._drive_inline(leftovers, failures)
+                    leftovers = [item for _, points, _ in pending
+                                 for item in points]
+                    pending.clear()
+                    yield from self._drive_inline(leftovers)
                     break
-                now = time.perf_counter()
-                submit_failed = False
-                while queue and len(inflight) < window:
-                    if queue[0][2] > now:
-                        break
-                    index, query, _ = queue.popleft()
-                    task = _Task(
-                        items=[(index, query, failures.get(index, 0) + 1)],
-                        deadline=self.point_timeout,
-                    )
-                    try:
-                        inflight[self._submit(pool, task)] = task
-                    except BrokenExecutor:
-                        queue.appendleft((index, query, now))
-                        submit_failed = True
-                        break
-                while (
-                    not submit_failed and lease_queue
-                    and len(inflight) < window
-                ):
-                    lease = lease_queue.popleft()
-                    task = _Task(
-                        items=[
-                            (i, q, failures.get(i, 0) + 1)
-                            for i, q in lease.items
-                        ],
-                        deadline=self.point_timeout * len(lease.items),
-                    )
-                    try:
-                        inflight[self._submit(pool, task)] = task
-                        self.leases += 1
-                    except BrokenExecutor:
-                        lease_queue.appendleft(lease)
-                        submit_failed = True
-                if submit_failed:
-                    pool, finals, attributed = self._pool_event(
-                        pool, inflight, failures, queue
-                    )
-                    yield from finals
-                    window = self.jobs if attributed else 1
-                    continue
-                if not inflight:
-                    # Everything runnable is backing off; sleep it out.
-                    time.sleep(
-                        max(0.0, min(item[2] for item in queue) - now)
-                    )
-                    continue
-                done, _ = wait(
-                    set(inflight),
-                    timeout=self._poll_timeout(inflight),
-                    return_when=FIRST_COMPLETED,
-                )
-                broken = False
-                for future in done:
-                    task = inflight.pop(future)
-                    try:
-                        records = future.result()
-                    except BrokenExecutor:
-                        broken = True
-                        # Re-insert so the event handler sees the task
-                        # (attribution needs the full in-flight picture).
-                        inflight[future] = task
+                broken = self._submit_ready(pool, pending, inflight, window)
+                if not broken:
+                    if not inflight:
+                        # Everything runnable is backing off; sleep it out.
+                        ready_at = min(entry[0] for entry in pending)
+                        time.sleep(max(0.0, ready_at - time.perf_counter()))
                         continue
-                    for (index, query, _), record in zip(task.items, records):
-                        if record.crash:
-                            outcome, final = self._attribute(
-                                index, query, failures, record=record
-                            )
-                            if outcome == "retry":
-                                queue.append((
-                                    index, query,
-                                    time.perf_counter()
-                                    + self.retry.delay(failures[index]),
-                                ))
-                                continue
-                            assert final is not None
-                            yield index, final
-                        else:
-                            yield index, self._finish(index, failures, record)
-                if broken:
-                    pool, finals, attributed = self._pool_event(
-                        pool, inflight, failures, queue
+                    done, _ = wait(
+                        set(inflight),
+                        timeout=self._poll_timeout(inflight),
+                        return_when=FIRST_COMPLETED,
                     )
-                    yield from finals
-                    window = self.jobs if attributed else 1
-                    continue
-                # Deadline scan: clocks start at first observed running.
-                now = time.perf_counter()
-                expired: set[Future] = set()
-                for future, task in inflight.items():
-                    if task.started is None and future.running():
-                        task.started = now
-                    if (
-                        task.started is not None
-                        and now - task.started > task.deadline
-                    ):
-                        expired.add(future)
-                if expired:
+                    broken = yield from self._collect(done, inflight, pending)
+                expired = set() if broken else self._expired(inflight)
+                if broken or expired:
                     pool, finals, attributed = self._pool_event(
-                        pool, inflight, failures, queue, expired=expired
+                        pool, inflight, pending, expired
                     )
                     yield from finals
                     window = self.jobs if attributed else 1

@@ -19,8 +19,8 @@ from repro.errors import AnalysisError, SimulationError
 from repro.explore import (
     DesignQuery,
     EvalContext,
+    Executor,
     reset_process_context,
-    run_queries,
 )
 from repro.scalar.coverage import GroupCoverage
 from repro.sim.residency import (
@@ -166,11 +166,11 @@ def test_profile_trace_stage_survives_worker_pools():
         DesignQuery(kernel="fir", allocator="PR-RA", budget=budget)
         for budget in (8, 12, 16, 24)
     ]
-    solo = run_queries(queries, jobs=1, context=EvalContext())
+    solo = Executor(jobs=1, context=EvalContext()).run(queries)
     # Workers fork the parent's process context: start them cold so
     # they do the trace work themselves.
     reset_process_context()
-    pooled = run_queries(queries, jobs=2)
+    pooled = Executor(jobs=2).run(queries)
     for results in (solo, pooled):
         stages = results.stats.stage_seconds
         assert "trace" in stages and stages["trace"] > 0.0

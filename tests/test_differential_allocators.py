@@ -25,7 +25,7 @@ import pytest
 from repro.analysis.groups import build_groups
 from repro.core.pipeline import evaluate_kernel
 from repro.errors import AllocationError
-from repro.explore import DesignQuery, run_queries
+from repro.explore import DesignQuery, Executor
 from repro.kernels import KERNEL_FACTORIES, get_kernel
 
 BUDGETS = (4, 16, 64)
@@ -42,7 +42,7 @@ def records():
         for name, budget in GRID
         for algorithm in ALGORITHMS
     ]
-    results = run_queries(queries)
+    results = Executor().run(queries)
     return {
         (q.kernel, q.budget, q.allocator): r
         for q, r in zip(queries, results)

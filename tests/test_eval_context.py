@@ -18,7 +18,6 @@ from repro.explore import (
     EvalContext,
     ExplorationSpace,
     Executor,
-    run_queries,
 )
 from repro.explore.context import (
     DEFAULT_KERNEL_MEMO,
@@ -272,8 +271,8 @@ class TestContextBookkeeping:
 
     def test_run_queries_context_passthrough(self):
         queries = [DesignQuery(kernel="fir", allocator="FR-RA", budget=8)]
-        explicit = run_queries(queries, context=EvalContext())
-        process = run_queries(queries)
+        explicit = Executor(context=EvalContext()).run(queries)
+        process = Executor().run(queries)
         _assert_records_identical(tuple(explicit), tuple(process))
 
 

@@ -7,7 +7,6 @@ from repro.explore import (
     ExplorationSpace,
     Executor,
     parse_shard,
-    run_queries,
     shard_index,
     shard_queries,
 )
@@ -91,8 +90,6 @@ class TestShardedExecution:
         via_str = Executor(shard="1/2").run(space)
         via_tuple = Executor(shard=(1, 2)).run(space)
         assert [r.to_dict() for r in via_str] == [r.to_dict() for r in via_tuple]
-        via_helper = run_queries(space.expand(), shard=(1, 2))
-        assert len(via_helper) == len(via_str)
 
     def test_single_shard_is_the_whole_space(self):
         space = small_space()

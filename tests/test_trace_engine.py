@@ -11,7 +11,7 @@ import time
 import numpy as np
 import residency_oracle as oracle
 
-from repro.explore import DesignQuery, EvalContext, run_queries
+from repro.explore import DesignQuery, EvalContext, Executor
 from repro.explore.evaluate import evaluate_query
 from repro.sim import residency
 from repro.sim.residency import OptTraceLadder, opt_trace
@@ -19,8 +19,9 @@ from repro.synth import estimate
 
 
 def test_profile_splits_out_a_trace_stage():
-    results = run_queries([DesignQuery(kernel="fir", allocator="PR-RA",
-                                       budget=16)], context=EvalContext())
+    results = Executor(context=EvalContext()).run(
+        [DesignQuery(kernel="fir", allocator="PR-RA", budget=16)]
+    )
     stages = results.stats.stage_seconds
     assert "trace" in stages and stages["trace"] > 0.0
     assert stages.get("cycles", 0.0) >= 0.0
