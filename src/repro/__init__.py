@@ -78,7 +78,7 @@ __all__ = [
 def __getattr__(name: str):
     # PEP 562: a subpackage loads on the first use of one of its names,
     # so ``import repro`` stays free of numpy.  Plain import statements
-    # keep every edge visible to the version cones' AST import graph.
+    # keep every edge visible to the evaluation cone's AST import graph.
     if name in ("build_groups", "rank_candidates"):
         from repro import analysis as module
     elif name in ("figure2_report", "generate_table1", "render_table1"):

@@ -1,12 +1,9 @@
 """Allocation dynamic programs shared beyond one allocator plugin.
 
-Lives outside the allocator plugin modules on purpose: the result
-cache's dependency cones prune the allocator fan-out per query (a PR-RA
-point must not depend on ``core/knapsack.py`` — see
-:mod:`repro.explore.versions`), and the evaluation context
-(:mod:`repro.explore.context`) owns the knapsack DP for its
-cross-budget memo without dragging the KS-RA plugin into every query's
-cone.  KS-RA reaches the DP only through that context
+Lives outside the allocator plugin modules on purpose: the evaluation
+context (:mod:`repro.explore.context`) owns the knapsack DP for its
+cross-budget memo without importing the KS-RA plugin.  KS-RA reaches
+the DP only through that context
 (:meth:`~repro.explore.context.EvalContext.knapsack_tables`).
 """
 

@@ -8,10 +8,12 @@ evaluates points in parallel worker processes through an on-disk
 :class:`ResultCache`.  Sweeps are fault-tolerant (an unexpected worker
 exception becomes a crash record, never an aborted sweep), dispatched
 in fixed-size single-kernel leases (:mod:`repro.explore.schedule`), and
-shardable across machines (:mod:`repro.explore.shard`).  Cache entries are keyed by config hash and
-guarded by per-module *version vectors* (:mod:`repro.explore.versions`),
-so a resumed sweep after a source edit re-runs only the points whose
-dependency cone changed.  Evaluation runs on the shared-artifact
+shardable across machines (:mod:`repro.explore.shard`).  Cache entries
+are keyed by config hash and guarded by one *code stamp*
+(:mod:`repro.explore.versions`): an edit to any module evaluation can
+reach, or another Python or numpy version, makes every entry stale,
+while an edit outside that cone (codegen, bench, the CLI) keeps every
+entry valid.  Evaluation runs on the shared-artifact
 plane of :class:`EvalContext` (:mod:`repro.explore.context`): DFGs,
 coverage structures, pattern makespans and allocator tables are
 memoized per process and shared across the grid.  The returned
@@ -30,16 +32,6 @@ Quickstart::
 See ``docs/explore.md`` for the full API, the cache layout and the
 ``repro explore`` CLI.
 """
-
-# Imported first, so the write-side ``default_registry`` snapshot is
-# taken before any module of this package (or the evaluation stack it
-# loads) runs.  Every other name loads on first use, below.
-from repro.explore.versions import (
-    VersionRegistry,
-    default_registry,
-    query_roots,
-    query_vector,
-)
 
 __all__ = [
     "CacheBackend",
@@ -67,14 +59,12 @@ __all__ = [
     "WorkerLost",
     "WouldHang",
     "backend_for",
-    "default_registry",
     "evaluate_query",
     "evaluate_query_safe",
     "parse_fault_spec",
     "parse_shard",
     "plan_leases",
     "process_context",
-    "query_roots",
     "query_vector",
     "reset_process_context",
     "shard_index",
@@ -112,6 +102,8 @@ def __getattr__(name: str):
         from repro.explore import space as module
     elif name in ("DEFAULT_POINT_TIMEOUT", "RetryPolicy", "SupervisedDriver"):
         from repro.explore import supervise as module
+    elif name in ("VersionRegistry", "query_vector"):
+        from repro.explore import versions as module
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(module, name)

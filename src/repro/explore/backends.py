@@ -1,7 +1,7 @@
 """Pluggable storage backends for the exploration result cache.
 
 :class:`~repro.explore.cache.ResultCache` owns the entry *semantics* —
-format-3 JSON documents, sha256 checksums, version-vector staleness,
+JSON entry documents, sha256 checksums, code-stamp staleness,
 quarantine-on-corruption — while a :class:`CacheBackend` owns the entry
 *storage*.  Two backends ship:
 
@@ -20,7 +20,7 @@ quarantine-on-corruption — while a :class:`CacheBackend` owns the entry
     sharded runs on one machine can share a single cache file instead
     of a directory of thousands of entries.  The stored text is the
     same JSON document ``DirBackend`` writes, so checksum and
-    version-vector semantics are byte-for-byte identical to format 3.
+    stamp semantics are identical on both backends.
 
 Backends store and return opaque text; they never parse entries.  The
 one deliberate exception is :meth:`CacheBackend.corrupt`, the chaos

@@ -2,29 +2,27 @@
 
 Entry semantics (one JSON document per design point)::
 
-    {"checksum", "format", "query", "record", "seconds", "versions"}
+    {"checksum", "format", "query", "record", "seconds", "stamp"}
 
 ``seconds`` is the point's measured evaluation wall time — envelope
-bookkeeping (like ``versions``), not part of the record's identity: it
-is reattached to the record on lookup.  Entries written by earlier
-versions may also carry ``trace_engine`` / ``batch`` provenance fields;
-the checksum covers them and lookups ignore them, so those entries
-still hit.
+bookkeeping (like ``stamp``), not part of the record's identity: it
+is reattached to the record on lookup.
 
 An entry is stored as one compact line,
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``: because
 ``"checksum"`` sorts first, the text is ``{"checksum":"<hex>",``
 followed by the very bytes the checksum was computed over (minus their
-opening brace).  Earlier versions wrote the same document with
-``indent=2``; both layouts read back identically.
+opening brace).  The same document written with ``indent=2`` reads
+back identically.
 
 Each entry is keyed by the query's content digest and guarded by the
-*version vector* of the modules its evaluation can reach (see
-:mod:`repro.explore.versions`): on read, every recorded ``module: hash``
-pair must still match the current source tree, so an edit anywhere in a
-point's dependency cone makes exactly that point stale — and an edit
-outside it (``codegen/``, ``bench/``, another kernel's builder) leaves
-the entry valid.
+*code stamp* (see :mod:`repro.explore.versions`): one sha256 over the
+sources of the evaluation cone, the Python ``major.minor`` and the numpy
+version.  An entry whose stamp differs from the current tree's is
+stale, so an edit anywhere in the cone re-evaluates every point, and an
+edit outside it (``codegen/``, ``bench/``, the CLI) leaves every entry
+valid.  Entries of another format (format 3 recorded a per-module
+``versions`` map instead) are stale-format misses.
 
 **Storage** is delegated to a :class:`~repro.explore.backends.CacheBackend`
 (:mod:`repro.explore.backends`): a plain path keeps the classic
@@ -34,7 +32,7 @@ sweeps sharing a directory cannot corrupt entries), while a
 ``sqlite:PATH`` URI stores the same documents in a single WAL-mode
 SQLite file (:class:`~repro.explore.backends.SqliteBackend`) that
 concurrent sweeps can share safely.  Entry semantics — checksums,
-version vectors, quarantine — are identical either way.
+stamps, quarantine — are identical either way.
 
 **Integrity**: every entry carries a sha256 ``checksum`` over its own
 canonical JSON, so bit rot and torn writes are detected even when the
@@ -67,7 +65,7 @@ from repro.explore.backends import (
     backend_for,
 )
 from repro.explore.query import DesignQuery, DesignRecord
-from repro.explore.versions import VersionRegistry, default_registry, query_vector
+from repro.explore.versions import VersionRegistry, query_vector
 
 __all__ = [
     "ResultCache",
@@ -78,8 +76,9 @@ __all__ = [
 ]
 
 #: Schema version of cache entries; bump on incompatible layout changes.
-#: Format 3 added the entry-envelope ``checksum``.
-ENTRY_FORMAT = 3
+#: Format 3 added the entry-envelope ``checksum``; format 4 replaced
+#: the per-module ``versions`` map with one ``stamp`` string.
+ENTRY_FORMAT = 4
 
 #: Default age (seconds) past which an orphaned ``.*.tmp`` file is
 #: considered dead rather than a concurrent shard's in-flight write.
@@ -147,8 +146,8 @@ def _decode_entry(raw: bytes) -> "dict | None":
         return None
     if not _checksum_ok(raw, doc):
         raise ValueError("entry checksum mismatch (torn write or bit rot)")
-    if not isinstance(doc["versions"], dict):
-        raise TypeError("entry's version vector is not an object")
+    if not isinstance(doc["stamp"], str):
+        raise TypeError("entry's stamp is not a string")
     return doc
 
 
@@ -211,23 +210,22 @@ class ResultCache:
     classic entry-file directory, or a ``sqlite:PATH`` URI for the
     single-file SQLite backend (see :mod:`repro.explore.backends`).
 
-    ``registry`` selects the source tree the version vectors are hashed
+    ``registry`` selects the source tree lookups compare stamps
     against; tests point it at a copied tree to exercise real
-    edit-then-resume flows.  By default the two directions differ on
-    purpose:
+    edit-then-resume flows.  The two directions differ on purpose:
 
-    * **lookups** validate against a fresh registry rebuilt by
+    * **lookups** compare with the stamp of a fresh registry rebuilt by
       :meth:`refresh` — which the executor calls at the start of every
       run — so a long-lived process (REPL, notebook) notices source
-      edits made between sweeps and marks dependents stale;
-    * **writes** record the process-wide :func:`default_registry`
-      hashes, snapshotted when ``repro.explore`` was imported — the
-      fingerprint of the code actually *loaded* in this process.  After
-      an in-process edit, re-evaluated points still run the old imported
-      modules; stamping them with the edited files' hashes would launder
-      stale results as current.  Recording the as-loaded hashes keeps
-      those entries stale until a fresh process re-evaluates them with
-      the new code.
+      edits made between sweeps and marks entries stale;
+    * **writes** record :func:`~repro.explore.versions.query_vector`,
+      the stamp of the installed tree taken once per process before the
+      evaluation stack is imported — the fingerprint of the code
+      actually *loaded*.  After an in-process edit, re-evaluated points
+      still run the old imported modules; stamping them with the edited
+      files' hashes would launder stale results as current.  Recording
+      the as-loaded stamp keeps those entries stale until a fresh
+      process re-evaluates them with the new code.
 
     ``fsync=True`` (directory backend) additionally fsyncs each entry
     before the atomic rename, so a machine crash cannot publish a
@@ -250,9 +248,6 @@ class ResultCache:
             else self.backend.path
         )
         self.registry = registry or VersionRegistry()
-        self._put_registry = registry or default_registry()
-        self._verdicts: "dict[tuple, bool]" = {}
-        self._verdicts_for: "VersionRegistry | None" = None
         self.fsync = fsync
 
     def describe(self) -> str:
@@ -262,10 +257,10 @@ class ResultCache:
         """Re-read the source tree for subsequent lookups.
 
         Rebuilds the lookup registry over the same root, dropping its
-        cached hashes, so edits made since the last sweep are observed
-        even when the cache (or its executor) instance is reused.  The
-        write-side registry is deliberately untouched — it fingerprints
-        the loaded code, not the current disk state.
+        cached hashes and stamp, so edits made since the last sweep are
+        observed even when the cache (or its executor) instance is
+        reused.  The write stamp is deliberately untouched — it
+        fingerprints the loaded code, not the current disk state.
         """
         self.registry = VersionRegistry(
             self.registry.root, self.registry.package
@@ -287,10 +282,9 @@ class ResultCache:
         * ``corrupt`` — an entry exists but cannot be decoded, fails
           its checksum, or holds the record of another query (warned,
           moved to quarantine);
-        * ``stale`` — decodes, but some module in its recorded version
-          vector has changed (or the entry predates vector keying);
-        * ``hit`` — decodes, verifies, and every recorded module hash
-          still matches.
+        * ``stale`` — decodes, but its stamp differs from the current
+          tree's (or the entry is of another format);
+        * ``hit`` — decodes, verifies, and its stamp matches.
         """
         digest = query.digest()
         raw = self.backend.read(digest)
@@ -320,7 +314,7 @@ class ResultCache:
                 stacklevel=2,
             )
             return None, "corrupt"
-        if not self._current(doc["versions"]):
+        if doc["stamp"] != self.registry.stamp():
             return None, "stale"
         return record, "hit"
 
@@ -328,34 +322,6 @@ class ResultCache:
         if isinstance(self.backend, DirBackend):
             return str(self.root / f"{digest}.json")
         return f"{self.backend.describe()}#{digest}"
-
-    def _current(self, versions: dict[str, str]) -> bool:
-        """Whether every recorded module hash still matches the tree.
-
-        A sweep's entries share a few dozen distinct vectors, so the
-        verdict is memoized per vector for the current lookup registry;
-        :meth:`refresh` installs a new registry and so a fresh memo.
-        """
-        if self._verdicts_for is not self.registry:
-            self._verdicts = {}
-            self._verdicts_for = self.registry
-        try:
-            key = tuple(versions.items())
-            verdict = self._verdicts.get(key)
-        except TypeError:  # an unhashable hash value: never current
-            return self._check(versions)
-        if verdict is None:
-            verdict = self._verdicts[key] = self._check(versions)
-        return verdict
-
-    def _check(self, versions: dict[str, str]) -> bool:
-        known = self.registry.modules()
-        for module, digest in versions.items():
-            if module not in known:
-                return False  # a dependency was deleted or renamed
-            if self.registry.module_hash(module) != digest:
-                return False
-        return bool(versions)
 
     def get(self, query: DesignQuery) -> "DesignRecord | None":
         """The cached record for ``query``, or None on miss/stale/corrupt."""
@@ -372,10 +338,10 @@ class ResultCache:
             )
         body = _canonical({
             "format": ENTRY_FORMAT,
-            "versions": query_vector(record.query, self._put_registry),
             "query": record.query.key(),
             "record": record.to_dict(),
             "seconds": record.seconds,
+            "stamp": query_vector(),
         })
         checksum = hashlib.sha256(body.encode()).hexdigest()
         # "checksum" sorts first, so this is the canonical dump of the

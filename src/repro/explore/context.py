@@ -57,8 +57,8 @@ length.
 
 Source-edit invalidation needs no extra machinery: the context lives in
 one process and memoizes only what that process's loaded code computes,
-while the on-disk result cache is guarded by the existing per-module
-version vectors (:mod:`repro.explore.versions`) — this module is inside
+while the on-disk result cache is guarded by the code stamp
+(:mod:`repro.explore.versions`) — this module is inside
 :mod:`repro.explore.evaluate`'s dependency cone, so editing it stales
 cached records exactly like editing the evaluator itself.
 """

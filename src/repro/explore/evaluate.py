@@ -19,10 +19,9 @@ point is the allocation decision rather than the whole analysis.
 explicit :class:`EvalContext` instance gives tests and benchmarks
 controlled cold/warm runs.
 
-This module is also the root of the cache's dependency cone: the
-version vector a cache entry records is the transitive import closure
-of *this* module (plus the query's kernel and allocator modules) — see
-:mod:`repro.explore.versions`.
+This module is also the root of the cache's dependency cone: the code
+stamp a cache entry records covers the transitive import closure of
+*this* module — see :mod:`repro.explore.versions`.
 """
 
 from __future__ import annotations

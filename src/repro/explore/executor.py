@@ -35,10 +35,10 @@ Four properties make sweeps production-shaped:
   (:mod:`repro.explore.shard`), so independent machines sharing a cache
   directory split a sweep and a final unsharded resume stitches it.
 
-Cache entries are guarded by per-point version vectors (see
-:mod:`repro.explore.versions`): a resumed sweep after a source edit
-re-evaluates only the points whose dependency cone changed, and
-:class:`ExploreStats` reports them as ``stale`` instead of plain misses.
+Cache entries are guarded by a code stamp (see
+:mod:`repro.explore.versions`): a resumed sweep after an edit to the
+evaluation cone re-evaluates every point, and :class:`ExploreStats`
+reports them as ``stale`` instead of plain misses.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from repro.explore.supervise import (
     RetryPolicy,
     SupervisedDriver,
 )
+from repro.explore.versions import query_vector
 
 if TYPE_CHECKING:
     from repro.explore.context import EvalContext
@@ -415,6 +416,9 @@ class Executor:
     ) -> "Iterable[tuple[int, DesignRecord]]":
         if not pending:
             return
+        if self.cache is not None:
+            # Stamp the code before it is loaded (see ResultCache).
+            query_vector()
         # The evaluation stack (numpy, the IR, the allocators and the
         # kernel builders) is loaded here, before the driver forks a
         # pool, so workers inherit it instead of each importing it again.

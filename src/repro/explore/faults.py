@@ -43,7 +43,7 @@ at ``jobs=1``, the same faults fire on the same attempts — which is
 what lets the fault matrix pin bit-identical results and identical
 retry/quarantine counters across ``jobs``.
 
-This module is deliberately *outside* the cache version cone rooted at
+This module is deliberately *outside* the cache's stamped cone rooted at
 :mod:`repro.explore.evaluate`: faults are applied by the executor
 layer, never by evaluation itself, so enabling the harness cannot
 invalidate cache entries.

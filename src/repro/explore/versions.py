@@ -1,34 +1,20 @@
-"""Per-module source versioning and import-graph dependency cones.
+"""The code stamp that guards the result cache.
 
-The result cache used to be keyed on one global fingerprint of every
-``repro/**/*.py`` file, so touching *any* module invalidated *every*
-cached design point.  This module provides the finer currency: a
-:class:`VersionRegistry` hashes each module's source individually and
-statically extracts the package-internal import graph (AST, so lazy
-function-level imports count too).  A cache entry then records the
-*version vector* of only the modules its evaluation can actually reach —
-the dependency cone — and ``repro explore --resume`` re-runs only the
-points whose cone changed.  Editing :mod:`repro.codegen` or
-:mod:`repro.bench` no longer invalidates cycle-count sweeps.
+Every cache entry records one *stamp*: a sha256 over the sources of the
+evaluation cone, the Python ``major.minor`` and the installed numpy
+version.  An entry whose stamp differs from the current one is stale,
+so an edit to any module an evaluation can reach, or a different
+interpreter or numpy, re-evaluates every point, while an edit outside
+the cone (:mod:`repro.codegen`, :mod:`repro.bench`, the CLI, the lint
+package) leaves every entry valid.
 
-Two dispatch modules fan out to per-query plugins and would otherwise
-drag every plugin into every cone:
-
-* :mod:`repro.kernels.registry` imports all six kernel builders, but one
-  query evaluates exactly one of them;
-* :mod:`repro.core.pipeline` imports all five allocators, but one query
-  runs exactly one.
-
-Cone traversal therefore *prunes* the edges **from those dispatchers**
-into the plugin families, and :func:`query_roots` adds back the one
-kernel module and one allocator module a query names, looked up in the
-numpy-free name tables of :mod:`repro.plugins` (all of them,
-conservatively, when the name is unknown).  Pruning is scoped to the
-dispatchers' own edges: a plugin that genuinely imports another plugin
-(PR-RA delegates to FR-RA's pass) keeps that edge, so editing the
-delegate still invalidates the delegator's points.  The dispatchers
-themselves stay in every cone — editing the registry logic still
-invalidates everything, as it should.
+The cone is :data:`EVALUATION_CONE`, a constant: the modules that
+:data:`EVALUATION_ROOT` imports, directly or indirectly, including
+function-level imports.  Shipping it as a constant keeps the cache path
+free of AST parsing; :meth:`VersionRegistry.cone` recomputes it from a
+static AST import graph, and a tier-1 test pins the two equal, so an
+edit that adds an import to a cone module fails that test until the
+constant is updated.
 
 The graph follows explicit source-level imports only.  Package
 ``__init__`` re-exports are not implied dependencies: evaluation results
@@ -40,41 +26,95 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib.util
+import re
+import sys
 import warnings
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
-from repro.plugins import ALLOCATOR_MODULES, KERNEL_MODULES
-
 __all__ = [
     "VersionRegistry",
     "DynamicImportWarning",
-    "default_registry",
+    "EVALUATION_CONE",
     "EVALUATION_ROOT",
     "find_dynamic_imports",
-    "PLUGIN_MODULES",
-    "query_roots",
     "query_vector",
 ]
 
 #: The work-unit module every design-point evaluation enters through.
 EVALUATION_ROOT = "repro.explore.evaluate"
 
-#: Dispatch modules whose imports fan out to per-query plugins; only
-#: *their* edges into the plugin families are pruned during cone
-#: traversal (plugin-to-plugin imports are real dependencies).
-DISPATCH_MODULES = frozenset({"repro.kernels.registry", "repro.core.pipeline"})
+#: Every module :data:`EVALUATION_ROOT` imports, directly or indirectly:
+#: the sources the code stamp covers, sorted.
+EVALUATION_CONE = (
+    "repro.analysis.footprint",
+    "repro.analysis.groups",
+    "repro.analysis.metrics",
+    "repro.analysis.profile",
+    "repro.analysis.reuse",
+    "repro.core.allocation",
+    "repro.core.base",
+    "repro.core.cpara",
+    "repro.core.dp",
+    "repro.core.frra",
+    "repro.core.knapsack",
+    "repro.core.naive",
+    "repro.core.optra",
+    "repro.core.pipeline",
+    "repro.core.prra",
+    "repro.dfg.build",
+    "repro.dfg.critical",
+    "repro.dfg.cuts",
+    "repro.dfg.graph",
+    "repro.dfg.latency",
+    "repro.dfg.nodes",
+    "repro.errors",
+    "repro.explore.context",
+    "repro.explore.evaluate",
+    "repro.explore.query",
+    "repro.hw.binding",
+    "repro.hw.device",
+    "repro.hw.ops",
+    "repro.hw.ram",
+    "repro.ir",
+    "repro.ir.builder",
+    "repro.ir.expr",
+    "repro.ir.kernel",
+    "repro.ir.loop",
+    "repro.ir.pretty",
+    "repro.ir.serialize",
+    "repro.ir.stmt",
+    "repro.ir.types",
+    "repro.ir.validate",
+    "repro.kernels.bic",
+    "repro.kernels.decfir",
+    "repro.kernels.fir",
+    "repro.kernels.imi",
+    "repro.kernels.mat",
+    "repro.kernels.pat",
+    "repro.kernels.registry",
+    "repro.plugins",
+    "repro.scalar.coverage",
+    "repro.sim.cycles",
+    "repro.sim.residency",
+    "repro.sim.scheduler",
+    "repro.spans",
+    "repro.synth.area",
+    "repro.synth.design",
+    "repro.synth.estimate",
+    "repro.synth.timing",
+)
 
 
 class DynamicImportWarning(UserWarning):
     """A cone module imports dynamically; its dependency edge is untracked.
 
-    The version vectors only guard what the AST import graph can see.
-    A module using ``importlib.import_module`` / ``__import__`` has a
-    real dependency the graph omits, so cache entries whose cone
-    contains it may stay "valid" after the dynamically imported code
-    changes.  The extractor *warns loudly* instead of silently dropping
+    The code stamp only covers what the AST import graph can see.  A
+    module using ``importlib.import_module`` / ``__import__`` has a real
+    dependency the graph omits, so cache entries may stay "valid" after
+    the dynamically imported code changes.  The extractor *warns loudly* instead of silently dropping
     the edge; ``repro lint``'s ``version-cone`` check reports the same
     sites statically.
     """
@@ -143,9 +183,10 @@ class VersionRegistry:
     package:
         The package's dotted name prefix (default ``"repro"``).
 
-    Instances cache hashes and graph edges; create a fresh registry to
-    observe on-disk edits (:meth:`ResultCache.refresh` does this at the
-    start of every executor run, which is the natural consistency unit).
+    Instances cache hashes, graph edges and the stamp; create a fresh
+    registry to observe on-disk edits (:meth:`ResultCache.refresh` does
+    this at the start of every executor run, which is the natural
+    consistency unit).
     """
 
     def __init__(self, root: "Path | str | None" = None, package: str = "repro"):
@@ -154,7 +195,7 @@ class VersionRegistry:
         self.root = Path(root)
         self.package = package
         self._hashes: dict[str, str] = {}
-        self._vectors: dict[tuple, dict[str, str]] = {}
+        self._stamp: "str | None" = None
         self._modules: "dict[str, Path] | None" = None
         self._imports: "dict[str, frozenset[str]] | None" = None
 
@@ -246,21 +287,12 @@ class VersionRegistry:
                     note(f"{base}.{alias.name}")
         return frozenset(deps)
 
-    # -- cones and vectors -----------------------------------------------------
+    # -- cone and stamp ---------------------------------------------------------
 
-    def cone(
-        self,
-        roots: "Iterable[str]",
-        prune: "frozenset[str]" = frozenset(),
-        prune_from: "frozenset[str] | None" = None,
-    ) -> frozenset[str]:
+    def cone(self, roots: "Iterable[str]") -> frozenset[str]:
         """Transitive import closure of ``roots`` (roots included).
 
-        Edges into modules in ``prune`` are skipped (unless the target
-        is itself a root) — the plugin-family pruning described in the
-        module docstring.  With ``prune_from`` given, only edges whose
-        *source* is in that set are pruned; edges between plugins stay
-        real dependencies.  Unknown root names raise ``KeyError``.
+        Unknown root names raise ``KeyError``.
         """
         roots = tuple(roots)
         for root in roots:
@@ -272,96 +304,64 @@ class VersionRegistry:
             if module in cone:
                 continue
             cone.add(module)
-            prunes_here = prune_from is None or module in prune_from
-            for dep in self.imports(module):
-                if prunes_here and dep in prune and dep not in roots:
-                    continue
-                if dep not in cone:
-                    frontier.append(dep)
+            frontier.extend(self.imports(module) - cone)
         return frozenset(cone)
 
-    def vector(
-        self,
-        roots: "tuple[str, ...]",
-        prune: "frozenset[str]" = frozenset(),
-        prune_from: "frozenset[str] | None" = None,
-    ) -> dict[str, str]:
-        """``{module: hash}`` over the dependency cone of ``roots``."""
-        key = (roots, prune, prune_from)
-        if key not in self._vectors:
-            self._vectors[key] = {
-                module: self.module_hash(module)
-                for module in sorted(self.cone(roots, prune, prune_from))
-            }
-        return dict(self._vectors[key])
+    def stamp(self) -> str:
+        """The code stamp of this tree (64 hex chars).
+
+        sha256 over each :data:`EVALUATION_CONE` module's name and
+        :meth:`module_hash`, the Python ``major.minor`` and the numpy
+        version.  No import graph is walked: the cone is the constant.
+        """
+        if self._stamp is None:
+            digest = hashlib.sha256()
+            for module in EVALUATION_CONE:
+                digest.update(f"{module} {self.module_hash(module)}\n".encode())
+            python = "{}.{}".format(*sys.version_info[:2])
+            digest.update(f"python {python}\nnumpy {_numpy_version()}\n".encode())
+            self._stamp = digest.hexdigest()
+        return self._stamp
 
 
-@lru_cache(maxsize=1)
-def default_registry() -> VersionRegistry:
-    """A process-wide registry over the installed ``repro`` source tree.
-
-    Memoized, with every module hash snapshotted eagerly when this
-    module is first imported (see the bottom of the file) — so it
-    fingerprints the sources as close to *load time* as possible, which
-    is what cache writes must record.  Anything that must notice
-    on-disk edits made later (notably
-    :class:`~repro.explore.cache.ResultCache` lookups) builds a fresh
-    :class:`VersionRegistry` instead.
-    """
-    return VersionRegistry()
-
-
-# -- plugin families ------------------------------------------------------------
-
-
-#: Modules selected per query rather than imported-and-used wholesale.
-PLUGIN_MODULES = frozenset(KERNEL_MODULES.values()) | frozenset(
-    ALLOCATOR_MODULES.values()
+#: ``version = "X"`` (optionally annotated) in numpy's ``version.py``.
+_NUMPY_VERSION = re.compile(
+    r"""^version(?:\s*:\s*str)?\s*=\s*["']([^"']+)["']""", re.M
 )
 
 
-def query_roots(query) -> tuple[str, ...]:
-    """Cone roots for one :class:`~repro.explore.query.DesignQuery`.
+def _numpy_version() -> str:
+    """The installed numpy's version, read without importing numpy.
 
-    Always the evaluation entry module; plus the one kernel module the
-    query names (none when the kernel travels embedded as JSON — its
-    definition is already part of the query digest) and the one
-    allocator module.  Unknown names fall back to the whole family,
-    conservatively.
+    Parses the ``version.py`` next to numpy's ``__init__`` (about 1 ms);
+    ``importlib.metadata`` (about 25 ms) is only the fallback for a
+    layout without a literal version there.  ``"none"`` when numpy is
+    not installed.
     """
-    roots = [EVALUATION_ROOT]
-    if query.kernel_json is None:
-        module = KERNEL_MODULES.get(query.kernel)
-        roots.extend([module] if module else sorted(KERNEL_MODULES.values()))
-    module = ALLOCATOR_MODULES.get(query.allocator)
-    roots.extend([module] if module else sorted(ALLOCATOR_MODULES.values()))
-    return tuple(roots)
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or not spec.submodule_search_locations:
+        return "none"
+    path = Path(spec.submodule_search_locations[0]) / "version.py"
+    try:
+        found = _NUMPY_VERSION.search(path.read_text())
+    except OSError:
+        found = None
+    if found is not None:
+        return found.group(1)
+    from importlib.metadata import version
+
+    return version("numpy")
 
 
-def query_vector(
-    query, registry: "VersionRegistry | None" = None
-) -> dict[str, str]:
-    """The version vector a cache entry for ``query`` must record."""
-    registry = registry or default_registry()
-    return registry.vector(
-        query_roots(query),
-        prune=PLUGIN_MODULES,
-        prune_from=DISPATCH_MODULES,
-    )
+@lru_cache(maxsize=1)
+def query_vector() -> str:
+    """The stamp every cache entry this process writes records.
 
-
-def _snapshot_default_hashes() -> None:
-    """Hash the whole installed tree into the default registry *now*.
-
-    Cache entries written by this process must fingerprint the code that
-    is loaded, not whatever is on disk when the first ``put`` happens —
-    hashing eagerly at import closes (to a sliver) the window in which
-    an on-disk edit could be stamped onto results computed by the old,
-    still-imported modules.
+    Taken once per process, from the installed tree, on first call:
+    :class:`~repro.explore.executor.Executor` calls it before it imports
+    the evaluation stack, so the stamp fingerprints the code as loaded.
+    A result computed by already-imported modules after an on-disk edit
+    is therefore never stamped as current.  ``perfbench/tracer.py``
+    wraps this function by name.
     """
-    registry = default_registry()
-    for module in registry.modules():
-        registry.module_hash(module)
-
-
-_snapshot_default_hashes()
+    return VersionRegistry().stamp()

@@ -7,8 +7,8 @@ An AST-based analyzer over the evaluation plane with four checks:
   PR 6 coverage-key bug violated);
 * ``determinism`` — no wall clocks, unseeded RNGs, environment reads,
   ``id()`` keys or unordered set iteration in the evaluation cone;
-* ``version-cone`` — no dynamic imports, hidden module state or
-  wholesale plugin use the import-graph dependency cones cannot see;
+* ``version-cone`` — no dynamic imports or hidden module state that
+  the import-graph cone behind the cache's code stamp cannot see;
 * ``worker-safety`` — pool work units pickle cleanly and share no
   hidden per-process state.
 

@@ -126,7 +126,7 @@ def _check_unit(context: LintContext, unit: ModuleUnit) -> Iterable[Finding]:
                     "env-read", node,
                     "os.getenv() in the evaluation cone: results would "
                     "depend on per-process environment, invisibly to the "
-                    "cache's version vectors",
+                    "cache's code stamp",
                     "read configuration once at a documented boundary and "
                     "suppress with the reason it cannot change results",
                 )
@@ -141,7 +141,7 @@ def _check_unit(context: LintContext, unit: ModuleUnit) -> Iterable[Finding]:
                     "env-read", node,
                     "os.environ read in the evaluation cone: results would "
                     "depend on per-process environment, invisibly to the "
-                    "cache's version vectors",
+                    "cache's code stamp",
                     "read configuration once at a documented boundary and "
                     "suppress with the reason it cannot change results",
                 )

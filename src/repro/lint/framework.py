@@ -2,7 +2,7 @@
 
 The evaluation plane's correctness rests on invariants no test exercises
 directly: every memo/cache key must capture every knob that can change
-the memoized value, the version-vector cache must see every real
+the memoized value, the result cache's code stamp must see every real
 dependency, and worker-evaluated code must be deterministic.  This
 package makes those invariants machine-checked: each *check* is an
 AST-based analysis registered here, run over the package source tree by
@@ -15,7 +15,7 @@ Architecture
   hash, so repeated runs and multi-check runs parse each file once);
 * :class:`LintContext` — the shared analysis state: the module set (via
   :class:`~repro.explore.versions.VersionRegistry`), the evaluation
-  dependency cone, the discovered knob set, and dispatch-map metadata;
+  dependency cone and the discovered knob set;
 * :func:`register_check` — the check registry; a check is a callable
   ``(context) -> Iterable[Finding]`` with a ``name``/``description``;
 * suppression comments — ``# repro-lint: ok <check>[:<code>] -- why``
@@ -353,57 +353,6 @@ def _discover_knobs(units: "dict[str, ModuleUnit]") -> frozenset[str]:
     return frozenset(knobs)
 
 
-# -- dispatch-map discovery -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DispatchMap:
-    """A module-level ``{name: plugin}`` literal (a plugin registry)."""
-
-    module: str
-    name: str
-    line: int
-    plugin_modules: frozenset[str]
-
-
-def _discover_dispatch_maps(
-    units: "dict[str, ModuleUnit]", package: str
-) -> tuple[DispatchMap, ...]:
-    """Module-level dict literals mapping string keys to imported
-    package-internal callables — the shape of ``KERNEL_FACTORIES`` and
-    ``_ALLOCATORS``, whose edges the version-cone traversal prunes."""
-    maps: list[DispatchMap] = []
-    for unit in units.values():
-        bindings = import_bindings(unit, package)
-        for node in unit.tree.body:
-            target = None
-            value = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign):
-                target, value = node.target, node.value
-            if not (isinstance(target, ast.Name) and isinstance(value, ast.Dict)):
-                continue
-            if len(value.values) < 2:
-                continue
-            sources: set[str] = set()
-            for key, item in zip(value.keys, value.values):
-                if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                    sources.clear()
-                    break
-                qualified = resolve_call_name(item, bindings)
-                if qualified is None or not qualified.startswith(package + "."):
-                    sources.clear()
-                    break
-                sources.add(qualified.rpartition(".")[0])
-            if sources:
-                maps.append(DispatchMap(
-                    module=unit.name, name=target.id, line=node.lineno,
-                    plugin_modules=frozenset(sources),
-                ))
-    return tuple(maps)
-
-
 # -- the lint context -----------------------------------------------------------
 
 
@@ -430,7 +379,6 @@ class LintContext:
         self._units: "dict[str, ModuleUnit] | None" = None
         self._cone: "frozenset[str] | None" = None
         self._knobs: "frozenset[str] | None" = None
-        self._dispatch: "tuple[DispatchMap, ...] | None" = None
 
     def units(self) -> "dict[str, ModuleUnit]":
         """Every module of the tree, parsed (cached per content hash)."""
@@ -444,17 +392,14 @@ class LintContext:
     def cone(self) -> frozenset[str]:
         """The evaluation dependency cone (whole tree if no entry).
 
-        For the real package this is the same pruned cone the result
-        cache keys on (:func:`repro.explore.versions.query_vector`, with
-        every plugin family member added back in — lint wants *all*
-        code any query can reach, not one query's slice).
+        For the real package this is the cone the result cache's code
+        stamp covers (:data:`repro.explore.versions.EVALUATION_CONE`).
         """
         if self._cone is None:
             if self.entry not in self.registry.modules():
                 self._cone = frozenset(self.units())
             else:
-                cone = self.registry.cone([self.entry])
-                self._cone = frozenset(cone)
+                self._cone = self.registry.cone([self.entry])
         return self._cone
 
     def cone_units(self) -> "Iterator[ModuleUnit]":
@@ -468,11 +413,6 @@ class LintContext:
         if self._knobs is None:
             self._knobs = _discover_knobs(self.units())
         return self._knobs
-
-    def dispatch_maps(self) -> tuple[DispatchMap, ...]:
-        if self._dispatch is None:
-            self._dispatch = _discover_dispatch_maps(self.units(), self.package)
-        return self._dispatch
 
     def bindings(self, unit: ModuleUnit) -> dict[str, str]:
         return import_bindings(unit, self.package)

@@ -1,9 +1,11 @@
 """The registered kernel and allocator names, importable without numpy.
 
 Commands that evaluate nothing (``repro list``, ``--help``, an all-hit
-``repro explore``) validate names, fill defaults and key cache entries
-from these tables alone, so they never load the IR, the kernel builders
-or the allocators.  Each table maps a name to the module that
+``repro explore``) validate names and fill defaults from these tables
+alone, so they never load the IR, the kernel builders or the
+allocators.  The tables play no part in cache keys: every entry carries
+one code stamp over the whole evaluation cone
+(:mod:`repro.explore.versions`).  Each table maps a name to the module that
 implements it, in the order of the live dispatch maps
 (:data:`repro.kernels.registry.KERNEL_FACTORIES`,
 ``repro.core.pipeline._ALLOCATORS``); a test keeps the two in step.

@@ -1,7 +1,7 @@
 """Cache backend tests (PR 10): DirBackend/SqliteBackend parity.
 
 Both backends must be observably identical through the
-:class:`ResultCache` facade — same format-3 entry docs, same
+:class:`ResultCache` facade — same entry docs, same
 corruption/quarantine behaviour, same fsck/gc accounting, same
 tolerance of what earlier versions left behind — and the SQLite backend
 must additionally
@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from repro.explore import (
     backend_for,
 )
 from repro.explore.cache import ENTRY_FORMAT, _entry_checksum
+from repro.explore.versions import EVALUATION_CONE
 
 SPACE = ExplorationSpace(
     kernels=("fir", "mat"), allocators=("FR-RA", "NO-SR"), budgets=(8,)
@@ -308,6 +310,50 @@ def test_indented_entries_still_hit(backend, tmp_path):
     assert resumed.stats.cache_hits == len(QUERIES)
 
 
+def resealed(doc):
+    """``doc`` as one compact entry under a valid checksum."""
+    body = {key: value for key, value in doc.items() if key != "checksum"}
+    return compact(dict(body, checksum=_entry_checksum(body))).encode()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_parent_format_entries_are_stale_misses(backend, tmp_path):
+    """Format-3 entries (a per-module ``versions`` map, no stamp) are
+    stale misses, never corrupt: fsck counts them, gc prunes them."""
+    cache = make_cache(tmp_path, backend)
+    sweep(cache=cache)
+    for query in QUERIES:
+        doc = json.loads(stored(cache, query))
+        del doc["stamp"]
+        doc.update(format=3, versions={"repro.explore.evaluate": "0" * 12})
+        rewrite(cache, resealed(doc), query)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CacheCorruptionWarning)
+        statuses = [cache.lookup(query)[1] for query in QUERIES]
+    assert statuses == ["stale"] * len(QUERIES)
+    report = cache.fsck()
+    assert (report.ok, report.stale_format, report.corrupt) == (
+        0, len(QUERIES), (),
+    )
+    assert len(cache.backend.quarantined()) == 0
+    time.sleep(0.05)
+    assert cache.gc(days=0).stale_removed == len(QUERIES)
+    assert len(cache) == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_stamp_that_is_not_a_string_is_corrupt(backend, tmp_path):
+    cache = make_cache(tmp_path, backend)
+    sweep(cache=cache)
+    doc = json.loads(stored(cache))
+    doc["stamp"] = {"repro.explore.evaluate": "0" * 12}
+    rewrite(cache, resealed(doc))
+    assert len(cache.fsck().corrupt) == 1
+    with pytest.warns(CacheCorruptionWarning, match="stamp is not a string"):
+        assert cache.lookup(TARGET) == (None, "corrupt")
+    assert len(cache.backend.quarantined()) == 1
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_byte_flips_in_a_compact_entry_never_hit(backend, tmp_path):
     cache = make_cache(tmp_path, backend)
@@ -414,7 +460,7 @@ def test_refresh_forgets_memoized_verdicts(backend, tmp_path, copied_tree,
     sweep(cache=cache)
     assert [cache.lookup(q)[1] for q in QUERIES] == ["hit"] * len(QUERIES)
 
-    # Each distinct version vector is checked once per registry.
+    # The lookup stamp is hashed once per registry, not per lookup.
     calls = []
     real = VersionRegistry.module_hash
     monkeypatch.setattr(
@@ -427,11 +473,8 @@ def test_refresh_forgets_memoized_verdicts(backend, tmp_path, copied_tree,
     mat_py = copied_tree / "kernels" / "mat.py"
     mat_py.write_text(mat_py.read_text() + "\n# edited\n")
     cache.refresh()
-    statuses = {q: cache.lookup(q)[1] for q in QUERIES}
-    assert statuses == {
-        q: "stale" if q.kernel == "mat" else "hit" for q in QUERIES
-    }
-    assert calls
+    assert [cache.lookup(q)[1] for q in QUERIES] == ["stale"] * len(QUERIES)
+    assert calls == list(EVALUATION_CONE)
 
 
 # -- two processes, one SQLite file -------------------------------------------

@@ -187,36 +187,31 @@ class TestCache:
         assert cache.get(query) is None
 
     def test_entry_records_dependency_cone_versions(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        query = self.query()
-        path = cache.put(evaluate_query(query))
-        versions = json.loads(path.read_text())["versions"]
-        assert "repro.explore.evaluate" in versions
-        assert "repro.sim.cycles" in versions
-        assert not any("codegen" in module for module in versions)
-        assert not any("bench" in module for module in versions)
+        # One stamp over the cone's module hashes, Python and numpy: no
+        # per-module map.
+        from repro.explore.versions import VersionRegistry
 
-    def test_stale_version_vector_misses(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.put(evaluate_query(self.query()))
+        doc = json.loads(path.read_text())
+        assert "versions" not in doc
+        assert doc["stamp"] == VersionRegistry().stamp()
+
+    def test_stale_stamp_misses(self, tmp_path):
         from repro.explore.cache import _entry_checksum
 
         cache = ResultCache(tmp_path)
         query = self.query()
         path = cache.put(evaluate_query(query))
         doc = json.loads(path.read_text())
-        module = sorted(doc["versions"])[0]
-        doc["versions"][module] = "0" * 12
+        doc["stamp"] = "0" * 64
         # Re-stamp the checksum: this simulates a *stale* entry (written
-        # by older code), not a torn write — the envelope must stay
+        # by other code), not a torn write — the envelope must stay
         # self-consistent or the integrity check fires first.
         doc["checksum"] = _entry_checksum(doc)
         path.write_text(json.dumps(doc))
         assert cache.lookup(query) == (None, "stale")
-        # A hash that is not even a string (unhashable, so it cannot
-        # key the verdict memo) is just as stale.
-        doc["versions"][module] = ["0" * 12]
-        doc["checksum"] = _entry_checksum(doc)
-        path.write_text(json.dumps(doc))
-        assert cache.lookup(query) == (None, "stale")
+        assert path.exists()  # a stale entry is not quarantined
 
     def test_corrupt_entry_is_a_warned_miss(self, tmp_path):
         from repro.explore import CacheCorruptionWarning
@@ -233,7 +228,7 @@ class TestCache:
             "{not json",
             "[]",
             entry[: len(entry) // 2],
-            '{"format": 3, "versions": "oops", "record": {}}',
+            '{"format": 4, "stamp": "oops", "record": {}}',
         ):
             path.write_text(garbage)
             with pytest.warns(CacheCorruptionWarning, match=r"\.json"):

@@ -7,6 +7,8 @@ from the cache and checking a cache all work from the numpy-free name
 tables, the query keys and the cache entries alone.  The packages on
 that path (``repro``, ``repro.explore``, ``repro.hw``) re-export
 lazily, so the last test checks that every public name still resolves.
+Commands that read no cache entry hash no module source either: the
+code stamp is taken only when entries are looked up or written.
 """
 
 import importlib
@@ -52,6 +54,38 @@ def run_repro(*argv):
     )
     report = json.loads(proc.stderr.strip().splitlines()[-1])
     return report["code"], report["loaded"], proc.stderr
+
+
+#: Runs ``repro ARGV...`` with a profiler counting calls of
+#: ``VersionRegistry.module_hash`` from the first import on, and reports
+#: its exit code and that count as the last line of standard error.
+HASH_PROBE = """
+import json, sys
+calls = []
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "module_hash":
+        calls.append(frame.f_code.co_filename)
+sys.setprofile(profile)
+from repro.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.setprofile(None)
+hashed = [f for f in calls if f.endswith("versions.py")]
+print(json.dumps({"code": code, "hashed": len(hashed)}), file=sys.stderr)
+"""
+
+
+def count_hashes(*argv):
+    """``(exit code, module_hash calls)`` of one command."""
+    proc = subprocess.run(
+        [sys.executable, "-c", HASH_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    return report["code"], report["hashed"]
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +138,21 @@ def test_a_point_to_evaluate_loads_the_stack(tmp_path):
     )
     assert code == 0
     assert set(loaded) == {"numpy", "repro.core.optra", "repro.sim.cycles"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("list",), ("--help",), ("cache", "fsck", "dir"),
+], ids=["list", "help", "fsck"])
+def test_commands_that_read_no_entry_hash_no_source(caches, argv):
+    argv = tuple(caches[arg] if arg in caches else arg for arg in argv)
+    assert count_hashes(*argv) == (0, 0)
+
+
+def test_an_all_hit_resume_hashes_the_cone_once(caches):
+    from repro.explore.versions import EVALUATION_CONE
+
+    code, hashed = count_hashes("explore", *AXES, "--cache-dir", caches["dir"])
+    assert (code, hashed) == (0, len(EVALUATION_CONE))
 
 
 @pytest.mark.parametrize("package", ["repro", "repro.explore", "repro.hw"])
