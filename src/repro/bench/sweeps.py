@@ -6,7 +6,8 @@ knapsack), and the residency-policy study that justifies the coverage
 model's pinned/Belady split.
 
 The multi-point sweeps are thin adapters over :mod:`repro.explore`: each
-builds the query list for its grid and hands it to the engine, so every
+declares its grid as an :class:`~repro.explore.space.ExplorationSpace`
+and hands it to the engine, so every
 sweep gains parallelism (``jobs``) and resumable caching (``cache``)
 while returning exactly the shapes the serial versions did.
 """
@@ -23,6 +24,7 @@ from repro.dfg.latency import LatencyModel
 from repro.explore.cache import ResultCache
 from repro.explore.executor import Executor
 from repro.explore.query import DesignQuery, DesignRecord, LatencySpec
+from repro.explore.space import ExplorationSpace
 from repro.ir.kernel import Kernel
 from repro.sim.residency import (
     lru_miss_counts,
@@ -56,17 +58,17 @@ class BudgetPoint:
 
 
 def _records(
-    queries: "list[DesignQuery]",
+    space: ExplorationSpace,
     jobs: int,
     cache: "ResultCache | Path | str | None",
 ) -> "list[DesignRecord]":
-    """Run queries through the engine; re-raise the first failure.
+    """Run a grid through the engine; re-raise the first failure.
 
     Crashed points re-raise too (original exception type, worker
     traceback appended), so the harnesses stay loud about programming
     errors even though the engine itself never aborts a sweep.
     """
-    results = Executor(jobs=jobs, cache=cache).run(queries)
+    results = Executor(jobs=jobs, cache=cache).run(space)
     for record in results:
         record.raise_error()
     return list(results)
@@ -83,28 +85,21 @@ def budget_sweep(
     """Cycles/wall-clock versus register budget (ablation A1)."""
     if not budgets or not algorithms:
         return []
-    proto = DesignQuery.from_kernel(
-        kernel,
-        allocator=algorithms[0],
-        budget=budgets[0],
-        latency=LatencySpec.from_model(model),
+    space = ExplorationSpace(
+        kernels=(kernel,),
+        allocators=algorithms,
+        budgets=budgets,
+        latencies=(LatencySpec.from_model(model),),
     )
-    queries = [
-        replace(proto, allocator=algorithm, budget=budget)
-        for budget in budgets
-        for algorithm in algorithms
-    ]
     return [
         BudgetPoint(
-            budget=query.budget,
-            algorithm=query.allocator,
+            budget=record.query.budget,
+            algorithm=record.query.allocator,
             cycles=record.cycles,
             wall_clock_us=record.wall_clock_us,
             total_registers=record.total_registers,
         )
-        for query, record in zip(
-            queries, _records(queries, jobs, cache)
-        )
+        for record in _records(space, jobs, cache)
     ]
 
 
@@ -129,18 +124,13 @@ def latency_sweep(
         LatencySpec.from_model(LatencyModel.realistic(ram_latency=latency))
         for latency in latencies
     ]
-    proto = DesignQuery.from_kernel(
-        kernel, allocator=algorithms[0], budget=budget, latency=specs[0]
+    space = ExplorationSpace(
+        kernels=(kernel,), allocators=algorithms, budgets=(budget,),
+        latencies=specs,
     )
-    queries = [
-        replace(proto, allocator=algorithm, latency=spec)
-        for spec in specs
-        for algorithm in algorithms
-    ]
     out: dict[int, dict[str, int]] = {latency: {} for latency in latencies}
-    for query, record in zip(
-        queries, _records(queries, jobs, cache)
-    ):
+    for record in _records(space, jobs, cache):
+        query = record.query
         out[query.latency.ram_latency][query.allocator] = record.cycles
     return out
 
@@ -160,18 +150,13 @@ def policy_comparison(
     """
     if not algorithms:
         return {}
-    proto = DesignQuery.from_kernel(
-        kernel,
-        allocator=algorithms[0],
-        budget=budget,
-        latency=LatencySpec.from_model(model),
+    space = ExplorationSpace(
+        kernels=(kernel,),
+        allocators=algorithms,
+        budgets=(budget,),
+        latencies=(LatencySpec.from_model(model),),
     )
-    queries = [
-        replace(proto, allocator=algorithm) for algorithm in algorithms
-    ]
-    records = dict(
-        zip(algorithms, _records(queries, jobs, cache))
-    )
+    records = dict(zip(algorithms, _records(space, jobs, cache)))
     naive = records.get("NO-SR")
     naive_accesses = naive.total_ram_accesses if naive is not None else None
     out: dict[str, tuple[int, int]] = {}
@@ -299,20 +284,13 @@ def opt_gap_study(
         return []
     if "OPT-RA" not in algorithms:
         algorithms = tuple(algorithms) + ("OPT-RA",)
-    queries: list[DesignQuery] = []
-    for kernel in kernels:
-        proto = DesignQuery.from_kernel(
-            kernel,
-            allocator=algorithms[0],
-            budget=budgets[0],
-            latency=LatencySpec.from_model(model),
-        )
-        queries.extend(
-            replace(proto, allocator=algorithm, budget=budget)
-            for budget in budgets
-            for algorithm in algorithms
-        )
-    results = Executor(jobs=jobs, cache=cache).run(queries)
+    space = ExplorationSpace(
+        kernels=kernels,
+        allocators=algorithms,
+        budgets=budgets,
+        latencies=(LatencySpec.from_model(model),),
+    )
+    results = Executor(jobs=jobs, cache=cache).run(space)
     for record in results:
         if record.crash:
             record.raise_error()

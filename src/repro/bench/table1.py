@@ -17,7 +17,7 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import mean
 
@@ -26,8 +26,8 @@ from repro.core.pipeline import PAPER_VERSIONS
 from repro.dfg.latency import LatencyModel
 from repro.explore.cache import ResultCache
 from repro.explore.executor import Executor
-from repro.explore.query import DesignQuery, LatencySpec
-from repro.hw.device import XCV1000, Device
+from repro.explore.query import LatencySpec
+from repro.explore.space import ExplorationSpace
 from repro.ir.kernel import Kernel
 from repro.kernels.registry import PAPER_REGISTER_BUDGET, paper_kernels
 
@@ -75,27 +75,19 @@ class Table1:
 def generate_table1(
     budget: int = PAPER_REGISTER_BUDGET,
     kernels: "list[Kernel] | None" = None,
-    device: Device = XCV1000,
     model: LatencyModel | None = None,
     jobs: int = 1,
     cache: "ResultCache | Path | str | None" = None,
 ) -> Table1:
     """Run the full evaluation and collect Table 1."""
     kernels = kernels if kernels is not None else paper_kernels()
-    latency = LatencySpec.from_model(model)
-    protos = [
-        DesignQuery.from_kernel(
-            kernel, allocator=PAPER_VERSIONS[0], budget=budget,
-            latency=latency, device=device,
-        )
-        for kernel in kernels
-    ]
-    queries = [
-        replace(proto, allocator=algorithm)
-        for proto in protos
-        for algorithm in PAPER_VERSIONS
-    ]
-    results = Executor(jobs=jobs, cache=cache).run(queries)
+    space = ExplorationSpace(
+        kernels=kernels,
+        allocators=PAPER_VERSIONS,
+        budgets=(budget,),
+        latencies=(LatencySpec.from_model(model),),
+    )
+    results = Executor(jobs=jobs, cache=cache).run(space)
     for record in results:
         record.raise_error()
 

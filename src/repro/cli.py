@@ -164,9 +164,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         ram_ports=(args.ram_ports,),
     )
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    # A populated cache directory is there to be reused: --cache-dir
-    # implies resume semantics, and --fresh forces re-evaluation.
-    reuse = (cache is not None or args.resume) and not args.fresh
     faults = None
     if args.inject:
         from repro.explore.faults import parse_fault_spec
@@ -175,7 +172,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     executor = Executor(
         jobs=args.jobs,
         cache=cache,
-        reuse_cache=reuse,
+        reuse_cache=not args.fresh,
         shard=args.shard,
         retry=RetryPolicy(max_retries=args.max_retries),
         point_timeout=args.point_timeout,
@@ -367,13 +364,7 @@ def main(argv: "list[str] | None" = None) -> int:
                            "WAL-mode SQLite cache safe for concurrent "
                            "sweeps (implies reuse of cached results; "
                            "see --fresh)")
-    freshness = p_explore.add_mutually_exclusive_group()
-    freshness.add_argument(
-        "--resume", action="store_true",
-        help="reuse cached results, evaluating only missing/stale points "
-        "(the default whenever --cache-dir is given)",
-    )
-    freshness.add_argument(
+    p_explore.add_argument(
         "--fresh", action="store_true",
         help="re-evaluate every point even when cached (entries are "
         "rewritten)",
@@ -486,8 +477,9 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_fsck.add_argument(
         "--gc", action="store_true",
-        help="also prune quarantined corpses and stale-format entries "
-        "older than --gc-days, reporting the bytes reclaimed",
+        help="also prune quarantined corpses and stale entries (another "
+        "format, or another code stamp than this tree's) older than "
+        "--gc-days, reporting the bytes reclaimed",
     )
     p_fsck.add_argument(
         "--gc-days", type=float, default=30.0, metavar="N",

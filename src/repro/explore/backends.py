@@ -22,10 +22,7 @@ quarantine-on-corruption — while a :class:`CacheBackend` owns the entry
     same JSON document ``DirBackend`` writes, so checksum and
     stamp semantics are identical on both backends.
 
-Backends store and return opaque text; they never parse entries.  The
-one deliberate exception is :meth:`CacheBackend.corrupt`, the chaos
-hook behind the ``corrupt-write`` fault kind, which flips one byte of a
-just-written entry the way a torn write would.
+Backends store and return opaque text; they never parse entries.
 
 ``sqlite3`` write errors that mean "the disk is full / read-only" are
 translated to ``OSError`` with the matching ``errno``, so the
@@ -122,10 +119,6 @@ class CacheBackend:
 
     def remove_tmp(self, path: str) -> bool:
         return False
-
-    def corrupt(self, name: str) -> None:
-        """Chaos hook: damage one stored entry like a torn write would."""
-        raise NotImplementedError
 
     def clear(self) -> int:
         raise NotImplementedError
@@ -247,14 +240,6 @@ class DirBackend(CacheBackend):
             return True
         except OSError:
             return False
-
-    def corrupt(self, name: str) -> None:
-        path = self._path(name)
-        data = bytearray(path.read_bytes())
-        if not data:
-            return
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
 
     def clear(self) -> int:
         removed = 0
@@ -460,18 +445,6 @@ class SqliteBackend(CacheBackend):
         with conn:
             conn.execute("DELETE FROM quarantine WHERE name = ?", (name,))
         return int(row[0])
-
-    def corrupt(self, name: str) -> None:
-        raw = self.read(name)
-        if not raw:
-            return
-        text = raw.decode("utf-8", "surrogateescape")
-        middle = len(text) // 2
-        flipped = "~" if text[middle] != "~" else "!"
-        self._write_row(
-            "UPDATE entries SET doc = ? WHERE digest = ?",
-            (text[:middle] + flipped + text[middle + 1:], name),
-        )
 
     def clear(self) -> int:
         conn = self._connect(create=False)

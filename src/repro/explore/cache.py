@@ -44,7 +44,8 @@ bytes, schema drift, checksum mismatch) are treated as misses but
 point overwrites cleanly, and the damaged bytes survive for
 post-mortem.  :meth:`ResultCache.fsck` scans every entry offline (CLI:
 ``repro cache fsck [--repair] [--gc]``); :meth:`ResultCache.gc` prunes
-aged quarantine blobs and stale-format entries;
+aged quarantine blobs and stale entries (another format or another
+code stamp);
 :meth:`ResultCache.reap_tmp` deletes ``.*.tmp`` files orphaned by
 workers that died between write and rename, which the executor calls at
 every sweep start.
@@ -84,9 +85,9 @@ ENTRY_FORMAT = 4
 #: considered dead rather than a concurrent shard's in-flight write.
 TMP_MAX_AGE = 60.0
 
-#: Default ``gc`` pruning age, in days: quarantined corpses and
-#: stale-format entries younger than this are kept (they may still be
-#: wanted for post-mortem / migration).
+#: Default ``gc`` pruning age, in days: quarantined corpses and stale
+#: entries younger than this are kept (they may still be wanted for
+#: post-mortem, or by a checkout that still has the code they match).
 GC_DAYS = 30.0
 
 
@@ -198,7 +199,7 @@ class GcReport:
     def summary(self) -> str:
         return (
             f"gc: pruned {self.quarantine_removed} quarantined + "
-            f"{self.stale_removed} stale-format entries, reclaimed "
+            f"{self.stale_removed} stale entries, reclaimed "
             f"{self.bytes_reclaimed} bytes"
         )
 
@@ -353,10 +354,18 @@ class ResultCache:
     def corrupt_entry(self, query: DesignQuery) -> None:
         """Chaos hook: damage ``query``'s stored entry like a torn write.
 
-        Backend-agnostic counterpart of flipping a byte in the entry
-        file; used by the ``corrupt-write`` fault kind.
+        Replaces one character mid-text through the backend's own
+        ``read`` and ``write``, so every backend is damaged alike; used
+        by the ``corrupt-write`` fault kind.
         """
-        self.backend.corrupt(query.digest())
+        digest = query.digest()
+        raw = self.backend.read(digest)
+        if not raw:
+            return
+        text = raw.decode("utf-8", "surrogateescape")
+        middle = len(text) // 2
+        flipped = "~" if text[middle] != "~" else "!"
+        self.backend.write(digest, text[:middle] + flipped + text[middle + 1:])
 
     def reap_tmp(self, max_age: float = TMP_MAX_AGE) -> int:
         """Delete orphaned ``.*.tmp`` files older than ``max_age`` seconds.
@@ -373,10 +382,13 @@ class ResultCache:
         """Delete the listed tmp files; how many went."""
         return sum(1 for orphan in orphans if self.backend.remove_tmp(orphan))
 
-    def _verify_text(self, name: str, raw: "bytes | None") -> "str | None":
+    def _verify_text(
+        self, name: str, raw: "bytes | None", stamp: "str | None" = None
+    ) -> "str | None":
         """Why the blob stored as ``name`` is not a valid current-format
         entry (None if ok).  An entry filed under another query's
-        digest, or whose record names another query, is corrupt."""
+        digest, or whose record names another query, is corrupt; given
+        a ``stamp``, a valid entry recording another one is stale."""
         if raw is None:
             return "stale-format"  # vanished mid-scan: not this scan's problem
         try:
@@ -389,6 +401,8 @@ class ResultCache:
                 return "corrupt"
         except (KeyError, TypeError, ValueError):
             return "corrupt"
+        if stamp is not None and doc["stamp"] != stamp:
+            return "stale"
         return None
 
     def fsck(
@@ -432,17 +446,20 @@ class ResultCache:
         )
 
     def gc(self, days: float = GC_DAYS) -> GcReport:
-        """Prune quarantined corpses and stale-format entries.
+        """Prune quarantined corpses and stale entries.
 
-        Both accumulate forever otherwise: quarantine keeps every
-        damaged blob for post-mortem, and entries written by an older
-        schema are permanent misses that only a ``clear()`` removed.
-        Anything younger than ``days`` is kept.  Valid current-format
-        entries are never touched, whatever their age.
+        All accumulate forever otherwise: quarantine keeps every damaged
+        blob for post-mortem, and entries written by an older schema or
+        under another code stamp than the current tree's are misses
+        that no sweep overwrites unless it re-runs their query.
+        Anything younger than ``days`` is kept.  Entries at the current
+        stamp are never touched, whatever their age.  This is the one
+        maintenance pass that takes the stamp (hashing the cone).
         """
         if days < 0:
             raise ReproError(f"gc days must be >= 0, got {days}")
         cutoff = days * 86400.0
+        stamp = self.registry.stamp()
         quarantine_removed = stale_removed = freed = 0
         for blob in self.backend.quarantined():
             if blob.age > cutoff:
@@ -451,9 +468,11 @@ class ResultCache:
         for entry in self.backend.entries():
             if entry.age <= cutoff:
                 continue
-            if self._verify_text(entry.name, self.backend.read(entry.name)) \
-                    != "stale-format":
-                continue  # healthy or corrupt: not gc's to delete
+            problem = self._verify_text(
+                entry.name, self.backend.read(entry.name), stamp
+            )
+            if problem not in ("stale", "stale-format"):
+                continue  # current or corrupt: not gc's to delete
             freed += self.backend.delete(entry.name)
             stale_removed += 1
         return GcReport(

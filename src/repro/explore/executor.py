@@ -23,7 +23,7 @@ Four properties make sweeps production-shaped:
   pool rebuilt, in-flight points requeued) and graceful degradation to
   inline evaluation after repeated breakage.  A cache-write hitting
   ``ENOSPC``/``EROFS`` flips the sweep to read-only-cache mode with one
-  warning — the sweep still completes and a later ``--resume`` heals
+  warning — the sweep still completes and re-running the command heals
   the cache.
 * **lease dispatch** — with ``jobs>1`` pending points are cut into
   fixed-size single-kernel leases in query order
@@ -375,8 +375,8 @@ class Executor:
 
         A write that hits a full (``ENOSPC``) or read-only (``EROFS``)
         filesystem flips the sweep into read-only-cache mode: one
-        warning, no further writes, the sweep completes and a later
-        ``--resume`` heals the cache.
+        warning, no further writes, the sweep completes and re-running
+        the command heals the cache.
         """
         if (
             self.cache is None
@@ -404,8 +404,8 @@ class Executor:
                 warnings.warn(
                     f"cache write failed ({error.strerror or error}); "
                     f"continuing with a read-only cache — completed "
-                    f"points from here on are not persisted and a "
-                    f"later --resume will re-evaluate them",
+                    f"points from here on are not persisted and "
+                    f"re-running the command will re-evaluate them",
                     stacklevel=2,
                 )
             else:

@@ -14,7 +14,7 @@ hash-based on each query's content digest
 
 Independent machines run ``repro explore --shard i/N`` against a shared
 cache directory (writes are atomic, so sharing is safe); a final
-unsharded ``--resume`` run stitches the full
+unsharded run over the same cache stitches the full
 :class:`~repro.explore.results.ResultSet` from cache with zero
 re-evaluations.
 """

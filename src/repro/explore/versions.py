@@ -11,35 +11,26 @@ package) leaves every entry valid.
 The cone is :data:`EVALUATION_CONE`, a constant: the modules that
 :data:`EVALUATION_ROOT` imports, directly or indirectly, including
 function-level imports.  Shipping it as a constant keeps the cache path
-free of AST parsing; :meth:`VersionRegistry.cone` recomputes it from a
-static AST import graph, and a tier-1 test pins the two equal, so an
-edit that adds an import to a cone module fails that test until the
-constant is updated.
-
-The graph follows explicit source-level imports only.  Package
-``__init__`` re-exports are not implied dependencies: evaluation results
-cannot change through a re-export unless some module in the cone
-actually imports through it, in which case the edge is present anyway.
+free of AST parsing.  The static import graph lives with its one
+consumer, ``repro lint`` (:meth:`repro.lint.framework.LintContext.cone`),
+and a tier-1 test pins the constant to that graph's cone, so an edit
+that adds an import to a cone module fails that test until the constant
+is updated.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import importlib.util
 import re
 import sys
-import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
 
 __all__ = [
     "VersionRegistry",
-    "DynamicImportWarning",
     "EVALUATION_CONE",
     "EVALUATION_ROOT",
-    "find_dynamic_imports",
     "query_vector",
 ]
 
@@ -108,72 +99,8 @@ EVALUATION_CONE = (
 )
 
 
-class DynamicImportWarning(UserWarning):
-    """A cone module imports dynamically; its dependency edge is untracked.
-
-    The code stamp only covers what the AST import graph can see.  A
-    module using ``importlib.import_module`` / ``__import__`` has a real
-    dependency the graph omits, so cache entries may stay "valid" after
-    the dynamically imported code changes.  The extractor *warns loudly* instead of silently dropping
-    the edge; ``repro lint``'s ``version-cone`` check reports the same
-    sites statically.
-    """
-
-
-def find_dynamic_imports(tree: ast.AST) -> "list[tuple[int, str]]":
-    """``(line, description)`` for every dynamic-import call in ``tree``.
-
-    Shared by :meth:`VersionRegistry._parse_imports` (runtime warning)
-    and the ``version-cone`` lint check (static finding), so the two
-    can never disagree about what counts as untrackable.
-    """
-    found: list[tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "__import__":
-            found.append((node.lineno, "__import__(...)"))
-        elif isinstance(func, ast.Name) and func.id == "import_module":
-            found.append((node.lineno, "import_module(...)"))
-        elif isinstance(func, ast.Attribute) and func.attr == "import_module":
-            found.append((node.lineno, f"{func.attr}(...)"))
-        elif isinstance(func, ast.Attribute) and func.attr == "reload" and (
-            isinstance(func.value, ast.Name) and func.value.id == "importlib"
-        ):
-            found.append((node.lineno, "importlib.reload(...)"))
-    return sorted(found)
-
-
-#: Names without which no call :func:`find_dynamic_imports` reports
-#: can be spelled.
-_DYNAMIC_IMPORT_NAMES = ("__import__", "import_module", "reload")
-
-#: Fields holding statement lists (``handlers``/``cases`` hold except
-#: handlers and match cases, whose own ``body`` is one).
-_BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
-
-
-def _import_statements(tree: ast.Module):
-    """Every ``import``/``from`` statement in ``tree``, at any depth.
-
-    Imports are statements, so walking statement bodies finds them all
-    without visiting a single expression node.
-    """
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-            continue
-        for name in _BLOCK_FIELDS:
-            block = getattr(node, name, None)
-            if isinstance(block, list):
-                stack.extend(block)
-
-
 class VersionRegistry:
-    """Hashes and import graph of one Python package's source tree.
+    """Source hashes and code stamp of one Python package's tree.
 
     Parameters
     ----------
@@ -183,10 +110,9 @@ class VersionRegistry:
     package:
         The package's dotted name prefix (default ``"repro"``).
 
-    Instances cache hashes, graph edges and the stamp; create a fresh
-    registry to observe on-disk edits (:meth:`ResultCache.refresh` does
-    this at the start of every executor run, which is the natural
-    consistency unit).
+    Instances cache hashes and the stamp; create a fresh registry to
+    observe on-disk edits (:meth:`ResultCache.refresh` does this at the
+    start of every executor run, which is the natural consistency unit).
     """
 
     def __init__(self, root: "Path | str | None" = None, package: str = "repro"):
@@ -196,116 +122,22 @@ class VersionRegistry:
         self.package = package
         self._hashes: dict[str, str] = {}
         self._stamp: "str | None" = None
-        self._modules: "dict[str, Path] | None" = None
-        self._imports: "dict[str, frozenset[str]] | None" = None
-
-    # -- module discovery -----------------------------------------------------
-
-    def modules(self) -> dict[str, Path]:
-        """Dotted module name -> source file, for every ``*.py`` in the tree."""
-        if self._modules is None:
-            found: dict[str, Path] = {}
-            for path in sorted(self.root.rglob("*.py")):
-                relative = path.relative_to(self.root)
-                parts = list(relative.parts)
-                if parts[-1] == "__init__.py":
-                    parts = parts[:-1]
-                else:
-                    parts[-1] = parts[-1][: -len(".py")]
-                found[".".join([self.package, *parts]) if parts else self.package] = path
-            self._modules = found
-        return self._modules
 
     def module_hash(self, module: str) -> str:
-        """Content hash (12 hex chars) of one module's source."""
+        """Content hash (12 hex chars) of one module's source.
+
+        The dotted name maps straight to its file: ``pkg/__init__.py``
+        for a package, ``mod.py`` otherwise.
+        """
         if module not in self._hashes:
-            path = self.modules()[module]
+            head, *parts = module.split(".")
+            if head != self.package:
+                raise KeyError(module)
+            path = self.root.joinpath(*parts)
+            init = path / "__init__.py"
+            path = init if init.is_file() else path.with_suffix(".py")
             self._hashes[module] = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
         return self._hashes[module]
-
-    # -- import graph ----------------------------------------------------------
-
-    def imports(self, module: str) -> frozenset[str]:
-        """Package-internal modules ``module`` imports (direct edges)."""
-        if self._imports is None:
-            self._imports = {}
-        if module not in self._imports:
-            self._imports[module] = self._parse_imports(module)
-        return self._imports[module]
-
-    def _parse_imports(self, module: str) -> frozenset[str]:
-        known = self.modules()
-        source = known[module].read_text()
-        tree = ast.parse(source)
-        # Every call find_dynamic_imports reports names one of these in
-        # the source text, so other files need no second full walk.
-        dynamic = (
-            find_dynamic_imports(tree)
-            if any(name in source for name in _DYNAMIC_IMPORT_NAMES) else []
-        )
-        for lineno, description in dynamic:
-            warnings.warn(
-                f"version cone: {module} (line {lineno}) uses a dynamic "
-                f"import ({description}) the AST import graph cannot "
-                f"track; cache entries depending on this module may miss "
-                f"a real dependency edge and stay stale-blind to edits "
-                f"of the dynamically imported code",
-                DynamicImportWarning,
-                stacklevel=3,
-            )
-        deps: set[str] = set()
-
-        def note(name: str) -> None:
-            # Resolve to the deepest known module on the dotted path, so
-            # `import repro.sim.cycles` depends on the module, not just
-            # the packages above it.
-            while name:
-                if name in known:
-                    if name != module:
-                        deps.add(name)
-                    return
-                name = name.rpartition(".")[0]
-
-        for node in _import_statements(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    note(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:  # relative: resolve against this module
-                    anchor = module if known[module].name == "__init__.py" \
-                        else module.rpartition(".")[0]
-                    for _ in range(node.level - 1):
-                        anchor = anchor.rpartition(".")[0]
-                    base = f"{anchor}.{base}" if base else anchor
-                if not base.startswith(self.package):
-                    continue
-                # Resolve per alias: `from pkg.sub import mod` and
-                # `from . import mod` both mean the sibling module when
-                # one exists, falling back up the dotted path otherwise.
-                for alias in node.names:
-                    note(f"{base}.{alias.name}")
-        return frozenset(deps)
-
-    # -- cone and stamp ---------------------------------------------------------
-
-    def cone(self, roots: "Iterable[str]") -> frozenset[str]:
-        """Transitive import closure of ``roots`` (roots included).
-
-        Unknown root names raise ``KeyError``.
-        """
-        roots = tuple(roots)
-        for root in roots:
-            self.modules()[root]  # raise KeyError early on typos
-        cone: set[str] = set()
-        frontier = list(roots)
-        while frontier:
-            module = frontier.pop()
-            if module in cone:
-                continue
-            cone.add(module)
-            frontier.extend(self.imports(module) - cone)
-        return frozenset(cone)
 
     def stamp(self) -> str:
         """The code stamp of this tree (64 hex chars).

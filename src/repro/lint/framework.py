@@ -13,9 +13,9 @@ Architecture
 ------------
 * :class:`ModuleUnit` — one parsed source module (AST cached per content
   hash, so repeated runs and multi-check runs parse each file once);
-* :class:`LintContext` — the shared analysis state: the module set (via
-  :class:`~repro.explore.versions.VersionRegistry`), the evaluation
-  dependency cone and the discovered knob set;
+* :class:`LintContext` — the shared analysis state: the module set, the
+  static import graph and the evaluation dependency cone over it, and
+  the discovered knob set;
 * :func:`register_check` — the check registry; a check is a callable
   ``(context) -> Iterable[Finding]`` with a ``name``/``description``;
 * suppression comments — ``# repro-lint: ok <check>[:<code>] -- why``
@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ReproError
-from repro.explore.versions import VersionRegistry
 
 __all__ = [
     "Finding",
@@ -172,6 +171,19 @@ class ModuleUnit:
 _UNIT_CACHE: "dict[Path, tuple[str, ModuleUnit]]" = {}
 
 
+def _module_files(root: Path, package: str) -> "dict[str, Path]":
+    """Dotted module name -> source file, for every ``*.py`` under ``root``."""
+    found: dict[str, Path] = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = list(path.relative_to(root).parts)
+        if parts[-1] == "__init__.py":
+            parts.pop()
+        else:
+            parts[-1] = parts[-1][: -len(".py")]
+        found[".".join([package, *parts])] = path
+    return found
+
+
 def _load_unit(name: str, path: Path) -> ModuleUnit:
     source = path.read_text()
     digest = hashlib.sha256(source.encode()).hexdigest()
@@ -255,33 +267,51 @@ def name_closure(
     return closed
 
 
+def _alias_targets(
+    unit: ModuleUnit, node: "ast.Import | ast.ImportFrom"
+) -> "list[tuple[ast.alias, str]]":
+    """``(alias, fully qualified name)`` for each name one import
+    statement imports.
+
+    ``import a.b`` names ``a.b``; ``from a.b import x`` names ``a.b.x``;
+    a relative ``from`` is resolved against ``unit.name``.  Both
+    :func:`import_bindings` and the import graph
+    (:meth:`LintContext.imports`) read imports through here.
+    """
+    if isinstance(node, ast.Import):
+        return [(alias, alias.name) for alias in node.names]
+    base = node.module or ""
+    if node.level:
+        anchor = unit.name if unit.path.name == "__init__.py" \
+            else unit.name.rpartition(".")[0]
+        for _ in range(node.level - 1):
+            anchor = anchor.rpartition(".")[0]
+        base = f"{anchor}.{base}" if base else anchor
+    return [(alias, f"{base}.{alias.name}") for alias in node.names]
+
+
+def _import_nodes(tree: ast.Module) -> "Iterator[ast.Import | ast.ImportFrom]":
+    """Every ``import``/``from`` statement in ``tree``, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+
+
 def import_bindings(unit: ModuleUnit, package: str) -> dict[str, str]:
     """``local name -> fully qualified name`` for the unit's imports.
 
     ``import a.b as c`` binds ``c -> a.b``; ``from a.b import x as y``
-    binds ``y -> a.b.x``.  Only top-level and function-level imports are
-    seen (both matter: the version registry counts lazy imports too).
-    Relative imports are resolved against ``unit.name``.
+    binds ``y -> a.b.x``.  Top-level and function-level imports are
+    both seen (the import graph counts lazy imports too).
     """
     bound: dict[str, str] = {}
-    for node in ast.walk(unit.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.partition(".")[0]] = (
-                    alias.name if alias.asname else alias.name.partition(".")[0]
-                )
-                if alias.asname:
-                    bound[alias.asname] = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                anchor = unit.name if unit.path.name == "__init__.py" \
-                    else unit.name.rpartition(".")[0]
-                for _ in range(node.level - 1):
-                    anchor = anchor.rpartition(".")[0]
-                base = f"{anchor}.{base}" if base else anchor
-            for alias in node.names:
-                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+    for node in _import_nodes(unit.tree):
+        for alias, target in _alias_targets(unit, node):
+            if alias.asname or isinstance(node, ast.ImportFrom):
+                bound[alias.asname or alias.name] = target
+            else:  # ``import a.b`` binds the top-level package ``a``
+                head = target.partition(".")[0]
+                bound[head] = head
     return bound
 
 
@@ -364,7 +394,8 @@ class LintContext:
     module whose dependency cone scopes the determinism and version-cone
     checks (checks fall back to the whole tree when the entry module
     does not exist in the analyzed tree, which is what fixture corpora
-    want).
+    want).  The context owns the tree's static import graph
+    (:meth:`imports`, :meth:`cone`), built from the parsed units.
     """
 
     def __init__(
@@ -373,10 +404,14 @@ class LintContext:
         package: str = "repro",
         entry: "str | None" = None,
     ) -> None:
-        self.registry = VersionRegistry(root, package)
+        self.root = (
+            Path(root) if root is not None
+            else Path(__file__).resolve().parents[1]
+        )
         self.package = package
         self.entry = entry if entry is not None else f"{package}.explore.evaluate"
         self._units: "dict[str, ModuleUnit] | None" = None
+        self._imports: "dict[str, frozenset[str]]" = {}
         self._cone: "frozenset[str] | None" = None
         self._knobs: "frozenset[str] | None" = None
 
@@ -385,21 +420,56 @@ class LintContext:
         if self._units is None:
             self._units = {
                 name: _load_unit(name, path)
-                for name, path in sorted(self.registry.modules().items())
+                for name, path in sorted(
+                    _module_files(self.root, self.package).items()
+                )
             }
         return self._units
 
+    def imports(self, module: str) -> frozenset[str]:
+        """The tree's modules ``module`` imports (its direct edges).
+
+        Module- and function-level imports count alike.  Each imported
+        name resolves to the deepest module of the tree on its dotted
+        path, so ``import repro.sim.cycles`` and ``from repro.sim import
+        cycles`` both depend on the module, not just the packages above
+        it.  Package ``__init__`` re-exports are not implied edges: a
+        result cannot change through a re-export unless some module
+        imports through it, and then that edge is present anyway.
+        """
+        if module not in self._imports:
+            units = self.units()
+            unit = units[module]
+            deps: set[str] = set()
+            for node in _import_nodes(unit.tree):
+                for _, name in _alias_targets(unit, node):
+                    while name and name not in units:
+                        name = name.rpartition(".")[0]
+                    if name and name != module:
+                        deps.add(name)
+            self._imports[module] = frozenset(deps)
+        return self._imports[module]
+
     def cone(self) -> frozenset[str]:
-        """The evaluation dependency cone (whole tree if no entry).
+        """The evaluation dependency cone (whole tree if no entry):
+        ``entry`` and everything it imports, directly or indirectly.
 
         For the real package this is the cone the result cache's code
         stamp covers (:data:`repro.explore.versions.EVALUATION_CONE`).
         """
         if self._cone is None:
-            if self.entry not in self.registry.modules():
-                self._cone = frozenset(self.units())
+            units = self.units()
+            if self.entry not in units:
+                self._cone = frozenset(units)
             else:
-                self._cone = self.registry.cone([self.entry])
+                cone: set[str] = set()
+                frontier = [self.entry]
+                while frontier:
+                    module = frontier.pop()
+                    if module not in cone:
+                        cone.add(module)
+                        frontier.extend(self.imports(module) - cone)
+                self._cone = frozenset(cone)
         return self._cone
 
     def cone_units(self) -> "Iterator[ModuleUnit]":
@@ -420,7 +490,7 @@ class LintContext:
     def relpath(self, unit: ModuleUnit) -> str:
         """A stable display path for findings (relative to the tree root)."""
         try:
-            return str(unit.path.relative_to(self.registry.root.parent))
+            return str(unit.path.relative_to(self.root.parent))
         except ValueError:
             return str(unit.path)
 
@@ -548,7 +618,7 @@ def run_lint(
     findings = _apply_suppressions(findings, context)
     findings.sort(key=lambda f: (f.path, f.line, f.check, f.code, f.message))
     return LintReport(
-        root=str(context.registry.root),
+        root=str(context.root),
         checks=selected,
         modules=len(context.units()),
         findings=tuple(findings),

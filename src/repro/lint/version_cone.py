@@ -3,15 +3,14 @@
 The result cache's staleness guarantee (:mod:`repro.explore.versions`)
 rests on its code stamp covering every module an evaluation can reach:
 the stamp hashes the constant cone that a tier-1 test pins to the
-statically extracted import graph, so that graph must be the *whole*
-truth.  This check flags the constructs that break it:
+statically extracted import graph (:meth:`LintContext.cone`), so that
+graph must be the *whole* truth.  This check flags the constructs that
+break it:
 
 ``dynamic-import``
     ``importlib.import_module`` / ``__import__`` in a cone module: the
-    AST extractor cannot see the edge, so edits to the imported module
-    would never stale cache entries.  (The extractor itself also warns
-    when it parses such a module — see
-    :class:`~repro.explore.versions.DynamicImportWarning`.)
+    AST import graph cannot see the edge, so edits to the imported
+    module would never stale cache entries.
 ``mutable-global``
     A function rebinding a module-level name (``global X; X = ...``):
     cross-call module state is invisible to both the code stamp (which
@@ -24,7 +23,6 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.explore.versions import find_dynamic_imports
 from repro.lint.framework import (
     Finding,
     LintContext,
@@ -40,9 +38,29 @@ def check_version_cone(context: LintContext) -> Iterable[Finding]:
         yield from _check_unit(context, unit)
 
 
+def _dynamic_imports(tree: ast.AST) -> "list[tuple[int, str]]":
+    """``(line, description)`` for every dynamic-import call in ``tree``."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "__import__":
+            found.append((node.lineno, "__import__(...)"))
+        elif isinstance(func, ast.Name) and func.id == "import_module":
+            found.append((node.lineno, "import_module(...)"))
+        elif isinstance(func, ast.Attribute) and func.attr == "import_module":
+            found.append((node.lineno, f"{func.attr}(...)"))
+        elif isinstance(func, ast.Attribute) and func.attr == "reload" and (
+            isinstance(func.value, ast.Name) and func.value.id == "importlib"
+        ):
+            found.append((node.lineno, "importlib.reload(...)"))
+    return sorted(found)
+
+
 def _check_unit(context: LintContext, unit: ModuleUnit) -> Iterable[Finding]:
     path = context.relpath(unit)
-    for lineno, description in find_dynamic_imports(unit.tree):
+    for lineno, description in _dynamic_imports(unit.tree):
         yield Finding(
             check="version-cone", code="dynamic-import",
             message=(

@@ -178,7 +178,7 @@ def test_gc_prunes_quarantine_and_stale_formats(backend, tmp_path):
     assert report.quarantine_removed == 1
     assert report.stale_removed == 1
     assert report.bytes_reclaimed > 0
-    assert "gc: pruned 1 quarantined + 1 stale-format entries" in (
+    assert "gc: pruned 1 quarantined + 1 stale entries" in (
         report.summary()
     )
     assert len(cache.backend.quarantined()) == 0

@@ -72,7 +72,7 @@ def test_explore_table(capsys, tmp_path):
     argv = (
         "explore", "--kernels", "fir", "--allocators", "FR-RA", "PR-RA",
         "--budgets", "8", "16", "--jobs", "1",
-        "--cache-dir", str(tmp_path / "cache"), "--resume",
+        "--cache-dir", str(tmp_path / "cache"),
     )
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
@@ -91,7 +91,7 @@ def test_explore_cache_dir_implies_resume(capsys, tmp_path):
         "explore", "--kernels", "fir", "--allocators", "FR-RA", "NO-SR",
         "--budgets", "8", "--cache-dir", str(tmp_path / "cache"),
     )
-    # No --resume needed: a cache directory is reused by default.
+    # A cache directory is reused by default.
     code, _, err = run_cli(capsys, *argv)
     assert code == 0
     assert "2 points: 2 evaluated, 0 cache hits" in err
@@ -106,15 +106,6 @@ def test_explore_cache_dir_implies_resume(capsys, tmp_path):
     code, _, err = run_cli(capsys, *argv)
     assert code == 0
     assert "0 evaluated, 2 cache hits (100%)" in err
-
-
-def test_explore_resume_and_fresh_conflict(capsys, tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main([
-            "explore", "--kernels", "fir", "--budgets", "8",
-            "--cache-dir", str(tmp_path), "--resume", "--fresh",
-        ])
-    assert excinfo.value.code != 0
 
 
 def test_explore_sharded_stitch(capsys, tmp_path):

@@ -2,11 +2,13 @@
 
 Three layers:
 
-* :class:`VersionRegistry` mechanics on a synthetic package tree
-  (discovery, hashing, AST import edges including relative and
-  function-level imports, cone traversal);
-* the shipped cone constant and the stamp over it (pinned to the import
-  graph; which subsystems stay out; Python and numpy versions count);
+* :class:`VersionRegistry` hashing and the import graph of
+  ``repro lint``'s :class:`LintContext` on a synthetic package tree (AST
+  import edges including relative and function-level imports, cone
+  traversal);
+* the shipped cone constant and the stamp over it (pinned to lint's
+  import graph; which subsystems stay out; Python and numpy versions
+  count);
 * end-to-end resume against a *copied* ``repro`` tree: editing a cone
   module re-evaluates every point, editing ``codegen`` re-evaluates
   nothing, and another numpy version re-evaluates every point.
@@ -17,6 +19,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,8 +32,9 @@ from repro.explore import (
     VersionRegistry,
     query_vector,
 )
-from repro.explore import versions
+from repro.explore import cache as cache_module, versions
 from repro.explore.versions import EVALUATION_CONE, EVALUATION_ROOT
+from repro.lint.framework import LintContext
 from repro.plugins import ALLOCATOR_MODULES, KERNEL_MODULES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -69,8 +73,12 @@ def make_tree(root: Path) -> Path:
 class TestVersionRegistry:
     def test_module_discovery_and_hashing(self, tmp_path):
         registry = VersionRegistry(make_tree(tmp_path), package="pkg")
-        modules = registry.modules()
-        assert {"pkg", "pkg.base", "pkg.sub", "pkg.sub.leaf"} <= set(modules)
+        # A dotted name maps straight to its file: packages hash their
+        # __init__.py, so they match an empty module's hash.
+        assert registry.module_hash("pkg") == registry.module_hash("pkg.sub")
+        assert registry.module_hash("pkg.sub.leaf") != registry.module_hash("pkg")
+        with pytest.raises(KeyError):
+            registry.module_hash("other.base")
         before = registry.module_hash("pkg.base")
         assert len(before) == 12
         (tmp_path / "pkg" / "base.py").write_text("X = 2\n")
@@ -80,27 +88,35 @@ class TestVersionRegistry:
         assert fresh.module_hash("pkg.base") != before
         assert fresh.module_hash("pkg.left") == registry.module_hash("pkg.left")
 
+
+class TestLintImportGraph:
     def test_import_edges(self, tmp_path):
-        registry = VersionRegistry(make_tree(tmp_path), package="pkg")
-        assert registry.imports("pkg.left") == {"pkg.base"}
+        context = LintContext(make_tree(tmp_path), package="pkg")
+        assert context.imports("pkg.left") == {"pkg.base"}
         # relative import resolves, and the lazy function import counts
-        assert registry.imports("pkg.right") == {"pkg.base", "pkg.lazy"}
-        assert registry.imports("pkg.top") == {"pkg.left", "pkg.right"}
-        assert registry.imports("pkg.sub.leaf") == {"pkg.top"}
-        assert registry.imports("pkg.base") == frozenset()
+        assert context.imports("pkg.right") == {"pkg.base", "pkg.lazy"}
+        assert context.imports("pkg.top") == {"pkg.left", "pkg.right"}
+        assert context.imports("pkg.sub.leaf") == {"pkg.top"}
+        assert context.imports("pkg.base") == frozenset()
 
     def test_cone_is_transitive_closure(self, tmp_path):
-        registry = VersionRegistry(make_tree(tmp_path), package="pkg")
-        assert registry.cone(["pkg.top"]) == {
+        root = make_tree(tmp_path)
+
+        def cone(entry):
+            return LintContext(root, package="pkg", entry=entry).cone()
+
+        assert cone("pkg.top") == {
             "pkg.top", "pkg.left", "pkg.right", "pkg.base", "pkg.lazy",
         }
         # Plugin-to-plugin edges and a dispatcher's fan-out all count.
-        assert registry.cone(["pkg.dispatch"]) == {
+        assert cone("pkg.dispatch") == {
             "pkg.dispatch", "pkg.plug_a", "pkg.plug_b", "pkg.base",
         }
-        assert registry.cone(["pkg.base"]) == {"pkg.base"}
-        with pytest.raises(KeyError):
-            registry.cone(["pkg.nope"])
+        assert cone("pkg.base") == {"pkg.base"}
+        # An entry the tree lacks scopes the checks to the whole tree.
+        assert cone("pkg.nope") == frozenset(
+            LintContext(root, package="pkg").units()
+        )
 
 
 class TestEvaluationCone:
@@ -109,7 +125,7 @@ class TestEvaluationCone:
         evaluation root.  Moving an import into a function keeps its
         edge; adding or dropping one fails here until the constant is
         updated for an import edge changed on purpose."""
-        cone = VersionRegistry().cone([EVALUATION_ROOT])
+        cone = LintContext(entry=EVALUATION_ROOT).cone()
         assert EVALUATION_CONE == tuple(sorted(cone)), (
             f"extra: {sorted(cone - set(EVALUATION_CONE))}, "
             f"missing: {sorted(set(EVALUATION_CONE) - cone)}"
@@ -123,7 +139,7 @@ class TestEvaluationCone:
             cycles_py.read_text() + "\n\ndef _late():\n"
             "    import repro.codegen.vhdl\n"
         )
-        cone = VersionRegistry(copied_tree).cone([EVALUATION_ROOT])
+        cone = LintContext(copied_tree, entry=EVALUATION_ROOT).cone()
         assert "repro.codegen.vhdl" in cone - set(EVALUATION_CONE)
 
     def test_cone_excludes_unrelated_subsystems(self):
@@ -180,9 +196,9 @@ class TestIncrementalResume:
         for allocator in ("FR-RA", "CPA-RA")
     ]
 
-    def run(self, cache_dir, tree):
+    def run(self, cache_dir, tree, queries=QUERIES):
         cache = ResultCache(cache_dir, registry=VersionRegistry(tree))
-        return Executor(cache=cache).run(self.QUERIES)
+        return Executor(cache=cache).run(queries)
 
     def test_shared_dependency_edit_strands_everything(
         self, tmp_path, copied_tree
@@ -241,6 +257,34 @@ class TestIncrementalResume:
         mat_py.write_text(source)
         assert executor.run(self.QUERIES).stats.cache_hits == 4
 
+    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
+    def test_gc_prunes_entries_a_cone_edit_staled(
+        self, backend, tmp_path, copied_tree, monkeypatch
+    ):
+        location = (
+            tmp_path / "cache" if backend == "dir"
+            else f"sqlite:{tmp_path / 'cache.db'}"
+        )
+        old, new = self.QUERIES[:2], self.QUERIES[2:]
+        assert self.run(location, copied_tree, old).stats.evaluated == 2
+        cycles_py = copied_tree / "sim" / "cycles.py"
+        cycles_py.write_text(cycles_py.read_text() + "\n# edited\n")
+        # A process started on the edited tree stamps its writes with it.
+        monkeypatch.setattr(
+            cache_module, "query_vector", VersionRegistry(copied_tree).stamp
+        )
+        assert self.run(location, copied_tree, new).stats.evaluated == 2
+
+        cache = ResultCache(location, registry=VersionRegistry(copied_tree))
+        assert cache.fsck().ok == 4  # fsck checks integrity, not stamps
+        time.sleep(0.05)
+        report = cache.gc(days=0)
+        assert (report.stale_removed, report.quarantine_removed) == (2, 0)
+        assert len(cache) == 2
+        assert [cache.lookup(q)[1] for q in self.QUERIES] == [
+            "miss", "miss", "hit", "hit",
+        ]
+
 
 PROBE = """
 import json, sys
@@ -267,11 +311,11 @@ def test_write_stamp_is_taken_before_the_evaluation_stack_loads(tmp_path):
     assert json.loads(proc.stdout) == [False]
 
 
-def walk_imports(registry: VersionRegistry, module: str) -> frozenset:
+def walk_imports(context: LintContext, module: str) -> frozenset:
     """Reference edges: every Import/ImportFrom node of a full ast.walk."""
     import ast
 
-    known = registry.modules()
+    known = {name: unit.path for name, unit in context.units().items()}
     deps = set()
 
     def note(name):
@@ -294,7 +338,7 @@ def walk_imports(registry: VersionRegistry, module: str) -> frozenset:
                 for _ in range(node.level - 1):
                     anchor = anchor.rpartition(".")[0]
                 base = f"{anchor}.{base}" if base else anchor
-            if base.startswith(registry.package):
+            if base.startswith(context.package):
                 for alias in node.names:
                     note(f"{base}.{alias.name}")
     return frozenset(deps)
@@ -302,9 +346,9 @@ def walk_imports(registry: VersionRegistry, module: str) -> frozenset:
 
 @pytest.mark.parametrize("tree", ["shipped", "synthetic"])
 def test_import_graph_matches_full_ast_walk(tree, tmp_path):
-    """Statement-body scanning finds every edge a full walk finds."""
+    """Lint's import graph has every edge a reference walk finds."""
     if tree == "shipped":
-        registry = VersionRegistry()
+        context = LintContext()
     else:
         pkg = make_tree(tmp_path)
         (pkg / "nested.py").write_text(
@@ -334,40 +378,8 @@ def test_import_graph_matches_full_ast_walk(tree, tmp_path):
                 """
             )
         )
-        registry = VersionRegistry(pkg, package="pkg")
-    for module in registry.modules():
-        assert registry.imports(module) == walk_imports(registry, module), module
+        context = LintContext(pkg, package="pkg")
+    for module in context.units():
+        assert context.imports(module) == walk_imports(context, module), module
     if tree == "synthetic":
-        assert len(registry.imports("pkg.nested")) == 7
-
-
-class TestDynamicImportWarning:
-    """Untrackable dynamic imports warn loudly when the registry parses
-    the offending module (satellite of the lint PR: the runtime twin of
-    ``repro lint``'s version-cone:dynamic-import finding)."""
-
-    def test_dynamic_import_warns_with_module_and_line(self, tmp_path):
-        from repro.explore.versions import DynamicImportWarning
-
-        pkg = make_tree(tmp_path)
-        (pkg / "shifty.py").write_text(
-            textwrap.dedent(
-                """
-                import importlib
-
-                def load(name):
-                    return importlib.import_module(name)
-                """
-            )
-        )
-        registry = VersionRegistry(pkg, package="pkg")
-        with pytest.warns(DynamicImportWarning, match=r"pkg\.shifty \(line 5\)"):
-            registry.cone(["pkg.shifty"])
-
-    def test_static_tree_is_silent(self, tmp_path):
-        import warnings as _warnings
-
-        registry = VersionRegistry(make_tree(tmp_path), package="pkg")
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            registry.cone(["pkg.top"])
+        assert len(context.imports("pkg.nested")) == 7
