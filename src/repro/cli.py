@@ -276,7 +276,7 @@ def _cmd_cache_fsck(args: argparse.Namespace) -> int:
         return 0
     print(
         "fsck: problems found — re-run with --repair to quarantine "
-        "corrupt entries and reap orphaned tmp files",
+        "corrupt entries and clear orphaned tmp",
         file=sys.stderr,
     )
     return 1
@@ -472,14 +472,17 @@ def main(argv: "list[str] | None" = None) -> int:
     p_fsck.add_argument("dir", help="the cache directory to scan")
     p_fsck.add_argument(
         "--repair", action="store_true",
-        help="move corrupt entries to quarantine/ and delete orphaned "
-        "tmp files (scan-only by default; exit 0 after repair)",
+        help="move corrupt entries to quarantine/ and clear orphaned tmp "
+        "(torn segment tails, compaction temp files) older than 60 s "
+        "(scan-only by default; exit 0 after repair)",
     )
     p_fsck.add_argument(
         "--gc", action="store_true",
         help="also prune quarantined corpses and stale entries (another "
         "format, or another code stamp than this tree's) older than "
-        "--gc-days, reporting the bytes reclaimed",
+        "--gc-days, reporting the bytes reclaimed, then compact a "
+        "directory cache into one segment unless one was written in the "
+        "last 60 s",
     )
     p_fsck.add_argument(
         "--gc-days", type=float, default=30.0, metavar="N",

@@ -6,10 +6,11 @@ quarantine-on-corruption — while a :class:`CacheBackend` owns the entry
 *storage*.  Two backends ship:
 
 :class:`DirBackend`
-    The original layout: one ``<digest>.json`` file per entry under a
-    root directory, ``quarantine/`` for damaged entries, atomic
-    tmp+rename writes (optionally fsync'd).  This is what a bare path
-    selects.
+    What a bare path selects: each writer process appends
+    length-framed entries to its own segment file under a root
+    directory, and reads go through an in-memory index;
+    ``quarantine/`` holds damaged entries.  The one-file-per-entry
+    layout of earlier versions still reads.
 
 :class:`SqliteBackend`
     A single-file SQLite database in WAL mode (``entries`` /
@@ -17,10 +18,9 @@ quarantine-on-corruption — while a :class:`CacheBackend` owns the entry
     URI scheme (``--cache-dir sqlite:sweep.db``).  WAL plus a busy
     timeout makes one database safe for *concurrent* sweeps — readers
     never block the writer and writers queue instead of failing — so
-    sharded runs on one machine can share a single cache file instead
-    of a directory of thousands of entries.  The stored text is the
-    same JSON document ``DirBackend`` writes, so checksum and
-    stamp semantics are identical on both backends.
+    sharded runs on one machine can share a single cache file.  The
+    stored text is the same JSON document ``DirBackend`` writes, so
+    checksum and stamp semantics are identical on both backends.
 
 Backends store and return opaque text; they never parse entries.
 
@@ -36,6 +36,7 @@ import errno
 import os
 import sqlite3
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +52,9 @@ __all__ = [
 
 #: Subdirectory (DirBackend) damaged entries are moved into.
 QUARANTINE_DIR = "quarantine"
+
+#: Suffix of a DirBackend segment file (see :class:`DirBackend`).
+SEGMENT_SUFFIX = ".pack"
 
 #: Subdirectory (DirBackend) where earlier versions kept a cost-model
 #: document.  It is not an entry: counts skip it, and nothing reads it.
@@ -87,8 +91,8 @@ class CacheBackend:
         """Raw entry bytes, or None on a miss.  Never raises on a miss."""
         raise NotImplementedError
 
-    def write(self, name: str, text: str) -> "Path | str":
-        """Atomically publish one entry; returns its location."""
+    def write(self, name: str, text: str) -> str:
+        """Publish one entry; returns its location."""
         raise NotImplementedError
 
     def delete(self, name: str) -> int:
@@ -113,6 +117,9 @@ class CacheBackend:
         """Delete one quarantined blob; returns the bytes freed."""
         raise NotImplementedError
 
+    def refresh(self) -> None:
+        """Forget anything read so far; the next read sees the medium anew."""
+
     def tmp_orphans(self, max_age: float) -> "list[str]":
         """In-flight-write leftovers older than ``max_age`` (dir only)."""
         return []
@@ -120,53 +127,188 @@ class CacheBackend:
     def remove_tmp(self, path: str) -> bool:
         return False
 
+    def compact(self, idle: float) -> bool:
+        """Reclaim the space of deleted entries; whether it did (dir only)."""
+        return False
+
     def clear(self) -> int:
         raise NotImplementedError
 
 
 class DirBackend(CacheBackend):
-    """One ``<digest>.json`` file per entry under ``root`` (the classic
-    layout).  ``fsync=True`` flushes each entry to stable storage before
-    the atomic rename."""
+    """Entries appended to per-writer segment files under ``root``.
+
+    Each writer process appends to its own segment,
+    ``<time_ns>-<pid>-<random hex>.pack``, created with
+    ``O_CREAT|O_EXCL|O_APPEND`` on its first write (a forked child
+    notices the new pid and creates its own).  One record is
+    ``b"<digest> <nbytes>\\n" + text + b"\\n"``, written by a single
+    ``os.write`` (and fsync'd when ``fsync=True``); a delete or
+    quarantine appends the tombstone ``b"<digest> -\\n"``.
+
+    Reads go through an index (digest -> file, offset, length) built on
+    the first read after construction or :meth:`refresh`.  Top-level
+    ``<digest>.json`` files, the earlier one-file-per-entry layout,
+    rank lowest; segments follow in name order, and a later record or
+    tombstone supersedes an earlier one.  This process's own writes
+    update the index in place.  A record cut short by a writer killed
+    mid-append is a *torn tail*: the index skips it, :meth:`tmp_orphans`
+    lists it once its segment has aged, and :meth:`remove_tmp`
+    truncates it.  :meth:`compact` folds everything into one segment.
+    """
 
     def __init__(self, root: "Path | str", fsync: bool = False):
         self.root = Path(root)
         self.fsync = fsync
+        #: This process's open segment: path, descriptor, end offset,
+        #: and the pid that opened it.
+        self._segment: "str | None" = None
+        self._fd: "int | None" = None
+        self._end = 0
+        self._pid = 0
+        self._closer: "weakref.finalize | None" = None
+        #: digest -> (file, offset, nbytes); nbytes None for a whole
+        #: legacy file.  None until the first read builds it.
+        self._index: "dict[str, tuple[str, int, int | None]] | None" = None
+        #: (segment, offset) of each torn tail the index build found.
+        self._torn: "list[tuple[str, int]]" = []
 
     def describe(self) -> str:
         return str(self.root)
 
-    def _path(self, name: str) -> Path:
-        return self.root / f"{name}.json"
+    # -- the index -------------------------------------------------------
+
+    def refresh(self) -> None:
+        self._index = None
+
+    def _entries_index(self) -> "dict[str, tuple[str, int, int | None]]":
+        if self._index is None:
+            self._load()
+        return self._index
+
+    def _load(self) -> "list[str]":
+        """Build the index; the legacy files and segments it read."""
+        try:
+            names = sorted(os.listdir(self.root))
+        except OSError:
+            names = []
+        legacy = [str(self.root / n) for n in names if n.endswith(".json")]
+        segments = [
+            str(self.root / n) for n in names if n.endswith(SEGMENT_SUFFIX)
+        ]
+        index: "dict[str, tuple[str, int, int | None]]" = {
+            Path(path).stem: (path, 0, None) for path in legacy
+        }
+        torn = []
+        for segment in segments:
+            tail = _index_segment(segment, index)
+            if tail is not None:
+                torn.append((segment, tail))
+        self._index, self._torn = index, torn
+        if self._segment is not None and segments[-1:] > [self._segment]:
+            # Another writer's segment ranks after ours: retire ours, so
+            # whatever this process writes next supersedes what it read.
+            self.close()
+        return legacy + segments
+
+    def _read_at(self, path: str, offset: int, size: "int | None"
+                 ) -> "bytes | None":
+        try:
+            if size is None:
+                return Path(path).read_bytes()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                raw = os.pread(fd, size, offset)
+            finally:
+                os.close(fd)
+        except OSError:
+            return None  # gone since the index was built (a compaction)
+        return raw if len(raw) == size else None
+
+    # -- this process's segment ------------------------------------------
+
+    def _append(self, record: bytes) -> int:
+        """Append one record to this process's segment; its offset.
+
+        A new segment is opened on the first append, in a forked child,
+        and once a ``gc`` in another process has compacted this one away.
+        """
+        if (
+            self._fd is None
+            or self._pid != os.getpid()
+            or os.fstat(self._fd).st_nlink == 0
+        ):
+            self._open_segment()
+        offset = self._end
+        try:
+            written = os.write(self._fd, record)
+            if written != len(record):
+                raise OSError(
+                    errno.ENOSPC, f"short write to {self._segment}"
+                )
+            if self.fsync:
+                os.fsync(self._fd)
+        except OSError:
+            # Whatever reached the file is a torn tail; append nothing
+            # after it.
+            self.close()
+            raise
+        self._end += written
+        return offset
+
+    def _open_segment(self) -> None:
+        # In a forked child this closes only the child's inherited copy.
+        self.close()
+        self.root.mkdir(parents=True, exist_ok=True)
+        path = self._new_segment_name()
+        self._fd = os.open(
+            path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644
+        )
+        self._closer = weakref.finalize(self, os.close, self._fd)
+        self._segment, self._end, self._pid = path, 0, os.getpid()
+
+    def _new_segment_name(self) -> str:
+        """``<time_ns>-<pid>-<random hex>.pack``: name order is creation
+        order, and no two writers pick the same name."""
+        stem = f"{time.time_ns()}-{os.getpid()}-{os.urandom(4).hex()}"
+        return str(self.root / f"{stem}{SEGMENT_SUFFIX}")
+
+    def close(self) -> None:
+        """Close this process's segment; the next write opens a new one."""
+        if self._closer is not None:
+            self._closer()
+        self._segment = self._fd = self._closer = None
+
+    # -- the storage contract --------------------------------------------
 
     def read(self, name: str) -> "bytes | None":
-        try:
-            return self._path(name).read_bytes()
-        except OSError:
-            return None
+        where = self._entries_index().get(name)
+        return None if where is None else self._read_at(*where)
 
-    def write(self, name: str, text: str) -> Path:
-        path = self._path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        if self.fsync:
-            with open(tmp, "w") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-        else:
-            tmp.write_text(text)
-        os.replace(tmp, path)
-        return path
+    def write(self, name: str, text: str) -> str:
+        data = text.encode("utf-8", "surrogateescape")
+        header = _header(name, len(data))
+        offset = self._append(header + data + b"\n")
+        if self._index is not None:
+            start = offset + len(header)
+            self._index[name] = (self._segment, start, len(data))
+        return f"{self._segment}#{name}"
 
     def delete(self, name: str) -> int:
-        path = self._path(name)
+        where = self._entries_index().get(name)
+        if where is None:
+            return 0
+        path, _, size = where
         try:
-            size = path.stat().st_size
-            path.unlink()
-            return size
+            if size is None:
+                size = os.stat(path).st_size
+                os.unlink(path)
+            else:
+                self._append(_header(name, None))
         except OSError:
             return 0
+        del self._index[name]
+        return size
 
     def _scan(self, directory: Path) -> "list[StoredEntry]":
         if not directory.is_dir():
@@ -187,27 +329,52 @@ class DirBackend(CacheBackend):
         return found
 
     def entries(self) -> "list[StoredEntry]":
-        return self._scan(self.root)
+        now = time.time()
+        stats: "dict[str, os.stat_result]" = {}
+        found: list[StoredEntry] = []
+        for name, (path, _, size) in sorted(self._entries_index().items()):
+            try:
+                if path not in stats:
+                    stats[path] = os.stat(path)
+            except OSError:
+                continue  # vanished mid-scan (a concurrent repair)
+            found.append(StoredEntry(
+                name=name,
+                location=path if size is None else f"{path}#{name}",
+                age=max(0.0, now - stats[path].st_mtime),
+                size=stats[path].st_size if size is None else size,
+            ))
+        return found
 
     def count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        skip = (self.root / QUARANTINE_DIR, self.root / LEGACY_META_DIR)
-        return sum(
-            1 for path in self.root.rglob("*.json")
-            if not any(where in path.parents for where in skip)
-        )
+        legacy = 0
+        if self.root.is_dir():
+            skip = (QUARANTINE_DIR, LEGACY_META_DIR)
+            for sub in self.root.iterdir():
+                if sub.is_dir() and sub.name not in skip:
+                    legacy += sum(1 for _ in sub.rglob("*.json"))
+        return len(self._entries_index()) + legacy
 
     def quarantine(self, name: str) -> "str | None":
-        path = self._path(name)
-        target_dir = self.root / QUARANTINE_DIR
+        where = self._entries_index().get(name)
+        if where is None:
+            return None
+        path, offset, size = where
+        target = self.root / QUARANTINE_DIR / f"{name}.json"
         try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            target = target_dir / path.name
-            os.replace(path, target)
-            return str(target)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            if size is None:
+                os.replace(path, target)
+            else:
+                raw = self._read_at(path, offset, size)
+                if raw is None:
+                    return None
+                target.write_bytes(raw)
+                self._append(_header(name, None))
         except OSError:
             return None
+        del self._index[name]
+        return str(target)
 
     def quarantined(self) -> "list[StoredEntry]":
         return self._scan(self.root / QUARANTINE_DIR)
@@ -222,35 +389,154 @@ class DirBackend(CacheBackend):
             return 0
 
     def tmp_orphans(self, max_age: float) -> "list[str]":
-        if not self.root.is_dir():
-            return []
+        """Aged compaction temp files and torn segment tails.
+
+        A torn tail is listed as ``<segment>@<offset>``.  Both are left
+        alone while younger than ``max_age``: the temp file may be a
+        running compaction's, the tail a concurrent writer's append
+        still in flight.
+        """
+        self._entries_index()
         cutoff = time.time() - max_age
+        candidates = [(str(tmp), str(tmp)) for tmp in self.root.glob(".*.tmp")]
+        for segment, offset in self._torn:
+            # Parse again from where the index stopped: what looked torn
+            # then may have been an append in flight, or truncated since.
+            tail = _index_segment(segment, {}, offset)
+            if tail is not None:
+                candidates.append((segment, f"{segment}@{tail}"))
         orphans: list[str] = []
-        for tmp in sorted(self.root.glob(".*.tmp")):
+        for path, orphan in sorted(candidates):
             try:
-                if tmp.stat().st_mtime < cutoff:
-                    orphans.append(str(tmp))
+                if os.stat(path).st_mtime < cutoff:
+                    orphans.append(orphan)
             except OSError:
                 continue
         return orphans
 
     def remove_tmp(self, path: str) -> bool:
+        segment, _, offset = path.rpartition("@")
         try:
-            Path(path).unlink()
-            return True
+            if segment.endswith(SEGMENT_SUFFIX):
+                os.truncate(segment, int(offset))
+            else:
+                os.unlink(path)
+        except (OSError, ValueError):
+            return False
+        return True
+
+    def compact(self, idle: float) -> bool:
+        """Fold every segment and legacy entry file into one segment.
+
+        The live records are written to a temp file that is renamed to
+        a new segment; the files folded in are then deleted.  Nothing
+        happens (False) while a segment was written within ``idle``
+        seconds, whose writer may still be appending, or when one
+        segment already holds exactly the live records.
+        """
+        files = self._load()
+        segments = [f for f in files if f.endswith(SEGMENT_SUFFIX)]
+        try:
+            newest = max((os.stat(s).st_mtime for s in segments), default=0.0)
+            if not files or time.time() - newest < idle:
+                return False
+            if files == segments[:1] and os.stat(segments[0]).st_size == sum(
+                len(_header(name, size)) + size + 1
+                for name, (_, _, size) in self._index.items()
+            ):
+                return False  # already one segment of live records only
         except OSError:
             return False
+        self.close()
+        target = self._new_segment_name()
+        tmp = self.root / f".{Path(target).name}.tmp"
+        index: "dict[str, tuple[str, int, int | None]]" = {}
+        with open(tmp, "wb") as out:
+            offset = 0
+            for name, where in sorted(self._index.items()):
+                raw = self._read_at(*where)
+                if raw is None:
+                    continue
+                header = _header(name, len(raw))
+                out.write(header + raw + b"\n")
+                index[name] = (target, offset + len(header), len(raw))
+                offset += len(header) + len(raw) + 1
+            if self.fsync:
+                out.flush()
+                os.fsync(out.fileno())
+        os.replace(tmp, target)
+        for path in files:
+            try:
+                os.unlink(path)
+            except OSError:
+                continue
+        self._index, self._torn = index, []
+        return True
 
     def clear(self) -> int:
-        removed = 0
+        self.close()
+        removed = sum(
+            1 for _, _, size in self._entries_index().values()
+            if size is not None
+        )
         if self.root.is_dir():
             for path in self.root.rglob("*.json"):
                 path.unlink()
                 removed += 1
+            for path in self.root.glob(f"*{SEGMENT_SUFFIX}"):
+                path.unlink()
             for sub in self.root.iterdir():
                 if sub.is_dir() and not any(sub.iterdir()):
                     sub.rmdir()
+        self._index, self._torn = {}, []
         return removed
+
+
+def _header(name: str, nbytes: "int | None") -> bytes:
+    """The header line of a record of ``nbytes`` bytes, or (None) the
+    whole of a tombstone."""
+    if nbytes is None:
+        return b"%s -\n" % name.encode()
+    return b"%s %d\n" % (name.encode(), nbytes)
+
+
+def _index_segment(
+    segment: str,
+    index: "dict[str, tuple[str, int, int | None]]",
+    offset: int = 0,
+) -> "int | None":
+    """Apply one segment's records and tombstones, from ``offset`` on,
+    to ``index``.
+
+    Returns the offset of its torn tail (an incomplete or unreadable
+    last record), or None when the segment ends on a whole record.
+    """
+    try:
+        handle = open(segment, "rb")
+    except OSError:
+        return None  # gone since the listing (a compaction)
+    with handle:
+        handle.seek(offset)
+        while True:
+            header = handle.readline()
+            if not header:
+                return None
+            fields = header.split()
+            if not header.endswith(b"\n") or len(fields) != 2:
+                return offset
+            name = fields[0].decode("utf-8", "surrogateescape")
+            if fields[1] == b"-":
+                index.pop(name, None)
+                offset += len(header)
+                continue
+            if not fields[1].isdigit():
+                return offset
+            size = int(fields[1])
+            handle.seek(size, os.SEEK_CUR)
+            if handle.read(1) != b"\n":
+                return offset
+            index[name] = (segment, offset + len(header), size)
+            offset += len(header) + size + 1
 
 
 class SqliteBackend(CacheBackend):

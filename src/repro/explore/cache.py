@@ -25,10 +25,10 @@ valid.  Entries of another format (format 3 recorded a per-module
 ``versions`` map instead) are stale-format misses.
 
 **Storage** is delegated to a :class:`~repro.explore.backends.CacheBackend`
-(:mod:`repro.explore.backends`): a plain path keeps the classic
-one-file-per-entry directory (:class:`~repro.explore.backends.DirBackend` —
-atomic temp-file + rename writes, optionally fsync'd, so concurrent
-sweeps sharing a directory cannot corrupt entries), while a
+(:mod:`repro.explore.backends`): a plain path selects a directory
+where each writer process appends entries to its own segment file
+(:class:`~repro.explore.backends.DirBackend`, so concurrent sweeps
+sharing a directory never write into one file), while a
 ``sqlite:PATH`` URI stores the same documents in a single WAL-mode
 SQLite file (:class:`~repro.explore.backends.SqliteBackend`) that
 concurrent sweeps can share safely.  Entry semantics — checksums,
@@ -45,10 +45,10 @@ point overwrites cleanly, and the damaged bytes survive for
 post-mortem.  :meth:`ResultCache.fsck` scans every entry offline (CLI:
 ``repro cache fsck [--repair] [--gc]``); :meth:`ResultCache.gc` prunes
 aged quarantine blobs and stale entries (another format or another
-code stamp);
-:meth:`ResultCache.reap_tmp` deletes ``.*.tmp`` files orphaned by
-workers that died between write and rename, which the executor calls at
-every sweep start.
+code stamp) and lets the backend compact what is left;
+:meth:`ResultCache.reap_tmp` clears what writers killed mid-write left
+behind (a segment's torn tail, a compaction's temp file), which the
+executor calls at every sweep start.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ __all__ = [
 #: the per-module ``versions`` map with one ``stamp`` string.
 ENTRY_FORMAT = 4
 
-#: Default age (seconds) past which an orphaned ``.*.tmp`` file is
-#: considered dead rather than a concurrent shard's in-flight write.
+#: Default age (seconds) past which a torn segment tail or an orphaned
+#: ``.*.tmp`` file is considered dead rather than a concurrent shard's
+#: in-flight write; ``gc`` compacts only segments idle this long.
 TMP_MAX_AGE = 60.0
 
 #: Default ``gc`` pruning age, in days: quarantined corpses and stale
@@ -229,8 +230,8 @@ class ResultCache:
       process re-evaluates them with the new code.
 
     ``fsync=True`` (directory backend) additionally fsyncs each entry
-    before the atomic rename, so a machine crash cannot publish a
-    half-flushed entry — off by default (the checksum catches torn
+    as it is appended, so a machine crash cannot lose an entry the
+    sweep reported written — off by default (the checksum catches torn
     writes either way, at read time instead of write time).
     """
 
@@ -260,21 +261,15 @@ class ResultCache:
         Rebuilds the lookup registry over the same root, dropping its
         cached hashes and stamp, so edits made since the last sweep are
         observed even when the cache (or its executor) instance is
-        reused.  The write stamp is deliberately untouched — it
-        fingerprints the loaded code, not the current disk state.
+        reused; the backend likewise forgets its index, so entries
+        other processes stored since are seen.  The write stamp is
+        deliberately untouched — it fingerprints the loaded code, not
+        the current disk state.
         """
         self.registry = VersionRegistry(
             self.registry.root, self.registry.package
         )
-
-    def path_for(self, query: DesignQuery) -> Path:
-        """The entry file of ``query`` (directory backend only)."""
-        if not isinstance(self.backend, DirBackend):
-            raise ReproError(
-                f"{self.backend.describe()} stores entries in a database, "
-                f"not one file per entry; path_for is directory-backend only"
-            )
-        return self.root / f"{query.digest()}.json"
+        self.backend.refresh()
 
     def lookup(self, query: DesignQuery) -> "tuple[DesignRecord | None, str]":
         """``(record, status)`` with status in hit/miss/stale/corrupt.
@@ -310,7 +305,7 @@ class ResultCache:
             where = f" (moved to {moved})" if moved else ""
             warnings.warn(
                 f"quarantined corrupted cache entry "
-                f"{self._locate(digest)}{where}: {exc}",
+                f"{self.backend.describe()}#{digest}{where}: {exc}",
                 CacheCorruptionWarning,
                 stacklevel=2,
             )
@@ -319,18 +314,13 @@ class ResultCache:
             return None, "stale"
         return record, "hit"
 
-    def _locate(self, digest: str) -> str:
-        if isinstance(self.backend, DirBackend):
-            return str(self.root / f"{digest}.json")
-        return f"{self.backend.describe()}#{digest}"
-
     def get(self, query: DesignQuery) -> "DesignRecord | None":
         """The cached record for ``query``, or None on miss/stale/corrupt."""
         record, _ = self.lookup(query)
         return record
 
-    def put(self, record: DesignRecord) -> "Path | str":
-        """Atomically persist ``record``; returns the entry location."""
+    def put(self, record: DesignRecord) -> str:
+        """Persist ``record``; returns the entry location."""
         if record.truncated:
             raise ReproError(
                 f"refusing to cache truncated {record.query.allocator} "
@@ -368,13 +358,13 @@ class ResultCache:
         self.backend.write(digest, text[:middle] + flipped + text[middle + 1:])
 
     def reap_tmp(self, max_age: float = TMP_MAX_AGE) -> int:
-        """Delete orphaned ``.*.tmp`` files older than ``max_age`` seconds.
+        """Clear in-flight-write leftovers older than ``max_age`` seconds.
 
-        A worker that dies between write and rename leaves its tmp file
-        behind; anything younger than ``max_age`` may be a concurrent
-        shard's in-flight write and is left alone.  Returns how many
-        files were deleted (always 0 on the SQLite backend — WAL
-        transactions leave no orphans).
+        A writer killed mid-append leaves a torn segment tail, and a
+        ``gc`` killed mid-compaction a ``.*.tmp`` file; anything younger
+        than ``max_age`` may be a concurrent shard's in-flight write and
+        is left alone.  Returns how many were cleared (always 0 on the
+        SQLite backend — WAL transactions leave no orphans).
         """
         return self._reap(self.backend.tmp_orphans(max_age))
 
@@ -411,11 +401,13 @@ class ResultCache:
         """Scan every entry: decode, checksum, record round-trip.
 
         With ``repair=True``, corrupt entries are moved to quarantine
-        and orphaned tmp files older than ``tmp_max_age`` are deleted.
+        and in-flight-write leftovers older than ``tmp_max_age`` are
+        cleared.
         Stale-format entries (older schema versions) are reported but
         left in place — they are harmless misses, and pruning them is
         :meth:`gc`'s job.
         """
+        self.backend.refresh()  # what is stored now, not at the last sweep
         scanned = ok = stale_format = 0
         corrupt: list[str] = []
         quarantined = reaped = 0
@@ -454,11 +446,14 @@ class ResultCache:
         that no sweep overwrites unless it re-runs their query.
         Anything younger than ``days`` is kept.  Entries at the current
         stamp are never touched, whatever their age.  This is the one
-        maintenance pass that takes the stamp (hashing the cone).
+        maintenance pass that takes the stamp (hashing the cone).  Last,
+        the backend compacts its storage unless a writer was active
+        within :data:`TMP_MAX_AGE`.
         """
         if days < 0:
             raise ReproError(f"gc days must be >= 0, got {days}")
         cutoff = days * 86400.0
+        self.backend.refresh()
         stamp = self.registry.stamp()
         quarantine_removed = stale_removed = freed = 0
         for blob in self.backend.quarantined():
@@ -475,6 +470,7 @@ class ResultCache:
                 continue  # current or corrupt: not gc's to delete
             freed += self.backend.delete(entry.name)
             stale_removed += 1
+        self.backend.compact(TMP_MAX_AGE)
         return GcReport(
             quarantine_removed=quarantine_removed,
             stale_removed=stale_removed,

@@ -286,12 +286,13 @@ class Executor:
         started = time.perf_counter()
         self._cache_read_only = False
         self._driver = None
-        if self.cache is not None:
-            # Reap tmp files orphaned by workers that died mid-write in
-            # an *earlier* run; anything younger may be a concurrent
-            # shard's in-flight write.
-            self.cache.reap_tmp()
         queries, records, pending, stale, corrupt = self._lookup(space)
+        if self.cache is not None:
+            # Clear what writers killed mid-write in an *earlier* run
+            # left behind (after the lookups, which built the index it
+            # reads); anything younger may be a concurrent shard's
+            # in-flight write.
+            self.cache.reap_tmp()
         hits = done = len(records)
         if progress:
             progress(done, len(queries))

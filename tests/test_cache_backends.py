@@ -1,12 +1,12 @@
-"""Cache backend tests (PR 10): DirBackend/SqliteBackend parity.
+"""Cache backend tests: DirBackend/SqliteBackend parity.
 
 Both backends must be observably identical through the
 :class:`ResultCache` facade — same entry docs, same
 corruption/quarantine behaviour, same fsck/gc accounting, same
-tolerance of what earlier versions left behind — and the SQLite backend
-must additionally
-survive two *processes* sweeping disjoint shards into one database
-file concurrently.
+tolerance of what earlier versions left behind — and both must survive
+two *processes* sweeping disjoint shards into one cache concurrently.
+The directory backend's own segment format is pinned in
+``test_dir_backend.py``.
 """
 
 import errno
@@ -91,12 +91,6 @@ def test_sqlite_missing_db_is_a_plain_miss(tmp_path):
     assert len(cache) == 0
     # A pure read must not materialize the database file.
     assert not db.exists()
-
-
-def test_path_for_rejects_non_directory_backends(tmp_path):
-    cache = ResultCache(f"sqlite:{tmp_path / 'c.db'}")
-    with pytest.raises(ReproError, match="directory"):
-        cache.path_for(TARGET)
 
 
 def test_sqlite_os_error_translation():
@@ -477,10 +471,10 @@ def test_refresh_forgets_memoized_verdicts(backend, tmp_path, copied_tree,
     assert calls == list(EVALUATION_CONE)
 
 
-# -- two processes, one SQLite file -------------------------------------------
+# -- two processes, one cache -------------------------------------------------
 
 
-def _spawn_shard(db, shard):
+def _spawn_shard(spec, shard):
     env = dict(os.environ)
     root = Path(__file__).resolve().parent.parent
     env["PYTHONPATH"] = str(root / "src")
@@ -490,7 +484,7 @@ def _spawn_shard(db, shard):
             "--kernels", "fir", "mat",
             "--allocators", "FR-RA", "NO-SR",
             "--budgets", "8", "16",
-            "--cache-dir", f"sqlite:{db}",
+            "--cache-dir", spec,
             "--shard", shard, "--jobs", "1",
         ],
         env=env,
@@ -500,27 +494,40 @@ def _spawn_shard(db, shard):
     )
 
 
-def test_two_process_sqlite_concurrency(tmp_path):
-    """Two sweeps, one database: disjoint shards written concurrently
-    from separate processes, then stitched by an unsharded resume with
-    100% hits and records identical to a fresh uncached sweep."""
-    db = tmp_path / "shared.db"
+def _two_shards_then_stitch(spec):
+    """Disjoint shards written concurrently into ``spec`` from separate
+    processes, then stitched by an unsharded resume with 100% hits and
+    records identical to a fresh uncached sweep."""
     grid = ExplorationSpace(
         kernels=("fir", "mat"),
         allocators=("FR-RA", "NO-SR"),
         budgets=(8, 16),
     )
-    procs = [_spawn_shard(db, "1/2"), _spawn_shard(db, "2/2")]
+    procs = [_spawn_shard(spec, "1/2"), _spawn_shard(spec, "2/2")]
     for proc in procs:
         out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, f"shard failed:\n{out}\n{err}"
 
     opts = dict(FAST)
-    stitched = Executor(cache=f"sqlite:{db}", **opts).run(grid)
+    stitched = Executor(cache=spec, **opts).run(grid)
     assert stitched.stats.cache_hits == len(grid.expand()) == 8
     assert stitched.stats.evaluated == 0
     fresh = Executor(**opts).run(grid)
     assert docs(stitched) == docs(fresh)
+
+
+def test_two_process_sqlite_concurrency(tmp_path):
+    """Two sweeps, one database."""
+    _two_shards_then_stitch(f"sqlite:{tmp_path / 'shared.db'}")
+
+
+def test_two_process_dir_concurrency(tmp_path):
+    """Two sweeps, one directory: each process appends to its own
+    segment, and the resume that stitches them writes none."""
+    root = tmp_path / "shared"
+    _two_shards_then_stitch(str(root))
+    assert len(list(root.glob("*.pack"))) == 2
+    assert list(root.glob("*.json")) == []
 
 
 def test_sqlite_connect_waits_out_a_lock_on_a_fresh_file(tmp_path):

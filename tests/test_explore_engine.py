@@ -1,6 +1,7 @@
 """Unit tests for the repro.explore engine itself."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -179,8 +180,8 @@ class TestCache:
         query = self.query()
         assert cache.lookup(query) == (None, "miss")
         record = evaluate_query(query)
-        path = cache.put(record)
-        assert path.parent == tmp_path
+        location = cache.put(record)
+        assert Path(location).parent == tmp_path
         assert cache.lookup(query) == (record, "hit")
         assert len(cache) == 1
         assert cache.clear() == 1
@@ -192,8 +193,9 @@ class TestCache:
         from repro.explore.versions import VersionRegistry
 
         cache = ResultCache(tmp_path)
-        path = cache.put(evaluate_query(self.query()))
-        doc = json.loads(path.read_text())
+        query = self.query()
+        cache.put(evaluate_query(query))
+        doc = json.loads(cache.backend.read(query.digest()))
         assert "versions" not in doc
         assert doc["stamp"] == VersionRegistry().stamp()
 
@@ -202,16 +204,18 @@ class TestCache:
 
         cache = ResultCache(tmp_path)
         query = self.query()
-        path = cache.put(evaluate_query(query))
-        doc = json.loads(path.read_text())
+        cache.put(evaluate_query(query))
+        doc = json.loads(cache.backend.read(query.digest()))
         doc["stamp"] = "0" * 64
         # Re-stamp the checksum: this simulates a *stale* entry (written
         # by other code), not a torn write — the envelope must stay
         # self-consistent or the integrity check fires first.
         doc["checksum"] = _entry_checksum(doc)
-        path.write_text(json.dumps(doc))
+        cache.backend.write(query.digest(), json.dumps(doc))
         assert cache.lookup(query) == (None, "stale")
-        assert path.exists()  # a stale entry is not quarantined
+        # A stale entry is not quarantined.
+        assert cache.backend.read(query.digest()) is not None
+        assert cache.backend.quarantined() == []
 
     def test_corrupt_entry_is_a_warned_miss(self, tmp_path):
         from repro.explore import CacheCorruptionWarning
@@ -219,8 +223,8 @@ class TestCache:
         cache = ResultCache(tmp_path)
         query = self.query()
         cache.put(evaluate_query(query))
-        path = cache.path_for(query)
-        entry = path.read_text()
+        digest = query.digest()
+        entry = cache.backend.read(digest).decode()
         # garbage bytes, valid-but-wrong-shape JSON, truncation, and a
         # current-format entry with a missing checksum all warn and
         # miss, never raise
@@ -230,13 +234,15 @@ class TestCache:
             entry[: len(entry) // 2],
             '{"format": 4, "stamp": "oops", "record": {}}',
         ):
-            path.write_text(garbage)
+            cache.backend.write(digest, garbage)
             with pytest.warns(CacheCorruptionWarning, match=r"\.json"):
                 record, status = cache.lookup(query)
             assert record is None and status == "corrupt"
             # The damaged entry was moved aside, not left in place.
-            assert not path.exists()
-            assert (tmp_path / "quarantine" / path.name).exists()
+            assert cache.backend.read(digest) is None
+            assert [blob.name for blob in cache.backend.quarantined()] == [
+                digest
+            ]
 
     def test_fresh_registry_per_cache_instance(self, tmp_path):
         # A long-lived process must observe source edits made between

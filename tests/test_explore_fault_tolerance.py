@@ -185,7 +185,7 @@ class TestCorruptAccounting:
         first = Executor(jobs=1, cache=tmp_path).run(space)
         assert first.stats.corrupt == 0
         victim = space.expand()[0]
-        ResultCache(tmp_path).path_for(victim).write_text("{not json")
+        ResultCache(tmp_path).backend.write(victim.digest(), "{not json")
         with pytest.warns(CacheCorruptionWarning):
             resumed = Executor(jobs=1, cache=tmp_path).run(space)
         assert resumed.stats.corrupt == 1

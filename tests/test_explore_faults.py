@@ -176,8 +176,7 @@ def test_corrupt_write_quarantined_on_next_read(baseline, tmp_path):
     assert second.stats.cache_hits == len(QUERIES) - 1
     assert second.stats.evaluated == 1
     assert docs(second) == docs(baseline)
-    quarantine = cache_dir / "quarantine"
-    assert len(list(quarantine.glob("*.json"))) == 1
+    assert len(ResultCache(cache_dir).backend.quarantined()) == 1
 
     # After re-evaluation the cache is whole again.
     third = sweep(cache=cache_dir)
@@ -253,7 +252,7 @@ def test_keyboard_interrupt_is_resumable(tmp_path):
         del KERNEL_FACTORIES["interruptk"]
 
 
-# -- orphaned tmp files -------------------------------------------------------
+# -- orphaned tmp files and torn segment tails --------------------------------
 
 
 def test_orphaned_tmp_reaped_at_sweep_start(tmp_path):
@@ -264,25 +263,42 @@ def test_orphaned_tmp_reaped_at_sweep_start(tmp_path):
     os.utime(old, (time.time() - 3600, time.time() - 3600))
     fresh = cache_dir / ".live-shard.json.tmp"
     fresh.write_text("{}")
+    # Segments whose last record was cut short: one by a writer killed
+    # an hour ago, one by a writer still appending.
+    whole = b"0123 3\nabc\n"
+    dead = cache_dir / "1-1-dead.pack"
+    dead.write_bytes(whole + b"4567 10\nab")
+    os.utime(dead, (time.time() - 3600, time.time() - 3600))
+    live = cache_dir / "2-2-live.pack"
+    live.write_bytes(whole + b"4567 10\nab")
 
     sweep(cache=cache_dir)
     # Aged orphans go; a concurrent shard's in-flight write survives.
     assert not old.exists()
     assert fresh.exists()
+    assert dead.read_bytes() == whole
+    assert live.read_bytes() == whole + b"4567 10\nab"
 
 
 def test_fsck_reports_and_repairs(tmp_path):
     cache_dir = tmp_path / "cache"
     sweep(cache=cache_dir)
     cache = ResultCache(cache_dir)
-    entries = sorted(cache_dir.glob("*.json"))
+    entries = cache.backend.entries()
     assert len(entries) == len(QUERIES)
 
     # Flip one byte of one entry and plant an aged orphan tmp file.
-    victim = entries[0]
-    blob = bytearray(victim.read_bytes())
+    victim = entries[0].name
+    blob = bytearray(cache.backend.read(victim))
     blob[len(blob) // 2] ^= 0xFF
-    victim.write_bytes(bytes(blob))
+    cache.backend.write(
+        victim, bytes(blob).decode("utf-8", "surrogateescape")
+    )
+    assert cache.backend.read(victim) == bytes(blob)
+    (location,) = (
+        entry.location for entry in cache.backend.entries()
+        if entry.name == victim
+    )
     orphan = cache_dir / ".gone.json.tmp"
     orphan.write_text("")
     os.utime(orphan, (time.time() - 3600, time.time() - 3600))
@@ -291,12 +307,12 @@ def test_fsck_reports_and_repairs(tmp_path):
     assert not report.clean
     assert report.scanned == len(QUERIES)
     assert report.ok == len(QUERIES) - 1
-    assert report.corrupt == (str(victim),)
+    assert report.corrupt == (location,)
     assert report.tmp == (str(orphan),)
     assert "1 corrupt, 1 orphaned tmp" in report.summary()
 
     repaired = cache.fsck(repair=True)
     assert repaired.quarantined == 1 and repaired.reaped == 1
-    assert not victim.exists() and not orphan.exists()
-    assert (cache_dir / "quarantine" / victim.name).exists()
+    assert cache.backend.read(victim) is None and not orphan.exists()
+    assert [blob.name for blob in cache.backend.quarantined()] == [victim]
     assert cache.fsck().clean

@@ -154,6 +154,4 @@ def test_cli_dry_run(capsys, tmp_path):
     assert code == 0
     assert "dry run: 4 points" in out
     assert "leases in query order (pulled on demand, jobs=2)" in out
-    assert not (tmp_path / "cache").exists() or not any(
-        (tmp_path / "cache").glob("*.json")
-    )
+    assert ResultCache(tmp_path / "cache").backend.entries() == []
