@@ -361,8 +361,8 @@ def main(argv: "list[str] | None" = None) -> int:
     p_explore.add_argument("--cache-dir", default=None,
                            help="on-disk result cache: a directory path, "
                            "or the URI sqlite:PATH for a single-file "
-                           "WAL-mode SQLite cache safe for concurrent "
-                           "sweeps (implies reuse of cached results; "
+                           "WAL-mode SQLite cache; concurrent sweeps may "
+                           "share either (implies reuse of cached results; "
                            "see --fresh)")
     p_explore.add_argument(
         "--fresh", action="store_true",
@@ -469,7 +469,9 @@ def main(argv: "list[str] | None" = None) -> int:
         help="scan a cache directory: decode, checksum and round-trip "
         "every entry, report damaged entries and orphaned tmp files",
     )
-    p_fsck.add_argument("dir", help="the cache directory to scan")
+    p_fsck.add_argument(
+        "dir", help="the cache to scan: a directory path or sqlite:PATH"
+    )
     p_fsck.add_argument(
         "--repair", action="store_true",
         help="move corrupt entries to quarantine/ and clear orphaned tmp "

@@ -9,8 +9,7 @@ quarantine-on-corruption — while a :class:`CacheBackend` owns the entry
     What a bare path selects: each writer process appends
     length-framed entries to its own segment file under a root
     directory, and reads go through an in-memory index;
-    ``quarantine/`` holds damaged entries.  The one-file-per-entry
-    layout of earlier versions still reads.
+    ``quarantine/`` holds damaged entries.
 
 :class:`SqliteBackend`
     A single-file SQLite database in WAL mode (``entries`` /
@@ -55,10 +54,6 @@ QUARANTINE_DIR = "quarantine"
 
 #: Suffix of a DirBackend segment file (see :class:`DirBackend`).
 SEGMENT_SUFFIX = ".pack"
-
-#: Subdirectory (DirBackend) where earlier versions kept a cost-model
-#: document.  It is not an entry: counts skip it, and nothing reads it.
-LEGACY_META_DIR = "meta"
 
 #: How long (seconds) a writer waits on a locked SQLite database before
 #: giving up — generous, because a concurrent sweep's transaction is
@@ -131,9 +126,6 @@ class CacheBackend:
         """Reclaim the space of deleted entries; whether it did (dir only)."""
         return False
 
-    def clear(self) -> int:
-        raise NotImplementedError
-
 
 class DirBackend(CacheBackend):
     """Entries appended to per-writer segment files under ``root``.
@@ -146,15 +138,18 @@ class DirBackend(CacheBackend):
     ``os.write`` (and fsync'd when ``fsync=True``); a delete or
     quarantine appends the tombstone ``b"<digest> -\\n"``.
 
-    Reads go through an index (digest -> file, offset, length) built on
-    the first read after construction or :meth:`refresh`.  Top-level
-    ``<digest>.json`` files, the earlier one-file-per-entry layout,
-    rank lowest; segments follow in name order, and a later record or
-    tombstone supersedes an earlier one.  This process's own writes
-    update the index in place.  A record cut short by a writer killed
-    mid-append is a *torn tail*: the index skips it, :meth:`tmp_orphans`
-    lists it once its segment has aged, and :meth:`remove_tmp`
-    truncates it.  :meth:`compact` folds everything into one segment.
+    Reads go through an index (digest -> segment, offset, length) built
+    on the first read after construction or :meth:`refresh`.  Segments
+    are read in name order, and a later record or tombstone supersedes
+    an earlier one.  This process's own writes update the index in
+    place.  A record cut short by a writer killed mid-append is a *torn
+    tail*: the index skips it, :meth:`tmp_orphans` lists it once its
+    segment has aged, and :meth:`remove_tmp` truncates it.
+    :meth:`compact` folds every segment into one.
+
+    The backend touches only the top-level ``*.pack`` segments, its
+    own ``.*.tmp`` compaction files and ``quarantine/*.json``; any
+    other file under ``root`` is never an entry.
     """
 
     def __init__(self, root: "Path | str", fsync: bool = False):
@@ -167,9 +162,9 @@ class DirBackend(CacheBackend):
         self._end = 0
         self._pid = 0
         self._closer: "weakref.finalize | None" = None
-        #: digest -> (file, offset, nbytes); nbytes None for a whole
-        #: legacy file.  None until the first read builds it.
-        self._index: "dict[str, tuple[str, int, int | None]] | None" = None
+        #: digest -> (segment, offset, nbytes).  None until the first
+        #: read builds it.
+        self._index: "dict[str, tuple[str, int, int]] | None" = None
         #: (segment, offset) of each torn tail the index build found.
         self._torn: "list[tuple[str, int]]" = []
 
@@ -181,24 +176,21 @@ class DirBackend(CacheBackend):
     def refresh(self) -> None:
         self._index = None
 
-    def _entries_index(self) -> "dict[str, tuple[str, int, int | None]]":
+    def _entries_index(self) -> "dict[str, tuple[str, int, int]]":
         if self._index is None:
             self._load()
         return self._index
 
     def _load(self) -> "list[str]":
-        """Build the index; the legacy files and segments it read."""
+        """Build the index; the segments it read."""
         try:
             names = sorted(os.listdir(self.root))
         except OSError:
             names = []
-        legacy = [str(self.root / n) for n in names if n.endswith(".json")]
         segments = [
             str(self.root / n) for n in names if n.endswith(SEGMENT_SUFFIX)
         ]
-        index: "dict[str, tuple[str, int, int | None]]" = {
-            Path(path).stem: (path, 0, None) for path in legacy
-        }
+        index: "dict[str, tuple[str, int, int]]" = {}
         torn = []
         for segment in segments:
             tail = _index_segment(segment, index)
@@ -209,13 +201,10 @@ class DirBackend(CacheBackend):
             # Another writer's segment ranks after ours: retire ours, so
             # whatever this process writes next supersedes what it read.
             self.close()
-        return legacy + segments
+        return segments
 
-    def _read_at(self, path: str, offset: int, size: "int | None"
-                 ) -> "bytes | None":
+    def _read_at(self, path: str, offset: int, size: int) -> "bytes | None":
         try:
-            if size is None:
-                return Path(path).read_bytes()
             fd = os.open(path, os.O_RDONLY)
             try:
                 raw = os.pread(fd, size, offset)
@@ -298,17 +287,12 @@ class DirBackend(CacheBackend):
         where = self._entries_index().get(name)
         if where is None:
             return 0
-        path, _, size = where
         try:
-            if size is None:
-                size = os.stat(path).st_size
-                os.unlink(path)
-            else:
-                self._append(_header(name, None))
+            self._append(_header(name, None))
         except OSError:
             return 0
         del self._index[name]
-        return size
+        return where[2]
 
     def _scan(self, directory: Path) -> "list[StoredEntry]":
         if not directory.is_dir():
@@ -340,37 +324,27 @@ class DirBackend(CacheBackend):
                 continue  # vanished mid-scan (a concurrent repair)
             found.append(StoredEntry(
                 name=name,
-                location=path if size is None else f"{path}#{name}",
+                location=f"{path}#{name}",
                 age=max(0.0, now - stats[path].st_mtime),
-                size=stats[path].st_size if size is None else size,
+                size=size,
             ))
         return found
 
     def count(self) -> int:
-        legacy = 0
-        if self.root.is_dir():
-            skip = (QUARANTINE_DIR, LEGACY_META_DIR)
-            for sub in self.root.iterdir():
-                if sub.is_dir() and sub.name not in skip:
-                    legacy += sum(1 for _ in sub.rglob("*.json"))
-        return len(self._entries_index()) + legacy
+        return len(self._entries_index())
 
     def quarantine(self, name: str) -> "str | None":
         where = self._entries_index().get(name)
         if where is None:
             return None
-        path, offset, size = where
+        raw = self._read_at(*where)
+        if raw is None:
+            return None
         target = self.root / QUARANTINE_DIR / f"{name}.json"
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
-            if size is None:
-                os.replace(path, target)
-            else:
-                raw = self._read_at(path, offset, size)
-                if raw is None:
-                    return None
-                target.write_bytes(raw)
-                self._append(_header(name, None))
+            target.write_bytes(raw)
+            self._append(_header(name, None))
         except OSError:
             return None
         del self._index[name]
@@ -426,21 +400,20 @@ class DirBackend(CacheBackend):
         return True
 
     def compact(self, idle: float) -> bool:
-        """Fold every segment and legacy entry file into one segment.
+        """Fold every segment into one.
 
         The live records are written to a temp file that is renamed to
-        a new segment; the files folded in are then deleted.  Nothing
+        a new segment; the segments folded in are then deleted.  Nothing
         happens (False) while a segment was written within ``idle``
         seconds, whose writer may still be appending, or when one
         segment already holds exactly the live records.
         """
-        files = self._load()
-        segments = [f for f in files if f.endswith(SEGMENT_SUFFIX)]
+        segments = self._load()
         try:
             newest = max((os.stat(s).st_mtime for s in segments), default=0.0)
-            if not files or time.time() - newest < idle:
+            if not segments or time.time() - newest < idle:
                 return False
-            if files == segments[:1] and os.stat(segments[0]).st_size == sum(
+            if len(segments) == 1 and os.stat(segments[0]).st_size == sum(
                 len(_header(name, size)) + size + 1
                 for name, (_, _, size) in self._index.items()
             ):
@@ -450,7 +423,7 @@ class DirBackend(CacheBackend):
         self.close()
         target = self._new_segment_name()
         tmp = self.root / f".{Path(target).name}.tmp"
-        index: "dict[str, tuple[str, int, int | None]]" = {}
+        index: "dict[str, tuple[str, int, int]]" = {}
         with open(tmp, "wb") as out:
             offset = 0
             for name, where in sorted(self._index.items()):
@@ -465,31 +438,13 @@ class DirBackend(CacheBackend):
                 out.flush()
                 os.fsync(out.fileno())
         os.replace(tmp, target)
-        for path in files:
+        for path in segments:
             try:
                 os.unlink(path)
             except OSError:
                 continue
         self._index, self._torn = index, []
         return True
-
-    def clear(self) -> int:
-        self.close()
-        removed = sum(
-            1 for _, _, size in self._entries_index().values()
-            if size is not None
-        )
-        if self.root.is_dir():
-            for path in self.root.rglob("*.json"):
-                path.unlink()
-                removed += 1
-            for path in self.root.glob(f"*{SEGMENT_SUFFIX}"):
-                path.unlink()
-            for sub in self.root.iterdir():
-                if sub.is_dir() and not any(sub.iterdir()):
-                    sub.rmdir()
-        self._index, self._torn = {}, []
-        return removed
 
 
 def _header(name: str, nbytes: "int | None") -> bytes:
@@ -502,7 +457,7 @@ def _header(name: str, nbytes: "int | None") -> bytes:
 
 def _index_segment(
     segment: str,
-    index: "dict[str, tuple[str, int, int | None]]",
+    index: "dict[str, tuple[str, int, int]]",
     offset: int = 0,
 ) -> "int | None":
     """Apply one segment's records and tombstones, from ``offset`` on,
@@ -731,16 +686,6 @@ class SqliteBackend(CacheBackend):
         with conn:
             conn.execute("DELETE FROM quarantine WHERE name = ?", (name,))
         return int(row[0])
-
-    def clear(self) -> int:
-        conn = self._connect(create=False)
-        if conn is None:
-            return 0
-        removed = self.count()
-        with conn:
-            conn.execute("DELETE FROM entries")
-            conn.execute("DELETE FROM quarantine")
-        return removed
 
     def close(self) -> None:
         if self._conn is not None:

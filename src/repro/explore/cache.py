@@ -60,11 +60,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.explore.backends import (
-    CacheBackend,
-    DirBackend,
-    backend_for,
-)
+from repro.explore.backends import CacheBackend, backend_for
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.explore.versions import VersionRegistry, query_vector
 
@@ -209,8 +205,8 @@ class ResultCache:
     """Cached :class:`DesignRecord` documents over a storage backend.
 
     ``root`` names the storage: a path or ``CacheBackend`` for the
-    classic entry-file directory, or a ``sqlite:PATH`` URI for the
-    single-file SQLite backend (see :mod:`repro.explore.backends`).
+    segment directory, or a ``sqlite:PATH`` URI for the single-file
+    SQLite backend (see :mod:`repro.explore.backends`).
 
     ``registry`` selects the source tree lookups compare stamps
     against; tests point it at a copied tree to exercise real
@@ -242,15 +238,7 @@ class ResultCache:
         fsync: bool = False,
     ):
         self.backend = backend_for(root, fsync=fsync)
-        #: The directory root for the classic backend (kept for
-        #: compatibility and direct-path consumers); the database file
-        #: for the SQLite backend.
-        self.root = (
-            self.backend.root if isinstance(self.backend, DirBackend)
-            else self.backend.path
-        )
         self.registry = registry or VersionRegistry()
-        self.fsync = fsync
 
     def describe(self) -> str:
         return self.backend.describe()
@@ -479,9 +467,3 @@ class ResultCache:
 
     def __len__(self) -> int:
         return self.backend.count()
-
-    def clear(self) -> int:
-        """Delete every entry (including legacy per-version
-        subdirectory entries from format-1 caches and quarantined
-        ones); returns how many."""
-        return self.backend.clear()

@@ -183,9 +183,9 @@ class SupervisedDriver:
     """Drives pending points to completion under supervision.
 
     One instance per :meth:`Executor.run`; the executor reads the
-    ``retries`` / ``quarantined`` / ``pool_breaks`` / ``degraded``
-    counters into :class:`~repro.explore.executor.ExploreStats` after
-    the drive finishes.
+    ``retries`` / ``pool_breaks`` / ``leases`` counters into
+    :class:`~repro.explore.executor.ExploreStats` after the drive
+    finishes.
     """
 
     def __init__(
@@ -202,9 +202,7 @@ class SupervisedDriver:
         self.point_timeout = point_timeout
         self.plan = plan
         self.retries = 0
-        self.quarantined = 0
         self.pool_breaks = 0
-        self.degraded = False
         self.leases = 0
         #: Attributed failures per point index, shared by the pool and
         #: its degraded inline remainder.
@@ -222,7 +220,6 @@ class SupervisedDriver:
         """One attributed failure: None to retry, else the final record."""
         count = self.failures[index] = self.failures.get(index, 0) + 1
         if count > self.retry.max_retries:
-            self.quarantined += 1
             if record is not None:
                 return replace(record, quarantined=True, attempts=count)
             return quarantine_record(query, loss_type or "WorkerLost", count)
@@ -426,7 +423,6 @@ class SupervisedDriver:
         inflight.clear()
         self._teardown(pool)
         if self.pool_breaks >= POOL_BREAK_LIMIT:
-            self.degraded = True
             warnings.warn(
                 f"process pool broke {self.pool_breaks} times; degrading "
                 f"to in-process serial evaluation for the remaining points",

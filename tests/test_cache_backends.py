@@ -189,11 +189,11 @@ def write_legacy_meta(cache, backend):
          "mean": 0.01, "weight": 1.0},
     ]}, indent=2, sort_keys=True)
     if backend == "dir":
-        meta = cache.root / "meta"
+        meta = cache.backend.root / "meta"
         meta.mkdir()
         (meta / "cost_model.json").write_text(text)
         return lambda: (meta / "cost_model.json").read_text()
-    with sqlite3.connect(str(cache.root)) as conn:
+    with sqlite3.connect(str(cache.backend.path)) as conn:
         conn.execute(
             "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL,"
             " updated_at REAL NOT NULL)"
@@ -204,7 +204,7 @@ def write_legacy_meta(cache, backend):
         )
 
     def read():
-        with sqlite3.connect(str(cache.root)) as conn:
+        with sqlite3.connect(str(cache.backend.path)) as conn:
             return conn.execute(
                 "SELECT value FROM meta WHERE key = 'cost_model'"
             ).fetchone()[0]
@@ -227,8 +227,7 @@ def test_legacy_meta_store_is_ignored(backend, tmp_path, capsys):
     assert docs(resumed) == docs(first)
     assert len(make_cache(tmp_path, backend)) == len(QUERIES)
 
-    spec = str(cache.root) if backend == "dir" else f"sqlite:{cache.root}"
-    assert main(["cache", "fsck", spec, "--repair"]) == 0
+    assert main(["cache", "fsck", cache.describe(), "--repair"]) == 0
     out = capsys.readouterr().out
     assert f"{len(QUERIES)} entries: {len(QUERIES)} ok" in out
     assert "0 corrupt" in out

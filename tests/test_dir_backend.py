@@ -2,10 +2,9 @@
 
 Each writer process appends ``b"<digest> <nbytes>\\n" + text + b"\\n"``
 records (and ``b"<digest> -\\n"`` tombstones) to its own ``*.pack``
-segment; reads go through an index over the top-level ``<digest>.json``
-files of the earlier one-file-per-entry layout and every segment.  These
-tests pin the byte format, the precedence rules, torn tails, fork
-safety, compaction, and that caches in the earlier layout keep hitting.
+segment; reads go through an index over every segment.  These tests
+pin the byte format, the precedence rules, torn tails, fork safety,
+compaction, and that files the backend did not write are never entries.
 """
 
 import json
@@ -97,15 +96,14 @@ def test_stored_text_is_opaque_and_exact_byte(tmp_path):
 
 
 def test_later_records_supersede_earlier_ones(tmp_path):
-    (tmp_path / "d1.json").write_text("legacy")
-    (tmp_path / "d2.json").write_text("legacy")
+    (tmp_path / "0-1-aaaa.pack").write_bytes(b"d1 5\nolder\nd2 5\nolder\n")
     (tmp_path / "1-1-aaaa.pack").write_bytes(
         b"d1 5\nfirst\nd1 6\nsecond\nd3 4\ngone\nd2 -\n"
     )
     (tmp_path / "2-1-aaaa.pack").write_bytes(b"d3 5\nagain\n")
     backend = DirBackend(tmp_path)
     assert backend.read("d1") == b"second"
-    assert backend.read("d2") is None  # a tombstone masks a legacy file
+    assert backend.read("d2") is None  # a tombstone masks an earlier record
     assert backend.read("d3") == b"again"
     assert backend.count() == 2
 
@@ -297,77 +295,29 @@ def test_a_torn_append_is_a_miss_not_corruption(tmp_path):
     assert ResultCache(root).lookup(TARGET)[1] == "hit"
 
 
-# -- caches in the earlier one-file-per-entry layout --------------------------
+# -- compaction and files the backend did not write ---------------------------
 
 
-def legacy_cache(tmp_path):
-    """A cache as earlier versions wrote it: one top-level
-    ``<digest>.json`` per entry, half compact and half ``indent=2``."""
-    source = ResultCache(tmp_path / "source")
-    first = sweep(source)
-    root = tmp_path / "legacy"
-    root.mkdir()
-    for n, query in enumerate(QUERIES):
-        text = source.backend.read(query.digest()).decode()
-        if n % 2:
-            text = json.dumps(json.loads(text), indent=2, sort_keys=True)
-        (root / f"{query.digest()}.json").write_text(text)
-    return root, first
-
-
-def test_parent_layout_entries_still_hit(tmp_path):
-    root, first = legacy_cache(tmp_path)
-    resumed = sweep(ResultCache(root))
-    assert resumed.stats.cache_hits == len(QUERIES)
-    assert resumed.stats.corrupt == 0
-    assert docs(resumed) == docs(first)
-    report = ResultCache(root).fsck()
-    assert report.clean and report.ok == len(QUERIES)
-    assert segments(root) == []  # an all-hit resume writes nothing
-
-
-def test_a_segment_record_supersedes_a_legacy_file(tmp_path):
-    (tmp_path / "d.json").write_text("legacy")
-    backend = DirBackend(tmp_path)
-    assert backend.read("d") == b"legacy"
-    backend.write("d", "segment")
-    assert backend.read("d") == b"segment"
-    assert DirBackend(tmp_path).read("d") == b"segment"
-    assert DirBackend(tmp_path).count() == 1
-
-
-def test_quarantining_a_legacy_entry_moves_its_file(tmp_path):
-    root, _ = legacy_cache(tmp_path)
-    legacy = root / f"{TARGET.digest()}.json"
-    legacy.write_text("{not json")
-    cache = ResultCache(root)
-    with pytest.warns(CacheCorruptionWarning, match="quarantine"):
-        assert cache.lookup(TARGET) == (None, "corrupt")
-    assert not legacy.exists()
-    assert (root / "quarantine" / legacy.name).read_text() == "{not json"
-    assert segments(root) == []
-
-
-def test_gc_folds_legacy_files_and_segments_into_one(tmp_path):
-    root, first = legacy_cache(tmp_path)
-    cache = ResultCache(root)
+def test_gc_folds_segments_into_one(tmp_path):
+    root = tmp_path / "cache"
+    first = sweep(ResultCache(root))
+    cache = ResultCache(root)  # a second writer, with its own segment
     cache.backend.write("f" * 16, "superseded")
     cache.backend.write("f" * 16, "still garbage")
     cache.backend.write("e" * 16, "deleted")
     cache.backend.delete("e" * 16)
+    assert len(segments(root)) == 2
     assert len(cache) == len(QUERIES) + 1
 
     # A segment written within TMP_MAX_AGE may have a live writer:
     # nothing is folded.
     cache.gc()
-    assert len(list(root.glob("*.json"))) == len(QUERIES)
-    assert len(segments(root)) == 1
+    assert len(segments(root)) == 2
 
     age(*segments(root))
     report = cache.gc()
     assert (report.stale_removed, report.quarantine_removed) == (0, 0)
     (compacted,) = segments(root)
-    assert list(root.glob("*.json")) == []
     assert b"superseded" not in compacted.read_bytes()
     assert b"e" * 16 not in compacted.read_bytes()
     for reader in (cache, ResultCache(root)):
@@ -382,6 +332,37 @@ def test_gc_folds_legacy_files_and_segments_into_one(tmp_path):
     age(compacted)
     cache.gc()
     assert segments(root) == [compacted]
+
+
+def test_files_the_backend_did_not_write_are_never_entries(tmp_path):
+    """Files beside the segments are not entries: neither counted,
+    scanned, pruned nor deleted.  That includes a ``<digest>.json``
+    entry file of the earlier one-file-per-entry layout, whose point is
+    a miss that the next sweep evaluates again."""
+    raw = entry_bytes(tmp_path)
+    root = tmp_path / "cache"
+    sweep(ResultCache(root), QUERIES[1:])
+    (root / "runs").mkdir()
+    strays = {
+        root / "notes.json": b'{"format": 2}',
+        root / "runs" / "plot.json": b"{}",
+        root / f"{TARGET.digest()}.json": raw,
+    }
+    for path, data in strays.items():
+        path.write_bytes(data)
+    age(*strays)
+
+    cache = ResultCache(root)
+    assert len(cache) == len(QUERIES) - 1
+    report = cache.fsck(repair=True)
+    assert report.clean and report.scanned == report.ok == len(QUERIES) - 1
+    pruned = cache.gc(days=0)
+    assert (pruned.stale_removed, pruned.quarantine_removed) == (0, 0)
+    resumed = sweep(ResultCache(root))
+    assert resumed.stats.evaluated == 1
+    assert resumed.stats.cache_hits == len(QUERIES) - 1
+    for path, data in strays.items():
+        assert path.read_bytes() == data
 
 
 def test_gc_prunes_by_tombstone_while_a_segment_is_young(tmp_path):
