@@ -38,6 +38,7 @@ def golden_path(kernel_name: str, algorithm: str) -> Path:
     return GOLDEN_DIR / f"{kernel_name}_{tag}.vhdl"
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("kernel_name,algorithm", PAIRS)
 def test_vhdl_matches_golden(kernel_name, algorithm):
     kernel = get_kernel(kernel_name)
