@@ -1,12 +1,15 @@
-"""Legacy setup shim.
+"""Package metadata for ``pip install -e .`` (the classic setuptools path).
 
-The offline environment ships setuptools without the ``wheel`` package, so
-PEP 660 editable installs cannot build an editable wheel.  Keeping a
-``setup.py`` (and omitting ``[build-system]`` from pyproject.toml) lets
-``pip install -e .`` fall back to the classic ``setup.py develop`` path.
-All metadata lives in pyproject.toml.
+The package lives under ``src/`` and needs only numpy at run time; the
+tests also need pytest and hypothesis (see the CI install lines).
+There is no ``pyproject.toml``: this file is all the metadata.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -17,8 +17,9 @@ Commands
     Run the static cache-soundness & determinism analyzer
     (``repro.lint``) over a source tree (default: this package).
 ``cache``
-    Cache maintenance: ``cache fsck DIR [--repair]`` scans a result
-    cache for damaged entries and orphaned tmp files.
+    Cache maintenance: ``cache fsck CACHE [--repair]`` scans a result
+    cache (a directory or ``sqlite:PATH``) for damaged entries and
+    orphaned tmp files.
 ``list``
     List the available kernels, allocators and devices.
 """
@@ -466,8 +467,9 @@ def main(argv: "list[str] | None" = None) -> int:
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_fsck = cache_sub.add_parser(
         "fsck",
-        help="scan a cache directory: decode, checksum and round-trip "
-        "every entry, report damaged entries and orphaned tmp files",
+        help="scan a result cache (a directory or sqlite:PATH): decode, "
+        "checksum and round-trip every entry, report damaged entries and "
+        "orphaned tmp files",
     )
     p_fsck.add_argument(
         "dir", help="the cache to scan: a directory path or sqlite:PATH"

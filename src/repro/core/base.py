@@ -40,8 +40,9 @@ class AllocationState:
 
     ``objective`` is the cycle objective the design will be reported
     under (:class:`~repro.synth.estimate.Objective`; the pipeline's
-    default when omitted).  Only objective-aware policies (OPT-RA) read
-    it.
+    default when omitted).  CPA-RA extracts its Critical Graphs under
+    its latency model and OPT-RA searches under it; the other policies
+    ignore it.
     """
 
     def __init__(self, kernel: Kernel, groups: tuple[RefGroup, ...], budget: int,

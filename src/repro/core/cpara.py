@@ -18,10 +18,10 @@ The loop ends when the budget is exhausted or no viable cut remains —
 e.g. when every critical path is pinned by an irreducible access such as
 the running example's ``e[i][j][k]`` store.
 
-The CG is extracted under a latency model with *known operation
-latencies* (paper section 3): the operator library's realistic model,
-:data:`CG_MODEL`.  Using a memory-only model would let short
-all-register paths tie into the CG and distort cut selection.
+The CG is extracted under the latency model the design is reported
+under, ``state.objective.model``: a RAM access costs that model's RAM
+latency and a register access nothing, so the critical paths CPA-RA
+shortens are the ones its cycle count is measured along.
 """
 
 from __future__ import annotations
@@ -29,15 +29,9 @@ from __future__ import annotations
 from repro.analysis.groups import RefGroup
 from repro.core.base import AllocationState, Allocator
 from repro.dfg.cuts import Cut, enumerate_cuts
-from repro.dfg.latency import LatencyModel
 from repro.errors import AllocationError
 
-__all__ = ["CG_MODEL", "CriticalPathAwareAllocator"]
-
-#: The latency model every Critical Graph is extracted under: operator-
-#: library latencies and single-cycle RAM, whatever the RAM latency the
-#: design is reported under.
-CG_MODEL = LatencyModel.realistic()
+__all__ = ["CriticalPathAwareAllocator"]
 
 
 class CriticalPathAwareAllocator(Allocator):
@@ -60,7 +54,7 @@ class CriticalPathAwareAllocator(Allocator):
                 g.name: state.is_full(g) and g.carries_reuse
                 for g in state.groups
             }
-            cg = ctx.critical_graph(state.kernel, dfg, CG_MODEL, hits)
+            cg = ctx.critical_graph(state.kernel, dfg, state.objective.model, hits)
             cuts = enumerate_cuts(
                 cg,
                 removable=lambda name: self._removable(state, name),

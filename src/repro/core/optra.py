@@ -377,7 +377,8 @@ class _Search:
         for factory in _SEED_ALLOCATORS:
             try:
                 allocation = factory().allocate(
-                    self.kernel, self.budget, self.groups, context=self.ctx
+                    self.kernel, self.budget, self.groups, context=self.ctx,
+                    objective=self.objective,
                 )
             except ReproError:  # pragma: no cover — defensive
                 continue

@@ -62,9 +62,6 @@ class CriticalGraph:
     nodes: tuple[DFGNode, ...]
     paths: tuple[tuple[DFGNode, ...], ...]
 
-    def memory_nodes(self) -> list[DFGNode]:
-        return [n for n in self.nodes if n.is_memory]
-
     def groups_on_paths(self) -> list[frozenset[str]]:
         """Per critical path, the set of reference-group names on it."""
         out: list[frozenset[str]] = []

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterator
 
 from repro.dfg.nodes import DFGNode, OpNode, ReadNode, WriteNode
 from repro.errors import AnalysisError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["DataFlowGraph"]
 
@@ -86,17 +83,6 @@ class DataFlowGraph:
         if len(order) != len(self.nodes):
             raise AnalysisError("DFG contains a cycle")
         return order
-
-    def to_networkx(self) -> nx.DiGraph:
-        import networkx as nx  # deferred: ~0.17 s, and only this needs it
-
-        graph = nx.DiGraph()
-        for node in self.nodes:
-            graph.add_node(node.uid, node=node)
-        for uid, succs in self._succ.items():
-            for succ in succs:
-                graph.add_edge(uid, succ)
-        return graph
 
     def __len__(self) -> int:
         return len(self.nodes)

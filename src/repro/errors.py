@@ -45,8 +45,8 @@ class SweepInterrupted(ReproError):
     """A sweep was interrupted (Ctrl-C) after flushing completed points.
 
     ``done``/``total`` report how much of the sweep is already in the
-    cache — rerunning the same command with ``--resume`` picks up where
-    this run stopped.
+    cache — rerunning the same command with the same ``--cache-dir``
+    picks up where this run stopped.
     """
 
     def __init__(self, done: int, total: int, message: "str | None" = None):

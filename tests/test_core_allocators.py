@@ -12,8 +12,10 @@ from repro.core import (
     PartialReuseAllocator,
     allocator_by_name,
 )
+from repro.dfg.latency import LatencyModel
 from repro.errors import AllocationError, ReproError
 from repro.kernels import build_fir, build_mat
+from repro.synth.estimate import Objective
 
 
 class TestAllocationType:
@@ -139,6 +141,22 @@ class TestCPARA:
     def test_trace_records_rounds(self, example_kernel):
         alloc = CriticalPathAwareAllocator().allocate(example_kernel, 64)
         assert any("round 1" in line for line in alloc.trace)
+
+    @pytest.mark.parametrize(
+        "model,makespans",
+        [(LatencyModel.realistic, (4, 5, 6, 7)), (LatencyModel.tmem, (1, 2, 3, 4))],
+        ids=["realistic", "tmem"],
+    )
+    def test_cg_follows_the_objective_model(self, model, makespans):
+        # The Critical Graph is extracted under the model the design is
+        # reported under: each extra cycle of RAM latency lengthens
+        # fir's critical path (one RAM read deep) by one.
+        kern = build_fir()
+        for ram_latency, makespan in zip((1, 2, 3, 4), makespans):
+            objective = Objective.resolve(model=model(ram_latency=ram_latency))
+            alloc = CriticalPathAwareAllocator().allocate(kern, 32, objective=objective)
+            round1 = next(line for line in alloc.trace if line.startswith("round 1:"))
+            assert round1.startswith(f"round 1: CG makespan {makespan},")
 
 
 class TestRegistry:

@@ -44,12 +44,6 @@ class TestGraphContainer:
         with pytest.raises(AnalysisError):
             dfg.node("ghost")
 
-    def test_to_networkx_roundtrip(self, example_kernel):
-        dfg = build_dfg(example_kernel)
-        graph = dfg.to_networkx()
-        assert graph.number_of_nodes() == len(dfg)
-        assert all("node" in graph.nodes[uid] for uid in graph.nodes)
-
 
 class TestPathLatency:
     def test_path_latency_matches_manual_sum(self, example_kernel):
