@@ -13,8 +13,8 @@ Run: ``python examples/hardware_codegen.py``
 from repro.analysis import build_groups
 from repro.bench.example import build_example_kernel
 from repro.codegen import generate_vhdl
-from repro.core import allocator_by_name
-from repro.scalar import plan_transform, render_transform
+from repro.core.pipeline import allocator_by_name
+from repro.scalar.replace import plan_transform, render_transform
 
 kernel = build_example_kernel()
 groups = build_groups(kernel)

@@ -17,10 +17,9 @@ Run: ``python examples/image_interpolation.py``
 
 import numpy as np
 
-from repro import evaluate_kernel
+from repro import evaluate_kernel, run_kernel, run_scalar_replaced
 from repro.analysis import build_groups
 from repro.kernels import build_imi, imi_reference
-from repro.sim import run_kernel, run_scalar_replaced
 
 kernel = build_imi(pixels=64, frames=32)
 print(f"kernel: {kernel.description}")

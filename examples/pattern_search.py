@@ -13,10 +13,9 @@ Run: ``python examples/pattern_search.py``
 
 import numpy as np
 
-from repro import evaluate_kernel
+from repro import evaluate_kernel, run_kernel, run_scalar_replaced
 from repro.analysis import build_groups
 from repro.kernels import build_pat
-from repro.sim import run_kernel, run_scalar_replaced
 
 PATTERN = np.frombuffer(b"finegrainconfigurablefabricsneedexplicitregisterallocationpol!", dtype=np.uint8).astype(np.int64)
 kernel = build_pat(text_len=1024, pattern_len=len(PATTERN))

@@ -26,6 +26,9 @@ Subpackages: :mod:`repro.ir` (affine loop-nest IR), :mod:`repro.analysis`
 :mod:`repro.sim` (interpreters and cycle counting), :mod:`repro.hw` and
 :mod:`repro.synth` (device models and estimators), :mod:`repro.kernels`
 (the six benchmarks), :mod:`repro.bench` (Table 1 / Figure 2 harnesses).
+:mod:`repro.core`, :mod:`repro.scalar`, :mod:`repro.sim` and
+:mod:`repro.synth` re-export nothing: import a name from the module that
+defines it (``from repro.sim.cycles import count_cycles``) or from here.
 """
 
 from repro.errors import ReproError
@@ -83,12 +86,20 @@ def __getattr__(name: str):
         from repro import analysis as module
     elif name in ("figure2_report", "generate_table1", "render_table1"):
         from repro import bench as module
-    elif name in (
-        "Allocation", "CriticalPathAwareAllocator", "FullReuseAllocator",
-        "KnapsackAllocator", "NaiveAllocator", "PartialReuseAllocator",
-        "evaluate_kernel",
-    ):
-        from repro import core as module
+    elif name == "Allocation":
+        from repro.core import allocation as module
+    elif name == "CriticalPathAwareAllocator":
+        from repro.core import cpara as module
+    elif name == "FullReuseAllocator":
+        from repro.core import frra as module
+    elif name == "KnapsackAllocator":
+        from repro.core import knapsack as module
+    elif name == "NaiveAllocator":
+        from repro.core import naive as module
+    elif name == "PartialReuseAllocator":
+        from repro.core import prra as module
+    elif name == "evaluate_kernel":
+        from repro.core import pipeline as module
     elif name in ("LatencyModel", "build_dfg", "critical_graph",
                   "enumerate_cuts"):
         from repro import dfg as module
@@ -101,11 +112,14 @@ def __getattr__(name: str):
         from repro import ir as module
     elif name in ("PAPER_REGISTER_BUDGET", "get_kernel", "paper_kernels"):
         from repro import kernels as module
-    elif name in ("count_cycles", "random_inputs", "run_kernel",
-                  "run_scalar_replaced"):
-        from repro import sim as module
-    elif name in ("HardwareDesign", "build_design"):
-        from repro import synth as module
+    elif name == "count_cycles":
+        from repro.sim import cycles as module
+    elif name in ("random_inputs", "run_kernel", "run_scalar_replaced"):
+        from repro.sim import interp as module
+    elif name == "HardwareDesign":
+        from repro.synth import design as module
+    elif name == "build_design":
+        from repro.synth import estimate as module
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(module, name)

@@ -17,9 +17,11 @@ Commands
     Run the static cache-soundness & determinism analyzer
     (``repro.lint``) over a source tree (default: this package).
 ``cache``
-    Cache maintenance: ``cache fsck CACHE [--repair]`` scans a result
-    cache (a directory or ``sqlite:PATH``) for damaged entries and
-    orphaned tmp files.
+    Cache maintenance: ``cache fsck CACHE [--repair] [--gc [--gc-days N]]``
+    scans a result cache (a directory or ``sqlite:PATH``) for damaged
+    entries and orphaned tmp files; ``--gc`` also prunes quarantined and
+    stale entries older than ``--gc-days`` (default 30) and compacts a
+    directory cache's segments.
 ``list``
     List the available kernels, allocators and devices.
 """
@@ -144,13 +146,20 @@ def _positive_seconds(text: str) -> float:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from repro.errors import SweepInterrupted
+    from repro.errors import ReproError, SweepInterrupted
     from repro.explore.cache import ResultCache
     from repro.explore.executor import Executor
     from repro.explore.query import LatencySpec
     from repro.explore.space import ExplorationSpace
     from repro.explore.supervise import RetryPolicy
 
+    # Checked before anything is planned or evaluated, so a bad flag
+    # neither costs a sweep nor writes to the cache.
+    if args.gap_report is not None and "OPT-RA" not in args.allocators:
+        raise ReproError(
+            "--gap-report needs OPT-RA in --allocators: the gap is "
+            "measured against its certified optimum"
+        )
     latencies = (
         tuple(LatencySpec("realistic", lat) for lat in args.ram_latencies)
         if args.ram_latencies
@@ -191,13 +200,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         return 130
     if args.gap_report is not None:
         from repro.bench.sweeps import gap_rows, opt_gap_csv
-        from repro.errors import ReproError
 
-        if "OPT-RA" not in args.allocators:
-            raise ReproError(
-                "--gap-report needs OPT-RA in --allocators: the gap is "
-                "measured against its certified optimum"
-            )
         report = opt_gap_csv(gap_rows(list(results)))
         if args.gap_report == "-":
             sys.stdout.write(report)
@@ -408,7 +411,8 @@ def main(argv: "list[str] | None" = None) -> int:
     p_explore.add_argument(
         "--profile", action="store_true",
         help="print a per-stage wall-time breakdown (kernel build / "
-        "allocation / DFG+coverage / cycle count) of the evaluated points",
+        "allocation / DFG+coverage / trace engine / cycle count / "
+        "timing/area/binding) of the evaluated points",
     )
     p_explore.add_argument("--format", default="table",
                            choices=("table", "json", "csv"))

@@ -1,30 +1,1 @@
 """The paper's contribution: register allocators for scalar replacement."""
-
-from repro.core.allocation import Allocation
-from repro.core.base import AllocationState, Allocator
-from repro.core.cpara import CriticalPathAwareAllocator
-from repro.core.frra import FullReuseAllocator
-from repro.core.knapsack import KnapsackAllocator
-from repro.core.naive import NaiveAllocator
-from repro.core.pipeline import (
-    PAPER_VERSIONS,
-    PipelineResult,
-    allocator_by_name,
-    evaluate_kernel,
-)
-from repro.core.prra import PartialReuseAllocator
-
-__all__ = [
-    "Allocation",
-    "AllocationState",
-    "Allocator",
-    "CriticalPathAwareAllocator",
-    "FullReuseAllocator",
-    "KnapsackAllocator",
-    "NaiveAllocator",
-    "PAPER_VERSIONS",
-    "PartialReuseAllocator",
-    "PipelineResult",
-    "allocator_by_name",
-    "evaluate_kernel",
-]

@@ -1,19 +1,1 @@
 """Scalar replacement: coverage policies and the kernel transform."""
-
-from repro.scalar.coverage import CoverageResult, GroupCoverage, coverage_for
-from repro.scalar.replace import (
-    BankPlan,
-    TransformPlan,
-    plan_transform,
-    render_transform,
-)
-
-__all__ = [
-    "BankPlan",
-    "CoverageResult",
-    "GroupCoverage",
-    "TransformPlan",
-    "coverage_for",
-    "plan_transform",
-    "render_transform",
-]

@@ -1,16 +1,1 @@
 """Synthesis estimators: area, timing and whole-design evaluation."""
-
-from repro.synth.area import AreaEstimate, estimate_area
-from repro.synth.design import HardwareDesign
-from repro.synth.estimate import build_design, classify_operand_storage
-from repro.synth.timing import TimingEstimate, estimate_clock
-
-__all__ = [
-    "AreaEstimate",
-    "HardwareDesign",
-    "TimingEstimate",
-    "build_design",
-    "classify_operand_storage",
-    "estimate_area",
-    "estimate_clock",
-]

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.errors import ReproError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -181,3 +182,18 @@ def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code != 0
+
+
+@pytest.mark.parametrize("dry_run", [(), ("--dry-run",)])
+def test_explore_rejects_a_gap_report_without_opt_ra_before_the_sweep(
+    capsys, tmp_path, dry_run
+):
+    cache = tmp_path / "cache"
+    with pytest.raises(ReproError, match="needs OPT-RA"):
+        main([
+            "explore", "--kernels", "fir", "mat", "--allocators", "FR-RA",
+            "NO-SR", "--budgets", "8", "16", "--cache-dir", str(cache),
+            "--gap-report", str(tmp_path / "gap.csv"), *dry_run,
+        ])
+    assert not list(cache.glob("*.pack"))
+    assert not (tmp_path / "gap.csv").exists()

@@ -4,11 +4,9 @@ import pytest
 
 from repro.analysis import build_groups
 from repro.codegen import generate_vhdl
-from repro.core import (
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    NaiveAllocator,
-)
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.naive import NaiveAllocator
 from repro.kernels import build_fir, paper_kernels
 
 

@@ -3,15 +3,13 @@
 import pytest
 
 from repro.analysis import build_groups
-from repro.core import (
-    Allocation,
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    KnapsackAllocator,
-    NaiveAllocator,
-    PartialReuseAllocator,
-    allocator_by_name,
-)
+from repro.core.allocation import Allocation
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.knapsack import KnapsackAllocator
+from repro.core.naive import NaiveAllocator
+from repro.core.pipeline import allocator_by_name
+from repro.core.prra import PartialReuseAllocator
 from repro.dfg.latency import LatencyModel
 from repro.errors import AllocationError, ReproError
 from repro.kernels import build_fir, build_mat

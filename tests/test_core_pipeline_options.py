@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PAPER_VERSIONS, evaluate_kernel
+from repro.core.pipeline import PAPER_VERSIONS, evaluate_kernel
 from repro.dfg import LatencyModel
 from repro.errors import (
     AllocationError,

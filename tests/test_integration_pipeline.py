@@ -6,7 +6,7 @@ import residency_oracle
 
 from repro.analysis.groups import build_groups
 from repro.bench import residency_study
-from repro.core import PAPER_VERSIONS, evaluate_kernel
+from repro.core.pipeline import PAPER_VERSIONS, evaluate_kernel
 from repro.dfg import LatencyModel
 from repro.kernels import (
     build_bic,

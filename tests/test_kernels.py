@@ -22,7 +22,7 @@ from repro.kernels import (
     paper_kernels,
     pat_reference,
 )
-from repro.sim import random_inputs, run_kernel
+from repro.sim.interp import random_inputs, run_kernel
 
 
 class TestRegistry:

@@ -29,17 +29,15 @@ from repro.bench import (
     policy_comparison,
     residency_study,
 )
-from repro.core import (
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    KnapsackAllocator,
-    PartialReuseAllocator,
-    evaluate_kernel,
-)
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.knapsack import KnapsackAllocator
+from repro.core.pipeline import evaluate_kernel
+from repro.core.prra import PartialReuseAllocator
 from repro.dfg import LatencyModel, build_dfg, critical_graph, enumerate_cuts
 from repro.hw import XCV1000
 from repro.kernels import build_decfir, build_fir, build_mat, paper_kernels
-from repro.sim import count_cycles
+from repro.sim.cycles import count_cycles
 from repro.synth.estimate import Objective
 
 BUDGETS = [4, 8, 16, 32, 64, 128]

@@ -13,13 +13,11 @@ import pytest
 
 from repro.analysis import build_groups
 from repro.bench.example import PAPER_TMEM, build_example_kernel, figure2_report
-from repro.core import (
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    PartialReuseAllocator,
-)
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.prra import PartialReuseAllocator
 from repro.dfg import LatencyModel
-from repro.sim import count_cycles
+from repro.sim.cycles import count_cycles
 from repro.synth.estimate import Objective
 
 

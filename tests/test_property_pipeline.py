@@ -15,15 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import build_groups
-from repro.core import (
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    PartialReuseAllocator,
-)
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.prra import PartialReuseAllocator
 from repro.dfg import LatencyModel
 from repro.ir import INT16, INT32, KernelBuilder
 from repro.scalar.coverage import GroupCoverage
-from repro.sim import count_cycles, random_inputs, run_kernel, run_scalar_replaced
+from repro.sim.cycles import count_cycles
+from repro.sim.interp import random_inputs, run_kernel, run_scalar_replaced
 from repro.synth.estimate import Objective
 
 

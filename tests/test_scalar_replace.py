@@ -3,13 +3,11 @@
 import pytest
 
 from repro.analysis import build_groups
-from repro.core import (
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    NaiveAllocator,
-    PartialReuseAllocator,
-)
-from repro.scalar import plan_transform, render_transform
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.naive import NaiveAllocator
+from repro.core.prra import PartialReuseAllocator
+from repro.scalar.replace import plan_transform, render_transform
 
 
 class TestPlan:

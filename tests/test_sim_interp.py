@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import build_groups
-from repro.core import (
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    NaiveAllocator,
-    PartialReuseAllocator,
-)
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.naive import NaiveAllocator
+from repro.core.prra import PartialReuseAllocator
 from repro.scalar.coverage import GroupCoverage
-from repro.sim import random_inputs, run_kernel, run_scalar_replaced
+from repro.sim.interp import random_inputs, run_kernel, run_scalar_replaced
 
 
 class TestRunKernel:

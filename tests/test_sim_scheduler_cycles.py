@@ -3,14 +3,13 @@
 import pytest
 
 from repro.analysis import build_groups
-from repro.core import (
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    NaiveAllocator,
-)
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.naive import NaiveAllocator
 from repro.dfg import LatencyModel, build_dfg
 from repro.errors import SimulationError
-from repro.sim import count_cycles, schedule_iteration
+from repro.sim.cycles import count_cycles
+from repro.sim.scheduler import schedule_iteration
 from repro.synth.estimate import Objective
 
 #: Figure 2(c) units: memory-only latencies, one port, no overhead.

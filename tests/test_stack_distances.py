@@ -25,7 +25,7 @@ from repro.core.allocation import Allocation
 from repro.errors import SimulationError
 from repro.kernels.registry import KERNEL_FACTORIES, get_kernel
 from repro.scalar.coverage import GroupCoverage
-from repro.sim import random_inputs, run_kernel, run_scalar_replaced
+from repro.sim.interp import random_inputs, run_kernel, run_scalar_replaced
 from repro.sim.residency import (
     OptTraceLadder,
     opt_stack_distances,

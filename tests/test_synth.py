@@ -3,21 +3,16 @@
 import pytest
 
 from repro.analysis import build_groups
-from repro.core import (
-    CriticalPathAwareAllocator,
-    FullReuseAllocator,
-    NaiveAllocator,
-    PartialReuseAllocator,
-)
+from repro.core.cpara import CriticalPathAwareAllocator
+from repro.core.frra import FullReuseAllocator
+from repro.core.naive import NaiveAllocator
+from repro.core.prra import PartialReuseAllocator
 from repro.dfg import build_dfg
 from repro.hw import XCV1000
 from repro.scalar.coverage import GroupCoverage
-from repro.synth import (
-    build_design,
-    classify_operand_storage,
-    estimate_area,
-    estimate_clock,
-)
+from repro.synth.area import estimate_area
+from repro.synth.estimate import build_design, classify_operand_storage
+from repro.synth.timing import estimate_clock
 
 
 class TestTiming:
