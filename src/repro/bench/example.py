@@ -96,7 +96,12 @@ def figure2_report(budget: int = 64) -> Figure2Report:
     structural = enumerate_cuts(cg, removable=lambda _: True)
 
     # Figure 2(c) units: memory-only latencies, one RAM port, no
-    # per-iteration control overhead.
+    # per-iteration control overhead.  Only the count below uses them:
+    # the allocators decide under the default objective (realistic, RAM
+    # latency 2), which CPA-RA's Critical Graph follows.  Allocating
+    # under ``tmem`` instead would move CPA-RA@64 to a[k]=11 b[k][j]=11
+    # c[j]=11 (Tmem 1191.75 per outer iteration, against 1200) and so
+    # change ``tests/golden/figure2.txt``.
     tmem = Objective(LatencyModel.tmem(), ram_ports=1, overhead_per_iteration=0)
     ni = kernel.nest.loops[0].trip_count
     rows = []

@@ -3,7 +3,10 @@
 Four experiments beyond the paper's tables: register-budget sweeps,
 RAM-latency sweeps, allocator-policy comparisons (including the exact
 knapsack), and the residency-policy study that justifies the coverage
-model's pinned/Belady split.
+model's pinned/Belady split.  The OPT-RA gap study (A5) is ``repro
+explore --allocators ... OPT-RA --gap-report``: :func:`gap_rows` pairs
+the sweep's records with their cell's optimum and :func:`opt_gap_csv`
+renders them.
 
 The multi-point sweeps are thin adapters over :mod:`repro.explore`: each
 declares its grid as an :class:`~repro.explore.space.ExplorationSpace`
@@ -38,7 +41,6 @@ __all__ = [
     "latency_sweep",
     "policy_comparison",
     "OptGapPoint",
-    "opt_gap_study",
     "gap_rows",
     "opt_gap_csv",
     "ResidencyPoint",
@@ -259,42 +261,6 @@ def opt_gap_csv(points: "list[OptGapPoint]") -> str:
             f"{p.gap_cycles},{p.gap_pct:.4f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def opt_gap_study(
-    kernels: "list[Kernel]",
-    budgets: "list[int]",
-    algorithms: tuple[str, ...] = (
-        "FR-RA", "PR-RA", "CPA-RA", "KS-RA", "NO-SR", "OPT-RA",
-    ),
-    model: LatencyModel | None = None,
-    jobs: int = 1,
-    cache: "ResultCache | Path | str | None" = None,
-) -> list[OptGapPoint]:
-    """Optimality gap of every heuristic across the budget axis (A5).
-
-    Evaluates the full (kernel x budget x allocator) grid — OPT-RA is
-    added to ``algorithms`` if missing, it is the yardstick — and pairs
-    each cell with the certified optimum via :func:`gap_rows`.
-    Infeasible budgets (below a kernel's mandatory-register floor) are
-    skipped rather than raised: the study reports the feasible frontier.
-    Crashes still re-raise loudly.
-    """
-    if not kernels or not budgets:
-        return []
-    if "OPT-RA" not in algorithms:
-        algorithms = tuple(algorithms) + ("OPT-RA",)
-    space = ExplorationSpace(
-        kernels=kernels,
-        allocators=algorithms,
-        budgets=budgets,
-        latencies=(LatencySpec.from_model(model),),
-    )
-    results = Executor(jobs=jobs, cache=cache).run(space)
-    for record in results:
-        if record.crash:
-            record.raise_error()
-    return gap_rows(list(results))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ Commands
     directory cache's segments.
 ``list``
     List the available kernels, allocators and devices.
+
+A domain error (:class:`~repro.errors.ReproError`: an infeasible
+budget, a bad flag value) prints one ``repro: error: <message>`` line on
+stderr and exits 1; argparse usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ReproError
 from repro.explore.supervise import DEFAULT_POINT_TIMEOUT
 from repro.hw.device import DEVICES, XCV1000
 from repro.plugins import ALLOCATOR_MODULES, KERNEL_MODULES, PAPER_REGISTER_BUDGET
@@ -118,7 +123,6 @@ def _cmd_vhdl(args: argparse.Namespace) -> int:
 
 
 def _shard_spec(text: str) -> "tuple[int, int]":
-    from repro.errors import ReproError
     from repro.explore.shard import parse_shard
 
     try:
@@ -146,7 +150,7 @@ def _positive_seconds(text: str) -> float:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError, SweepInterrupted
+    from repro.errors import SweepInterrupted
     from repro.explore.cache import ResultCache
     from repro.explore.executor import Executor
     from repro.explore.query import LatencySpec
@@ -503,7 +507,13 @@ def main(argv: "list[str] | None" = None) -> int:
     p_list.set_defaults(func=_cmd_list)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A domain error is the user's to fix, not a crash: one line,
+        # the exit status an uncaught exception would give.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,19 +29,18 @@ class KnapsackAllocator(Allocator):
         weights = [state.need(g) for g in items]
         values = [g.full_saved for g in items]
 
-        # Classic DP over capacity; reconstruct the chosen set.  The DP
-        # recurrence for capacity ``c`` never reads beyond ``c``, so one
-        # table computed at the all-items capacity answers *every*
-        # budget of a sweep bit-identically — the batched ladder DP the
-        # context memoizes across points (reconstruction below only
-        # reads columns <= capacity).
-        signature = tuple(
-            (g.name, weight, value)
-            for g, weight, value in zip(items, weights, values)
-        )
-        best, keep = state.context.knapsack_tables(
-            state.kernel, signature, capacity
-        )
+        # Classic 0/1 DP over capacities 0..capacity; keep[i][c] records
+        # whether item i is taken at capacity c, for the reconstruction.
+        best = [0] * (capacity + 1)
+        keep: "list[list[bool]]" = []
+        for weight, value in zip(weights, values):
+            taken = [False] * (capacity + 1)
+            for cap in range(capacity, weight - 1, -1):
+                candidate = best[cap - weight] + value
+                if candidate > best[cap]:
+                    best[cap] = candidate
+                    taken[cap] = True
+            keep.append(taken)
 
         chosen: list[int] = []
         cap = capacity

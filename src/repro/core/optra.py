@@ -17,8 +17,10 @@ fully covered by its mandatory register, so extra registers cannot
 change any coverage mask and the (cycles, total registers, vector)
 tie-break always prefers leaving them at one.  Branch order is by
 descending *knapsack density* — the best savings-per-register ratio on
-each group's RAM-access ladder — and register values are tried from
-high to low, so the strong incumbents surface early.
+each group's RAM-access ladder, one coverage result per register count
+(:meth:`~repro.scalar.coverage.GroupCoverage.ram_access_ladder`) — and
+register values are tried from high to low, so the strong incumbents
+surface early.
 
 Bounds (both admissible)
 ------------------------
@@ -101,8 +103,7 @@ __all__ = ["OptimalAllocator", "DEFAULT_NODE_LIMIT"]
 DEFAULT_NODE_LIMIT = 50_000
 
 #: Heuristics whose allocations seed the incumbent, in evaluation order.
-#: Seeding guarantees OPT-RA <= each of them even under truncation, and
-#: routes KS-RA through the context's shared knapsack DP table.
+#: Seeding guarantees OPT-RA <= each of them even under truncation.
 _SEED_ALLOCATORS = (
     FullReuseAllocator,
     PartialReuseAllocator,

@@ -31,9 +31,9 @@ pattern cost tables           ``(kernel bundle, objective key)`` —
                               overhead, memory_cycles)``
 critical graphs (CPA-RA)      ``(dfg, latency-model key, frozen
                               per-group hit map)``
-knapsack DP tables (KS-RA)    ``(kernel bundle, item signature)`` —
-                              one DP table serves every budget at or
-                              below its computed capacity
+whole cycle reports           the full :func:`~repro.sim.cycles.report_key`
+                              — objective key, per-group registers and
+                              anchors (or the best-anchor marker)
 ============================  =============================================
 
 Every memoized artifact is immutable (or treated as such by every
@@ -70,7 +70,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.dp import solve_knapsack
 from repro.dfg.build import build_dfg
 from repro.dfg.critical import CriticalGraph, critical_graph
 from repro.dfg.graph import DataFlowGraph
@@ -107,8 +106,6 @@ class ContextStats:
     coverage_misses: int = 0
     critical_hits: int = 0
     critical_misses: int = 0
-    knapsack_hits: int = 0
-    knapsack_misses: int = 0
     cost_hits: int = 0
     cost_misses: int = 0
     cycles_hits: int = 0
@@ -131,10 +128,6 @@ class _KernelArtifacts:
     costs: "dict[tuple, PatternCosts]" = field(default_factory=dict)
     #: (model key, frozen per-group hits) -> CriticalGraph
     critical: "dict[tuple, CriticalGraph]" = field(default_factory=dict)
-    #: item signature -> (capacity, best[], keep[][])
-    knapsack: "dict[tuple, tuple[int, list, list]]" = field(
-        default_factory=dict
-    )
     #: full count_cycles key -> CycleReport (see EvalContext.cycle_report)
     cycle_reports: "dict[tuple, CycleReport]" = field(default_factory=dict)
 
@@ -339,39 +332,6 @@ class EvalContext:
         memo = critical_graph(dfg, model, hits)
         bundle.critical[key] = memo
         return memo
-
-    # -- knapsack DP tables (KS-RA) -------------------------------------------
-
-    def knapsack_tables(
-        self,
-        kernel: "Kernel",
-        items: "tuple[tuple[str, int, int], ...]",
-        capacity: int,
-    ) -> "tuple[list[int], list[list[bool]]]":
-        """0/1-knapsack DP tables covering capacities ``0..capacity``.
-
-        ``items`` is the signature ``(name, weight, value)`` per group.
-        One table computed at capacity ``C`` answers every budget with
-        capacity ``<= C`` bit-identically (the DP recurrence for smaller
-        capacities never reads beyond them), so adjacent budget points
-        share a single DP run; a larger capacity recomputes and replaces
-        the table.
-        """
-        bundle = self._resident(kernel)
-        if bundle is None:
-            return solve_knapsack(items, capacity)
-        memo = bundle.knapsack.get(items)
-        if memo is not None and memo[0] >= capacity:
-            self.stats.knapsack_hits += 1
-            return memo[1], memo[2]
-        self.stats.knapsack_misses += 1
-        # Solve once at the capacity where every item fits (or the
-        # requested capacity if larger): an ascending budget sweep then
-        # shares a single DP run instead of recomputing per budget.
-        target = max(capacity, sum(weight for _, weight, _ in items))
-        best, keep = solve_knapsack(items, target)
-        bundle.knapsack[items] = (target, best, keep)
-        return best, keep
 
     # -- whole cycle reports --------------------------------------------------
 

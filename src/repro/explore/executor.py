@@ -213,7 +213,8 @@ class Executor:
         The :class:`~repro.explore.context.EvalContext` inline
         evaluation memoizes on; None (the default) is the process-global
         context.  DFGs, coverage structures, pattern cost tables, CPA-RA
-        critical graphs and KS-RA DP tables are shared across the grid.
+        critical graphs and whole cycle reports are shared across the
+        grid.
         An explicit instance is honoured inline (``jobs=1`` and the
         degraded remainder of a parallel run: tests' and benchmarks'
         controlled cold/warm runs); worker processes always use their

@@ -48,7 +48,6 @@ EVALUATION_CONE = (
     "repro.core.allocation",
     "repro.core.base",
     "repro.core.cpara",
-    "repro.core.dp",
     "repro.core.frra",
     "repro.core.knapsack",
     "repro.core.naive",

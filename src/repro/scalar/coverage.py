@@ -342,9 +342,8 @@ class GroupCoverage:
     mask at ``covered = c`` is ``distances > c``); the placement arrays
     only the interpreter reads are traced per count on first read, over
     one shared :class:`~repro.sim.residency.OptTraceLadder` plane.
-    :meth:`ram_access_ladder` answers a whole budget axis with one
-    histogram + prefix-sum pass: over the region ranks for pinned
-    coverage, over the stack distances for windows.  The per-region,
+    :meth:`ram_access_ladder` reads a budget axis off :meth:`result`,
+    the one way a group's RAM accesses are counted.  The per-region,
     per-count reference computations these are pinned against live with
     the tests (``tests/coverage_oracle.py``).
 
@@ -374,7 +373,6 @@ class GroupCoverage:
         self._region_cache: "tuple[np.ndarray, np.ndarray] | None" = None
         self._window_plane: "OptTraceLadder | None" = None
         self._distances: "np.ndarray | None" = None
-        self._hits_upto: "np.ndarray | None" = None
         self._class_columns: "tuple[np.ndarray, ...] | None" = None
         self._shape = kernel.nest.trip_counts()
         best = min(
@@ -504,107 +502,16 @@ class GroupCoverage:
         registers_values: "tuple[int, ...] | list[int]",
         anchor: str = "low",
     ) -> "dict[int, int]":
-        """Total RAM accesses at *every* requested register count.
+        """Total RAM accesses at every requested register count.
 
-        The budget-axis query behind ladder evaluation: pinned coverage
-        reduces to one rank histogram + prefix-sum pass over the shared
-        region ranks (an access at rank ``k`` is covered exactly by the
-        covered counts above ``k``), and window coverage to one histogram
-        + prefix-sum pass over the stack distances (an access at
-        distance ``d`` hits exactly the covered counts ``>= d``), so the
-        whole axis costs one pass instead of one mask build per budget.
-        Bit-identical to per-count ``result(...).total_ram_accesses``
-        (pinned by the fuzz suite).
+        One :meth:`result` per count: a result's totals are weighted
+        sums over the iteration classes, and counts that clamp to the
+        same covered set share one result.
         """
-        if anchor not in ("low", "high"):
-            raise AnalysisError(f"anchor must be 'low' or 'high', got {anchor!r}")
-        values = [int(r) for r in registers_values]
-        for r in values:
-            if r < 0:
-                raise AnalysisError(f"negative register count {r}")
-        if self._kind == "pinned":
-            return self._pinned_access_ladder(values, anchor)
-        if self._kind == "window":
-            return self._window_access_ladder(values)
-        return {r: self._uncovered_accesses() for r in values}
-
-    def _uncovered_accesses(self) -> int:
-        """Total RAM accesses of the "none" canonical result: every read
-        and every write goes to RAM, no write-backs."""
-        total = int(np.prod(self._shape, dtype=np.int64))
-        return (total if self.group.has_active_read else 0) + (
-            total if self.group.writes else 0
-        )
-
-    def _pinned_access_ladder(
-        self, values: "list[int]", anchor: str
-    ) -> "dict[int, int]":
-        has_read = self.group.has_active_read
-        n_writes = len(self.group.writes)
-        ranks, first = self._region_ranks()
-        total = int(ranks.size)
-        region_elements = int(ranks.max()) + 1
-        level = self._carrying_level
-        assert level is not None
-        regions = int(np.prod(self._shape[: level - 1], dtype=np.int64))
-        flat_ranks = ranks.reshape(-1)
-        # hist_all[k] counts accesses at rank k; hist_reuse restricts to
-        # non-first touches (the ones a pinned register can serve).
-        hist_all = np.bincount(flat_ranks, minlength=region_elements)
-        hist_reuse = np.bincount(
-            flat_ranks[~first.reshape(-1)], minlength=region_elements
-        )
-        prefix_all = np.concatenate(([0], np.cumsum(hist_all, dtype=np.int64)))
-        prefix_reuse = np.concatenate(
-            ([0], np.cumsum(hist_reuse, dtype=np.int64))
-        )
-        out: "dict[int, int]" = {}
-        for r in values:
-            covered = self.covered(r)
-            if covered == 0 or not self.group.carries_reuse:
-                out[r] = self._uncovered_accesses()
-                continue
-            kept = min(covered, region_elements)
-            if anchor == "low":
-                cover_all = int(prefix_all[kept])
-                cover_reuse = int(prefix_reuse[kept])
-            else:
-                low = region_elements - kept
-                cover_all = int(prefix_all[region_elements] - prefix_all[low])
-                cover_reuse = int(
-                    prefix_reuse[region_elements] - prefix_reuse[low]
-                )
-            reads = (total - cover_reuse) if has_read else 0
-            if n_writes:
-                writes = total - cover_all
-                writebacks = regions * kept
-            else:
-                writes = 0
-                writebacks = 0
-            out[r] = reads + writes + writebacks
-        return out
-
-    def _window_access_ladder(self, values: "list[int]") -> "dict[int, int]":
-        has_read = self.group.has_active_read
-        n_writes = len(self.group.writes)
-        out: "dict[int, int]" = {}
-        for r in values:
-            covered = self.covered(r)
-            if covered == 0 or not self.group.carries_reuse:
-                out[r] = self._uncovered_accesses()
-                continue
-            if self._hits_upto is None:
-                # hits_upto[c] counts the accesses that hit at covered c.
-                self._hits_upto = np.cumsum(
-                    np.bincount(self._window_distances(), minlength=1),
-                    dtype=np.int64,
-                )
-            hits = int(self._hits_upto[min(covered, len(self._hits_upto) - 1)])
-            misses = len(self._window_distances()) - hits
-            reads = misses if has_read else 0
-            writes = misses + covered if n_writes else 0
-            out[r] = reads + writes
-        return out
+        return {
+            r: self.result(r, anchor).total_ram_accesses
+            for r in registers_values
+        }
 
     # -- pinned (invariant) coverage -------------------------------------------
 

@@ -1,12 +1,14 @@
-"""Budget-ladder pins: every budget of an axis from one shared pass.
+"""Budget-ladder pins: every budget of an axis, checked per count.
 
 The LRU miss-count ladder (:func:`~repro.sim.residency.lru_miss_counts`)
-and the capacity-shared trace plane (:class:`~repro.sim.residency.OptTraceLadder`) are pinned
-white-box against per-capacity simulation; coverage's
-:meth:`~repro.scalar.coverage.GroupCoverage.ram_access_ladder` and its
-masks are pinned against the per-count reference coverage of
-``coverage_oracle.py``; and the profile's trace stage survives worker
-pools.
+and the capacity-shared trace plane
+(:class:`~repro.sim.residency.OptTraceLadder`) answer a whole axis from
+one shared pass and are pinned white-box against per-capacity
+simulation; coverage's
+:meth:`~repro.scalar.coverage.GroupCoverage.ram_access_ladder` (one
+coverage result per count) and its masks are pinned against the
+per-count reference coverage of ``coverage_oracle.py``; and the
+profile's trace stage survives worker pools.
 """
 
 import numpy as np
@@ -109,7 +111,7 @@ def test_trace_plane_validation():
     assert (evicted == -1).all() and not freed.any()
 
 
-# -- coverage: the pinned rank-histogram budget axis --------------------------
+# -- coverage: the RAM-access budget axis ------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(0, 120, 10))

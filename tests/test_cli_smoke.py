@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.errors import ReproError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -184,16 +183,38 @@ def test_unknown_command_exits_nonzero(capsys):
     assert excinfo.value.code != 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("vhdl", "fir", "--budget", "1"),
+     "budget 1 cannot cover the mandatory register of 3 references"),
+    (("table1", "--budget", "2"),
+     "budget 2 cannot cover the mandatory register of 3 references"),
+    (("explore", "--jobs", "0"), "jobs must be >= 1, got 0"),
+    (("explore", "--budgets", "-3"), "register budget must be >= 1, got -3"),
+], ids=["vhdl-budget", "table1-budget", "explore-jobs", "explore-budgets"])
+def test_domain_errors_print_one_line_without_a_traceback(
+    capsys, argv, message
+):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("repro: error: ") and message in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)])
 def test_explore_rejects_a_gap_report_without_opt_ra_before_the_sweep(
     capsys, tmp_path, dry_run
 ):
     cache = tmp_path / "cache"
-    with pytest.raises(ReproError, match="needs OPT-RA"):
-        main([
-            "explore", "--kernels", "fir", "mat", "--allocators", "FR-RA",
-            "NO-SR", "--budgets", "8", "16", "--cache-dir", str(cache),
-            "--gap-report", str(tmp_path / "gap.csv"), *dry_run,
-        ])
+    code, out, err = run_cli(
+        capsys,
+        "explore", "--kernels", "fir", "mat", "--allocators", "FR-RA",
+        "NO-SR", "--budgets", "8", "16", "--cache-dir", str(cache),
+        "--gap-report", str(tmp_path / "gap.csv"), *dry_run,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("repro: error: --gap-report needs OPT-RA")
     assert not list(cache.glob("*.pack"))
     assert not (tmp_path / "gap.csv").exists()

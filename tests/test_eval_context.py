@@ -2,10 +2,10 @@
 
 The contract under test is the one the perf work stands on: evaluation
 on a warm :class:`EvalContext` (shared DFGs, coverage structures,
-pattern makespans, critical graphs, knapsack tables, whole cycle
-reports) is **bit-identical** to evaluation on a fresh one, across the
-whole grid shape the paper's experiments use — while the memos actually
-hit, foreign artifacts never enter them, and the LRU bound holds.
+pattern makespans, critical graphs, whole cycle reports) is
+**bit-identical** to evaluation on a fresh one, across the whole grid
+shape the paper's experiments use — while the memos actually hit,
+foreign artifacts never enter them, and the LRU bound holds.
 """
 
 import dataclasses
@@ -74,7 +74,6 @@ class TestGridEquivalence:
         assert ctx.stats.cost_hits > 0
         assert ctx.stats.cycles_hits > 0
         assert ctx.stats.critical_hits > 0
-        assert ctx.stats.knapsack_hits > 0
 
     def test_parallel_context_matches_inline(self):
         space = ExplorationSpace(
@@ -183,7 +182,9 @@ class TestForeignArtifactSafety:
 
 
 class TestAllocatorArtifactReuse:
-    def test_ksra_dp_table_shared_across_budgets(self):
+    def test_ksra_allocations_are_context_independent(self):
+        """KS-RA solves its DP at each budget's capacity: the same
+        allocations with a shared context as without one."""
         ctx = EvalContext()
         kernel, groups = ctx.kernel_and_groups("mat", None)
         allocator = allocator_by_name("KS-RA")
@@ -196,10 +197,6 @@ class TestAllocatorArtifactReuse:
             for budget in range(6, 40, 2)
         ]
         assert plain == shared
-        # One DP solve (at the all-items capacity) serves the whole
-        # ascending ladder.
-        assert ctx.stats.knapsack_misses == 1
-        assert ctx.stats.knapsack_hits == len(plain) - 1
 
     def test_cpara_critical_graphs_shared_across_budgets(self):
         ctx = EvalContext()
@@ -325,9 +322,8 @@ class TestStatsExactAccounting:
         evaluation plane is deterministic, so this ledger is too.
 
         Each query looks its kernel up once, the DFG three times and the
-        coverage computers twice; its CPA-RA and KS-RA seeds make one
-        critical-graph and one knapsack lookup, which miss on the first
-        query only.  The cycle-report memo sees each search's seed
+        coverage computers twice; its CPA-RA seed makes one
+        critical-graph lookup, which misses on the first query only.  The cycle-report memo sees each search's seed
         vectors, the leaves the search evaluates and the final design:
         22 lookups, 10 of them new reports: the meet bound and the
         sibling pre-check cut most leaves before they reach that memo.
@@ -346,7 +342,6 @@ class TestStatsExactAccounting:
             "dfg_hits": 11, "dfg_misses": 1,
             "coverage_hits": 7, "coverage_misses": 1,
             "critical_hits": 3, "critical_misses": 1,
-            "knapsack_hits": 3, "knapsack_misses": 1,
             "cost_hits": 555, "cost_misses": 8,
             "cycles_hits": 12, "cycles_misses": 10,
         }
