@@ -271,6 +271,10 @@ def _cmd_cache_fsck(args: argparse.Namespace) -> int:
     from repro.explore.cache import ResultCache
 
     cache = ResultCache(args.dir)
+    # A mistyped path must not pass as a clean empty cache; checking
+    # creates nothing.
+    if not cache.backend.exists():
+        raise ReproError(f"no cache at {args.dir}")
     report = cache.fsck(repair=args.repair)
     print(f"fsck {args.dir}: {report.summary()}")
     for path in report.corrupt:

@@ -31,7 +31,7 @@ class AllocationState:
 
     ``context`` is the shared-artifact memo plane policies take their
     whole-kernel analysis from — CPA-RA's DFG and critical graphs,
-    KS-RA's DP table, OPT-RA's DFG, coverage and cycle counts.  A sweep
+    OPT-RA's DFG, coverage, cycle counts and seed allocations.  A sweep
     passes its own (through :meth:`Allocator.allocate`); without one the
     state gets a fresh :class:`~repro.explore.context.EvalContext`, so a
     standalone allocation is a one-point sweep.  Policies must treat
@@ -41,8 +41,12 @@ class AllocationState:
     ``objective`` is the cycle objective the design will be reported
     under (:class:`~repro.synth.estimate.Objective`; the pipeline's
     default when omitted).  CPA-RA extracts its Critical Graphs under
-    its latency model and OPT-RA searches under it; the other policies
-    ignore it.
+    its latency model and OPT-RA searches under it; FR-RA, PR-RA,
+    KS-RA and NO-SR never read it.  Reading it sets
+    ``objective_read``, which is how :meth:`Allocator.allocate` knows
+    whether a run's allocation depends on the objective at all: one
+    that never read it is shared by every objective (the RAM-latency
+    axis of a sweep).
     """
 
     def __init__(self, kernel: Kernel, groups: tuple[RefGroup, ...], budget: int,
@@ -65,7 +69,8 @@ class AllocationState:
         self.groups = groups
         self.budget = budget
         self.context: "EvalContext" = context
-        self.objective: "Objective" = objective
+        self._objective: "Objective" = objective
+        self.objective_read = False
         self.assigned: dict[str, int] = {g.name: 1 for g in groups}
         self.remaining = budget - len(groups)
         self.trace: list[str] = [
@@ -78,6 +83,11 @@ class AllocationState:
         #: truncated the search and records the proven cycle bound.
         self.certified: bool = True
         self.lower_bound: "int | None" = None
+
+    @property
+    def objective(self) -> "Objective":
+        self.objective_read = True
+        return self._objective
 
     def group(self, name: str) -> RefGroup:
         for candidate in self.groups:
@@ -134,12 +144,28 @@ class Allocator(ABC):
         context: "EvalContext | None" = None,
         objective: "Objective | None" = None,
     ) -> Allocation:
+        """Allocate ``budget`` registers over ``kernel``'s groups.
+
+        The result is memoized in the state's context (see
+        :meth:`~repro.explore.context.EvalContext.allocation`) under the
+        allocator's class and every instance attribute (OPT-RA's
+        ``node_limit``), so the points of a sweep that differ only in
+        what this policy never reads (the objective, for every policy
+        but CPA-RA and OPT-RA) share one run.
+        """
         groups = groups if groups is not None else build_groups(kernel)
         state = AllocationState(
             kernel, groups, budget, context=context, objective=objective
         )
-        self._run(state)
-        return state.finish(kernel.name, self.name)
+
+        def run() -> "tuple[Allocation, bool]":
+            self._run(state)
+            return state.finish(kernel.name, self.name), state.objective_read
+
+        key = (type(self), *sorted(vars(self).items()), budget)
+        return state.context.allocation(
+            kernel, groups, key, state._objective, run
+        )
 
     @abstractmethod
     def _run(self, state: AllocationState) -> None:

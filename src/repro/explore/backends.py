@@ -82,6 +82,10 @@ class CacheBackend:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def exists(self) -> bool:
+        """Whether the medium is there at all; checking creates nothing."""
+        raise NotImplementedError
+
     def read(self, name: str) -> "bytes | None":
         """Raw entry bytes, or None on a miss.  Never raises on a miss."""
         raise NotImplementedError
@@ -170,6 +174,9 @@ class DirBackend(CacheBackend):
 
     def describe(self) -> str:
         return str(self.root)
+
+    def exists(self) -> bool:
+        return self.root.is_dir()
 
     # -- the index -------------------------------------------------------
 
@@ -521,6 +528,9 @@ class SqliteBackend(CacheBackend):
 
     def describe(self) -> str:
         return f"sqlite:{self.path}"
+
+    def exists(self) -> bool:
+        return self.path.is_file()
 
     def _connect(self, create: bool) -> "sqlite3.Connection | None":
         if self._conn is not None:

@@ -7,9 +7,10 @@ the body DFG, the coverage rank/Belady computations, the makespan of
 each distinct hit/miss iteration pattern — yet the seed evaluator
 rebuilt every artifact per point, so a B-budgets x A-allocators grid
 paid the same analysis bill B x A times.  The per-point *marginal* cost
-should be the allocation decision, not the whole analysis (the same
-observation the tiling literature makes about register-pressure points
-along a sweep).
+should be only what the point's own parameters change — the allocation
+decision along the budget and allocator axes, the cycle count along the
+latency axis — not the whole analysis (the same observation the tiling
+literature makes about register-pressure points along a sweep).
 
 :class:`EvalContext` is the one memo store for those artifacts.  It is
 **per process** (nothing here is pickled or shared across workers) and
@@ -34,6 +35,18 @@ critical graphs (CPA-RA)      ``(dfg, latency-model key, frozen
 whole cycle reports           the full :func:`~repro.sim.cycles.report_key`
                               — objective key, per-group registers and
                               anchors (or the best-anchor marker)
+allocations                   ``(kernel bundle, allocator configuration,
+                              budget)``, plus the objective key only when
+                              the run read ``state.objective`` (CPA-RA,
+                              OPT-RA); truncated allocations are never
+                              stored
+hardware estimates            ``(kernel bundle, device, per-group
+                              registers)`` — clock, area and RAM binding
+                              of a register distribution
+objectives                    ``(latency spec, device, RAM ports,
+                              overhead)`` — one resolved
+                              :class:`~repro.synth.estimate.Objective`
+                              per distinct parameter set (not per kernel)
 ============================  =============================================
 
 Every memoized artifact is immutable (or treated as such by every
@@ -78,9 +91,12 @@ from repro.sim.cycles import CycleReport, PatternCosts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.groups import RefGroup
+    from repro.core.allocation import Allocation
     from repro.dfg.latency import LatencyModel
+    from repro.explore.query import LatencySpec
+    from repro.hw.device import Device
     from repro.ir.kernel import Kernel
-    from repro.synth.estimate import Objective
+    from repro.synth.estimate import Hardware, Objective
 
 __all__ = [
     "EvalContext",
@@ -110,6 +126,10 @@ class ContextStats:
     cost_misses: int = 0
     cycles_hits: int = 0
     cycles_misses: int = 0
+    allocation_hits: int = 0
+    allocation_misses: int = 0
+    hardware_hits: int = 0
+    hardware_misses: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -130,6 +150,10 @@ class _KernelArtifacts:
     critical: "dict[tuple, CriticalGraph]" = field(default_factory=dict)
     #: full count_cycles key -> CycleReport (see EvalContext.cycle_report)
     cycle_reports: "dict[tuple, CycleReport]" = field(default_factory=dict)
+    #: (allocator config, budget, objective key or None) -> Allocation
+    allocations: "dict[tuple, Allocation]" = field(default_factory=dict)
+    #: (device, sorted per-group registers) -> clock, area and binding
+    hardware: "dict[tuple, Hardware]" = field(default_factory=dict)
 
 
 class EvalContext:
@@ -152,6 +176,8 @@ class EvalContext:
         #: id(kernel object) -> bundle, for artifact lookups that receive
         #: the kernel object rather than its name (allocators).
         self._by_object: "dict[int, _KernelArtifacts]" = {}
+        #: (latency spec, device, ram ports, overhead) -> Objective
+        self._objectives: "dict[tuple, Objective]" = {}
 
     # -- kernel + groups ------------------------------------------------------
 
@@ -373,12 +399,109 @@ class EvalContext:
         bundle.cycle_reports[key] = report
         return report
 
+    # -- allocations ----------------------------------------------------------
+
+    def allocation(
+        self,
+        kernel: "Kernel",
+        groups: "tuple[RefGroup, ...]",
+        key: tuple,
+        objective: "Objective",
+        compute: "Callable[[], tuple[Allocation, bool]]",
+    ) -> "Allocation":
+        """The allocation under ``key`` (allocator configuration and
+        budget), from ``compute()`` on a miss.
+
+        ``compute()`` also reports whether the run read its objective.
+        Until its first read a run cannot depend on the objective, so a
+        run that never read it takes the same path under every
+        objective: it is stored without the objective key and answers
+        the whole latency axis of a sweep.  A run that did read it is
+        stored under the objective's key.  Truncated allocations
+        (``certified`` False) are never stored, and foreign groups
+        decline the memo as in the sibling memos.  Allocations are
+        frozen; consumers must not mutate their ``registers``.
+        """
+        bundle = self._bundle_for(kernel, groups)
+        if bundle is None:
+            return compute()[0]
+        memo = bundle.allocations
+        allocation = memo.get((*key, None))
+        if allocation is None:
+            allocation = memo.get((*key, objective.key))
+        if allocation is not None:
+            self.stats.allocation_hits += 1
+            return allocation
+        self.stats.allocation_misses += 1
+        allocation, read_objective = compute()
+        if allocation.certified:
+            memo[(*key, objective.key if read_objective else None)] = allocation
+        return allocation
+
+    # -- hardware estimates ---------------------------------------------------
+
+    def hardware(
+        self,
+        kernel: "Kernel",
+        groups: "tuple[RefGroup, ...]",
+        coverages: "dict[str, GroupCoverage]",
+        device: "Device",
+        registers: "dict[str, int]",
+        compute: "Callable[[], Hardware]",
+    ) -> "Hardware":
+        """Clock, area and RAM binding of one register distribution on
+        ``device``, from ``compute()`` on a miss.
+
+        None of them reads the objective, so every point of a sweep
+        that reaches the same per-group registers on the same device
+        (the RAM-latency axis, and allocators that agree) shares one
+        estimate.  Caller-supplied groups or coverages that are not the
+        bundle's canonical ones decline the memo.
+        """
+        bundle = self._resident(kernel)
+        if bundle is None or groups is not bundle.groups or (
+            coverages is not bundle.coverages
+        ):
+            return compute()
+        key = (device, tuple(sorted(registers.items())))
+        hardware = bundle.hardware.get(key)
+        if hardware is not None:
+            self.stats.hardware_hits += 1
+            return hardware
+        self.stats.hardware_misses += 1
+        hardware = compute()
+        bundle.hardware[key] = hardware
+        return hardware
+
+    # -- objectives -----------------------------------------------------------
+
+    def objective(
+        self,
+        latency: "LatencySpec",
+        device: "Device",
+        ram_ports: int,
+        overhead: int,
+    ) -> "Objective":
+        """The resolved objective of one query's parameters, built (and
+        its latency model sorted) once per distinct parameter set."""
+        key = (latency, device, ram_ports, overhead)
+        objective = self._objectives.get(key)
+        if objective is None:
+            from repro.synth.estimate import Objective
+
+            objective = Objective.resolve(
+                device, latency.to_model(), ram_ports or None, overhead
+            )
+            self._objectives[key] = objective
+        return objective
+
     # -- misc -----------------------------------------------------------------
 
     def clear(self) -> None:
         """Drop every memoized artifact (stats are kept)."""
         self._bundles.clear()
         self._by_object.clear()
+        self._objectives.clear()
 
 
 # -- the process-global context -----------------------------------------------

@@ -12,9 +12,10 @@ a sweep or discard its siblings' results.
 Evaluation always runs on the shared-artifact plane of
 :class:`~repro.explore.context.EvalContext`: the body DFG, coverage
 rank/Belady structures, per-pattern cost tables, CPA-RA critical
-graphs and KS-RA DP tables are memoized per process and reused across
-the allocator/budget axes of a sweep, so the marginal cost of a grid
-point is the allocation decision rather than the whole analysis.
+graphs, allocations, hardware estimates and resolved objectives are
+memoized per process and reused across the allocator, budget and
+latency axes of a sweep, so the marginal cost of a grid point is what
+its own parameters change rather than the whole analysis.
 ``context=None`` (the default) means the process-global context; an
 explicit :class:`EvalContext` instance gives tests and benchmarks
 controlled cold/warm runs.
@@ -36,7 +37,7 @@ from repro.explore.query import DesignQuery, DesignRecord
 from repro.hw.device import Device
 from repro.spans import collect, span
 from repro.synth.design import HardwareDesign
-from repro.synth.estimate import Objective, build_design
+from repro.synth.estimate import build_design
 
 __all__ = [
     "design_for",
@@ -64,11 +65,8 @@ def design_for(
         kernel, groups = ctx.kernel_and_groups(query.kernel, query.kernel_json)
         device = query.build_device()
     with span("alloc"):
-        objective = Objective.resolve(
-            device,
-            query.latency.to_model(),
-            query.ram_ports or None,
-            query.overhead,
+        objective = ctx.objective(
+            query.latency, device, query.ram_ports, query.overhead
         )
         allocation = allocator_by_name(query.allocator).allocate(
             kernel, query.budget, groups, context=ctx, objective=objective

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
@@ -292,6 +293,11 @@ class DesignQuery:
 
     def digest(self) -> str:
         """Content hash of the query (the cache key's config half)."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # Computed once per query: cache lookup and put both key on it.
         canonical = json.dumps(self.key(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:32]

@@ -8,26 +8,27 @@ takes a kernel and an allocation and produces the fully populated
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.analysis.groups import RefGroup, build_groups
 from repro.core.allocation import Allocation
 from repro.dfg.latency import LatencyModel
 from repro.dfg.nodes import OpNode, ReadNode
-from repro.hw.binding import bind_arrays
+from repro.hw.binding import StorageBinding, bind_arrays
 from repro.hw.device import Device, XCV1000
 from repro.ir.kernel import Kernel
 from repro.scalar.coverage import GroupCoverage
 from repro.sim.cycles import best_anchors, count_cycles, report_key
 from repro.spans import span
-from repro.synth.area import estimate_area
+from repro.synth.area import AreaEstimate, estimate_area
 from repro.synth.design import HardwareDesign
-from repro.synth.timing import estimate_clock
+from repro.synth.timing import TimingEstimate, estimate_clock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.explore.context import EvalContext
 
 __all__ = [
+    "Hardware",
     "Objective",
     "build_design",
     "classify_operand_storage",
@@ -72,6 +73,14 @@ class Objective:
         )
 
 
+class Hardware(NamedTuple):
+    """What one register distribution costs on a device."""
+
+    timing: TimingEstimate
+    area: AreaEstimate
+    binding: StorageBinding
+
+
 def classify_operand_storage(
     group: RefGroup, coverage: GroupCoverage, registers: int
 ) -> str:
@@ -110,8 +119,9 @@ def build_design(
     :meth:`LatencyModel.tmem` and zero overhead instead.
 
     ``context`` (an :class:`~repro.explore.context.EvalContext`; a fresh
-    one when omitted) supplies the DFG, the coverage computers and the
-    per-pattern cost tables inside the cycle counter; ``coverages``
+    one when omitted) supplies the DFG, the coverage computers, the
+    per-pattern cost tables inside the cycle counter and the hardware
+    estimate of the allocation's register distribution; ``coverages``
     overrides the context's computers (the fuzz oracle passes reference
     coverage).  Neither changes results.
     Its work runs under the ``--profile`` spans ``dfg_schedule``,
@@ -128,16 +138,6 @@ def build_design(
         dfg = context.dfg(kernel, groups)
         if coverages is None:
             coverages = context.coverages(kernel, groups)
-        storage_class = {
-            g.name: classify_operand_storage(
-                g, coverages[g.name], allocation.registers_for(g.name)
-            )
-            for g in groups
-        }
-        partial_groups = sum(
-            1 for cls in storage_class.values() if cls == "both"
-        )
-        mixed_ops = _count_mixed_operand_ops(dfg, storage_class)
 
     with span("cycles"):
         cycles = count_with_best_anchors(
@@ -145,21 +145,12 @@ def build_design(
         )
 
     with span("other"):
-        timing = estimate_clock(
-            dfg,
-            device,
-            total_registers=allocation.total_registers,
-            partial_groups=partial_groups,
-            mixed_operand_ops=mixed_ops,
+        timing, area, binding = context.hardware(
+            kernel, groups, coverages, device, allocation.registers,
+            lambda: _estimate_hardware(
+                kernel, groups, allocation, device, dfg, coverages
+            ),
         )
-        register_bits = {
-            g.name: (allocation.registers_for(g.name), g.ref.array.dtype.bits)
-            for g in groups
-        }
-        area = estimate_area(kernel, dfg, register_bits, partial_groups)
-
-        ram_resident = _ram_resident_arrays(kernel, groups, storage_class)
-        binding = bind_arrays(kernel, ram_resident, device)
 
     return HardwareDesign(
         kernel_name=kernel.name,
@@ -170,6 +161,44 @@ def build_design(
         binding=binding,
         device_name=device.name,
     )
+
+
+def _estimate_hardware(
+    kernel: Kernel,
+    groups: tuple[RefGroup, ...],
+    allocation: Allocation,
+    device: Device,
+    dfg,
+    coverages: "dict[str, GroupCoverage]",
+) -> Hardware:
+    """Clock, area and RAM binding of ``allocation``'s registers.
+
+    Everything here follows from the per-group registers, the device
+    and the kernel's analysis, never from the objective, which is what
+    lets :meth:`~repro.explore.context.EvalContext.hardware` share one
+    estimate across a sweep's RAM-latency axis.
+    """
+    storage_class = {
+        g.name: classify_operand_storage(
+            g, coverages[g.name], allocation.registers_for(g.name)
+        )
+        for g in groups
+    }
+    partial_groups = sum(1 for cls in storage_class.values() if cls == "both")
+    timing = estimate_clock(
+        dfg,
+        device,
+        total_registers=allocation.total_registers,
+        partial_groups=partial_groups,
+        mixed_operand_ops=_count_mixed_operand_ops(dfg, storage_class),
+    )
+    register_bits = {
+        g.name: (allocation.registers_for(g.name), g.ref.array.dtype.bits)
+        for g in groups
+    }
+    area = estimate_area(kernel, dfg, register_bits, partial_groups)
+    ram_resident = _ram_resident_arrays(kernel, groups, storage_class)
+    return Hardware(timing, area, bind_arrays(kernel, ram_resident, device))
 
 
 def count_with_best_anchors(

@@ -573,6 +573,18 @@ def test_cli_sqlite_cache_dir(capsys, tmp_path):
     assert "1 cache hits" in captured.err
 
 
+@pytest.mark.parametrize("scheme", ["", "sqlite:"])
+def test_cli_cache_fsck_missing_cache_is_an_error(capsys, tmp_path, scheme):
+    """A mistyped path is not a clean empty cache, and fsck creates
+    nothing while saying so."""
+    missing = tmp_path / "no" / "such.db"
+    code = main(["cache", "fsck", f"{scheme}{missing}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("repro: error:") and str(missing) in err
+    assert not (tmp_path / "no").exists()
+
+
 def test_cli_cache_fsck_gc(capsys, tmp_path):
     cache = ResultCache(tmp_path / "cache")
     sweep(cache=cache)

@@ -25,6 +25,7 @@ from repro.explore.context import (
     reset_process_context,
 )
 from repro.explore.evaluate import evaluate_query
+from repro.explore.query import LatencySpec
 from repro.kernels.registry import KERNEL_FACTORIES
 
 
@@ -32,6 +33,11 @@ GRID = ExplorationSpace(
     kernels=tuple(sorted(KERNEL_FACTORIES)),
     allocators=("NO-SR", "FR-RA", "PR-RA", "CPA-RA", "KS-RA"),
     budgets=(4, 12, 64),
+    latencies=(
+        LatencySpec(),
+        LatencySpec("realistic", 1),
+        LatencySpec("realistic", 4),
+    ),
 )
 
 
@@ -50,8 +56,10 @@ def _assert_records_identical(left, right):
 
 class TestGridEquivalence:
     def test_full_registered_grid_bit_identical(self):
-        """Every kernel x allocator x budget point: a shared context
-        answers exactly what a fresh context per point computes.
+        """Every kernel x allocator x budget x RAM-latency point: a
+        shared context answers exactly what a fresh context per point
+        computes, although allocations and hardware estimates are
+        shared across the latency axis.
 
         The 4-register budget is deliberately below several kernels'
         mandatory floor, so failed records are part of the equivalence
@@ -74,6 +82,8 @@ class TestGridEquivalence:
         assert ctx.stats.cost_hits > 0
         assert ctx.stats.cycles_hits > 0
         assert ctx.stats.critical_hits > 0
+        assert ctx.stats.allocation_hits > 0
+        assert ctx.stats.hardware_hits > 0
 
     def test_parallel_context_matches_inline(self):
         space = ExplorationSpace(
@@ -317,19 +327,24 @@ class TestStatsExactAccounting:
         ) is not costs
 
     def test_optra_query_sequence(self):
-        """OPT-RA at budgets (16, 16, 15, 8) in one context: every query
-        runs its own search, and every counter is pinned — the
+        """OPT-RA at budgets (16, 16, 15, 8) in one context: the
+        repeated 16 is answered by the allocation memo, the other three
+        run their own search, and every counter is pinned — the
         evaluation plane is deterministic, so this ledger is too.
 
-        Each query looks its kernel up once, the DFG three times and the
-        coverage computers twice; its CPA-RA seed makes one
-        critical-graph lookup, which misses on the first query only.  The cycle-report memo sees each search's seed
-        vectors, the leaves the search evaluates and the final design:
-        22 lookups, 10 of them new reports: the meet bound and the
-        sibling pre-check cut most leaves before they reach that memo.
-        The pre-checks classify through the same cost table: 563
-        pattern lookups over the 8 distinct values, each scheduled
-        once."""
+        Each query looks its kernel up once and the DFG and the coverage
+        computers once more in ``build_design``; a searched query adds
+        two DFG lookups and one coverage lookup (its CPA-RA seed and the
+        search) and six allocation misses (OPT-RA and its five seeds),
+        and its CPA-RA seed makes one critical-graph lookup, which
+        misses on the first query only.  The cycle-report memo sees each
+        search's seed vectors, the leaves the search evaluates and the
+        final design: 17 lookups, 10 of them new reports: the meet bound
+        and the sibling pre-check cut most leaves before they reach that
+        memo.  The pre-checks classify through the same cost table: 410
+        pattern lookups over the 8 distinct values, each scheduled once.
+        Budgets 16 and 15 reach the same registers, so two of the four
+        hardware estimates are hits."""
         ctx = EvalContext()
         for budget in (16, 16, 15, 8):
             record = evaluate_query(
@@ -339,9 +354,111 @@ class TestStatsExactAccounting:
             assert record.error is None
         assert ctx.stats.as_dict() == {
             "kernel_hits": 3, "kernel_misses": 1,
-            "dfg_hits": 11, "dfg_misses": 1,
-            "coverage_hits": 7, "coverage_misses": 1,
-            "critical_hits": 3, "critical_misses": 1,
-            "cost_hits": 555, "cost_misses": 8,
-            "cycles_hits": 12, "cycles_misses": 10,
+            "dfg_hits": 9, "dfg_misses": 1,
+            "coverage_hits": 6, "coverage_misses": 1,
+            "critical_hits": 2, "critical_misses": 1,
+            "cost_hits": 402, "cost_misses": 8,
+            "cycles_hits": 7, "cycles_misses": 10,
+            "allocation_hits": 1, "allocation_misses": 18,
+            "hardware_hits": 2, "hardware_misses": 2,
         }
+
+
+class TestAllocationMemo:
+    """Allocations are shared by every objective the policy never read."""
+
+    def test_latency_axis_shares_objective_free_allocations(self):
+        from repro.hw.device import XCV1000
+
+        ctx = EvalContext()
+        kernel, groups = ctx.kernel_and_groups("fir", None)
+        objectives = [
+            ctx.objective(LatencySpec("realistic", lat), XCV1000, 0, 1)
+            for lat in (1, 2, 3, 4)
+        ]
+        expected = {"FR-RA": (1, 3), "PR-RA": (1, 3), "KS-RA": (1, 3),
+                    "NO-SR": (1, 3), "CPA-RA": (4, 0)}
+        for name, (misses, hits) in expected.items():
+            before = (ctx.stats.allocation_misses, ctx.stats.allocation_hits)
+            allocations = [
+                allocator_by_name(name).allocate(
+                    kernel, 32, groups, context=ctx, objective=objective
+                )
+                for objective in objectives
+            ]
+            after = (ctx.stats.allocation_misses, ctx.stats.allocation_hits)
+            assert (after[0] - before[0], after[1] - before[1]) == (
+                misses, hits
+            ), name
+            # Each answer is what a fresh context computes.
+            for objective, allocation in zip(objectives, allocations):
+                assert allocation == allocator_by_name(name).allocate(
+                    kernel, 32, groups, objective=objective
+                ), name
+
+    def test_truncated_optra_is_never_stored(self):
+        from repro.core.optra import OptimalAllocator
+
+        ctx = EvalContext()
+        kernel, groups = ctx.kernel_and_groups("fir", None)
+        exact = OptimalAllocator().allocate(kernel, 32, groups, context=ctx)
+        assert exact.certified
+        for _ in range(2):
+            misses = ctx.stats.allocation_misses
+            boxed = OptimalAllocator(node_limit=1).allocate(
+                kernel, 32, groups, context=ctx
+            )
+            assert not boxed.certified
+            assert boxed != exact
+            # A miss each time: the node limit is part of the key, and
+            # the truncated result was not stored.
+            assert ctx.stats.allocation_misses == misses + 1
+        bundle = ctx._resident(kernel)
+        assert all(a.certified for a in bundle.allocations.values())
+        assert OptimalAllocator().allocate(
+            kernel, 32, groups, context=ctx
+        ) is exact
+
+    def test_foreign_groups_decline(self):
+        from repro.analysis.groups import build_groups
+
+        ctx = EvalContext()
+        kernel, groups = ctx.kernel_and_groups("fir", None)
+        allocator = allocator_by_name("FR-RA")
+        canonical = allocator.allocate(kernel, 32, groups, context=ctx)
+        foreign = allocator.allocate(
+            kernel, 32, build_groups(kernel), context=ctx
+        )
+        assert foreign == canonical and foreign is not canonical
+        assert (ctx.stats.allocation_misses, ctx.stats.allocation_hits) == (
+            1, 0
+        )
+
+
+class TestHardwareMemo:
+    def test_shared_across_latencies_and_declines_foreign_coverages(self):
+        from repro.scalar.coverage import coverage_for
+        from repro.synth.estimate import build_design
+
+        ctx = EvalContext()
+        kernel, groups = ctx.kernel_and_groups("fir", None)
+        designs = [
+            evaluate_query(DesignQuery(
+                kernel="fir", allocator="FR-RA", budget=32,
+                latency=LatencySpec("realistic", lat),
+            ), context=ctx)
+            for lat in (1, 2, 3, 4)
+        ]
+        assert len({d.cycles for d in designs}) > 1
+        assert (ctx.stats.hardware_misses, ctx.stats.hardware_hits) == (1, 3)
+        allocation = allocator_by_name("FR-RA").allocate(
+            kernel, 32, groups, context=ctx
+        )
+        reference = build_design(
+            kernel, allocation, groups=groups,
+            coverages=coverage_for(kernel, groups), context=ctx,
+        )
+        assert (ctx.stats.hardware_misses, ctx.stats.hardware_hits) == (1, 3)
+        assert reference == build_design(
+            kernel, allocation, groups=groups, context=EvalContext()
+        )
